@@ -150,18 +150,20 @@ def phi_functions(s_frak: float, d_frak: float) -> tuple[float, float]:
     Phi_hat(s) evaluates it at the mean s/d.  Both are one-step monotone in
     s on d/2 <= s < d-1 (Phi on the half-integer grid).
     """
+    return phi(s_frak, d_frak), phi_hat(s_frak, d_frak)
+
+
+def phi(s_frak: float, d_frak: float) -> float:
+    """Just the equipoint-evaluated cumulative Phi(s) of phi_functions."""
     if not (0.0 < s_frak < d_frak):
-        raise DomainError(f"phi_functions requires 0 < s < d, got s={s_frak}, d={d_frak}")
+        raise DomainError(f"phi requires 0 < s < d, got s={s_frak}, d={d_frak}")
     t = d_frak - s_frak
-    e = equipoint(BetaShape(s_frak, t))
-    phi = reg_inc_beta(s_frak, t + 1.0, e)
-    phi_hat = reg_inc_beta(s_frak, t + 1.0, s_frak / d_frak)
-    return phi, phi_hat
+    return reg_inc_beta(s_frak, t + 1.0, equipoint(BetaShape(s_frak, t)))
 
 
 def phi_hat(s_frak: float, d_frak: float) -> float:
-    """Just the mean-evaluated cumulative Phi_hat(s), skipping the
-    equipoint solve that phi_functions also performs."""
+    """Just the mean-evaluated cumulative Phi_hat(s) of phi_functions,
+    skipping the equipoint solve."""
     if not (0.0 < s_frak < d_frak):
         raise DomainError(f"phi_hat requires 0 < s < d, got s={s_frak}, d={d_frak}")
     return reg_inc_beta(s_frak, d_frak - s_frak + 1.0, s_frak / d_frak)
@@ -187,13 +189,8 @@ def binom_tail(p: float, s: int, d: int) -> float:
 def simmons_sweep(d_max: int = 400) -> list[dict]:
     """Check e_{s/2,t/2} <= s/d and (s'+1)/(d'+2) <= e over all integer
     splits d/2 <= s < d for d <= d_max (s' = s/2, d' = d/2)."""
-    return simmons_sweep_range(2, d_max)
-
-
-def simmons_sweep_range(d_lo: int, d_hi: int) -> list[dict]:
-    """The simmons_sweep checks restricted to d in [d_lo, d_hi]."""
     violations = []
-    for d in range(max(2, d_lo), d_hi + 1):
+    for d in range(2, d_max + 1):
         for s in range((d + 1) // 2, d):
             t = d - s
             sf, tf = s / 2.0, t / 2.0
@@ -288,18 +285,20 @@ def phi_hat_monotone_sweep(d_max: float = 100.0, step: float = 0.25) -> list[dic
 
 
 def phi_monotone_sweep(d_max: float = 100.0) -> list[dict]:
-    """One-step monotonicity of Phi for half-integer s, d on d/2 <= s < d-1."""
+    """One-step monotonicity of Phi for half-integer s, d on d/2 <= s < d-1.
+
+    Each Phi on a row is computed once: s + 1 is two half-steps along the
+    row, and half-integers are exact in float.
+    """
     violations = []
     d = 2.5
     while d <= d_max + 1e-9:
-        # smallest half-integer >= d/2
-        s = math.ceil(d) / 2.0
-        while s < d - 1.0 - 1e-9:
-            p0, _ = phi_functions(s, d)
-            p1, _ = phi_functions(s + 1.0, d)
+        # half-integers from the smallest one >= d/2 up to d - 1/2
+        row = [s / 2.0 for s in range(math.ceil(d), int(2.0 * d))]
+        phis = [phi(s, d) for s in row]
+        for s, p0, p1 in zip(row, phis, phis[2:]):
             if p0 > p1 + 1e-12:
                 violations.append({"check": "phi_monotone", "s": s, "d": d,
                                    "phi_s": p0, "phi_s1": p1})
-            s += 0.5
         d += 0.5
     return violations

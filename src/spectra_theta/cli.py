@@ -16,9 +16,7 @@ JSON carries full double precision (17 significant digits).  Identical
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +27,6 @@ from .errors import DomainError, NumericError, ResourceError
 from .theta import SignDiag, alpha_beta, kappa_star, theta
 
 DEFAULT_SEED = 0xC0FFEE
-THREADS_ENV = "SPECTRA_THETA_THREADS"
 
 MEDIAN_TABLE_SHAPES = [(2.5, 1.0), (3.0, 1.0), (3.0, 2.0), (4.0, 2.0), (10.0, 3.0), (10.0, 7.0)]
 
@@ -43,28 +40,7 @@ class RunConfig:
     fmt: str = "csv"
     out: str | None = None
     grid_step: float = 0.5
-    tol: float = 1e-9
     which: str | None = None
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        count = int(raw)
-    except ValueError:
-        return 1
-    return max(1, count)
-
-
-def _pmap(fn, items):
-    """Order-preserving map, threaded when the env cap allows more than one
-    worker; the work is pure so the output never depends on the cap."""
-    items = list(items)
-    workers = min(_worker_count(), max(1, len(items)))
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +97,7 @@ def _emit(rows: list[dict], config: RunConfig) -> None:
 
 def cmd_theta_table(config: RunConfig) -> int:
     rows = []
-    for report in _pmap(theta, range(1, config.d_max + 1)):
+    for report in map(theta, range(1, config.d_max + 1)):
         if report.bounds_odd is None:
             t_minus = t_plus = t_pp = None
         else:
@@ -185,11 +161,7 @@ def _report_violations(name: str, violations: list[dict]) -> int:
 
 
 def _verify_simmons(config: RunConfig) -> int:
-    chunks = _pmap(
-        lambda d: betastats.simmons_sweep_range(d, d), range(2, config.d_max + 1)
-    )
-    violations = [v for chunk in chunks for v in chunk]
-    return _report_violations("simmons", violations)
+    return _report_violations("simmons", betastats.simmons_sweep(config.d_max))
 
 
 def _verify_monotone(config: RunConfig) -> int:
@@ -338,7 +310,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None)
         p.add_argument("--grid-step", type=float, default=0.5)
-        p.add_argument("--tol", type=float, default=1e-9)
 
     add_common(sub.add_parser("theta-table"), 20)
     add_common(sub.add_parser("median-table"), 20)
@@ -368,7 +339,6 @@ def main(argv: list[str] | None = None) -> int:
             fmt=args.format,
             out=args.out,
             grid_step=args.grid_step,
-            tol=args.tol,
             which=getattr(args, "which", None),
         )
         if config.command == "verify" and config.d_max == 0:

@@ -12,9 +12,10 @@ beta function, to
 
 Minimizing over trace-normalized (a, b) happens exactly where alpha = beta;
 minimizing further over the splits s + t = d gives 1/theta(d).  The module
-computes the per-split optimum along two independent parameterizations (the
-alpha = beta root in (a, b), and the interior minimizer sigma_{s,t} of the
-profile function f_{s,t}) and cross-checks them against each other.
+solves alpha = beta once per split, as the interior minimizer sigma_{s,t} of
+the profile function f_{s,t}, and evaluates the per-split optimum two
+independent ways (d/2 (alpha + beta) at the optimal (a, b), and
+f_{s,t}(sigma_{s,t})), cross-checking them against each other.
 """
 
 from __future__ import annotations
@@ -154,46 +155,29 @@ def h_closed_form(s: int, t: int, p: float) -> float:
 def kappa_star(s: int, t: int) -> tuple[float, float, float]:
     """Per-split optimum kappa_*(s,t) and its optimal weights (a, b).
 
-    Computed two independent ways and cross-asserted:
+    The split equation alpha = beta is solved once, as the interior
+    minimizer sigma = sigma_{s,t} (u = a/(a+b) = 1 - sigma), and the value
+    is then computed two independent ways and cross-asserted:
 
-    1. root-finding for alpha = beta over the trace-normalized segment
-       s a + t b = s + t, which yields (a_opt, b_opt) and d * alpha;
-    2. the profile value f_{s,t}(sigma_{s,t}).
+    1. d/2 (alpha + beta) at the trace-normalized weights s a + t b = s + t
+       with a/(a+b) = u, which also yields (a_opt, b_opt);
+    2. the profile value f_{s,t}(sigma).
 
     Disagreement beyond 1e-9 raises NumericError.
     """
     if not (isinstance(s, int) and isinstance(t, int) and s >= 1 and t >= 1):
         raise DomainError(f"kappa_star requires integers s, t >= 1, got ({s}, {t})")
     d = s + t
-    sh, th = s / 2.0, t / 2.0
-    ln_b1 = ln_beta(th, sh + 1.0)
-    ln_b2 = ln_beta(sh, th + 1.0)
+    sigma = sigma_st(s, t) if s >= t else 1.0 - sigma_st(t, s)
+    u = 1.0 - sigma
 
-    # Route 1: alpha(u) = beta(u) over u = a/(a+b) in (0, 1).
-    def residual(u: float) -> float:
-        return _reg_inc_beta(th, sh + 1.0, u) - _reg_inc_beta(sh, th + 1.0, 1.0 - u)
-
-    def slope(u: float) -> float:
-        lu, l1u = math.log(u), math.log1p(-u)
-        return math.exp((th - 1.0) * lu + sh * l1u - ln_b1) + math.exp(
-            (sh - 1.0) * l1u + th * lu - ln_b2
-        )
-
-    if s == t:
-        u = 0.5
-    else:
-        # u = 1 - sigma lives between t/d and (t+2)/(d+4); which endpoint is
-        # lower depends on the sign of s - t.
-        lo, hi = sorted((t / float(d), (t + 2.0) / (d + 4.0)))
-        u = newton_bracketed(residual, slope, lo, hi, xtol=1e-15)
+    # Route 1: alpha = beta at the trace-normalized weights.
     lam = d / (s * u + t * (1.0 - u))
     a_opt, b_opt = lam * u, lam * (1.0 - u)
-    J = SignDiag(s, t, a_opt, b_opt)
-    alpha, beta = alpha_beta(J)
+    alpha, beta = alpha_beta(SignDiag(s, t, a_opt, b_opt))
     ks_root = d * 0.5 * (alpha + beta)
 
     # Route 2: profile value at the interior minimizer.
-    sigma = sigma_st(s, t) if s >= t else 1.0 - sigma_st(t, s)
     f_val, _, _ = f_g_h(s, t, sigma)
 
     if abs(ks_root - f_val) > KAPPA_CROSS_CHECK_TOL:

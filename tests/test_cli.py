@@ -1,8 +1,5 @@
 import json
-import os
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
@@ -11,7 +8,7 @@ from spectra_theta.cli import main
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-def run_cli(args, tmp_path, name="out.txt", env=None):
+def run_cli(args, tmp_path, name="out.txt"):
     out = tmp_path / name
     rc = main(args + ["--out", str(out)])
     return rc, out.read_bytes()
@@ -39,21 +36,6 @@ def test_repeat_runs_byte_identical(tmp_path):
     _, first = run_cli(["theta-table", "--d-max", "5"], tmp_path, "a.csv")
     _, second = run_cli(["theta-table", "--d-max", "5"], tmp_path, "b.csv")
     assert first == second
-
-
-def test_thread_cap_does_not_change_output(tmp_path):
-    script = (
-        "import sys; from spectra_theta.cli import main; "
-        "sys.exit(main(['theta-table', '--d-max', '6']))"
-    )
-    outs = []
-    for workers in ("1", "4"):
-        env = dict(os.environ, SPECTRA_THETA_THREADS=workers)
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, env=env, check=True
-        )
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
 
 
 def test_json_round_trips_full_precision(tmp_path):
@@ -110,6 +92,7 @@ def test_usage_errors_exit_3(capsys):
     assert main(["no-such-command"]) == 3
     assert main(["verify", "wrong-sweep"]) == 3
     assert main(["verify", "monotone", "--grid-step", "-1"]) == 3
+    assert main(["theta-table", "--tol", "1e-9"]) == 3
     capsys.readouterr()
 
 

@@ -150,6 +150,22 @@ def test_cube_relaxation_on_cube_pencil():
     assert report.min_margin >= -1e-9
 
 
+def test_cube_relaxation_margin_matches_direct_spectrum():
+    # min_margin comes from one spectrum per trial, 1 - lambda_max(S)/theta;
+    # replay the same tuples and take L_B(X/theta)'s bottom eigenvalue.
+    B = MonicPencil((0.7 * B1, 0.7 * B2))
+    d, trials, seed = 3, 20, 5
+    report = cube_relaxation_test(B, d=d, trials=trials, seed=seed)
+    th = theta(B.nu).theta
+    rng = _generator(seed)
+    direct = math.inf
+    for _ in range(trials):
+        X = random_contraction_tuple(B.g, d, rng)
+        scaled = SymTuple(tuple(m / th for m in X.mats))
+        direct = min(direct, min_eigenvalue(evaluate(B, scaled)))
+    assert report.min_margin == pytest.approx(direct, abs=1e-12)
+
+
 def test_cube_relaxation_rejects_bad_pencil():
     shrunk = MonicPencil(tuple(2.0 * c for c in cube_pencil(2).coeffs))
     with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectra_theta.betastats import BetaShape, equipoint
-from spectra_theta.errors import DomainError
+from spectra_theta.errors import DomainError, NumericError
 from spectra_theta.theta import (
     SignDiag,
     alpha_beta,
@@ -198,6 +199,17 @@ def test_kappa_star_optimality_conditions():
         sig = sigma_st(s, t)
         f, _, _ = f_g_h(s, t, sig)
         assert ks == pytest.approx(f, abs=1e-9)
+
+
+def test_kappa_star_cross_check_fires_on_wrong_root(monkeypatch):
+    # Both routes evaluate at the same sigma, so the check must still see a
+    # wrong root.  import_module, because the package attribute
+    # spectra_theta.theta is the function, not the module.
+    module = importlib.import_module("spectra_theta.theta")
+    true_sigma = module.sigma_st
+    monkeypatch.setattr(module, "sigma_st", lambda s, t: true_sigma(s, t) + 1e-5)
+    with pytest.raises(NumericError):
+        kappa_star(30, 5)
 
 
 def test_theta_table_reproduction():
