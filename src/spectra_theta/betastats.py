@@ -16,12 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .rootfind import bisect_monotone
-from .specfun import ln_beta, reg_inc_beta, reg_inc_beta_inv, _reg_inc_beta
-
-EQUIPOINT_BISECT_WIDTH = 1e-13
-EQUIPOINT_RESIDUAL_TOL = 1e-11
-MEDIAN_RESIDUAL_TOL = 1e-11
+from .rootfind import newton_bracketed
+from .specfun import beta_pdf, reg_inc_beta, reg_inc_beta_inv, _reg_inc_beta
 
 
 @dataclass(frozen=True)
@@ -53,30 +49,28 @@ def _equipoint_residual(s: float, t: float, x: float) -> float:
     """I_x(s, t+1) + I_x(s+1, t) - 1; strictly increasing in x.
 
     Evaluated through the contiguous-shape rearrangement
-    2 I_x(s, t) + (s - t) x^s (1-x)^t / (s t B(s, t)) - 1, which costs one
-    incomplete-beta call instead of two.  The test suite checks the
+    2 I_x(s, t) + (s - t) x (1-x) beta_pdf(s, t, x) / (s t) - 1, which costs
+    one incomplete-beta call instead of two.  The test suite checks the
     returned root against the two-call defining sum directly.
     """
     if x <= 0.0:
         return -1.0
     if x >= 1.0:
         return 1.0
-    correction = (s - t) * math.exp(
-        s * math.log(x) + t * math.log1p(-x) - ln_beta(s, t)
-    ) / (s * t)
+    correction = (s - t) * x * (1.0 - x) * beta_pdf(s, t, x) / (s * t)
     return 2.0 * _reg_inc_beta(s, t, x) + correction - 1.0
 
 
 def equipoint(shape: BetaShape) -> float:
     """The equipoint e of the shape pair.
 
-    Solved by bisection to bracket width 1e-13: the residual is strictly
-    increasing, so convergence is guaranteed for every admissible shape.
-    The analytic bracket [(s+1)/(d+2), s/d] is tried first; when the sign
-    change is not confirmed there the search falls back to the adjacent
-    piece of [0, 1], so the returned value is the true root even where the
-    analytic bounds fail.  The degenerate case t = 0 returns 1 by
-    convention (the residual is I_e(s, 1) - 1, whose root is 1).
+    Solved by bracketed Newton on [0, 1], where the residual runs from -1
+    to +1, started midway between the analytic bounds (s+1)/(d+2) and s/d.
+    The slope is the exact derivative d beta_pdf(s, t, x) ((1-x)/t + x/s)
+    of the defining sum, and the iteration stops when the bracket is a few
+    ulps wide.  The residual is strictly increasing, so convergence is
+    guaranteed for every admissible shape.  The degenerate case t = 0
+    returns 1 by convention (the residual is I_e(s, 1) - 1, whose root is 1).
     """
     s, t = shape.s_frak, shape.t_frak
     if t == 0.0:
@@ -86,19 +80,11 @@ def equipoint(shape: BetaShape) -> float:
     def residual(x: float) -> float:
         return _equipoint_residual(s, t, x)
 
-    lo_c = (s + 1.0) / (d + 2.0)
-    hi_c = s / d
-    if lo_c > hi_c:
-        lo_c, hi_c = hi_c, lo_c
-    r_lo = residual(lo_c)
-    r_hi = residual(hi_c)
-    if r_lo <= 0.0 <= r_hi:
-        lo, hi = lo_c, hi_c
-    elif r_lo > 0.0:
-        lo, hi = 0.0, lo_c
-    else:
-        lo, hi = hi_c, 1.0
-    return bisect_monotone(residual, lo, hi, xtol=EQUIPOINT_BISECT_WIDTH)
+    def slope(x: float) -> float:
+        return d * beta_pdf(s, t, x) * ((1.0 - x) / t + x / s)
+
+    x0 = 0.5 * ((s + 1.0) / (d + 2.0) + s / d)
+    return newton_bracketed(residual, slope, 0.0, 1.0, x0=x0, xtol=0.0, rtol=4e-16)
 
 
 def median(shape: BetaShape) -> float:

@@ -34,7 +34,7 @@ MEDIAN_TABLE_SHAPES = [(2.5, 1.0), (3.0, 1.0), (3.0, 2.0), (4.0, 2.0), (10.0, 3.
 @dataclass
 class RunConfig:
     command: str
-    d_max: int = 20
+    d_max: int | None = 20
     seed: int = DEFAULT_SEED
     samples: int = 1_000_000
     fmt: str = "csv"
@@ -229,7 +229,7 @@ def _verify_oracle(config: RunConfig) -> int:
 def _verify_dilation(config: RunConfig) -> int:
     violations = []
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    n_instances = min(config.samples, 1000) if config.samples else 1000
+    n_instances = min(config.samples, 1000)
     for k in range(n_instances):
         n = int(rng.integers(1, 5))
         X = _random_spin_ball_tuple(rng, n)
@@ -303,20 +303,21 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="spectra-theta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, d_max_default):
-        p.add_argument("--d-max", type=int, default=d_max_default)
-        p.add_argument("--seed", type=lambda v: int(v, 0), default=DEFAULT_SEED)
-        p.add_argument("--samples", type=int, default=1_000_000)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    def add_output(p):
+        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None)
-        p.add_argument("--grid-step", type=float, default=0.5)
 
-    add_common(sub.add_parser("theta-table"), 20)
-    add_common(sub.add_parser("median-table"), 20)
-    add_common(sub.add_parser("equipoint-table"), 20)
+    theta_table = sub.add_parser("theta-table")
+    theta_table.add_argument("--d-max", type=int, default=20)
+    add_output(theta_table)
+    add_output(sub.add_parser("median-table"))
+    add_output(sub.add_parser("equipoint-table"))
     verify = sub.add_parser("verify")
     verify.add_argument("which", choices=sorted(_VERIFIERS))
-    add_common(verify, 0)
+    verify.add_argument("--d-max", type=int, default=None)
+    verify.add_argument("--seed", type=lambda v: int(v, 0), default=DEFAULT_SEED)
+    verify.add_argument("--samples", type=int, default=1_000_000)
+    verify.add_argument("--grid-step", type=float, default=0.5)
     return parser
 
 
@@ -330,20 +331,14 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        config = RunConfig(
-            command=args.command,
-            d_max=args.d_max,
-            seed=args.seed,
-            samples=args.samples,
-            fmt=args.format,
-            out=args.out,
-            grid_step=args.grid_step,
-            which=getattr(args, "which", None),
-        )
-        if config.command == "verify" and config.d_max == 0:
+        config = RunConfig(**vars(_build_parser().parse_args(argv)))
+        if config.d_max is None:
             config.d_max = _VERIFY_DEFAULT_DMAX.get(config.which, 100)
-        if config.command == "verify" and config.grid_step <= 0:
+        if config.d_max < 1:
+            raise DomainError(f"--d-max must be at least 1, got {config.d_max}")
+        if config.samples < 1:
+            raise DomainError(f"--samples must be at least 1, got {config.samples}")
+        if config.grid_step <= 0:
             raise DomainError("--grid-step must be positive")
         return _COMMANDS[config.command](config)
     except (DomainError, ResourceError) as exc:

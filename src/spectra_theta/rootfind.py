@@ -1,9 +1,10 @@
-"""Bracketed scalar root finders.
+"""The package's one scalar root finder: bracketed Newton.
 
-Both solvers require a sign-changing bracket and never leave it, so they
-converge for any continuous monotone residual.  ``bisect_monotone`` is the
-plain guaranteed method; ``newton_bracketed`` takes Newton steps when they
-stay inside the current bracket and bisects otherwise.
+``newton_bracketed`` requires a sign-changing bracket and never leaves it:
+it takes Newton steps when they stay inside the current bracket and bisects
+otherwise, so it converges for any continuous increasing residual.  Every
+root in the package (the equipoint, sigma_{s,t} and the inverse incomplete
+beta) is found with it.
 """
 
 from __future__ import annotations
@@ -11,37 +12,6 @@ from __future__ import annotations
 from typing import Callable
 
 from .errors import NumericError
-
-
-def bisect_monotone(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    xtol: float = 1e-13,
-    max_iter: int = 200,
-) -> float:
-    """Root of an increasing function on [lo, hi] by bisection.
-
-    Requires f(lo) <= 0 <= f(hi); the bracket is shrunk until its width is
-    at most ``xtol`` and the midpoint is returned.
-    """
-    flo, fhi = f(lo), f(hi)
-    if flo > 0.0 or fhi < 0.0:
-        raise NumericError(f"not a sign-changing bracket: f({lo})={flo}, f({hi})={fhi}")
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol or mid <= lo or mid >= hi:
-            return mid
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def newton_bracketed(

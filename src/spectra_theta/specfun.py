@@ -19,10 +19,6 @@ from functools import lru_cache
 from .errors import DomainError, NumericError
 from .rootfind import newton_bracketed
 
-LN_GAMMA_ABS_TOL = 1e-13
-REG_INC_BETA_ABS_TOL = 1e-12
-REG_INC_BETA_INV_ABS_TOL = 1e-11
-
 
 @dataclass(frozen=True)
 class BetaArgs:
@@ -140,8 +136,8 @@ def reg_inc_beta(a: float, b: float, p: float) -> float:
 def beta_pdf(a: float, b: float, p: float) -> float:
     """Density p^(a-1) (1-p)^(b-1) / B(a, b); zero at endpoints it cannot reach."""
     if p <= 0.0 or p >= 1.0:
-        # Correct one-sided limit for a, b >= 1; the inverse solver only
-        # needs a nonnegative value here.
+        # Correct one-sided limit for a, b >= 1; the root finders only
+        # need a nonnegative value here.
         return 0.0
     return math.exp((a - 1.0) * math.log(p) + (b - 1.0) * math.log1p(-p) - ln_beta(a, b))
 

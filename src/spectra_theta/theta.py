@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NumericError
 from .rootfind import newton_bracketed
-from .specfun import _reg_inc_beta, ln_beta, ln_gamma
+from .specfun import _reg_inc_beta, beta_pdf, ln_gamma
 
 KAPPA_CROSS_CHECK_TOL = 1e-9
 CLOSED_FORM_TOL = 1e-8
@@ -106,17 +106,12 @@ def sigma_st(s: int, t: int) -> float:
     hi = s / float(d)
     if s == t:
         return 0.5
-    ln_b1 = ln_beta(sh, th + 1.0)
-    ln_b2 = ln_beta(th, sh + 1.0)
 
     def residual(x: float) -> float:
         return _reg_inc_beta(sh, th + 1.0, x) - _reg_inc_beta(th, sh + 1.0, 1.0 - x)
 
     def slope(x: float) -> float:
-        lx, l1x = math.log(x), math.log1p(-x)
-        return math.exp((sh - 1.0) * lx + th * l1x - ln_b1) + math.exp(
-            (th - 1.0) * l1x + sh * lx - ln_b2
-        )
+        return beta_pdf(sh, th + 1.0, x) + beta_pdf(th, sh + 1.0, 1.0 - x)
 
     return newton_bracketed(residual, slope, lo, hi, xtol=1e-15)
 
@@ -249,11 +244,11 @@ def theta(d: int) -> ThetaReport:
     for s in range((d + 1) // 2, d + 1):
         t = d - s
         if t == 0:
-            ks = 1.0  # identity pattern: the integrand is constant
+            ks, a, b = 1.0, 1.0, 0.0  # identity pattern: the integrand is constant
         else:
-            ks, _, _ = kappa_star(s, t)
+            ks, a, b = kappa_star(s, t)
         if ks < best_ks:
-            best_ks, best_s, best_t = ks, s, t
+            best_ks, best_s, best_t, best_a, best_b = ks, s, t, a, b
 
     if d == 1:
         expect_s, expect_t = 1, 0
@@ -282,7 +277,7 @@ def theta(d: int) -> ThetaReport:
     elif d == 1:
         p_opt = 1.0  # degenerate split (1, 0); matches the equipoint convention e_{s,0} = 1
     else:
-        p_opt = sigma_st(best_s, best_t)
+        p_opt = best_b / (best_a + best_b)  # sigma of the minimizing split
 
     bounds = theta_odd_bounds(d) if (d % 2 == 1 and d >= 3) else None
     th = 1.0 / best_ks

@@ -46,6 +46,21 @@ def test_equipoint_defining_equation(s, t):
     assert abs(residual) <= 1e-11
 
 
+def test_equipoint_against_mpmath():
+    import mpmath
+
+    grid = (0.1, 0.5, 1.0, 2.5, 7.0, 30.0, 100.0)
+    with mpmath.workdps(40):
+        for s in grid:
+            for t in grid:
+                def residual(x):
+                    return (mpmath.betainc(s, t + 1, 0, x, regularized=True)
+                            + mpmath.betainc(s + 1, t, 0, x, regularized=True) - 1)
+
+                ref = mpmath.findroot(residual, (mpmath.mpf(0), mpmath.mpf(1)), solver="anderson")
+                assert abs(equipoint(BetaShape(s, t)) - float(ref)) <= 1e-14, (s, t)
+
+
 @given(s=shapes, t=shapes)
 def test_equipoint_swap_reflection(s, t):
     assert equipoint(BetaShape(s, t)) == pytest.approx(

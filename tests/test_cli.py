@@ -93,6 +93,17 @@ def test_usage_errors_exit_3(capsys):
     assert main(["verify", "wrong-sweep"]) == 3
     assert main(["verify", "monotone", "--grid-step", "-1"]) == 3
     assert main(["theta-table", "--tol", "1e-9"]) == 3
+    # a sweep or table with no work to do is refused, not passed
+    assert main(["verify", "simmons", "--d-max", "-5"]) == 3
+    assert main(["verify", "dilation", "--samples", "-1"]) == 3
+    assert main(["theta-table", "--d-max", "-3"]) == 3
+    # each command accepts only the flags it reads
+    assert main(["verify", "simmons", "--out", "f"]) == 3
+    assert main(["verify", "simmons", "--format", "json"]) == 3
+    assert main(["median-table", "--seed", "1"]) == 3
+    assert main(["theta-table", "--samples", "5"]) == 3
+    assert main(["equipoint-table", "--grid-step", "1"]) == 3
+    assert main(["median-table", "--d-max", "3"]) == 3
     capsys.readouterr()
 
 

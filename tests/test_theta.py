@@ -229,7 +229,7 @@ def test_theta_report_fields():
     r = theta(3)
     assert (r.minimizer_s, r.minimizer_t) == (2, 1)
     assert r.theta * r.kappa_star == pytest.approx(1.0, abs=1e-12)
-    assert r.p_opt == pytest.approx(sigma_st(2, 1), abs=1e-12)
+    assert r.p_opt == sigma_st(2, 1)
     r4 = theta(4)
     assert (r4.minimizer_s, r4.minimizer_t) == (2, 2)
     assert r4.p_opt == 0.5
