@@ -67,10 +67,16 @@ def equipoint(shape: BetaShape) -> float:
     Solved by bracketed Newton on [0, 1], where the residual runs from -1
     to +1, started midway between the analytic bounds (s+1)/(d+2) and s/d.
     The slope is the exact derivative d beta_pdf(s, t, x) ((1-x)/t + x/s)
-    of the defining sum, and the iteration stops when the bracket is a few
-    ulps wide.  The residual is strictly increasing, so convergence is
-    guaranteed for every admissible shape.  The degenerate case t = 0
-    returns 1 by convention (the residual is I_e(s, 1) - 1, whose root is 1).
+    of the defining sum, and the iteration stops when a Newton step, or the
+    bracket, is a few ulps wide.  The residual is strictly increasing, so
+    convergence is guaranteed for every admissible shape.  The degenerate
+    case t = 0 returns 1 by convention (the residual is I_e(s, 1) - 1, whose
+    root is 1).
+
+    The accuracy is absolute, about 2e-15: the residual cancels to about
+    1e-16 in absolute terms, so a root very close to 0 keeps few relative
+    digits.  At shapes (1e-6, 1e6) the root 1.0854e-11 comes back 1.5e-4 off
+    in relative terms, at (1e-8, 1e8) the root 1.5e-15 about 20% off.
     """
     s, t = shape.s_frak, shape.t_frak
     if t == 0.0:

@@ -278,10 +278,12 @@ _VERIFIERS = {
     "dilation": _verify_dilation,
 }
 
-_VERIFY_DEFAULT_DMAX = {
-    "simmons": 400,
-    "monotone": 100,
-    "bounds": 99,
+# --d-max of the sweeps that read it: (default, smallest value whose sweep
+# checks anything; the Simmons sweep starts at d = 2, Phi's at d = 2.5)
+_VERIFY_DMAX = {
+    "simmons": (400, 2),
+    "monotone": (100, 3),
+    "bounds": (99, 1),
 }
 
 
@@ -332,10 +334,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     try:
         config = RunConfig(**vars(_build_parser().parse_args(argv)))
+        default_d_max, least_d_max = _VERIFY_DMAX.get(config.which, (100, 1))
         if config.d_max is None:
-            config.d_max = _VERIFY_DEFAULT_DMAX.get(config.which, 100)
-        if config.d_max < 1:
-            raise DomainError(f"--d-max must be at least 1, got {config.d_max}")
+            config.d_max = default_d_max
+        if config.d_max < least_d_max:
+            raise DomainError(f"--d-max must be at least {least_d_max}, got {config.d_max}")
         if config.samples < 1:
             raise DomainError(f"--samples must be at least 1, got {config.samples}")
         if config.grid_step <= 0:

@@ -1,9 +1,16 @@
-"""Self-contained special functions: log-gamma, regularized incomplete beta,
-and its inverse, to double precision.
+"""Special functions: log-gamma, log-beta, the regularized incomplete beta,
+its density and its inverse, to double precision.
 
-Nothing here depends on numpy or scipy; the three public functions are plain
-scalar routines so they can be called millions of times from the sweep code
-without array overhead.  Accuracy targets (absolute):
+Two kernels compute the same numbers.  The point kernel (``ln_beta``,
+``_reg_inc_beta``, ``beta_pdf``) is plain scalar code, cheap to call once
+from the sweeps and root finders.  The row kernel (``_ln_beta_row``,
+``_ibeta_row``, ``_pdf_row``) evaluates a whole numpy row of argument
+triples at once, for theta(d)'s split scan; it matches the point kernel bit
+for bit, lane by lane: the same operation order, the transcendental
+functions of ``math`` mapped per lane (``_pdf_row`` maps ``beta_pdf``
+itself), and one modified-Lentz continued fraction advanced for every lane
+still iterating.  Accuracy targets
+(absolute):
 
 * ``ln_gamma``          max(1e-13, 5e-15 |ln Gamma(x)|) over [1e-3, 1e6]
 * ``reg_inc_beta``      1e-12
@@ -15,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import DomainError, NumericError
 from .rootfind import newton_bracketed
@@ -61,12 +70,15 @@ def ln_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
+_CF_MAX_ITER = 500
+_CF_EPS = 1e-16
+_CF_TINY = 1e-300
+
+
 def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta, evaluated by the modified
     Lentz algorithm.  Valid (fast-converging) for x < (a+1)/(a+b+2)."""
-    max_iter = 500
-    eps = 1e-16
-    tiny = 1e-300
+    max_iter, eps, tiny = _CF_MAX_ITER, _CF_EPS, _CF_TINY
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -99,7 +111,11 @@ def _beta_cf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < eps:
             return h
-    raise NumericError(
+    raise _cf_error(a, b, x)
+
+
+def _cf_error(a: float, b: float, x: float) -> NumericError:
+    return NumericError(
         f"incomplete beta continued fraction did not converge for a={a}, b={b}, p={x}"
     )
 
@@ -170,3 +186,94 @@ def reg_inc_beta_inv(y: float, a: float, b: float) -> float:
     return newton_bracketed(
         residual, density, 0.0, 1.0, x0=x0, xtol=0.0, rtol=1e-14, ftol=1e-13, max_iter=200
     )
+
+
+# ---------------------------------------------------------------------------
+# Row kernel: the point kernel's arithmetic on numpy rows, lane by lane.
+# ---------------------------------------------------------------------------
+
+# Rows shorter than this go lane by lane through the point kernel: below it,
+# numpy's per-operation overhead on the continued-fraction loop costs more
+# than the scalar loops it replaces (crossover measured per call; CHANGES.md).
+_ROW_MIN_LANES = 112
+
+
+def _lanes(*args) -> list[np.ndarray]:
+    """The arguments as equally long 1-d float rows (scalars broadcast)."""
+    return np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in args))
+
+
+def _map(fn, *rows: np.ndarray) -> np.ndarray:
+    """``fn`` applied lane by lane, so each lane gets the point kernel's bits
+    (numpy's own log and exp may differ from ``math`` in the last ulp)."""
+    return np.fromiter(map(fn, *(row.tolist() for row in rows)), dtype=float, count=rows[0].size)
+
+
+def _ln_beta_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``ln_beta`` on a row (through its memo table)."""
+    return _map(ln_beta, a, b)
+
+
+def _beta_cf_row(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``_beta_cf`` on a row: one modified-Lentz loop for all lanes, each
+    lane leaving it (and the row compacting) when its own update converges."""
+    tiny = _CF_TINY
+    out = np.empty(a.size)
+    lane = np.arange(a.size)
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = np.ones(a.size)
+    d = 1.0 - qab * x / qap
+    d = 1.0 / np.where(np.abs(d) < tiny, tiny, d)
+    h = d
+    for m in range(1, _CF_MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        d = np.where(np.abs(d) < tiny, tiny, d)
+        c = 1.0 + aa / c
+        c = np.where(np.abs(c) < tiny, tiny, c)
+        d = 1.0 / d
+        h = h * (d * c)
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        d = np.where(np.abs(d) < tiny, tiny, d)
+        c = 1.0 + aa / c
+        c = np.where(np.abs(c) < tiny, tiny, c)
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        done = np.abs(delta - 1.0) < _CF_EPS
+        if done.any():
+            out[lane[done]] = h[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            lane, a, b, x, qab, qap, qam, c, d, h = (
+                v[keep] for v in (lane, a, b, x, qab, qap, qam, c, d, h)
+            )
+    raise _cf_error(float(a[0]), float(b[0]), float(x[0]))
+
+
+def _ibeta_row(a, b, p) -> np.ndarray:
+    """``_reg_inc_beta`` on a row of (a, b, p) triples (scalars broadcast)."""
+    a, b, p = _lanes(a, b, p)
+    if a.size < _ROW_MIN_LANES:
+        return _map(_reg_inc_beta, a, b, p)
+    value = np.where(p <= 0.0, 0.0, 1.0)
+    inner = ~((p <= 0.0) | (p >= 1.0))  # the point kernel's endpoint tests
+    a, b, p = a[inner], b[inner], p[inner]
+    ln_front = a * _map(math.log, p) + b * _map(math.log1p, -p) - _ln_beta_row(a, b)
+    # the point kernel's symmetry switch, per lane
+    swap = ~(p < (a + 1.0) / (a + b + 2.0))
+    ca = np.where(swap, b, a)
+    cf = _beta_cf_row(ca, np.where(swap, a, b), np.where(swap, 1.0 - p, p))
+    head = _map(math.exp, ln_front) * cf / ca
+    value[inner] = np.where(swap, 1.0 - head, head)
+    return value
+
+
+def _pdf_row(a, b, p) -> np.ndarray:
+    """``beta_pdf`` on a row of (a, b, p) triples (scalars broadcast)."""
+    return _map(beta_pdf, *_lanes(a, b, p))

@@ -16,6 +16,12 @@ solves alpha = beta once per split, as the interior minimizer sigma_{s,t} of
 the profile function f_{s,t}, and evaluates the per-split optimum two
 independent ways (d/2 (alpha + beta) at the optimal (a, b), and
 f_{s,t}(sigma_{s,t})), cross-checking them against each other.
+
+That code is written once, on rows: theta(d) solves sigma and kappa_* for
+all its splits together, one bracketed-Newton row (``rootfind.newton_rows``)
+over the row kernel of ``specfun``, and the point functions ``alpha_beta``,
+``f_g_h``, ``sigma_st`` and ``kappa_star`` are one-lane calls of the same
+code, so a split gives the same bits either way.
 """
 
 from __future__ import annotations
@@ -23,9 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, NumericError
-from .rootfind import newton_bracketed
-from .specfun import _reg_inc_beta, beta_pdf, ln_gamma
+from .rootfind import newton_rows
+from .specfun import _ibeta_row, _pdf_row, _reg_inc_beta, ln_gamma
 
 KAPPA_CROSS_CHECK_TOL = 1e-9
 CLOSED_FORM_TOL = 1e-8
@@ -69,10 +77,16 @@ def alpha_beta(J: SignDiag) -> tuple[float, float]:
     """
     if J.t == 0:
         raise DomainError("alpha_beta requires t >= 1")
-    d = float(J.d)
-    u = J.a / (J.a + J.b)
-    alpha = (2.0 * _reg_inc_beta(J.t / 2.0, J.s / 2.0 + 1.0, u) - 1.0) / d
-    beta = (2.0 * _reg_inc_beta(J.s / 2.0, J.t / 2.0 + 1.0, 1.0 - u) - 1.0) / d
+    alpha, beta = _alpha_beta_rows(J.s, J.t, J.a, J.b)
+    return float(alpha[0]), float(beta[0])
+
+
+def _alpha_beta_rows(s, t, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """alpha_beta on rows of (s, t, a, b) (scalars broadcast)."""
+    d = s + t
+    u = a / (a + b)
+    alpha = (2.0 * _ibeta_row(t / 2.0, s / 2.0 + 1.0, u) - 1.0) / d
+    beta = (2.0 * _ibeta_row(s / 2.0, t / 2.0 + 1.0, 1.0 - u) - 1.0) / d
     return alpha, beta
 
 
@@ -100,20 +114,32 @@ def sigma_st(s: int, t: int) -> float:
     """
     if not (isinstance(s, int) and isinstance(t, int) and s >= t >= 1):
         raise DomainError(f"sigma_st requires integers s >= t >= 1, got ({s}, {t})")
-    d = s + t
-    sh, th = s / 2.0, t / 2.0
-    lo = (s + 2.0) / (d + 4.0)
-    hi = s / float(d)
     if s == t:
         return 0.5
+    return float(_sigma_rows(np.array([s]), np.array([t]))[0])
 
-    def residual(x: float) -> float:
-        return _reg_inc_beta(sh, th + 1.0, x) - _reg_inc_beta(th, sh + 1.0, 1.0 - x)
 
-    def slope(x: float) -> float:
-        return beta_pdf(sh, th + 1.0, x) + beta_pdf(th, sh + 1.0, 1.0 - x)
+def _sigma_residual(sh: np.ndarray, th: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """I_x(s/2, 1+t/2) - I_{1-x}(t/2, 1+s/2) per lane, increasing in x."""
+    return _ibeta_row(sh, th + 1.0, x) - _ibeta_row(th, sh + 1.0, 1.0 - x)
 
-    return newton_bracketed(residual, slope, lo, hi, xtol=1e-15)
+
+def _sigma_slope(sh: np.ndarray, th: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The x-derivative of ``_sigma_residual`` per lane."""
+    return _pdf_row(sh, th + 1.0, x) + _pdf_row(th, sh + 1.0, 1.0 - x)
+
+
+def _sigma_rows(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sigma_{s,t} for every lane s > t >= 1 (integer rows), one Newton row."""
+    sh, th = s / 2.0, t / 2.0
+    d = s + t
+    return newton_rows(
+        lambda x, lanes: _sigma_residual(sh[lanes], th[lanes], x),
+        lambda x, lanes: _sigma_slope(sh[lanes], th[lanes], x),
+        (s + 2.0) / (d + 4.0),
+        s / d,
+        xtol=1e-15,
+    )
 
 
 def f_g_h(s: int, t: int, p: float) -> tuple[float, float, float]:
@@ -129,9 +155,15 @@ def f_g_h(s: int, t: int, p: float) -> tuple[float, float, float]:
         raise DomainError(f"f_g_h requires integers s, t >= 1, got ({s}, {t})")
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"f_g_h requires p in [0, 1], got {p}")
+    f, g, h = _f_g_h_rows(s, t, p)
+    return float(f[0]), float(g[0]), float(h[0])
+
+
+def _f_g_h_rows(s, t, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f_g_h on rows of (s, t, p) (scalars broadcast)."""
     sh, th = s / 2.0, t / 2.0
-    i_left = _reg_inc_beta(th, sh + 1.0, 1.0 - p)
-    i_right = _reg_inc_beta(sh, th + 1.0, p)
+    i_left = _ibeta_row(th, sh + 1.0, 1.0 - p)
+    i_right = _ibeta_row(sh, th + 1.0, p)
     w = (1.0 - p) * s + p * t
     f = (2.0 * (1.0 - p) * s * i_left + 2.0 * p * t * i_right) / w - 1.0
     g = 2.0 * (s * i_left + t * i_right) / (s + t) - 1.0
@@ -162,23 +194,34 @@ def kappa_star(s: int, t: int) -> tuple[float, float, float]:
     """
     if not (isinstance(s, int) and isinstance(t, int) and s >= 1 and t >= 1):
         raise DomainError(f"kappa_star requires integers s, t >= 1, got ({s}, {t})")
-    d = s + t
     sigma = sigma_st(s, t) if s >= t else 1.0 - sigma_st(t, s)
+    ks, a_opt, b_opt = _kappa_rows(np.array([s]), np.array([t]), np.array([sigma]))
+    return float(ks[0]), float(a_opt[0]), float(b_opt[0])
+
+
+def _kappa_rows(
+    s: np.ndarray, t: np.ndarray, sigma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """kappa_star's two routes and cross-check on rows of splits (s, t) with
+    their interior minimizers sigma; see kappa_star."""
+    d = s + t
     u = 1.0 - sigma
 
     # Route 1: alpha = beta at the trace-normalized weights.
     lam = d / (s * u + t * (1.0 - u))
     a_opt, b_opt = lam * u, lam * (1.0 - u)
-    alpha, beta = alpha_beta(SignDiag(s, t, a_opt, b_opt))
+    alpha, beta = _alpha_beta_rows(s, t, a_opt, b_opt)
     ks_root = d * 0.5 * (alpha + beta)
 
     # Route 2: profile value at the interior minimizer.
-    f_val, _, _ = f_g_h(s, t, sigma)
+    f_val = _f_g_h_rows(s, t, sigma)[0]
 
-    if abs(ks_root - f_val) > KAPPA_CROSS_CHECK_TOL:
+    bad = np.flatnonzero(np.abs(ks_root - f_val) > KAPPA_CROSS_CHECK_TOL)
+    if bad.size:
+        i = bad[0]
         raise NumericError(
-            f"kappa_star routes disagree for (s, t) = ({s}, {t}): "
-            f"alpha=beta route {ks_root!r} vs profile route {f_val!r}"
+            f"kappa_star routes disagree for (s, t) = ({s[i]}, {t[i]}): "
+            f"alpha=beta route {float(ks_root[i])!r} vs profile route {float(f_val[i])!r}"
         )
     return ks_root, a_opt, b_opt
 
@@ -227,10 +270,23 @@ def theta_odd_bounds(d: int) -> tuple[float, float, float]:
     return theta_m, 1.0 / inv_theta_p, theta_pp
 
 
+def _split_scan(d: int) -> tuple[np.ndarray, ...]:
+    """(s, t, kappa_*, a_opt, b_opt) of every split s >= ceil(d/2), t >= 1 of
+    d, as rows: one sigma row (sigma = 1/2 without a solve where s = t) and
+    one row of kappa_star's two routes."""
+    s = np.arange((d + 1) // 2, d)
+    t = d - s
+    sigma = np.full(s.size, 0.5)
+    unequal = s > t
+    sigma[unequal] = _sigma_rows(s[unequal], t[unequal])
+    return (s, t, *_kappa_rows(s, t, sigma))
+
+
 def theta(d: int) -> ThetaReport:
     """The relaxation constant theta(d) = 1 / min_{s+t=d} kappa_*(s, t).
 
-    The minimum is found by scanning every split s >= ceil(d/2) rather than
+    The minimum is found by scanning every split s >= ceil(d/2), all of them
+    solved together as rows (``_split_scan``), rather than
     trusting the known minimizer, which is then asserted: (d/2, d/2) for
     even d, ((d+1)/2, (d-1)/2) for odd d (with ties broken toward smaller
     s).  For even d the two closed forms of 1/theta(d) are additionally
@@ -239,16 +295,10 @@ def theta(d: int) -> ThetaReport:
     """
     if not (isinstance(d, int) and d >= 1):
         raise DomainError(f"theta requires a positive integer d, got {d!r}")
-    best_ks = math.inf
-    best_s = best_t = -1
-    for s in range((d + 1) // 2, d + 1):
-        t = d - s
-        if t == 0:
-            ks, a, b = 1.0, 1.0, 0.0  # identity pattern: the integrand is constant
-        else:
-            ks, a, b = kappa_star(s, t)
-        if ks < best_ks:
-            best_ks, best_s, best_t, best_a, best_b = ks, s, t, a, b
+    # the last split, (d, 0), is the identity pattern: the integrand is constant
+    rows = [np.append(row, last) for row, last in zip(_split_scan(d), (d, 0, 1.0, 1.0, 0.0))]
+    i = int(np.argmin(rows[2]))  # the first minimum: ties go to the smaller s
+    best_s, best_t, best_ks, best_a, best_b = (row[i].item() for row in rows)
 
     if d == 1:
         expect_s, expect_t = 1, 0

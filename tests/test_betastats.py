@@ -61,6 +61,33 @@ def test_equipoint_against_mpmath():
                 assert abs(equipoint(BetaShape(s, t)) - float(ref)) <= 1e-14, (s, t)
 
 
+def test_equipoint_tiny_roots_absolute_accuracy():
+    # Roots far below the residual's noise floor: the documented accuracy is
+    # absolute (about 2e-15), not relative.  Reference: 60-digit bisection of
+    # the defining sum in log x.
+    import mpmath
+
+    with mpmath.workdps(60):
+        for s, t in ((1e-6, 1e6), (1e-8, 1e8)):
+            ms, mt = mpmath.mpf(s), mpmath.mpf(t)
+
+            def residual(x):
+                return (mpmath.betainc(ms, mt + 1, 0, x, regularized=True)
+                        + mpmath.betainc(ms + 1, mt, 0, x, regularized=True) - 1)
+
+            lo, hi = mpmath.log(mpmath.mpf("1e-300")), mpmath.mpf(0)
+            for _ in range(80):
+                mid = (lo + hi) / 2
+                if residual(mpmath.exp(mid)) < 0:
+                    lo = mid
+                else:
+                    hi = mid
+            ref = float(mpmath.exp((lo + hi) / 2))
+            # at (1e-8, 1e8) the root (1.5e-15) is below 2e-15: the bound
+            # ref/2 keeps a collapse to zero from passing
+            assert abs(equipoint(BetaShape(s, t)) - ref) <= min(2e-15, ref / 2), (s, t)
+
+
 @given(s=shapes, t=shapes)
 def test_equipoint_swap_reflection(s, t):
     assert equipoint(BetaShape(s, t)) == pytest.approx(

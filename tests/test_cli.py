@@ -95,6 +95,8 @@ def test_usage_errors_exit_3(capsys):
     assert main(["theta-table", "--tol", "1e-9"]) == 3
     # a sweep or table with no work to do is refused, not passed
     assert main(["verify", "simmons", "--d-max", "-5"]) == 3
+    assert main(["verify", "simmons", "--d-max", "1"]) == 3
+    assert main(["verify", "monotone", "--d-max", "2"]) == 3
     assert main(["verify", "dilation", "--samples", "-1"]) == 3
     assert main(["theta-table", "--d-max", "-3"]) == 3
     # each command accepts only the flags it reads

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spectra_theta.errors import DomainError
+from spectra_theta import specfun
+from spectra_theta.errors import DomainError, NumericError
 from spectra_theta.specfun import (
     BetaArgs,
     ln_beta,
@@ -168,3 +170,61 @@ def test_inverse_round_trip_strict_grid():
 def test_inverse_residual(a, b, y):
     p = reg_inc_beta_inv(y, a, b)
     assert reg_inc_beta(a, b, p) == pytest.approx(y, abs=1e-11)
+
+
+def _lane_triples() -> np.ndarray:
+    """(a, b, p) rows for the row kernel: shapes log-spaced over [1e-3, 1e4]
+    with p at 0, 1, at the swap point (a+1)/(a+b+2), one ulp and a little
+    to either side of it, and spread over (0, 1); then random triples, half
+    of them next to the swap point."""
+    rows = []
+    for a in np.geomspace(1e-3, 1e4, 8):
+        for b in np.geomspace(1e-3, 1e4, 8):
+            swap = (a + 1.0) / (a + b + 2.0)
+            for p in (0.0, 1.0, swap, np.nextafter(swap, 0.0), np.nextafter(swap, 1.0),
+                      0.999 * swap, swap + 1e-3 * (1.0 - swap), 1e-9, 0.5, 1.0 - 1e-9):
+                rows.append((a, b, p))
+    rng = np.random.Generator(np.random.Philox(key=2014))
+    n = 2500
+    a = np.exp(rng.uniform(math.log(1e-3), math.log(1e4), n))
+    b = np.exp(rng.uniform(math.log(1e-3), math.log(1e4), n))
+    swap = (a + 1.0) / (a + b + 2.0)
+    near = np.clip(swap * (1.0 + rng.normal(scale=1e-3, size=n)), 0.0, 1.0)
+    p = np.where(np.arange(n) % 2 == 0, rng.random(n), near)
+    rows.extend(zip(a, b, p))
+    return np.array(rows)
+
+
+def test_row_kernel_is_lane_exact():
+    # The row kernel gives every lane the point kernel's bits, in rows longer
+    # than the crossover (the numpy loop) and shorter (lane by lane).
+    a, b, p = _lane_triples().T
+    assert a.size > specfun._ROW_MIN_LANES
+    lanes = list(zip(a.tolist(), b.tolist(), p.tolist()))
+    expected = {
+        specfun._ibeta_row: np.array([specfun._reg_inc_beta(*lane) for lane in lanes]),
+        specfun._pdf_row: np.array([specfun.beta_pdf(*lane) for lane in lanes]),
+    }
+    short = specfun._ROW_MIN_LANES // 2
+    for row_fn, point in expected.items():
+        whole = row_fn(a, b, p)
+        pieces = np.concatenate([row_fn(a[i:i + short], b[i:i + short], p[i:i + short])
+                                 for i in range(0, a.size, short)])
+        for got in (whole, pieces):
+            assert np.array_equal(got.view(np.uint64), point.view(np.uint64)), row_fn.__name__
+    ln_b = np.array([ln_beta(x, y) for x, y in zip(a.tolist(), b.tolist())])
+    assert np.array_equal(specfun._ln_beta_row(a, b).view(np.uint64), ln_b.view(np.uint64))
+
+
+def test_row_kernel_names_the_lane_that_does_not_converge():
+    # shape ~1e6: the continued fraction needs more than its 500 steps
+    bad = (1902608.6356816522, 1723780.331182298, 0.5246606581572989)
+    with pytest.raises(NumericError) as point:
+        specfun._reg_inc_beta(*bad)
+    for n in (3, 2 * specfun._ROW_MIN_LANES):
+        a, b = np.full(n, 2.5), np.full(n, 4.0)
+        p = np.linspace(0.05, 0.95, n)
+        a[n // 2], b[n // 2], p[n // 2] = bad
+        with pytest.raises(NumericError) as row:
+            specfun._ibeta_row(a, b, p)
+        assert str(row.value) == str(point.value)

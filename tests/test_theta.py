@@ -1,3 +1,4 @@
+import collections
 import importlib
 import math
 
@@ -212,6 +213,40 @@ def test_kappa_star_cross_check_fires_on_wrong_root(monkeypatch):
         kappa_star(30, 5)
 
 
+def test_sigma_newton_stops_on_its_step(monkeypatch):
+    # A Newton step below the tolerance ends the root: at most 10 residual
+    # evaluations (bracket ends included) per sigma root, where stopping on
+    # the bracket width alone bisected at the residual's noise floor (up to
+    # 41 at d = 60 and 50 at d = 200).
+    module = importlib.import_module("spectra_theta.theta")
+    residual = module._sigma_residual
+    evals = collections.Counter()
+
+    def counted(sh, th, x):
+        evals.update(zip(sh.tolist(), th.tolist()))
+        return residual(sh, th, x)
+
+    monkeypatch.setattr(module, "_sigma_residual", counted)
+    for d in (60, 200):
+        evals.clear()
+        theta(d)
+        assert len(evals) == (d - 1) // 2  # one root per split s > t >= 1
+        assert max(evals.values()) <= 10, d
+
+
+@pytest.mark.parametrize("d", [61, 2001])
+def test_split_scan_lanes_equal_kappa_star(d):
+    # theta's row scan and the one-lane kappa_star give the same bits, on a
+    # row shorter (d = 61) and longer (d = 2001) than the row kernel's
+    # crossover.
+    module = importlib.import_module("spectra_theta.theta")
+    s, t, ks, a, b = module._split_scan(d)
+    assert s.tolist() == list(range((d + 1) // 2, d))
+    for lane in range(s.size):
+        point = kappa_star(int(s[lane]), int(t[lane]))
+        assert (float(ks[lane]), float(a[lane]), float(b[lane])) == point, (s[lane], t[lane])
+
+
 def test_theta_table_reproduction():
     for d, (t_minus, th, t_plus, t_pp) in THETA_TABLE.items():
         report = theta(d)
@@ -286,7 +321,7 @@ def test_divisible_by_four_coin_flip():
 
 
 @settings(max_examples=10)
-@given(d=st.sampled_from([400, 401, 500, 625, 750, 999, 1000]))
+@given(d=st.sampled_from([400, 401, 500, 625, 750, 999, 1000, 2001, 10001]))
 def test_asymptotics(d):
     assert abs(theta(d).theta / math.sqrt(d) - math.sqrt(math.pi) / 2.0) <= 0.02
 
