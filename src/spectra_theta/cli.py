@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import betastats, dilation, pencil, sphere_oracle
+from . import betastats, dilation, sphere_oracle
 from .betastats import BetaShape
 from .errors import DomainError, NumericError, ResourceError
 from .theta import SignDiag, alpha_beta, kappa_star, theta
@@ -227,26 +227,35 @@ def _verify_oracle(config: RunConfig) -> int:
 
 
 def _verify_dilation(config: RunConfig) -> int:
-    violations = []
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    n_instances = min(config.samples, 1000)
-    for k in range(n_instances):
+    draws = []
+    for _ in range(min(config.samples, 1000)):
         n = int(rng.integers(1, 5))
-        X = _random_spin_ball_tuple(rng, n)
-        result = dilation.spin2_dilation(X)
-        t1, t2 = result.T.mats
-        comm = float(np.max(np.abs(t1 @ t2 - t2 @ t1)))
-        circle = float(np.max(np.abs(t1 @ t1 + t2 @ t2 - np.eye(2 * n))))
-        recon = result.reconstruction_residual(X)
-        if max(comm, circle, recon) > 1e-9:
+        draws.append((rng.standard_normal((n, n)), rng.standard_normal((n, n)), rng.random()))
+    bounds = {"commutator": 1e-9, "circle": 1e-9, "reconstruction": 1e-9, "blockdiag": 1e-12}
+    residuals = {name: np.empty(len(draws)) for name in bounds}
+    for n in range(1, 5):  # one stacked dilation per size
+        lanes = [k for k, draw in enumerate(draws) if len(draw[0]) == n]
+        if not lanes:
+            continue
+        xs = _spin_ball_pairs([draws[k] for k in lanes])
+        T, v, scale = dilation._spin2_stack(xs)
+        t1, t2 = T[:, 0], T[:, 1]
+        residuals["commutator"][lanes] = np.max(np.abs(t1 @ t2 - t2 @ t1), axis=(1, 2))
+        residuals["circle"][lanes] = np.max(np.abs(t1 @ t1 + t2 @ t2 - np.eye(2 * n)), axis=(1, 2))
+        residuals["reconstruction"][lanes] = dilation._reconstruction_residuals(T, v, scale, xs)
+        residuals["blockdiag"][lanes] = dilation._reconstruction_residuals(
+            *dilation._blockdiag_stack(xs), xs)
+    comm, circle, recon, block = (values.tolist() for values in residuals.values())
+    violations = []
+    for k in range(len(draws)):
+        if max(comm[k], circle[k], recon[k]) > 1e-9:
             violations.append(
-                {"check": "spin2_dilation", "instance": k, "commutator": comm,
-                 "circle": circle, "reconstruction": recon}
+                {"check": "spin2_dilation", "instance": k, "commutator": comm[k],
+                 "circle": circle[k], "reconstruction": recon[k]}
             )
-        block = dilation.blockdiag_dilation(X)
-        if block.reconstruction_residual(X) > 1e-12:
-            violations.append({"check": "blockdiag", "instance": k,
-                               "residual": block.reconstruction_residual(X)})
+        if block[k] > 1e-12:
+            violations.append({"check": "blockdiag", "instance": k, "residual": block[k]})
     for g in range(2, 7):
         norm = dilation.spin_tensor_norm(g)
         if abs(norm - g) > 1e-10:
@@ -254,20 +263,26 @@ def _verify_dilation(config: RunConfig) -> int:
         lam_min = float(np.linalg.eigvalsh(dilation.oh_to_spin_choi(g))[0])
         if lam_min < -1e-10:
             violations.append({"check": "choi_psd", "g": g, "lambda_min": lam_min})
-    return _report_violations("dilation", violations)
+    rc = _report_violations("dilation", violations)
+    if rc == 0:
+        # the instance residual that came closest to its bound
+        name = max(bounds, key=lambda check: residuals[check].max() / bounds[check])
+        k = int(residuals[name].argmax())
+        print(f"verify dilation: worst instance residual {residuals[name][k]:.3g} "
+              f"of bound {bounds[name]:g} ({name}, instance {k})")
+    return rc
 
 
-def _random_spin_ball_tuple(rng: np.random.Generator, n: int) -> pencil.SymTuple:
-    """A random 2-tuple scaled into the spin ball (norm of the block matrix
-    [[X1, X2], [X2, -X1]] drawn uniformly in [0, 1])."""
-    a = rng.standard_normal((n, n))
-    b = rng.standard_normal((n, n))
-    x1 = 0.5 * (a + a.T)
-    x2 = 0.5 * (b + b.T)
-    lam = np.block([[x1, x2], [x2, -x1]])
-    norm = float(np.max(np.abs(np.linalg.eigvalsh(lam))))
-    scale = rng.random() / max(norm, 1e-12)
-    return pencil.SymTuple((scale * x1, scale * x2))
+def _spin_ball_pairs(draws: list) -> np.ndarray:
+    """The drawn 2-tuples of one size n scaled into the spin ball (norm of
+    the block matrix [[X1, X2], [X2, -X1]] drawn uniformly in [0, 1]), as an
+    (m, 2, n, n) stack."""
+    a, b = np.stack([draw[0] for draw in draws]), np.stack([draw[1] for draw in draws])
+    x1 = 0.5 * (a + a.swapaxes(1, 2))
+    x2 = 0.5 * (b + b.swapaxes(1, 2))
+    norm = np.max(np.abs(np.linalg.eigvalsh(np.block([[x1, x2], [x2, -x1]]))), axis=1)
+    scale = np.array([draw[2] for draw in draws]) / np.maximum(norm, 1e-12)
+    return scale[:, None, None, None] * np.stack([x1, x2], axis=1)
 
 
 _VERIFIERS = {

@@ -80,13 +80,31 @@ def spin_tensor_norm(g: int) -> float:
     return float(max(-eigs[0], eigs[-1]))
 
 
-def _spin_pencil_matrix(X: SymTuple) -> np.ndarray:
-    mats = spin_matrices(X.g).float_mats()
-    size = X.n * mats[0].shape[0]
-    total = np.zeros((size, size))
-    for x, p in zip(X.mats, mats):
-        total += np.kron(x, p)
-    return total
+def _lanes(X: SymTuple) -> np.ndarray:
+    """X as a one-lane (1, g, n, n) stack."""
+    return np.stack(X.mats)[None]
+
+
+def _refuse(bad: np.ndarray, message: str, values: np.ndarray | None = None) -> None:
+    """DomainError for the first lane where ``bad`` holds, naming the lane
+    when there is more than one; ``message`` is formatted with that lane's
+    entry of ``values``."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        text = message if values is None else message.format(float(values[k]))
+        raise DomainError(text if bad.size == 1 else f"lane {k}: {text}")
+
+
+def _in_spin_ball(xs: np.ndarray, tol: float) -> np.ndarray:
+    """Spin-ball membership of each lane of an (m, g, n, n) stack."""
+    if xs.shape[1] == 1:
+        eigs = np.linalg.eigvalsh(xs[:, 0])
+        return np.maximum(-eigs[:, 0], eigs[:, -1]) <= 1.0 + tol
+    m, g, n = xs.shape[:3]
+    P = np.stack(spin_matrices(g).float_mats())
+    size = n * P.shape[1]
+    total = np.einsum("mjab,jil->maibl", xs, P).reshape(m, size, size)  # sum_j X_j (x) P_j
+    return np.linalg.eigvalsh(np.eye(size) - total)[:, 0] >= -tol
 
 
 def ball_membership(
@@ -113,14 +131,13 @@ def ball_membership(
             total += m @ m
         return float(np.linalg.eigvalsh(total)[-1]) <= 1.0 + tol
     if ball == "spin":
-        if X.g == 1:
-            eigs = np.linalg.eigvalsh(X.mats[0])
-            return max(-eigs[0], eigs[-1]) <= 1.0 + tol
-        lam = _spin_pencil_matrix(X)
-        pencil_matrix = np.eye(lam.shape[0]) - lam
-        return float(np.linalg.eigvalsh(pencil_matrix)[0]) >= -tol
+        return bool(_in_spin_ball(_lanes(X), tol)[0])
     if ball == "min_sampled":
-        return _min_ball_sampled(X, tol, samples or 2048, seed)
+        if samples is None:
+            samples = 2048
+        if samples < 1:
+            raise DomainError(f"samples must be at least 1, got {samples}")
+        return _min_ball_sampled(X, tol, samples, seed)
     raise DomainError(f"unknown ball {ball!r}; expected oh, spin, or min_sampled")
 
 
@@ -164,25 +181,40 @@ class DilationResult:
         v = np.asarray(self.V, dtype=float)
         if v.ndim != 2 or v.shape[0] != self.T.n:
             raise DomainError(f"V must map into the dilation space, got shape {v.shape}")
-        if np.max(np.abs(v.T @ v - np.eye(v.shape[1]))) > 1e-12:
-            raise DomainError("V is not an isometry within 1e-12")
-        if self.scale <= 0.0:
-            raise DomainError(f"scale must be positive, got {self.scale}")
-        for j in range(self.T.g):
-            for k in range(j + 1, self.T.g):
-                comm = self.T.mats[j] @ self.T.mats[k] - self.T.mats[k] @ self.T.mats[j]
-                if np.max(np.abs(comm)) > 1e-10:
-                    raise DomainError(f"dilation tuple does not commute: blocks {j}, {k}")
+        _check_dilations(_lanes(self.T), v, self.scale)
         object.__setattr__(self, "V", v)
 
     def compression(self) -> tuple[np.ndarray, ...]:
         """The compressed tuple (1/scale) V^T T_j V, which should equal X."""
-        return tuple(self.V.T @ m @ self.V / self.scale for m in self.T.mats)
+        return tuple(_compressions(_lanes(self.T), self.V, self.scale)[0])
 
     def reconstruction_residual(self, X: SymTuple) -> float:
-        return max(
-            float(np.max(np.abs(c - x))) for c, x in zip(self.compression(), X.mats)
-        )
+        return float(_reconstruction_residuals(_lanes(self.T), self.V, self.scale, _lanes(X))[0])
+
+
+def _check_dilations(T: np.ndarray, V: np.ndarray, scale: float) -> None:
+    """DilationResult's checks on an (m, g, N, N) stack of dilation tuples
+    that share the isometry V and the scale, lane by lane."""
+    if np.abs(V.T @ V - np.eye(V.shape[1])).max() > 1e-12:
+        raise DomainError("V is not an isometry within 1e-12")
+    if scale <= 0.0:
+        raise DomainError(f"scale must be positive, got {scale}")
+    g = T.shape[1]
+    for j in range(g):
+        for k in range(j + 1, g):
+            comm = T[:, j] @ T[:, k] - T[:, k] @ T[:, j]
+            _refuse(np.abs(comm).max(axis=(1, 2)) > 1e-10,
+                    f"dilation tuple does not commute: blocks {j}, {k}")
+
+
+def _compressions(T: np.ndarray, V: np.ndarray, scale: float) -> np.ndarray:
+    """(1/scale) V^T T_j V for every lane and j of an (m, g, N, N) stack."""
+    return V.T @ T @ V / scale
+
+
+def _reconstruction_residuals(T: np.ndarray, V: np.ndarray, scale: float, xs: np.ndarray) -> np.ndarray:
+    """max_j max |(1/scale) V^T T_j V - X_j| per lane of the stacks T and X."""
+    return np.abs(_compressions(T, V, scale) - xs).max(axis=(1, 2, 3))
 
 
 def blockdiag_dilation(X: SymTuple) -> DilationResult:
@@ -193,14 +225,20 @@ def blockdiag_dilation(X: SymTuple) -> DilationResult:
     isometry stacks 1/sqrt(g) copies of the identity, giving
     V^T T_j V = (1/g) X_j exactly.
     """
-    g, n = X.g, X.n
-    mats = []
+    T, v, scale = _blockdiag_stack(_lanes(X))
+    return DilationResult(T=SymTuple(tuple(T[0])), V=v, scale=scale)
+
+
+def _blockdiag_stack(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """``blockdiag_dilation`` of each lane of an (m, g, n, n) stack: the
+    dilation tuples (m, g, gn, gn), their shared isometry and scale."""
+    m, g, n = xs.shape[:3]
+    T = np.zeros((m, g, g * n, g * n))
     for j in range(g):
-        t = np.zeros((g * n, g * n))
-        t[j * n : (j + 1) * n, j * n : (j + 1) * n] = X.mats[j]
-        mats.append(t)
+        T[:, j, j * n : (j + 1) * n, j * n : (j + 1) * n] = xs[:, j]
     v = np.vstack([np.eye(n)] * g) / math.sqrt(g)
-    return DilationResult(T=SymTuple(tuple(mats)), V=v, scale=1.0 / g)
+    _check_dilations(T, v, 1.0 / g)
+    return T, v, 1.0 / g
 
 
 def defect_sqrt(S: np.ndarray) -> np.ndarray:
@@ -214,14 +252,20 @@ def defect_sqrt(S: np.ndarray) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {S.shape}")
-    if np.max(np.abs(S - S.T), initial=0.0) > 1e-12:
-        raise DomainError("defect_sqrt requires a symmetric matrix")
+    return _defect_stack(S[None])[0]
+
+
+def _defect_stack(S: np.ndarray) -> np.ndarray:
+    """``defect_sqrt`` of each lane of an (m, k, k) stack, with its checks
+    run lane by lane."""
+    asym = np.abs(S - S.swapaxes(-1, -2)).max(axis=(1, 2), initial=0.0)
+    _refuse(asym > 1e-12, "defect_sqrt requires a symmetric matrix")
     lam, q = np.linalg.eigh(S)
-    if float(np.max(np.abs(lam))) > 1.0 + 1e-12:
-        raise DomainError(f"not a contraction: ||S|| = {float(np.max(np.abs(lam)))}")
+    norms = np.abs(lam).max(axis=1)
+    _refuse(norms > 1.0 + 1e-12, "not a contraction: ||S|| = {}", norms)
     gaps = np.clip(1.0 - lam * lam, 0.0, None)
-    d = (q * np.sqrt(gaps)) @ q.T
-    return 0.5 * (d + d.T)
+    d = (q * np.sqrt(gaps)[:, None, :]) @ q.swapaxes(-1, -2)
+    return 0.5 * (d + d.swapaxes(-1, -2))
 
 
 def spin2_dilation(X: SymTuple) -> DilationResult:
@@ -239,20 +283,34 @@ def spin2_dilation(X: SymTuple) -> DilationResult:
     """
     if X.g != 2:
         raise DomainError(f"spin2_dilation requires a 2-tuple, got g={X.g}")
-    if not ball_membership(X, "spin", tol=1e-10):
-        raise DomainError("tuple is not in the spin ball within 1e-10")
-    n = X.n
-    x1, x2 = X.mats
-    s = np.block([[x1, x2], [x2, -x1]])
-    defect = defect_sqrt(s)
-    dd = 0.5 * (defect[:n, :n] + defect[n:, n:])
-    dd = 0.5 * (dd + dd.T)
-    e = 0.5 * (defect[:n, n:] - defect[n:, :n])
-    e = 0.5 * (e - e.T)
-    t1 = np.block([[x1, e], [-e, x1]])
-    t2 = np.block([[x2, dd], [dd, -x2]])
+    T, v, scale = _spin2_stack(_lanes(X))
+    return DilationResult(T=SymTuple(tuple(T[0])), V=v, scale=scale)
+
+
+def _spin2_stack(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """``spin2_dilation`` of each lane of an (m, 2, n, n) stack: the
+    dilation pairs (m, 2, 2n, 2n), their shared isometry and the scale 1.
+    Every check of the one-tuple path runs lane by lane, and a failing lane
+    raises DomainError naming it; the pairs are symmetric because the
+    defect's input passed its symmetry check."""
+    _refuse(~_in_spin_ball(xs, 1e-10), "tuple is not in the spin ball within 1e-10")
+    n = xs.shape[2]
+    x1, x2 = xs[:, 0], xs[:, 1]
+    defect = _defect_stack(_blocks(x1, x2, x2, -x1))
+    dd = 0.5 * (defect[:, :n, :n] + defect[:, n:, n:])
+    dd = 0.5 * (dd + dd.swapaxes(-1, -2))
+    e = 0.5 * (defect[:, :n, n:] - defect[:, n:, :n])
+    e = 0.5 * (e - e.swapaxes(-1, -2))
+    T = np.stack([_blocks(x1, e, -e, x1), _blocks(x2, dd, dd, -x2)], axis=1)
     v = np.vstack([np.eye(n), np.zeros((n, n))])
-    return DilationResult(T=SymTuple((t1, t2)), V=v, scale=1.0)
+    _check_dilations(T, v, 1.0)
+    return T, v, 1.0
+
+
+def _blocks(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The block matrices [[a, b], [c, d]] of stacks of square blocks; on
+    small blocks ``np.block``'s per-call parsing costs more than the copy."""
+    return np.concatenate([np.concatenate([a, b], -1), np.concatenate([c, d], -1)], -2)
 
 
 def oh_to_spin_choi(g: int) -> np.ndarray:

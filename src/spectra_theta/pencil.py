@@ -143,7 +143,10 @@ def haar_orthogonal(d: int, seed: int = DEFAULT_SEED) -> np.ndarray:
 
 
 def _haar_batch(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
-    z = rng.standard_normal((m, d, d))
+    return _haar_from_gaussian(rng.standard_normal((m, d, d)))
+
+
+def _haar_from_gaussian(z: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(z)
     signs = np.sign(np.einsum("nii->ni", r))
     signs[signs == 0.0] = 1.0
@@ -153,13 +156,25 @@ def _haar_batch(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
 def random_contraction_tuple(g: int, n: int, rng: np.random.Generator) -> SymTuple:
     """A g-tuple of random symmetric contractions Q^T D Q with D uniform
     diagonal in [-1, 1]; covers the extreme points in closure."""
-    mats = []
-    for _ in range(g):
-        q = _haar_batch(rng, 1, n)[0]
-        diag = rng.uniform(-1.0, 1.0, size=n)
-        m = q.T @ np.diag(diag) @ q
-        mats.append(0.5 * (m + m.T))
-    return SymTuple(tuple(mats))
+    return SymTuple(tuple(_contraction_stack(g, n, 1, rng)[0]))
+
+
+def _contraction_stack(g: int, n: int, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """``trials`` tuples of ``random_contraction_tuple`` as one (trials, g, n, n)
+    array.  The draws stay one matrix at a time (Gaussian, then diagonal),
+    because the ziggurat consumes a variable number of words per draw and one
+    big draw would reorder the stream; the linear algebra is stacked."""
+    z = np.empty((trials, g, n, n))
+    diag = np.empty((trials, g, n))
+    for k in range(trials):
+        for j in range(g):
+            z[k, j] = rng.standard_normal((n, n))
+            diag[k, j] = rng.uniform(-1.0, 1.0, size=n)
+    q = _haar_from_gaussian(z.reshape(trials * g, n, n))
+    d = np.zeros((trials * g, n, n))
+    d[:, range(n), range(n)] = diag.reshape(trials * g, n)
+    m = q.swapaxes(-1, -2) @ d @ q
+    return (0.5 * (m + m.swapaxes(-1, -2))).reshape(trials, g, n, n)
 
 
 def verify_cube_inclusion(B: MonicPencil, tol: float = 1e-10) -> bool:
@@ -224,17 +239,20 @@ def cube_relaxation_test(
     """
     if d < 1 or trials < 1:
         raise DomainError(f"need d >= 1 and trials >= 1, got d={d}, trials={trials}")
+    if tol < 0.0:
+        raise DomainError(f"tol must be nonnegative, got {tol}")
     if not verify_cube_inclusion(B):
         raise DomainError("[-1,1]^g is not contained in the pencil's spectrahedron")
     th = theta(B.nu).theta
-    rng = _generator(seed)
+    X = _contraction_stack(B.g, d, trials, _generator(seed))
+    # S_k = sum_j B_j (x) X_kj, summed over j in the one-trial order so that
+    # every trial keeps the bits of its own spectrum
+    S = sum(np.einsum("ab,kxy->kaxby", b, X[:, j]) for j, b in enumerate(B.coeffs))
+    lam_maxes = _eigvalsh(S.reshape(trials, B.nu * d, B.nu * d))[:, -1].tolist()
     min_margin = math.inf
     tightest = math.inf
     violations = []
-    for k in range(trials):
-        X = random_contraction_tuple(B.g, d, rng)
-        S = sum(np.kron(b, x) for b, x in zip(B.coeffs, X.mats))
-        lam_max = float(_eigvalsh(S)[-1])
+    for k, lam_max in enumerate(lam_maxes):
         lam_min = 1.0 - lam_max / th
         min_margin = min(min_margin, lam_min)
         # feasible scaling of the unscaled tuple: 1 / lambda_max(S)

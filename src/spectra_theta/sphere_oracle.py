@@ -8,8 +8,11 @@ normalized standard Gaussian vectors.
 
 Determinism contract: the generator is counter-based (Philox keyed by the
 seed) and samples are consumed in fixed-size batches, so identical
-(inputs, seed, n) produce bit-identical estimates on any machine and under
-any caller-side parallelism.
+(inputs, seed, n) draw bit-identical samples on any machine and under any
+caller-side parallelism.  The estimates contract those samples through BLAS
+matrix products, so they are bit-identical for one numpy/BLAS build on one
+CPU type (whatever its thread count); another BLAS kernel may move their
+last bits.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .theta import SignDiag
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_SAMPLES = 1_000_000
 _BATCH = 1 << 17  # fixed so the accumulation order never depends on n
+_CHUNK = 1 << 13  # rows per x @ B product, so that no batch-sized temporary is made
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,11 @@ def sphere_abs_quadratic_integral(
 
     def batches():
         for x in _sphere_batches(d, n, seed):
-            yield np.abs(np.einsum("ni,ij,nj->n", x, B, x))
+            quad = np.empty(len(x))
+            for i in range(0, len(x), _CHUNK):
+                rows = x[i : i + _CHUNK]
+                quad[i : i + _CHUNK] = np.einsum("ni,ni->n", rows @ B, rows)
+            yield np.abs(quad, out=quad)
 
     return _estimate(batches(), n, seed)
 
@@ -123,6 +131,8 @@ def sign_quadratic_moment(
     d = J.d
     if not (1 <= coord <= d):
         raise DomainError(f"coord must lie in 1..{d}, got {coord}")
+    if n < 1:
+        raise DomainError(f"need n >= 1 samples, got {n}")
     diag = np.array(J.diagonal())
     k = coord - 1
 
@@ -153,12 +163,9 @@ def e_j_matrix(
     s1 = np.zeros((d, d))
     s2 = np.zeros((d, d))
     for x in _sphere_batches(d, n, seed):
-        q = (x * x) @ diag
-        sgn = np.sign(q)
-        outer = np.einsum("n,ni,nj->ij", sgn, x, x)
-        outer_sq = np.einsum("ni,nj->ij", x * x, x * x)  # sgn^2 == 1 a.s.
-        s1 += outer
-        s2 += outer_sq
+        xx = x * x
+        s1 += (x * np.sign(xx @ diag)[:, None]).T @ x
+        s2 += xx.T @ xx  # sgn^2 == 1 a.s.
     mean = s1 / n
     if n > 1:
         var = np.maximum(s2 - n * mean * mean, 0.0) / (n - 1)

@@ -88,6 +88,18 @@ def test_verify_exit_codes():
     assert main(["verify", "monotone", "--d-max", "10"]) == 0
 
 
+def test_verify_dilation_is_repeatable_and_reports_its_worst_residual(capsys):
+    outputs = []
+    for _ in range(2):
+        assert main(["verify", "dilation", "--seed", "7"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    ok, worst = outputs[0].splitlines()
+    assert ok == "verify dilation: OK (0 violations)"
+    assert worst.startswith("verify dilation: worst instance residual ")
+    assert worst.endswith(")") and ", instance " in worst
+
+
 def test_usage_errors_exit_3(capsys):
     assert main(["no-such-command"]) == 3
     assert main(["verify", "wrong-sweep"]) == 3

@@ -5,6 +5,7 @@ import pytest
 
 from spectra_theta.dilation import (
     DilationResult,
+    _spin2_stack,
     ball_membership,
     blockdiag_dilation,
     defect_sqrt,
@@ -116,6 +117,14 @@ def test_min_sampled_is_one_sided():
     assert not ball_membership(grown, "min_sampled", tol=1e-9, samples=256)
 
 
+def test_min_sampled_refuses_no_samples():
+    X = SymTuple((0.5 * SIGMA1, 0.5 * SIGMA2))
+    assert ball_membership(X, "min_sampled", samples=None)  # the 2048 default
+    for samples in (0, -3):
+        with pytest.raises(DomainError):
+            ball_membership(X, "min_sampled", samples=samples)
+
+
 def test_blockdiag_dilation():
     rng = _generator(9)
     X = random_spin_ball_pair(rng, 3)
@@ -205,6 +214,26 @@ def test_spin2_dilation_rejects_outside():
         spin2_dilation(X)
     with pytest.raises(DomainError):
         spin2_dilation(SymTuple((SIGMA1, SIGMA2, SIGMA1)))
+
+
+def test_spin2_dilation_equals_its_lane_of_a_stack():
+    rng = _generator(35)
+    for n in (1, 3):
+        pairs = [random_spin_ball_pair(rng, n) for _ in range(40)]
+        T, v, scale = _spin2_stack(np.stack([np.stack(X.mats) for X in pairs]))
+        assert T.shape == (40, 2, 2 * n, 2 * n)
+        for k, X in enumerate(pairs):
+            result = spin2_dilation(X)
+            assert np.array_equal(np.stack(result.T.mats), T[k])
+            assert np.array_equal(result.V, v) and result.scale == scale
+
+
+def test_stacked_dilation_names_the_lane_outside_the_spin_ball():
+    rng = _generator(37)
+    pairs = [random_spin_ball_pair(rng, 2) for _ in range(6)]
+    pairs[3] = random_spin_ball_pair(rng, 2, scale=1.5)
+    with pytest.raises(DomainError, match="lane 3: tuple is not in the spin ball"):
+        _spin2_stack(np.stack([np.stack(X.mats) for X in pairs]))
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -9,6 +10,8 @@ from spectra_theta.pencil import (
     CubeRelaxationReport,
     MonicPencil,
     SymTuple,
+    _contraction_stack,
+    _eigvalsh,
     _haar_batch,
     cube_pencil,
     cube_relaxation_test,
@@ -164,6 +167,57 @@ def test_cube_relaxation_margin_matches_direct_spectrum():
         scaled = SymTuple(tuple(m / th for m in X.mats))
         direct = min(direct, min_eigenvalue(evaluate(B, scaled)))
     assert report.min_margin == pytest.approx(direct, abs=1e-12)
+
+
+def test_contraction_stack_replays_one_tuple_at_a_time():
+    # the stacked kernel draws one matrix at a time and gives every tuple the
+    # bits of the one-tuple call and of a per-matrix reference loop
+    g, n, trials, seed = 3, 4, 30, 41
+    stack = _contraction_stack(g, n, trials, _generator(seed))
+    assert stack.shape == (trials, g, n, n)
+    one_at_a_time = _generator(seed)
+    loop = _generator(seed)
+    for k in range(trials):
+        X = random_contraction_tuple(g, n, one_at_a_time)
+        for j in range(g):
+            q = _haar_batch(loop, 1, n)[0]
+            m = q.T @ np.diag(loop.uniform(-1.0, 1.0, size=n)) @ q
+            assert np.array_equal(stack[k, j], X.mats[j])
+            assert np.array_equal(stack[k, j], 0.5 * (m + m.T))
+
+
+@pytest.mark.parametrize("nu, g", [(1, 1), (2, 2), (3, 4)])
+def test_cube_relaxation_report_equals_per_trial_replay(nu, g):
+    # one stacked spectrum call gives each trial the bits of its own
+    # eigvalsh, so the report equals the per-trial loop exactly
+    rng = _generator(100 + nu * g)
+    coeffs = []
+    for _ in range(g):
+        a = rng.standard_normal((nu, nu))
+        coeffs.append(0.5 * (a + a.T))
+    peak = max(
+        float(np.linalg.eigvalsh(sum(v * c for v, c in zip(vertex, coeffs)))[-1])
+        for vertex in itertools.product((-1.0, 1.0), repeat=g)
+    )
+    B = MonicPencil(tuple(0.9 * c / peak for c in coeffs))
+    d, trials, seed = 4, 50, 9
+    report = cube_relaxation_test(B, d=d, trials=trials, seed=seed)
+    th = theta(B.nu).theta
+    rng = _generator(seed)
+    margin = tightest = math.inf
+    for _ in range(trials):
+        X = random_contraction_tuple(B.g, d, rng)
+        lam_max = float(_eigvalsh(sum(np.kron(b, x) for b, x in zip(B.coeffs, X.mats)))[-1])
+        margin = min(margin, 1.0 - lam_max / th)
+        if lam_max > 0.0:
+            tightest = min(tightest, 1.0 / lam_max)
+    assert report.min_margin == margin
+    assert report.tightest_scale == tightest
+
+
+def test_cube_relaxation_refuses_negative_tol():
+    with pytest.raises(DomainError):
+        cube_relaxation_test(cube_pencil(2), d=2, trials=3, seed=0, tol=-1.0)
 
 
 def test_cube_relaxation_rejects_bad_pencil():

@@ -5,6 +5,10 @@ import pytest
 
 from spectra_theta.errors import DomainError
 from spectra_theta.sphere_oracle import (
+    _BATCH,
+    _CHUNK,
+    _generator,
+    _sphere_batches,
     e_j_matrix,
     sign_quadratic_moment,
     sphere_abs_quadratic_integral,
@@ -76,6 +80,11 @@ def test_sign_moment_coord_validation():
         sign_quadratic_moment(SignDiag(1, 1, 1.0, 1.0), 3, n=10, seed=0)
 
 
+def test_sign_moment_refuses_no_samples():
+    with pytest.raises(DomainError):
+        sign_quadratic_moment(SignDiag(1, 1, 1.0, 1.0), 1, n=0, seed=0)
+
+
 def test_e_j_symmetric_point():
     est = e_j_matrix(SignDiag(1, 1, 1.0, 1.0), n=N, seed=10)
     target = np.diag([1.0 / math.pi, -1.0 / math.pi])
@@ -110,6 +119,27 @@ def test_determinism_bit_identical():
     e1 = e_j_matrix(SignDiag(1, 1, 1.0, 1.0), n=20_000, seed=3)
     e2 = e_j_matrix(SignDiag(1, 1, 1.0, 1.0), n=20_000, seed=3)
     assert np.array_equal(e1.value, e2.value) and np.array_equal(e1.std_err, e2.std_err)
+
+
+def test_blas_contractions_match_the_einsum_reference():
+    # the estimators contract through BLAS (x @ B in row chunks, X^T X); the
+    # three-operand einsums over the same samples are the reference, to the
+    # rounding of one 2^17-sample batch sum
+    n, seed = _BATCH + 3 * _CHUNK + 5, 12
+    rtol = _BATCH * np.finfo(float).eps
+    rng = _generator(seed)
+    B = rng.standard_normal((4, 4))
+    B = 0.5 * (B + B.T)
+    quad = np.concatenate([np.abs(np.einsum("ni,ij,nj->n", x, B, x))
+                           for x in _sphere_batches(4, n, seed)])
+    est = sphere_abs_quadratic_integral(B, n=n, seed=seed)
+    assert est.value == pytest.approx(quad.mean(), rel=rtol)
+    J = SignDiag(2, 2, 1.0, 0.5)
+    diag = np.array(J.diagonal())
+    s1 = sum(np.einsum("n,ni,nj->ij", np.sign((x * x) @ diag), x, x)
+             for x in _sphere_batches(4, n, seed))
+    ej = e_j_matrix(J, n=n, seed=seed)
+    assert np.max(np.abs(ej.value - s1 / n)) <= rtol * np.max(np.abs(s1 / n))
 
 
 def test_half_versus_double_sample_consistency():
