@@ -117,15 +117,15 @@ def cmd_theta_table(config: RunConfig) -> int:
 
 def cmd_median_table(config: RunConfig) -> int:
     rows = []
-    for s, t in MEDIAN_TABLE_SHAPES:
-        shape = BetaShape(s, t)
+    shapes = [BetaShape(s, t) for s, t in MEDIAN_TABLE_SHAPES]
+    for (s, t), shape, m in zip(MEDIAN_TABLE_SHAPES, shapes, betastats.medians(shapes)):
         mu, upper = betastats.median_bounds(shape)
         rows.append(
             {
                 "s": s,
                 "t": t,
                 "mean": mu,
-                "median": betastats.median(shape),
+                "median": m,
                 "upper_half": mu + (s - t) / (2.0 * (s + t) ** 2),
                 "upper": upper,
                 "upper_old": betastats.median_old_upper_bound(shape),
@@ -136,10 +136,8 @@ def cmd_median_table(config: RunConfig) -> int:
 
 
 def cmd_equipoint_table(config: RunConfig) -> int:
-    rows = []
-    for s in range(1, 11):
-        shape = BetaShape(float(s), float(10 - s))
-        rows.append({"s": s, "equipoint": betastats.equipoint(shape)})
+    shapes = [BetaShape(float(s), float(10 - s)) for s in range(1, 11)]
+    rows = [{"s": s, "equipoint": e} for s, e in zip(range(1, 11), betastats.equipoints(shapes))]
     _emit(rows, config)
     return 0
 
@@ -185,13 +183,7 @@ def _verify_bounds(config: RunConfig) -> int:
     for finding in betastats.simmons_conjecture_sweep(min(30.0, config.d_max), config.grid_step):
         print(f"  NOTE (conjecture, not asserted): {finding}")
     for d in range(3, min(config.d_max, 199) + 1, 2):
-        report = theta(d)
-        t_minus, t_plus, t_pp = report.bounds_odd
-        if not (t_minus - 1e-9 <= report.theta <= min(t_plus, t_pp) + 1e-9):
-            violations.append(
-                {"check": "theta_odd_sandwich", "d": d, "theta": report.theta,
-                 "lower": t_minus, "upper": min(t_plus, t_pp)}
-            )
+        theta(d)  # raises NumericError when theta(d) escapes its odd-d bounds
     return _report_violations("bounds", violations)
 
 

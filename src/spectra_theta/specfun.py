@@ -2,15 +2,16 @@
 its density and its inverse, to double precision.
 
 Two kernels compute the same numbers.  The point kernel (``ln_beta``,
-``_reg_inc_beta``, ``beta_pdf``) is plain scalar code, cheap to call once
-from the sweeps and root finders.  The row kernel (``_ln_beta_row``,
-``_ibeta_row``, ``_pdf_row``) evaluates a whole numpy row of argument
-triples at once, for theta(d)'s split scan; it matches the point kernel bit
-for bit, lane by lane: the same operation order, the transcendental
-functions of ``math`` mapped per lane (``_pdf_row`` maps ``beta_pdf``
-itself), and one modified-Lentz continued fraction advanced for every lane
-still iterating.  Accuracy targets
-(absolute):
+``_reg_inc_beta``, ``beta_pdf``) is plain scalar code.  The row kernel
+(``_ln_beta_row``, ``_ibeta_row``, ``_pdf_row``, ``_ibeta_inv_row``)
+evaluates a whole numpy row of argument triples at once, for every sweep
+and root of the package; it matches the point kernel bit for bit, lane by
+lane: the same operation order, the transcendental functions of ``math``
+mapped per lane, and one modified-Lentz continued fraction advanced for
+every lane still iterating.  Rows shorter than ``_ROW_MIN_LANES`` go lane by
+lane through the point kernel, which is cheaper there.  The inverse is one
+bracketed-Newton row (``rootfind.newton_rows``) over the row kernel.
+Accuracy targets (absolute):
 
 * ``ln_gamma``          max(1e-13, 5e-15 |ln Gamma(x)|) over [1e-3, 1e6]
 * ``reg_inc_beta``      1e-12
@@ -26,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .rootfind import newton_bracketed
+from .rootfind import newton_rows
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,8 @@ def ln_gamma(x: float) -> float:
 def ln_beta(a: float, b: float) -> float:
     """log B(a, b) for positive shapes.
 
-    Memoized: the root-finding sweeps evaluate the incomplete beta dozens
-    of times per shape pair, and the three log-gamma calls dominate.
+    Memoized: a root finder on a short row evaluates the point kernel
+    dozens of times per shape pair, and the three log-gamma calls dominate.
     """
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"ln_beta requires positive shapes, got ({a}, {b})")
@@ -163,29 +164,12 @@ def reg_inc_beta_inv(y: float, a: float, b: float) -> float:
 
     Safeguarded Newton iteration bracketed by bisection; the derivative is
     the beta density.  Endpoints are returned exactly for y = 0 and y = 1.
+    A one-lane ``_ibeta_inv_row``.
     """
     BetaArgs(a, b, 0.5)  # validates the shapes
     if not (0.0 <= y <= 1.0) or not math.isfinite(y):
         raise DomainError(f"target value must lie in [0, 1], got {y}")
-    if y == 0.0:
-        return 0.0
-    if y == 1.0:
-        return 1.0
-
-    def residual(p: float) -> float:
-        return _reg_inc_beta(a, b, p) - y
-
-    def density(p: float) -> float:
-        return beta_pdf(a, b, p)
-
-    # Crude but robust start: mean of the distribution.  The residual stop
-    # keeps |I_p - y| an order below the documented 1e-11; the relative
-    # width stop handles roots deep in a tail, where no absolute x
-    # tolerance is meaningful.
-    x0 = a / (a + b)
-    return newton_bracketed(
-        residual, density, 0.0, 1.0, x0=x0, xtol=0.0, rtol=1e-14, ftol=1e-13, max_iter=200
-    )
+    return float(_ibeta_inv_row(y, a, b)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +184,9 @@ _ROW_MIN_LANES = 112
 
 def _lanes(*args) -> list[np.ndarray]:
     """The arguments as equally long 1-d float rows (scalars broadcast)."""
-    return np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in args))
+    rows = [np.atleast_1d(np.asarray(v, dtype=float)) for v in args]
+    shape = np.broadcast(*rows).shape
+    return [row if row.shape == shape else np.broadcast_to(row, shape) for row in rows]
 
 
 def _map(fn, *rows: np.ndarray) -> np.ndarray:
@@ -210,8 +196,9 @@ def _map(fn, *rows: np.ndarray) -> np.ndarray:
 
 
 def _ln_beta_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``ln_beta`` on a row (through its memo table)."""
-    return _map(ln_beta, a, b)
+    """``ln_beta`` on a row, its three log-gamma terms mapped and summed in
+    its order (a row of many shapes would only churn the memo table)."""
+    return _map(math.lgamma, a) + _map(math.lgamma, b) - _map(math.lgamma, a + b)
 
 
 def _beta_cf_row(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -219,6 +206,8 @@ def _beta_cf_row(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     lane leaving it (and the row compacting) when its own update converges."""
     tiny = _CF_TINY
     out = np.empty(a.size)
+    if not a.size:
+        return out
     lane = np.arange(a.size)
     qab = a + b
     qap = a + 1.0
@@ -276,4 +265,32 @@ def _ibeta_row(a, b, p) -> np.ndarray:
 
 def _pdf_row(a, b, p) -> np.ndarray:
     """``beta_pdf`` on a row of (a, b, p) triples (scalars broadcast)."""
-    return _map(beta_pdf, *_lanes(a, b, p))
+    a, b, p = _lanes(a, b, p)
+    if a.size < _ROW_MIN_LANES:
+        return _map(beta_pdf, a, b, p)
+    value = np.zeros(a.size)
+    inner = ~((p <= 0.0) | (p >= 1.0))  # the point kernel's endpoint tests
+    a, b, p = a[inner], b[inner], p[inner]
+    ln_pdf = (a - 1.0) * _map(math.log, p) + (b - 1.0) * _map(math.log1p, -p) - _ln_beta_row(a, b)
+    value[inner] = _map(math.exp, ln_pdf)
+    return value
+
+
+def _ibeta_inv_row(y, a, b) -> np.ndarray:
+    """``reg_inc_beta_inv`` on a row of (y, a, b) triples (scalars
+    broadcast), one Newton row on [0, 1] with the density as its slope."""
+    y, a, b = _lanes(y, a, b)
+    # Crude but robust start: mean of the distribution.  The residual stop
+    # keeps |I_p - y| an order below the documented 1e-11; the relative
+    # width stop handles roots deep in a tail, where no absolute x
+    # tolerance is meaningful.  y = 0 and y = 1 stop at their bracket end.
+    return newton_rows(
+        lambda p, lanes: _ibeta_row(a[lanes], b[lanes], p) - y[lanes],
+        lambda p, lanes: _pdf_row(a[lanes], b[lanes], p),
+        0.0,
+        1.0,
+        x0=a / (a + b),
+        xtol=0.0,
+        rtol=1e-14,
+        ftol=1e-13,
+    )

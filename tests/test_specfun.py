@@ -228,3 +228,14 @@ def test_row_kernel_names_the_lane_that_does_not_converge():
         with pytest.raises(NumericError) as row:
             specfun._ibeta_row(a, b, p)
         assert str(row.value) == str(point.value)
+
+
+def test_row_kernel_all_endpoint_row():
+    # a numpy-path row with no interior lane: the endpoint values, no
+    # continued fraction
+    n = 200
+    assert n >= specfun._ROW_MIN_LANES
+    p = np.where(np.arange(n) % 2 == 0, 0.0, 1.0)
+    a, b = np.full(n, 2.5), np.full(n, 4.0)
+    assert np.array_equal(specfun._ibeta_row(a, b, p), p)
+    assert np.array_equal(specfun._pdf_row(a, b, p), np.zeros(n))
