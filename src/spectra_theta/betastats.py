@@ -10,7 +10,8 @@ For integer shapes it coincides with the point where a Bin(s+t, p) variable
 is as likely to land at >= s as at <= s.
 
 Every root is solved on rows (``rootfind.newton_rows`` over the row kernel
-of ``specfun``): each sweep builds its grid and solves it as one row, and
+of ``specfun``, one kernel pass per Newton round for the residual and its
+slope): each sweep builds its grid and solves it as one row, and
 ``equipoint``, ``median``, ``phi`` and ``phi_hat`` are one-lane calls of the
 same code, so a shape gives the same bits either way.
 """
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .rootfind import newton_rows
-from .specfun import _ibeta_inv_row, _ibeta_row, _pdf_row, reg_inc_beta
+from .specfun import _ibeta_inv_row, _ibeta_row, reg_inc_beta
 
 
 @dataclass(frozen=True)
@@ -52,17 +53,20 @@ class BetaShape:
         return self.s_frak / self.d_frak
 
 
-def _equipoint_residual(s: np.ndarray, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """I_x(s, t+1) + I_x(s+1, t) - 1 per lane; strictly increasing in x,
-    exactly -1 at x = 0 and +1 at x = 1.
+def _equipoint_residual(s, t, x) -> tuple[np.ndarray, np.ndarray]:
+    """I_x(s, t+1) + I_x(s+1, t) - 1 per lane, strictly increasing in x,
+    exactly -1 at x = 0 and +1 at x = 1; and its x-derivative
+    (s + t) beta_pdf(s, t, x) ((1-x)/t + x/s).
 
     Evaluated through the contiguous-shape rearrangement
-    2 I_x(s, t) + (s - t) x (1-x) beta_pdf(s, t, x) / (s t) - 1, which costs
-    one incomplete-beta call instead of two.  The test suite checks the
-    returned root against the two-call defining sum directly.
+    2 I_x(s, t) + (s - t) x (1-x) beta_pdf(s, t, x) / (s t) - 1, so one
+    row-kernel pass at (s, t, x) gives the residual and the slope.  The test
+    suite checks the returned root against the two-call defining sum
+    directly.
     """
-    correction = (s - t) * x * (1.0 - x) * _pdf_row(s, t, x) / (s * t)
-    return 2.0 * _ibeta_row(s, t, x) + correction - 1.0
+    value, pdf = _ibeta_row(s, t, x)
+    correction = (s - t) * x * (1.0 - x) * pdf / (s * t)
+    return 2.0 * value + correction - 1.0, (s + t) * pdf * ((1.0 - x) / t + x / s)
 
 
 def _equipoint_rows(s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -70,8 +74,6 @@ def _equipoint_rows(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     d = s + t
     return newton_rows(
         lambda x, lanes: _equipoint_residual(s[lanes], t[lanes], x),
-        lambda x, lanes: d[lanes] * _pdf_row(s[lanes], t[lanes], x)
-        * ((1.0 - x) / t[lanes] + x / s[lanes]),
         0.0,
         1.0,
         x0=0.5 * ((s + 1.0) / (d + 2.0) + s / d),
@@ -191,12 +193,12 @@ def _phi_rows(s: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Phi on rows of 0 < s < d: ``reg_inc_beta`` at the equipoint, clipped
     to [0, 1] as ``reg_inc_beta`` clips."""
     t = d - s
-    return np.clip(_ibeta_row(s, t + 1.0, _equipoint_rows(s, t)), 0.0, 1.0)
+    return np.clip(_ibeta_row(s, t + 1.0, _equipoint_rows(s, t))[0], 0.0, 1.0)
 
 
 def _phi_hat_rows(s: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Phi_hat on rows of 0 < s < d, clipped as ``reg_inc_beta`` clips."""
-    return np.clip(_ibeta_row(s, d - s + 1.0, s / d), 0.0, 1.0)
+    return np.clip(_ibeta_row(s, d - s + 1.0, s / d)[0], 0.0, 1.0)
 
 
 def binom_tail(p: float, s: int, d: int) -> float:

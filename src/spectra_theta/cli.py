@@ -232,12 +232,14 @@ def _verify_dilation(config: RunConfig) -> int:
             continue
         xs = _spin_ball_pairs([draws[k] for k in lanes])
         T, v, scale = dilation._spin2_stack(xs)
+        dilation._check_dilations(T, v, scale)
         t1, t2 = T[:, 0], T[:, 1]
         residuals["commutator"][lanes] = np.max(np.abs(t1 @ t2 - t2 @ t1), axis=(1, 2))
         residuals["circle"][lanes] = np.max(np.abs(t1 @ t1 + t2 @ t2 - np.eye(2 * n)), axis=(1, 2))
         residuals["reconstruction"][lanes] = dilation._reconstruction_residuals(T, v, scale, xs)
-        residuals["blockdiag"][lanes] = dilation._reconstruction_residuals(
-            *dilation._blockdiag_stack(xs), xs)
+        stack = dilation._blockdiag_stack(xs)
+        dilation._check_dilations(*stack)
+        residuals["blockdiag"][lanes] = dilation._reconstruction_residuals(*stack, xs)
     comm, circle, recon, block = (values.tolist() for values in residuals.values())
     violations = []
     for k in range(len(draws)):

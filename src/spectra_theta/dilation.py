@@ -231,14 +231,13 @@ def blockdiag_dilation(X: SymTuple) -> DilationResult:
 
 def _blockdiag_stack(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """``blockdiag_dilation`` of each lane of an (m, g, n, n) stack: the
-    dilation tuples (m, g, gn, gn), their shared isometry and scale."""
+    dilation tuples (m, g, gn, gn), their shared isometry and scale.  The
+    caller runs ``_check_dilations`` (``DilationResult`` does on one tuple)."""
     m, g, n = xs.shape[:3]
     T = np.zeros((m, g, g * n, g * n))
     for j in range(g):
         T[:, j, j * n : (j + 1) * n, j * n : (j + 1) * n] = xs[:, j]
-    v = np.vstack([np.eye(n)] * g) / math.sqrt(g)
-    _check_dilations(T, v, 1.0 / g)
-    return T, v, 1.0 / g
+    return T, np.vstack([np.eye(n)] * g) / math.sqrt(g), 1.0 / g
 
 
 def defect_sqrt(S: np.ndarray) -> np.ndarray:
@@ -290,9 +289,10 @@ def spin2_dilation(X: SymTuple) -> DilationResult:
 def _spin2_stack(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """``spin2_dilation`` of each lane of an (m, 2, n, n) stack: the
     dilation pairs (m, 2, 2n, 2n), their shared isometry and the scale 1.
-    Every check of the one-tuple path runs lane by lane, and a failing lane
-    raises DomainError naming it; the pairs are symmetric because the
-    defect's input passed its symmetry check."""
+    The input checks of the one-tuple path run lane by lane, and a failing
+    lane raises DomainError naming it; the pairs are symmetric because the
+    defect's input passed its symmetry check.  The caller runs
+    ``_check_dilations`` (``DilationResult`` does on one tuple)."""
     _refuse(~_in_spin_ball(xs, 1e-10), "tuple is not in the spin ball within 1e-10")
     n = xs.shape[2]
     x1, x2 = xs[:, 0], xs[:, 1]
@@ -302,9 +302,7 @@ def _spin2_stack(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     e = 0.5 * (defect[:, :n, n:] - defect[:, n:, :n])
     e = 0.5 * (e - e.swapaxes(-1, -2))
     T = np.stack([_blocks(x1, e, -e, x1), _blocks(x2, dd, dd, -x2)], axis=1)
-    v = np.vstack([np.eye(n), np.zeros((n, n))])
-    _check_dilations(T, v, 1.0)
-    return T, v, 1.0
+    return T, np.vstack([np.eye(n), np.zeros((n, n))]), 1.0
 
 
 def _blocks(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:

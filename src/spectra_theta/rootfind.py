@@ -8,9 +8,11 @@ of Press et al., *Numerical Recipes* §9.4, ``rtsafe``) as soon as a Newton
 step is below the tolerance.
 
 The step rule is written once, as one masked numpy loop over the lanes
-still iterating.  Every root of the package is a row: sigma_{s,t} over the
-splits of theta(d), equipoints, medians and the inverse incomplete beta.  A
-scalar root is a one-lane row, and a lane gets the same bits in any row.
+still iterating.  Each round makes one residual call, which returns the
+residual and its slope together, as ``rtsafe``'s ``funcd`` does.  Every
+root of the package is a row: sigma_{s,t} over the splits of theta(d),
+equipoints, medians and the inverse incomplete beta.  A scalar root is a
+one-lane row, and a lane gets the same bits in any row.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ _MAX_ITER = 200
 
 
 def newton_rows(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    fprime: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     lo,
     hi,
     *,
@@ -38,9 +39,10 @@ def newton_rows(
     """Safeguarded Newton iteration for increasing residuals on a row of
     brackets [lo[i], hi[i]] (scalars broadcast).
 
-    ``f(x, lanes)`` and ``fprime(x, lanes)`` return the residual and slope
-    of lane ``lanes[k]`` at ``x[k]``; each round evaluates them once, on the
-    lanes still iterating.  A lane starts at ``x0`` clipped to its bracket,
+    ``f(x, lanes)`` returns the residual and the slope of lane ``lanes[k]``
+    at ``x[k]``, from one evaluation (the ``funcd`` of ``rtsafe``); each
+    round calls it once, on the lanes still iterating, and the bracket ends
+    use its residual only.  A lane starts at ``x0`` clipped to its bracket,
     or at its midpoint.  Newton steps that leave the current bracket (or
     have no positive slope, or fail to shrink the step before last fast
     enough) are replaced with bisection steps.  A lane stops, by the first
@@ -56,7 +58,7 @@ def newton_rows(
     lo, hi, x = np.broadcast_arrays(lo, hi, x)
     n = x.size
     every = np.arange(n)
-    ends = f(np.concatenate([lo, hi]), np.concatenate([every, every]))
+    ends = f(np.concatenate([lo, hi]), np.concatenate([every, every]))[0]
     flo, fhi = ends[:n], ends[n:]
     bad = np.flatnonzero((flo > 0.0) | (fhi < 0.0))
     if bad.size:
@@ -71,7 +73,7 @@ def newton_rows(
     for _ in range(_MAX_ITER):
         if not lane.size:
             return roots
-        fx, dfx = f(x, lane), fprime(x, lane)
+        fx, dfx = f(x, lane)
         at_root = np.abs(fx) <= ftol
         lo, hi = np.where(fx < 0.0, x, lo), np.where(fx < 0.0, hi, x)
         mid = 0.5 * (lo + hi)

@@ -3,14 +3,16 @@ its density and its inverse, to double precision.
 
 Two kernels compute the same numbers.  The point kernel (``ln_beta``,
 ``_reg_inc_beta``, ``beta_pdf``) is plain scalar code.  The row kernel
-(``_ln_beta_row``, ``_ibeta_row``, ``_pdf_row``, ``_ibeta_inv_row``)
-evaluates a whole numpy row of argument triples at once, for every sweep
-and root of the package; it matches the point kernel bit for bit, lane by
-lane: the same operation order, the transcendental functions of ``math``
-mapped per lane, and one modified-Lentz continued fraction advanced for
-every lane still iterating.  Rows shorter than ``_ROW_MIN_LANES`` go lane by
-lane through the point kernel, which is cheaper there.  The inverse is one
-bracketed-Newton row (``rootfind.newton_rows``) over the row kernel.
+(``_ln_beta_row``, ``_ibeta_row``, ``_ibeta_inv_row``) evaluates a whole
+numpy row of argument triples at once, for every sweep and root of the
+package; one ``_ibeta_row`` pass yields both I_p and the density, sharing
+the logs and ln B.  It matches the point kernel bit for bit, lane by lane:
+the same operation order, the transcendental functions of ``math`` mapped
+per lane, and one modified-Lentz continued fraction advanced for every lane
+still iterating.  Rows shorter than ``_ROW_MIN_LANES`` go lane by lane
+through the point kernel, which is cheaper there.  The inverse is one
+bracketed-Newton row (``rootfind.newton_rows``) over the row kernel, whose
+residual call also returns its slope.
 Accuracy targets (absolute):
 
 * ``ln_gamma``          max(1e-13, 5e-15 |ln Gamma(x)|) over [1e-3, 1e6]
@@ -245,52 +247,38 @@ def _beta_cf_row(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     raise _cf_error(float(a[0]), float(b[0]), float(x[0]))
 
 
-def _ibeta_row(a, b, p) -> np.ndarray:
-    """``_reg_inc_beta`` on a row of (a, b, p) triples (scalars broadcast)."""
+def _ibeta_row(a, b, p) -> tuple[np.ndarray, np.ndarray]:
+    """``_reg_inc_beta`` and ``beta_pdf`` on a row of (a, b, p) triples
+    (scalars broadcast), from one pass: the logs and ln B are shared."""
     a, b, p = _lanes(a, b, p)
     if a.size < _ROW_MIN_LANES:
-        return _map(_reg_inc_beta, a, b, p)
-    value = np.where(p <= 0.0, 0.0, 1.0)
+        return _map(_reg_inc_beta, a, b, p), _map(beta_pdf, a, b, p)
+    value, density = np.where(p <= 0.0, 0.0, 1.0), np.zeros(a.size)
     inner = ~((p <= 0.0) | (p >= 1.0))  # the point kernel's endpoint tests
     a, b, p = a[inner], b[inner], p[inner]
-    ln_front = a * _map(math.log, p) + b * _map(math.log1p, -p) - _ln_beta_row(a, b)
+    ln_p, ln_q, ln_b = _map(math.log, p), _map(math.log1p, -p), _ln_beta_row(a, b)
+    ln_front = a * ln_p + b * ln_q - ln_b
     # the point kernel's symmetry switch, per lane
     swap = ~(p < (a + 1.0) / (a + b + 2.0))
     ca = np.where(swap, b, a)
     cf = _beta_cf_row(ca, np.where(swap, a, b), np.where(swap, 1.0 - p, p))
     head = _map(math.exp, ln_front) * cf / ca
     value[inner] = np.where(swap, 1.0 - head, head)
-    return value
-
-
-def _pdf_row(a, b, p) -> np.ndarray:
-    """``beta_pdf`` on a row of (a, b, p) triples (scalars broadcast)."""
-    a, b, p = _lanes(a, b, p)
-    if a.size < _ROW_MIN_LANES:
-        return _map(beta_pdf, a, b, p)
-    value = np.zeros(a.size)
-    inner = ~((p <= 0.0) | (p >= 1.0))  # the point kernel's endpoint tests
-    a, b, p = a[inner], b[inner], p[inner]
-    ln_pdf = (a - 1.0) * _map(math.log, p) + (b - 1.0) * _map(math.log1p, -p) - _ln_beta_row(a, b)
-    value[inner] = _map(math.exp, ln_pdf)
-    return value
+    density[inner] = _map(math.exp, (a - 1.0) * ln_p + (b - 1.0) * ln_q - ln_b)
+    return value, density
 
 
 def _ibeta_inv_row(y, a, b) -> np.ndarray:
     """``reg_inc_beta_inv`` on a row of (y, a, b) triples (scalars
     broadcast), one Newton row on [0, 1] with the density as its slope."""
     y, a, b = _lanes(y, a, b)
+
+    def residual(p, lanes):
+        value, density = _ibeta_row(a[lanes], b[lanes], p)
+        return value - y[lanes], density
+
     # Crude but robust start: mean of the distribution.  The residual stop
     # keeps |I_p - y| an order below the documented 1e-11; the relative
     # width stop handles roots deep in a tail, where no absolute x
     # tolerance is meaningful.  y = 0 and y = 1 stop at their bracket end.
-    return newton_rows(
-        lambda p, lanes: _ibeta_row(a[lanes], b[lanes], p) - y[lanes],
-        lambda p, lanes: _pdf_row(a[lanes], b[lanes], p),
-        0.0,
-        1.0,
-        x0=a / (a + b),
-        xtol=0.0,
-        rtol=1e-14,
-        ftol=1e-13,
-    )
+    return newton_rows(residual, 0.0, 1.0, x0=a / (a + b), xtol=0.0, rtol=1e-14, ftol=1e-13)

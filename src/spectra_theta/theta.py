@@ -19,9 +19,10 @@ f_{s,t}(sigma_{s,t})), cross-checking them against each other.
 
 That code is written once, on rows: theta(d) solves sigma and kappa_* for
 all its splits together, one bracketed-Newton row (``rootfind.newton_rows``)
-over the row kernel of ``specfun``, and the point functions ``alpha_beta``,
-``f_g_h``, ``sigma_st`` and ``kappa_star`` are one-lane calls of the same
-code, so a split gives the same bits either way.
+over the row kernel of ``specfun``, whose one pass per round gives the sigma
+residual and its slope.  The point functions ``alpha_beta``, ``f_g_h``,
+``sigma_st`` and ``kappa_star`` are one-lane calls of the same code, so a
+split gives the same bits either way.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .rootfind import newton_rows
-from .specfun import _ibeta_row, _pdf_row, _reg_inc_beta, ln_gamma
+from .specfun import _ibeta_row, _reg_inc_beta, ln_gamma
 
 KAPPA_CROSS_CHECK_TOL = 1e-9
 CLOSED_FORM_TOL = 1e-8
@@ -85,8 +86,8 @@ def _alpha_beta_rows(s, t, a, b) -> tuple[np.ndarray, np.ndarray]:
     """alpha_beta on rows of (s, t, a, b) (scalars broadcast)."""
     d = s + t
     u = a / (a + b)
-    alpha = (2.0 * _ibeta_row(t / 2.0, s / 2.0 + 1.0, u) - 1.0) / d
-    beta = (2.0 * _ibeta_row(s / 2.0, t / 2.0 + 1.0, 1.0 - u) - 1.0) / d
+    alpha = (2.0 * _ibeta_row(t / 2.0, s / 2.0 + 1.0, u)[0] - 1.0) / d
+    beta = (2.0 * _ibeta_row(s / 2.0, t / 2.0 + 1.0, 1.0 - u)[0] - 1.0) / d
     return alpha, beta
 
 
@@ -119,14 +120,12 @@ def sigma_st(s: int, t: int) -> float:
     return float(_sigma_rows(np.array([s]), np.array([t]))[0])
 
 
-def _sigma_residual(sh: np.ndarray, th: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """I_x(s/2, 1+t/2) - I_{1-x}(t/2, 1+s/2) per lane, increasing in x."""
-    return _ibeta_row(sh, th + 1.0, x) - _ibeta_row(th, sh + 1.0, 1.0 - x)
-
-
-def _sigma_slope(sh: np.ndarray, th: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The x-derivative of ``_sigma_residual`` per lane."""
-    return _pdf_row(sh, th + 1.0, x) + _pdf_row(th, sh + 1.0, 1.0 - x)
+def _sigma_residual(sh, th, x) -> tuple[np.ndarray, np.ndarray]:
+    """I_x(s/2, 1+t/2) - I_{1-x}(t/2, 1+s/2) per lane, increasing in x, and
+    its x-derivative, the sum of the two densities."""
+    left, left_pdf = _ibeta_row(sh, th + 1.0, x)
+    right, right_pdf = _ibeta_row(th, sh + 1.0, 1.0 - x)
+    return left - right, left_pdf + right_pdf
 
 
 def _sigma_rows(s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -135,7 +134,6 @@ def _sigma_rows(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     d = s + t
     return newton_rows(
         lambda x, lanes: _sigma_residual(sh[lanes], th[lanes], x),
-        lambda x, lanes: _sigma_slope(sh[lanes], th[lanes], x),
         (s + 2.0) / (d + 4.0),
         s / d,
         xtol=1e-15,
@@ -162,8 +160,8 @@ def f_g_h(s: int, t: int, p: float) -> tuple[float, float, float]:
 def _f_g_h_rows(s, t, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f_g_h on rows of (s, t, p) (scalars broadcast)."""
     sh, th = s / 2.0, t / 2.0
-    i_left = _ibeta_row(th, sh + 1.0, 1.0 - p)
-    i_right = _ibeta_row(sh, th + 1.0, p)
+    i_left = _ibeta_row(th, sh + 1.0, 1.0 - p)[0]
+    i_right = _ibeta_row(sh, th + 1.0, p)[0]
     w = (1.0 - p) * s + p * t
     f = (2.0 * (1.0 - p) * s * i_left + 2.0 * p * t * i_right) / w - 1.0
     g = 2.0 * (s * i_left + t * i_right) / (s + t) - 1.0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 
@@ -49,6 +50,22 @@ def test_json_round_trips_full_precision(tmp_path):
         assert row["theta"] == theta(row["d"]).theta  # 17 digits round-trip exactly
     assert rows[0]["theta_minus"] is None
     assert rows[2]["theta_minus"] == theta(3).bounds_odd[0]
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["equipoint-table", "--format", "json"],
+     "f2ee995fe4a8a1c3e155b1cf0bcbcff25e2b756ce9d156c10273d32c35abd807"),
+    (["median-table", "--format", "json"],
+     "e0a17bab7782d1a6f102460fb4ef151bf85d9b58cbf258e0f440a3111ca079ce"),
+    (["theta-table", "--d-max", "60", "--format", "json"],
+     "d4de097c683d4573658f37213b601c9569c7c7d82a941996fc84ca8015724da0"),
+])
+def test_json_tables_keep_their_bits(capsys, args, digest):
+    # The CSV goldens pin 6 digits; the JSON tables carry all 17, so their
+    # stdout SHA-256 (recorded before the row kernel returned its density)
+    # pins every bit of every value.
+    assert main(args) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_csv_layout_blank_bounds_for_even_d(tmp_path):

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -291,6 +292,24 @@ def test_spin_implies_sampled_min():
         X = random_spin_ball_pair(rng, 3)
         assert ball_membership(X, "spin", tol=1e-10)
         assert ball_membership(X, "min_sampled", tol=1e-9, samples=512)
+
+
+def test_one_tuple_dilation_checks_once(monkeypatch):
+    # DilationResult is the only check on a one-tuple dilation: the stacked
+    # kernels leave the dilation checks to their caller.
+    module = importlib.import_module("spectra_theta.dilation")
+    check, calls = module._check_dilations, []
+
+    def counted(*args):
+        calls.append(args)
+        check(*args)
+
+    monkeypatch.setattr(module, "_check_dilations", counted)
+    X = random_spin_ball_pair(_generator(43), 3)
+    for dilate in (blockdiag_dilation, spin2_dilation):
+        calls.clear()
+        dilate(X)
+        assert len(calls) == 1, dilate.__name__
 
 
 def test_dilation_result_validation():

@@ -45,15 +45,14 @@ def test_bad_bracket_names_its_lane():
     lo = np.zeros(5)
     hi = np.array([1.0, 2.0, 3.0, -1.0, 4.0])  # lane 3: the residual x - 0.5 is < 0 at both ends
     with pytest.raises(NumericError, match="lane 3"):
-        newton_rows(lambda x, lanes: x - 0.5, lambda x, lanes: np.ones(x.size), lo, hi, xtol=1e-15)
+        newton_rows(lambda x, lanes: (x - 0.5, np.ones(x.size)), lo, hi, xtol=1e-15)
 
 
 def test_exhausted_budget_raises():
     # A zero slope forces bisection; halving [0, 1] toward 1e-300 with no
     # width tolerance needs far more than the iteration budget.
     with pytest.raises(NumericError, match="did not converge"):
-        newton_rows(lambda x, lanes: x - 1e-300, lambda x, lanes: np.zeros(x.size), 0.0, 1.0,
-                    xtol=0.0)
+        newton_rows(lambda x, lanes: (x - 1e-300, np.zeros(x.size)), 0.0, 1.0, xtol=0.0)
 
 
 def test_roots_keep_their_recorded_bits():

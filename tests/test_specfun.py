@@ -202,16 +202,17 @@ def test_row_kernel_is_lane_exact():
     assert a.size > specfun._ROW_MIN_LANES
     lanes = list(zip(a.tolist(), b.tolist(), p.tolist()))
     expected = {
-        specfun._ibeta_row: np.array([specfun._reg_inc_beta(*lane) for lane in lanes]),
-        specfun._pdf_row: np.array([specfun.beta_pdf(*lane) for lane in lanes]),
+        "value": np.array([specfun._reg_inc_beta(*lane) for lane in lanes]),
+        "density": np.array([specfun.beta_pdf(*lane) for lane in lanes]),
     }
     short = specfun._ROW_MIN_LANES // 2
-    for row_fn, point in expected.items():
-        whole = row_fn(a, b, p)
-        pieces = np.concatenate([row_fn(a[i:i + short], b[i:i + short], p[i:i + short])
-                                 for i in range(0, a.size, short)])
-        for got in (whole, pieces):
-            assert np.array_equal(got.view(np.uint64), point.view(np.uint64)), row_fn.__name__
+    whole = specfun._ibeta_row(a, b, p)
+    pieces = [specfun._ibeta_row(a[i:i + short], b[i:i + short], p[i:i + short])
+              for i in range(0, a.size, short)]
+    pieces = tuple(np.concatenate(output) for output in zip(*pieces))
+    for got in (whole, pieces):
+        for (name, point), row in zip(expected.items(), got, strict=True):
+            assert np.array_equal(row.view(np.uint64), point.view(np.uint64)), name
     ln_b = np.array([ln_beta(x, y) for x, y in zip(a.tolist(), b.tolist())])
     assert np.array_equal(specfun._ln_beta_row(a, b).view(np.uint64), ln_b.view(np.uint64))
 
@@ -237,5 +238,6 @@ def test_row_kernel_all_endpoint_row():
     assert n >= specfun._ROW_MIN_LANES
     p = np.where(np.arange(n) % 2 == 0, 0.0, 1.0)
     a, b = np.full(n, 2.5), np.full(n, 4.0)
-    assert np.array_equal(specfun._ibeta_row(a, b, p), p)
-    assert np.array_equal(specfun._pdf_row(a, b, p), np.zeros(n))
+    value, density = specfun._ibeta_row(a, b, p)
+    assert np.array_equal(value, p)
+    assert np.array_equal(density, np.zeros(n))
