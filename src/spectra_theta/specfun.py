@@ -249,7 +249,7 @@ def _beta_cf_row(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _ibeta_row(a, b, p) -> tuple[np.ndarray, np.ndarray]:
     """``_reg_inc_beta`` and ``beta_pdf`` on a row of (a, b, p) triples
-    (scalars broadcast), from one pass: the logs and ln B are shared."""
+    (scalars broadcast); a numpy-path row shares the logs and ln B."""
     a, b, p = _lanes(a, b, p)
     if a.size < _ROW_MIN_LANES:
         return _map(_reg_inc_beta, a, b, p), _map(beta_pdf, a, b, p)
