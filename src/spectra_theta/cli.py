@@ -188,34 +188,37 @@ def _verify_bounds(config: RunConfig) -> int:
 
 
 def _verify_oracle(config: RunConfig) -> int:
-    violations = []
-    for s, t in [(1, 1), (2, 1), (2, 2), (3, 2), (4, 4)]:
-        ks, a_opt, b_opt = kappa_star(s, t)
-        J = SignDiag(s, t, a_opt, b_opt)
-        est = sphere_oracle.sphere_abs_quadratic_integral(
-            np.diag(J.diagonal()), config.samples, config.seed
-        )
-        if not est.agrees_with(ks, 3.0):
-            violations.append(
-                {"check": "kappa_mc", "s": s, "t": t, "closed": ks,
-                 "mc": est.value, "std_err": est.std_err}
-            )
-    J21 = SignDiag(2, 1, *kappa_star(2, 1)[1:])
-    alpha, beta = alpha_beta(J21)
-    for coord, ref in [(1, alpha), (3, -beta)]:
-        est = sphere_oracle.sign_quadratic_moment(J21, coord, config.samples, config.seed)
-        if not est.agrees_with(ref, 3.0):
-            violations.append(
-                {"check": "moment_mc", "coord": coord, "closed": ref,
-                 "mc": est.value, "std_err": est.std_err}
-            )
-    ks22, a22, b22 = kappa_star(2, 2)
-    est = sphere_oracle.e_j_matrix(SignDiag(2, 2, a22, b22), config.samples, config.seed)
-    target = (ks22 / 4.0) * np.diag(SignDiag(2, 2, 1.0, 1.0).diagonal())
-    err = np.abs(est.value - target) - 4.0 * np.maximum(est.std_err, 1e-15)
+    shapes = [(1, 1), (2, 1), (2, 2), (3, 2), (4, 4)]
+    stars = {st: kappa_star(*st) for st in shapes}
+    J = {st: SignDiag(*st, *stars[st][1:]) for st in shapes}
+    requests = [sphere_oracle.AbsQuadratic(np.diag(J[st].diagonal())) for st in shapes]
+    requests += [sphere_oracle.SignMoment(J[2, 1], 1), sphere_oracle.SignMoment(J[2, 1], 3),
+                 sphere_oracle.SignOuter(J[2, 2])]
+    *estimates, ej = sphere_oracle.joint_estimates(requests, config.samples, config.seed)
+    alpha, beta = alpha_beta(J[2, 1])
+    checks = [({"check": "kappa_mc", "s": s, "t": t}, stars[s, t][0]) for s, t in shapes]
+    checks += [({"check": "moment_mc", "coord": 1}, alpha),
+               ({"check": "moment_mc", "coord": 3}, -beta)]
+    violations, slack = [], []  # slack: (|mc - closed| / std_err, its bound, the check)
+    for (check, closed), est in zip(checks, estimates):
+        if not est.agrees_with(closed, 3.0):
+            violations.append({**check, "closed": closed, "mc": est.value, "std_err": est.std_err})
+        slack.append((abs(est.value - closed) / est.std_err if est.std_err else 0.0, 3.0, check))
+    target = (stars[2, 2][0] / 4.0) * np.diag(SignDiag(2, 2, 1.0, 1.0).diagonal())
+    err = np.abs(ej.value - target) - 4.0 * np.maximum(ej.std_err, 1e-15)
     if float(err.max()) > 0.0:
         violations.append({"check": "e_j_mc", "max_excess": float(err.max())})
-    return _report_violations("oracle", violations)
+    sigmas = np.abs(ej.value - target) / np.maximum(ej.std_err, 1e-15)
+    i, j = np.unravel_index(sigmas.argmax(), sigmas.shape)
+    slack.append((float(sigmas[i, j]), 4.0, {"check": "e_j_mc", "i": i + 1, "j": j + 1}))
+    rc = _report_violations("oracle", violations)
+    if rc == 0:
+        # the check whose deviation came closest to its bound
+        sigma, bound, check = max(slack, key=lambda entry: entry[0] / entry[1])
+        where = ", ".join(str(v) if k == "check" else f"{k}={v}" for k, v in check.items())
+        print(f"verify oracle: worst deviation {sigma:.3g} standard errors "
+              f"of bound {bound:g} ({where})")
+    return rc
 
 
 def _verify_dilation(config: RunConfig) -> int:

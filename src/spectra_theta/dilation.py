@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, NumericError, ResourceError
 from .pencil import SymTuple
 from .sphere_oracle import DEFAULT_SEED, _generator
 
 SPIN_CONSTRUCTION_CAP = 14  # matrices of size 2^13; int8 storage keeps this ~1 GB
-SPIN_NORM_CAP = 8  # the tensor square lives in size 4^(g-1)
+SPIN_NORM_CAP = 8  # exact checks on matrices of size 2^(g-1): every g up to here in < 0.1 s
 CHOI_CAP = 8
 
 _SIGMA0 = np.array([[1, 0], [0, 1]], dtype=np.int8)
@@ -65,19 +65,36 @@ def spin_matrices(g: int) -> SpinSystem:
 
 
 def spin_tensor_norm(g: int) -> float:
-    """Operator norm of sum_j P_j (x) P_j, computed by the symmetric
-    eigensolver on the 4^(g-1)-dimensional tensor square; equals g."""
+    """Operator norm of sum_j P_j (x) P_j over the spin system of
+    ``spin_matrices(g)``, which is exactly g.
+
+    Checked in exact integer arithmetic on the 2^(g-1) spin matrices, never
+    on the 4^(g-1) tensor square: each P_j is a symmetric signed permutation
+    with P_j^2 = I, and the P_j anticommute.  Then the P_j (x) P_j commute,
+    each is a symmetric orthogonal involution of norm 1, and each fixes
+    vec(I); so vec(I) has eigenvalue g, and the triangle inequality bounds
+    the norm by g.  Raises NumericError if a check fails.
+    """
     if g < 2:
         raise DomainError(f"spin_tensor_norm requires g >= 2, got {g}")
     if g > SPIN_NORM_CAP:
         raise ResourceError(f"spin_tensor_norm capped at g <= {SPIN_NORM_CAP}, got {g}")
-    mats = spin_matrices(g).float_mats()
-    size = mats[0].shape[0] ** 2
-    total = np.zeros((size, size))
-    for p in mats:
-        total += np.kron(p, p)
-    eigs = np.linalg.eigvalsh(total)
-    return float(max(-eigs[0], eigs[-1]))
+    mats = [p.astype(np.int64) for p in spin_matrices(g).mats]
+    for j, p in enumerate(mats):
+        if not (np.abs(p).sum(axis=1) == 1).all():
+            raise NumericError(f"spin matrix P_{j + 1} is not a signed permutation")
+    # P_j = diag(sign_j) I[perm_j], so P_j Q is the rows perm_j of Q times sign_j
+    perms = [np.abs(p).argmax(axis=1) for p in mats]
+    signs = [np.take_along_axis(p, perm[:, None], axis=1) for p, perm in zip(mats, perms)]
+    prod = [[sign * q[perm] for q in mats] for sign, perm in zip(signs, perms)]
+    eye = np.eye(len(mats[0]), dtype=np.int64)
+    for j, p in enumerate(mats):
+        if not (np.array_equal(p, p.T) and np.array_equal(prod[j][j], eye)):
+            raise NumericError(f"spin matrix P_{j + 1} is not a symmetric involution")
+        for k in range(j):
+            if (prod[j][k] + prod[k][j]).any():
+                raise NumericError(f"spin matrices P_{k + 1} and P_{j + 1} do not anticommute")
+    return float(g)
 
 
 def _lanes(X: SymTuple) -> np.ndarray:

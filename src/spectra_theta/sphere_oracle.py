@@ -7,18 +7,23 @@ the integrals directly by sampling the uniform measure on S^(d-1) as
 normalized standard Gaussian vectors.
 
 Determinism contract: the generator is counter-based (Philox keyed by the
-seed) and samples are consumed in fixed-size batches, so identical
-(inputs, seed, n) draw bit-identical samples on any machine and under any
-caller-side parallelism.  The estimates contract those samples through BLAS
-matrix products, so they are bit-identical for one numpy/BLAS build on one
-CPU type (whatever its thread count); another BLAS kernel may move their
-last bits.
+seed), and an estimate in dimension d from n samples reads the first n*d
+normals of the seed's stream as n rows of d, consumed in fixed-size batches
+of ``_BATCH`` rows.  So identical (inputs, seed, n) draw bit-identical
+samples on any machine and under any caller-side parallelism, and estimates
+with the same (n, seed) read prefixes of one stream: ``joint_estimates``
+draws that stream once, for the largest dimension asked, and each estimate
+is bit-identical to its one-estimate call.  The estimates contract the
+samples through BLAS matrix products, so they are bit-identical for one
+numpy/BLAS build on one CPU type (whatever its thread count); another BLAS
+kernel may move their last bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -28,7 +33,7 @@ from .theta import SignDiag
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_SAMPLES = 1_000_000
 _BATCH = 1 << 17  # fixed so the accumulation order never depends on n
-_CHUNK = 1 << 13  # rows per x @ B product, so that no batch-sized temporary is made
+_CHUNK = 1 << 13  # rows per x @ B product and per normalization: no batch-sized temporary
 
 
 @dataclass(frozen=True)
@@ -69,31 +74,185 @@ def _require_symmetric(B: np.ndarray) -> np.ndarray:
     return B
 
 
+def _stream_batches(dims, n: int, seed: int):
+    """Yield (d, x) for every batch that an estimate in dimension d (for d
+    in ``dims``) reads: x holds rows [b, b + m) of its n sphere samples,
+    which are the normalized stream normals [b*d, (b + m)*d).
+
+    Batches come in the order their ends occur in the stream, so one pass
+    of the generator serves every dimension.  The stream is drawn into a
+    window the size of one batch of the widest dimension; when a batch
+    would run past its end, the window shifts forward to the earliest start
+    still to be served, which lies at most one window behind that batch's
+    end.  x is a view of a reused buffer, valid until the next batch.
+    """
+    rows = min(n, _BATCH)
+    width = max(dims)
+    batches = sorted((min(b + _BATCH, n) * d, b * d, d)  # (end, start, d) in the stream
+                     for d in set(dims) for b in range(0, n, _BATCH))
+    keep = list(accumulate([start for _, start, _ in reversed(batches)], min))[::-1]
+    rng = _generator(seed)
+    window, unit = np.empty(rows * width), np.empty(rows * width)
+    squares, norms = np.empty(min(rows, _CHUNK) * width), np.empty((min(rows, _CHUNK), 1))
+    lo = hi = 0  # the window holds stream normals [lo, hi)
+    for (end, start, d), first in zip(batches, keep):
+        if end - lo > len(window):
+            window[: hi - first] = window[first - lo : hi - lo]
+            lo = first
+        if end > hi:
+            rng.standard_normal(out=window[hi - lo : end - lo])
+            hi = end
+        raw = window[start - lo : end - lo].reshape(-1, d)
+        x = unit[: raw.size].reshape(raw.shape)
+        for i in range(0, len(raw), _CHUNK):  # x = raw / ||raw|| row by row
+            part = raw[i : i + _CHUNK]
+            k = len(part)
+            sq = np.multiply(part, part, out=squares[: k * d].reshape(k, d))
+            np.sqrt(np.add.reduce(sq, axis=1, keepdims=True, out=norms[:k]), out=norms[:k])
+            np.divide(part, norms[:k], out=x[i : i + _CHUNK])
+        yield d, x
+
+
 def _sphere_batches(d: int, n: int, seed: int):
     """Yield unit-vector batches drawn as normalized standard normals."""
-    rng = _generator(seed)
-    remaining = n
-    while remaining > 0:
-        m = min(_BATCH, remaining)
-        x = rng.standard_normal((m, d))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        yield x
-        remaining -= m
+    for _, x in _stream_batches((d,), n, seed):
+        yield x.copy()
 
 
-def _estimate(values_per_batch, n: int, seed: int) -> McEstimate:
-    total = 0.0
-    total_sq = 0.0
-    for v in values_per_batch:
-        total += float(v.sum())
-        total_sq += float((v * v).sum())
-    mean = total / n
-    if n > 1:
-        var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-        std_err = math.sqrt(var / n)
-    else:
-        std_err = 0.0
-    return McEstimate(value=mean, std_err=std_err, n_samples=n, seed=seed)
+class _Scratch:
+    """Buffers that the requests reuse from batch to batch: three vectors
+    of one batch, an (m, d) matrix for the requests that square whole
+    batches, and one ``_CHUNK``-row piece."""
+
+    def __init__(self, rows: int, requests: list) -> None:
+        self.vec = np.empty((3, rows))
+        self._mat = np.empty(rows * max((r.d for r in requests if r.squares_batch), default=0))
+        self._chunk = np.empty(min(rows, _CHUNK) * max(r.d for r in requests))
+
+    def matrix(self, m: int, d: int) -> np.ndarray:
+        return self._mat[: m * d].reshape(m, d)
+
+    def chunk(self, k: int, d: int) -> np.ndarray:
+        return self._chunk[: k * d].reshape(k, d)
+
+
+class _ScalarSum:
+    """Sum and sum of squares of one scalar per sample, batch by batch."""
+
+    d: int
+
+    def start(self) -> None:
+        self.total = self.total_sq = 0.0
+
+    def _add_values(self, v: np.ndarray, scratch: np.ndarray) -> None:
+        self.total += float(v.sum())
+        self.total_sq += float(np.multiply(v, v, out=scratch).sum())
+
+    def result(self, n: int, seed: int) -> McEstimate:
+        mean = self.total / n
+        if n > 1:
+            var = max(self.total_sq - n * mean * mean, 0.0) / (n - 1)
+            std_err = math.sqrt(var / n)
+        else:
+            std_err = 0.0
+        return McEstimate(value=mean, std_err=std_err, n_samples=n, seed=seed)
+
+
+class AbsQuadratic(_ScalarSum):
+    """``joint_estimates`` request for the sphere integral of |xi* B xi|
+    (see ``sphere_abs_quadratic_integral``)."""
+
+    squares_batch = False
+
+    def __init__(self, B: np.ndarray) -> None:
+        self.B = _require_symmetric(B)
+        self.d = self.B.shape[0]
+
+    def add(self, x: np.ndarray, scratch: _Scratch) -> None:
+        quad = scratch.vec[0, : len(x)]
+        for i in range(0, len(x), _CHUNK):
+            rows = x[i : i + _CHUNK]
+            prod = np.matmul(rows, self.B, out=scratch.chunk(len(rows), self.d))
+            np.einsum("ni,ni->n", prod, rows, out=quad[i : i + _CHUNK])
+        self._add_values(np.abs(quad, out=quad), scratch.vec[1, : len(x)])
+
+
+class SignMoment(_ScalarSum):
+    """``joint_estimates`` request for the sphere integral of
+    sgn(xi* J xi) xi_coord^2 (see ``sign_quadratic_moment``)."""
+
+    squares_batch = True
+
+    def __init__(self, J: SignDiag, coord: int) -> None:
+        self.d = J.d
+        if not (1 <= coord <= self.d):
+            raise DomainError(f"coord must lie in 1..{self.d}, got {coord}")
+        self.diag = np.array(J.diagonal())
+        self.k = coord - 1
+
+    def add(self, x: np.ndarray, scratch: _Scratch) -> None:
+        q, v, sq = scratch.vec[:, : len(x)]
+        np.matmul(np.multiply(x, x, out=scratch.matrix(len(x), self.d)), self.diag, out=q)
+        np.multiply(np.sign(q, out=q), np.square(x[:, self.k], out=v), out=v)
+        self._add_values(v, sq)
+
+
+class SignOuter:
+    """``joint_estimates`` request for E_J, the sphere average of
+    sgn(xi* J xi) xi xi*, with ``pad_zeros`` zero diagonal entries appended
+    (see ``e_j_matrix``)."""
+
+    squares_batch = True
+
+    def __init__(self, J: SignDiag, pad_zeros: int = 0) -> None:
+        if pad_zeros < 0:
+            raise DomainError(f"pad_zeros must be nonnegative, got {pad_zeros}")
+        self.d = J.d + pad_zeros
+        self.diag = np.array(J.diagonal() + [0.0] * pad_zeros)
+
+    def start(self) -> None:
+        self.s1 = np.zeros((self.d, self.d))
+        self.s2 = np.zeros((self.d, self.d))
+
+    def add(self, x: np.ndarray, scratch: _Scratch) -> None:
+        xx = np.multiply(x, x, out=scratch.matrix(len(x), self.d))
+        sgn = scratch.vec[0, : len(x)]
+        np.sign(np.matmul(xx, self.diag, out=sgn), out=sgn)
+        self.s2 += xx.T @ xx  # sgn^2 == 1 a.s.
+        self.s1 += np.multiply(x, sgn[:, None], out=xx).T @ x
+
+    def result(self, n: int, seed: int) -> McMatrixEstimate:
+        mean = self.s1 / n
+        if n > 1:
+            var = np.maximum(self.s2 - n * mean * mean, 0.0) / (n - 1)
+            std_err = np.sqrt(var / n)
+        else:
+            std_err = np.zeros((self.d, self.d))
+        return McMatrixEstimate(value=mean, std_err=std_err, n_samples=n, seed=seed)
+
+
+def joint_estimates(requests, n: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> list:
+    """The estimates of ``requests`` (``AbsQuadratic``, ``SignMoment`` and
+    ``SignOuter``), in order, from one pass over the seed's normal stream.
+
+    Each estimate is bit-identical to its one-estimate call with the same
+    (n, seed); the stream is drawn once, n * max(d) normals, instead of
+    n * d per estimate.
+    """
+    requests = list(requests)
+    if n < 1:
+        raise DomainError(f"need n >= 1 samples, got {n}")
+    if not requests:
+        return []
+    distinct = list({id(r): r for r in requests}.values())  # a repeated request sums once
+    scratch = _Scratch(min(n, _BATCH), distinct)
+    for r in distinct:
+        r.start()
+    for d, x in _stream_batches({r.d for r in distinct}, n, seed):
+        for r in distinct:
+            if r.d == d:
+                r.add(x, scratch)
+    return [r.result(n, seed) for r in requests]
 
 
 def sphere_abs_quadratic_integral(
@@ -104,20 +263,7 @@ def sphere_abs_quadratic_integral(
     Unbiased under the uniform probability measure; for B = I every sample
     contributes exactly 1.
     """
-    B = _require_symmetric(B)
-    if n < 1:
-        raise DomainError(f"need n >= 1 samples, got {n}")
-    d = B.shape[0]
-
-    def batches():
-        for x in _sphere_batches(d, n, seed):
-            quad = np.empty(len(x))
-            for i in range(0, len(x), _CHUNK):
-                rows = x[i : i + _CHUNK]
-                quad[i : i + _CHUNK] = np.einsum("ni,ni->n", rows @ B, rows)
-            yield np.abs(quad, out=quad)
-
-    return _estimate(batches(), n, seed)
+    return joint_estimates([AbsQuadratic(B)], n, seed)[0]
 
 
 def sign_quadratic_moment(
@@ -128,20 +274,7 @@ def sign_quadratic_moment(
     Matches +alpha for coord <= s and -beta for coord > s; the estimate is
     independent of which coordinate inside a block is chosen.
     """
-    d = J.d
-    if not (1 <= coord <= d):
-        raise DomainError(f"coord must lie in 1..{d}, got {coord}")
-    if n < 1:
-        raise DomainError(f"need n >= 1 samples, got {n}")
-    diag = np.array(J.diagonal())
-    k = coord - 1
-
-    def batches():
-        for x in _sphere_batches(d, n, seed):
-            q = (x * x) @ diag
-            yield np.sign(q) * x[:, k] ** 2
-
-    return _estimate(batches(), n, seed)
+    return joint_estimates([SignMoment(J, coord)], n, seed)[0]
 
 
 def e_j_matrix(
@@ -154,22 +287,4 @@ def e_j_matrix(
     that many zero diagonal entries, i.e. estimates E_{J (+) 0_u}, whose
     top-left block is the unpadded E_J shrunk by d/(d+u).
     """
-    if pad_zeros < 0:
-        raise DomainError(f"pad_zeros must be nonnegative, got {pad_zeros}")
-    d = J.d + pad_zeros
-    if n < 1:
-        raise DomainError(f"need n >= 1 samples, got {n}")
-    diag = np.array(J.diagonal() + [0.0] * pad_zeros)
-    s1 = np.zeros((d, d))
-    s2 = np.zeros((d, d))
-    for x in _sphere_batches(d, n, seed):
-        xx = x * x
-        s1 += (x * np.sign(xx @ diag)[:, None]).T @ x
-        s2 += xx.T @ xx  # sgn^2 == 1 a.s.
-    mean = s1 / n
-    if n > 1:
-        var = np.maximum(s2 - n * mean * mean, 0.0) / (n - 1)
-        std_err = np.sqrt(var / n)
-    else:
-        std_err = np.zeros((d, d))
-    return McMatrixEstimate(value=mean, std_err=std_err, n_samples=n, seed=seed)
+    return joint_estimates([SignOuter(J, pad_zeros)], n, seed)[0]

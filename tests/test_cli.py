@@ -117,6 +117,20 @@ def test_verify_dilation_is_repeatable_and_reports_its_worst_residual(capsys):
     assert worst.endswith(")") and ", instance " in worst
 
 
+def test_verify_oracle_is_repeatable_and_reports_its_worst_deviation(capsys):
+    outputs = []
+    for _ in range(2):
+        assert main(["verify", "oracle", "--samples", "20000"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    ok, worst = outputs[0].splitlines()
+    assert ok == "verify oracle: OK (0 violations)"
+    assert worst.startswith("verify oracle: worst deviation ")
+    assert " standard errors of bound " in worst and worst.endswith(")")
+    assert main(["verify", "oracle", "--samples", "0"]) == 3
+    capsys.readouterr()
+
+
 def test_usage_errors_exit_3(capsys):
     assert main(["no-such-command"]) == 3
     assert main(["verify", "wrong-sweep"]) == 3

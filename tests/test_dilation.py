@@ -1,11 +1,15 @@
 import importlib
 import math
+import time
 
 import numpy as np
 import pytest
 
+from spectra_theta import dilation
 from spectra_theta.dilation import (
+    SPIN_NORM_CAP,
     DilationResult,
+    SpinSystem,
     _spin2_stack,
     ball_membership,
     blockdiag_dilation,
@@ -17,7 +21,7 @@ from spectra_theta.dilation import (
     spin_matrices,
     spin_tensor_norm,
 )
-from spectra_theta.errors import DomainError, ResourceError
+from spectra_theta.errors import DomainError, NumericError, ResourceError
 from spectra_theta.pencil import SymTuple
 from spectra_theta.sphere_oracle import _generator
 
@@ -82,7 +86,36 @@ def test_spin_caps():
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
 def test_spin_tensor_norm_is_g(g):
-    assert spin_tensor_norm(g) == pytest.approx(g, abs=1e-10)
+    # the dense symmetric eigensolver on the 4^(g-1) tensor square is the oracle
+    mats = spin_matrices(g).float_mats()
+    eigs = np.linalg.eigvalsh(sum(np.kron(p, p) for p in mats))
+    assert spin_tensor_norm(g) == g
+    assert max(-eigs[0], eigs[-1]) == pytest.approx(g, abs=1e-10)
+
+
+def test_spin_tensor_norm_answers_every_g_quickly():
+    def all_norms():
+        start = time.perf_counter()
+        norms = [spin_tensor_norm(g) for g in range(2, SPIN_NORM_CAP + 1)]
+        return norms, time.perf_counter() - start
+
+    runs = [all_norms() for _ in range(3)]
+    assert runs[0][0] == [float(g) for g in range(2, SPIN_NORM_CAP + 1)]
+    assert min(seconds for _, seconds in runs) < 0.1
+
+
+@pytest.mark.parametrize("defect", ["signed permutation", "symmetric involution", "anticommute"])
+def test_spin_tensor_norm_refuses_a_broken_spin_system(monkeypatch, defect):
+    mats = list(spin_matrices(3).mats)
+    if defect == "signed permutation":
+        mats[0] = 2 * mats[0]
+    elif defect == "symmetric involution":
+        mats[1] = np.kron(dilation._SIGMA3, np.eye(2, dtype=np.int8))  # skew
+    else:
+        mats[2] = mats[0]
+    monkeypatch.setattr(dilation, "spin_matrices", lambda g: SpinSystem(g, tuple(mats)))
+    with pytest.raises(NumericError, match=defect):
+        spin_tensor_norm(3)
 
 
 def test_spin_row_norm_is_sqrt_g():

@@ -1,15 +1,22 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from spectra_theta import sphere_oracle
+from spectra_theta.cli import main
 from spectra_theta.errors import DomainError
 from spectra_theta.sphere_oracle import (
     _BATCH,
     _CHUNK,
+    AbsQuadratic,
+    SignMoment,
+    SignOuter,
     _generator,
     _sphere_batches,
     e_j_matrix,
+    joint_estimates,
     sign_quadratic_moment,
     sphere_abs_quadratic_integral,
 )
@@ -161,3 +168,122 @@ def test_kappa_cross_check_generic():
     J = SignDiag(3, 2, 1.1, 0.85)
     est = sphere_abs_quadratic_integral(np.diag(J.diagonal()), n=N, seed=14)
     assert est.agrees_with(kappa(J), 3.0)
+
+
+# --- one stream shared by every estimate --------------------------------------
+
+SHARING_NS = [1, _BATCH - 1, _BATCH + 3 * _CHUNK + 5, 3 * _BATCH]
+
+
+def _requests():
+    """Pairs (request, its one-estimate call at (n, seed)) of all three
+    kinds in dimensions 1, 2, 3, 4, 5 and 8, with and without padding."""
+    rng = _generator(40)
+    pairs = []
+    for d in (1, 2, 3, 4, 5, 8):
+        B = rng.standard_normal((d, d))
+        B = 0.5 * (B + B.T)
+        pairs.append((AbsQuadratic(B), functools.partial(sphere_abs_quadratic_integral, B)))
+    for J, coord in [(SignDiag(1, 1, 1.0, 1.0), 2), (SignDiag(2, 1, 1.2, 0.6), 1),
+                     (SignDiag(3, 2, 1.1, 0.85), 4), (SignDiag(5, 3, 1.2, 0.7), 8)]:
+        pairs.append((SignMoment(J, coord), functools.partial(sign_quadratic_moment, J, coord)))
+    for J, pad in [(SignDiag(2, 2, 1.0, 0.5), 0), (SignDiag(1, 1, 1.0, 1.0), 1),
+                   (SignDiag(2, 1, 1.2, 0.6), 2), (SignDiag(2, 1, 1.2, 0.6), 5)]:
+        pairs.append((SignOuter(J, pad), lambda n, seed, J=J, pad=pad: e_j_matrix(J, n, seed, pad)))
+    return pairs
+
+
+def _reference_estimate(request, n, seed):
+    """The estimate as a standalone loop in the estimators' arithmetic: a
+    fresh draw per batch, whole-batch sums and X^T X, _CHUNK-row x @ B."""
+    rng = _generator(seed)
+    d = request.d
+    totals = [np.zeros((d, d)), np.zeros((d, d))] if isinstance(request, SignOuter) else [0.0, 0.0]
+    for start in range(0, n, _BATCH):
+        x = rng.standard_normal((min(_BATCH, n - start), d))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        if isinstance(request, SignOuter):
+            xx = x * x
+            totals[0] += (x * np.sign(xx @ request.diag)[:, None]).T @ x
+            totals[1] += xx.T @ xx
+            continue
+        if isinstance(request, AbsQuadratic):
+            v = np.empty(len(x))
+            for i in range(0, len(x), _CHUNK):
+                rows = x[i : i + _CHUNK]
+                v[i : i + _CHUNK] = np.einsum("ni,ni->n", rows @ request.B, rows)
+            v = np.abs(v)
+        else:
+            v = np.sign((x * x) @ request.diag) * x[:, request.k] ** 2
+        totals[0] += float(v.sum())
+        totals[1] += float((v * v).sum())
+    mean = totals[0] / n
+    if n == 1:
+        return mean, np.zeros_like(mean)
+    var = np.maximum(totals[1] - n * mean * mean, 0.0) / (n - 1)
+    return mean, np.sqrt(var / n)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.value, b.value) and np.array_equal(a.std_err, b.std_err)
+
+
+def test_normal_stream_is_the_same_in_uneven_pieces():
+    # the sharing rests on this: drawing the seed's normals in pieces of
+    # any size, into fresh arrays or into out=, gives one long draw
+    whole = _generator(17).standard_normal(3 * _CHUNK + 11)
+    rng = _generator(17)
+    pieces = [rng.standard_normal(k) for k in (1, 2, 3, 5, _CHUNK - 7)]
+    rest = np.empty(len(whole) - sum(len(p) for p in pieces))
+    rng.standard_normal(out=rest[:4])
+    rng.standard_normal(out=rest[4:])
+    assert np.array_equal(np.concatenate(pieces + [rest]), whole)
+    assert np.array_equal(_generator(17).standard_normal((_CHUNK, 3)).ravel(), whole[: 3 * _CHUNK])
+
+
+@pytest.mark.parametrize("n", SHARING_NS)
+def test_joint_estimates_equal_one_estimate_calls(n):
+    requests, one_estimate = zip(*_requests())
+    joint = joint_estimates(requests, n, seed=3)
+    same = [_same_bits(est, call(n, 3)) for call, est in zip(one_estimate, joint)]
+    assert same == [True] * len(joint)
+
+
+@pytest.mark.parametrize("n", [1, _BATCH + 3 * _CHUNK + 5])
+def test_estimates_equal_the_standalone_loop(n):
+    requests = [request for request, _ in _requests()]
+    for r, est in zip(requests, joint_estimates(requests, n, seed=5)):
+        value, std_err = _reference_estimate(r, n, 5)
+        assert np.array_equal(est.value, value) and np.array_equal(est.std_err, std_err)
+    x = _generator(6).standard_normal((n, 5))
+    assert np.array_equal(np.concatenate(list(_sphere_batches(5, n, 6))),
+                          x / np.linalg.norm(x, axis=1, keepdims=True))
+
+
+def test_joint_estimates_inputs():
+    assert joint_estimates([], n=10, seed=0) == []
+    request = AbsQuadratic(np.diag([1.0, -1.0]))
+    twice = joint_estimates([request, request], n=1000, seed=2)
+    assert twice == [sphere_abs_quadratic_integral(np.diag([1.0, -1.0]), n=1000, seed=2)] * 2
+    with pytest.raises(DomainError):
+        joint_estimates([AbsQuadratic(np.eye(2))], n=0, seed=0)
+    with pytest.raises(DomainError):
+        SignOuter(SignDiag(1, 1, 1.0, 1.0), pad_zeros=-1)
+
+
+def test_verify_oracle_draws_each_normal_once(monkeypatch, capsys):
+    drawn = []
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, size=None, *, out=None):
+            drawn.append(out.size if out is not None else math.prod(np.atleast_1d(size)))
+            return self.rng.standard_normal(size, out=out)
+
+    monkeypatch.setattr(sphere_oracle, "_generator", lambda seed: Counting(_generator(seed)))
+    n = 20_000
+    assert main(["verify", "oracle", "--samples", str(n)]) == 0
+    capsys.readouterr()
+    assert sum(drawn) == 8 * n  # the widest estimate is kappa*(4, 4) in d = 8
