@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from spectra_theta.sphere_oracle import sphere_abs_quadratic_integral
+from spectra_theta.sphere_oracle import AbsQuadratic, joint_estimates
 from spectra_theta.theta import SignDiag, kappa_star
 
 
@@ -22,16 +22,17 @@ def main() -> None:
     args = parser.parse_args()
 
     print("s,t,kappa_closed,kappa_mc,std_err,z")
-    for d in range(2, args.d_max + 1):
-        for s in range((d + 1) // 2, d):
-            t = d - s
-            ks, a_opt, b_opt = kappa_star(s, t)
-            J = SignDiag(s, t, a_opt, b_opt)
-            est = sphere_abs_quadratic_integral(
-                np.diag(J.diagonal()), n=args.samples, seed=args.seed
-            )
-            z = (est.value - ks) / est.std_err if est.std_err else 0.0
-            print(f"{s},{t},{ks:.8f},{est.value:.8f},{est.std_err:.2e},{z:+.2f}")
+    splits = [(s, d - s) for d in range(2, args.d_max + 1) for s in range((d + 1) // 2, d)]
+    kappas, requests = [], []
+    for s, t in splits:
+        ks, a_opt, b_opt = kappa_star(s, t)
+        kappas.append(ks)
+        requests.append(AbsQuadratic(np.diag(SignDiag(s, t, a_opt, b_opt).diagonal())))
+    # one pass over the seed's normal stream serves every split
+    estimates = joint_estimates(requests, n=args.samples, seed=args.seed)
+    for (s, t), ks, est in zip(splits, kappas, estimates):
+        z = (est.value - ks) / est.std_err if est.std_err else 0.0
+        print(f"{s},{t},{ks:.8f},{est.value:.8f},{est.std_err:.2e},{z:+.2f}")
 
 
 if __name__ == "__main__":

@@ -153,6 +153,29 @@ def _haar_from_gaussian(z: np.ndarray) -> np.ndarray:
     return q * signs[:, None, :]
 
 
+def _haar_gram_schmidt(z: np.ndarray) -> np.ndarray:
+    """The orthonormalized columns of each matrix in the stack ``z``:
+    classical Gram-Schmidt, run twice ("twice is enough").
+
+    This is the Q factor whose R has a positive diagonal, the matrix
+    ``_haar_from_gaussian`` forms with LAPACK, up to rounding.  A column
+    whose remainder has norm zero (probability zero for Gaussian z) raises
+    NumericError rather than returning NaN.
+    """
+    q = np.empty_like(z)
+    for k in range(z.shape[-1]):
+        v = z[..., k]
+        if k:
+            basis = q[..., :k]
+            for _ in range(2):
+                v = v - np.einsum("nik,nk->ni", basis, np.einsum("nik,ni->nk", basis, v))
+        norm = np.sqrt(np.einsum("ni,ni->n", v, v))
+        if not np.all(norm > 0.0):
+            raise NumericError("Gram-Schmidt met a column of norm zero")
+        q[..., k] = v / norm[:, None]
+    return q
+
+
 def random_contraction_tuple(g: int, n: int, rng: np.random.Generator) -> SymTuple:
     """A g-tuple of random symmetric contractions Q^T D Q with D uniform
     diagonal in [-1, 1]; covers the extreme points in closure."""
@@ -287,6 +310,10 @@ def sharpness_witness(
     lambda_max(sum_j A_j (x) X_j) climbs to theta(d); the rigged vector
     (1/sqrt(d)) sum e_i (x) e_i already certifies the trace part exactly.
 
+    Each U (centers and samples alike) is the Gram-Schmidt orthonormalization
+    of a Gaussian d x d matrix: the same Haar law as ``haar_orthogonal``, whose
+    LAPACK QR gives the same matrix up to its last bits, not bit for bit.
+
     Returns the pencil, the norm-one tuple, and the achieved lambda_max.
     """
     if d < 2:
@@ -300,24 +327,25 @@ def sharpness_witness(
     j_one = np.array(SignDiag(s, t, 1.0, 1.0).diagonal())
 
     rng = _generator(seed)
-    centers = _haar_batch(rng, cells, d)
+    centers = _haar_gram_schmidt(rng.standard_normal((cells, d, d)))
     x_mats = tuple((c.T * j_one) @ c for c in centers)
     centers_flat = centers.reshape(cells, d * d)
 
     n_total = cells * samples_per_cell
-    acc = np.zeros((cells, d, d))
+    sums = np.zeros((d * d, cells))
     remaining = n_total
-    batch = max(1, (1 << 16) // (d * d))
+    # keeps the (rows x cells) score block near 2**20 entries
+    batch = max(1, (1 << 20) // max(cells, 16 * d * d))
     while remaining > 0:
         m = min(batch, remaining)
-        u = _haar_batch(rng, m, d)
-        z = np.einsum("nji,j,njk->nik", u, j_hat, u)
+        u = _haar_gram_schmidt(rng.standard_normal((m, d, d)))
+        z = sum(j_hat[j] * u[:, j, :, None] * u[:, j, None, :] for j in range(d)).reshape(m, d * d)
         # nearest center in Frobenius distance == largest trace inner product
         owner = np.argmax(u.reshape(m, d * d) @ centers_flat.T, axis=1)
-        flat = (owner[:, None] * (d * d) + np.arange(d * d)).ravel()
-        acc += np.bincount(flat, weights=z.ravel(), minlength=cells * d * d).reshape(cells, d, d)
+        for e in range(d * d):
+            sums[e] += np.bincount(owner, weights=z[:, e], minlength=cells)
         remaining -= m
-    a_mats = tuple(0.5 * (a + a.T) for a in acc / (ks * n_total))
+    a_mats = tuple(0.5 * (a + a.T) for a in sums.T.reshape(cells, d, d) / (ks * n_total))
 
     pencil = MonicPencil(a_mats)
     witness = SymTuple(tuple(0.5 * (x + x.T) for x in x_mats))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spectra_theta.errors import DomainError, ResourceError
+from spectra_theta.errors import DomainError, NumericError, ResourceError
 from spectra_theta.pencil import (
     CubeRelaxationReport,
     MonicPencil,
@@ -13,6 +13,8 @@ from spectra_theta.pencil import (
     _contraction_stack,
     _eigvalsh,
     _haar_batch,
+    _haar_from_gaussian,
+    _haar_gram_schmidt,
     cube_pencil,
     cube_relaxation_test,
     evaluate,
@@ -143,6 +145,27 @@ def test_haar_first_column_mean_vanishes():
     assert np.max(np.abs(total / n)) <= 4.0 / math.sqrt(n * 3)
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_haar_gram_schmidt_is_the_positive_diagonal_qr(d):
+    z = _generator(100 + d).standard_normal((2000, d, d))
+    q = _haar_gram_schmidt(z)
+    assert np.max(np.abs(q.swapaxes(1, 2) @ q - np.eye(d))) <= 1e-14 * d
+    r = q.swapaxes(1, 2) @ z
+    below = np.max(np.abs(np.tril(r, -1)), axis=(1, 2))
+    assert np.all(below <= 1e-12 * np.linalg.norm(z, axis=(1, 2)))
+    assert np.all(np.einsum("nii->ni", r) > 0.0)
+    # the unique QR factor with a positive R diagonal: the LAPACK route's Q
+    assert np.max(np.abs(q - _haar_from_gaussian(z))) <= 1e-12
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_haar_gram_schmidt_refuses_a_zero_column(column):
+    z = _generator(7).standard_normal((5, 3, 3))
+    z[2, :, column] = 0.0
+    with pytest.raises(NumericError):
+        _haar_gram_schmidt(z)
+
+
 def test_cube_relaxation_on_cube_pencil():
     report = cube_relaxation_test(cube_pencil(2), d=3, trials=25, seed=11)
     assert isinstance(report, CubeRelaxationReport)
@@ -261,7 +284,15 @@ def test_direct_sums_stay_inside():
     assert in_free_spectrahedron(L, direct, tol=1e-9)
 
 
-def test_witness_vector_identity_per_sample():
+@pytest.mark.parametrize(
+    "haar",
+    [
+        lambda rng, m, d: _haar_batch(rng, m, d),
+        lambda rng, m, d: _haar_gram_schmidt(rng.standard_normal((m, d, d))),
+    ],
+    ids=["lapack_qr", "gram_schmidt"],
+)
+def test_witness_vector_identity_per_sample(haar):
     # e* (Z(U) (x) X(U)) e == trace(J_hat J(s,t;1,1)) / d == 1 for every U
     d = 3
     ks, a_opt, b_opt = kappa_star(2, 1)
@@ -269,7 +300,7 @@ def test_witness_vector_identity_per_sample():
     j_one = np.diag(SignDiag(2, 1, 1.0, 1.0).diagonal())
     e = np.eye(d).reshape(-1) / math.sqrt(d)
     rng = _generator(31)
-    for u in _haar_batch(rng, 20, d):
+    for u in haar(rng, 20, d):
         z = u.T @ j_hat @ u
         x = u.T @ j_one @ u
         val = e @ np.kron(z, x) @ e
@@ -283,6 +314,28 @@ def test_witness_tuple_norms_and_degenerate_cell():
         assert float(np.max(np.abs(np.linalg.eigvalsh(m)))) == pytest.approx(1.0, abs=1e-12)
     _, _, lam1 = sharpness_witness(2, cells=1, samples_per_cell=20_000, seed=7)
     assert abs(lam1) <= 0.2  # Haar average of conjugated trace-0 patterns
+
+
+@pytest.mark.parametrize(
+    "d, cells, samples_per_cell, seed, lam_recorded",
+    [
+        (2, 128, 2000, 0xC0FFEE, 1.556359481362574),
+        (3, 27, 800, 5, 0.541446216082972),
+    ],
+)
+def test_witness_keeps_its_lambda_max(d, cells, samples_per_cell, seed, lam_recorded):
+    # recorded with the LAPACK-QR witness: the Gram-Schmidt draws and the
+    # per-entry cell sums move lambda_max in the last bits only
+    _, _, lam = sharpness_witness(d, cells, samples_per_cell, seed=seed)
+    assert abs(lam - lam_recorded) <= 1e-12
+
+
+def test_witness_repeats_its_bytes():
+    first = sharpness_witness(3, cells=9, samples_per_cell=700, seed=21)
+    second = sharpness_witness(3, cells=9, samples_per_cell=700, seed=21)
+    assert first[2] == second[2]
+    for a, b in zip(first[0].coeffs + first[1].mats, second[0].coeffs + second[1].mats):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_witness_climbs_toward_theta():

@@ -1,0 +1,52 @@
+"""Smoke tests for the experiment scripts under scripts/: each runs as a
+subprocess, the way a user starts it, with src/ on the path."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+
+from spectra_theta.sphere_oracle import sphere_abs_quadratic_integral
+from spectra_theta.theta import SignDiag, kappa_star
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_witness_refinement_runs():
+    lines = run_script("witness_refinement.py", "--cells", "1", "4", "--samples-per-cell", "500")
+    assert lines[0].startswith("theta(2) = ")
+    assert lines[1] == "cells,lambda_max,ratio,seconds"
+    assert [line.split(",")[0] for line in lines[2:]] == ["1", "4"]
+
+
+def test_oracle_sweep_matches_per_split_estimates():
+    samples, seed = 5000, 0xC0FFEE
+    lines = run_script("oracle_sweep.py", "--d-max", "4", "--samples", str(samples))
+    assert lines[0] == "s,t,kappa_closed,kappa_mc,std_err,z"
+    expected = []
+    for d in range(2, 5):
+        for s in range((d + 1) // 2, d):
+            t = d - s
+            ks, a_opt, b_opt = kappa_star(s, t)
+            J = SignDiag(s, t, a_opt, b_opt)
+            est = sphere_abs_quadratic_integral(np.diag(J.diagonal()), n=samples, seed=seed)
+            z = (est.value - ks) / est.std_err if est.std_err else 0.0
+            expected.append(f"{s},{t},{ks:.8f},{est.value:.8f},{est.std_err:.2e},{z:+.2f}")
+    assert lines[1:] == expected
