@@ -11,15 +11,18 @@ is as likely to land at >= s as at <= s.
 
 Every root is solved on rows (``rootfind.newton_rows`` over the row kernel
 of ``specfun``, one kernel pass per Newton round for the residual and its
-slope): each sweep builds its grid and solves it as one row, and
-``equipoint``, ``median``, ``phi`` and ``phi_hat`` are one-lane calls of the
-same code, so a shape gives the same bits either way.
+slope): each sweep builds its grid and solves it as one row
+(``bounds_sweeps`` runs four sweeps on one median row and one equipoint row
+over their distinct shapes), and ``equipoint``, ``median``, ``phi`` and
+``phi_hat`` are one-lane calls of the same code, so a shape gives the same
+bits either way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -233,72 +236,112 @@ def simmons_sweep(d_max: int = 400) -> list[dict]:
     return violations
 
 
-def _triangle(first: float, s_max: float, step: float) -> list[BetaShape]:
-    """The shapes first <= t <= s <= s_max on the grid first + k step."""
+def _triangle(first: float, s_max: float, step: float) -> list[tuple[float, float]]:
+    """The shapes (s, t) with first <= t <= s <= s_max on the grid first + k step."""
+    _check_step(step)
     shapes = []
     for i in range(int(round((s_max - first) / step)) + 1):
         s = first + i * step
         j = 0
         while (t := first + j * step) <= s:
-            shapes.append(BetaShape(s, t))
+            shapes.append((s, t))
             j += 1
     return shapes
 
 
-def equipoint_lower_sweep(s_max: float = 100.0, step: float = 0.5) -> list[dict]:
-    """Real-parameter lower bound (s+1)/(s+t+2) <= e for 1 <= t <= s <= s_max."""
-    shapes = _triangle(1.0, s_max, step)
+def _check_step(step: float) -> None:
+    if not (math.isfinite(step) and step > 0.0):
+        raise DomainError(f"grid step must be finite and positive, got {step}")
+
+
+def _solve_once(rows, *groups) -> list[list[float]]:
+    """``rows(s, t)`` at the shapes (s, t) of every group, solved as one row
+    over the distinct shapes (a lane gets the same bits in any row)."""
+    st = np.concatenate([np.asarray(group, dtype=float).reshape(-1, 2) for group in groups])
+    distinct, where = np.unique(st, axis=0, return_inverse=True)
+    values = rows(*distinct.T)[where.ravel()]
+    starts = [0, *accumulate(len(group) for group in groups)]
+    return [values[i:j].tolist() for i, j in zip(starts, starts[1:])]
+
+
+def _bounds_checks(median_shapes: list[tuple[float, float]],
+                   ordering_shapes: list[tuple[float, float]],
+                   lower_shapes: list[tuple[float, float]],
+                   conjecture_shapes: list[tuple[float, float]]) -> tuple[list[dict], list[dict]]:
+    """The checks of ``median_bounds_sweep``, ``ordering_sweep`` and
+    ``equipoint_lower_sweep`` on their shapes (violations, in that order),
+    and the findings of ``simmons_conjecture_sweep`` on its shapes.  Every
+    distinct median is solved once, in one inverse row, and every distinct
+    equipoint once, in one equipoint row."""
+    bounds = [median_bounds(BetaShape(s, t)) for s, t in median_shapes]
+    kept = [(s, t) for s, t in ordering_shapes if 0.0 < t <= s]
+    pairs = np.array(kept, dtype=float).reshape(-1, 2)
+    if not np.isfinite(pairs).all():
+        raise DomainError("ordering_sweep requires finite shapes")
+    ms, m_pairs, m_ups = _solve_once(
+        lambda s, t: _ibeta_inv_row(0.5, s, t), median_shapes, pairs, pairs + 1.0
+    )
+    e_pairs, e_lower, e_conjecture = _solve_once(
+        _equipoint_rows, pairs, lower_shapes, conjecture_shapes
+    )
     violations = []
-    for shape, e in zip(shapes, equipoints(shapes)):
-        s, t = shape.s_frak, shape.t_frak
+    for (s, t), (lower, upper), m in zip(median_shapes, bounds, ms):
+        if not (lower - 1e-12 <= m <= upper + 1e-12):
+            violations.append({"check": "median_bounds", "s": s, "t": t, "m": m,
+                               "lower": lower, "upper": upper})
+    for (s, t), e, m, m_up in zip(kept, e_pairs, m_pairs, m_ups):
+        if e > m + 1e-12:
+            violations.append({"check": "e_le_m", "s": s, "t": t, "e": e, "m": m})
+        if t < s and m_up > e + 1e-12:
+            violations.append({"check": "m_up_le_e", "s": s, "t": t, "e": e, "m_up": m_up})
+    for (s, t), e in zip(lower_shapes, e_lower):
         lower = (s + 1.0) / (s + t + 2.0)
         if e < lower - 1e-12:
             violations.append({"check": "equipoint_lower", "s": s, "t": t, "e": e, "bound": lower})
-    return violations
+    findings = []
+    for (s, t), e in zip(conjecture_shapes, e_conjecture):
+        upper = s / (s + t)
+        if e > upper + 1e-12:
+            findings.append({"check": "simmons_conjecture", "s": s, "t": t, "e": e, "bound": upper})
+    return violations, findings
+
+
+def equipoint_lower_sweep(s_max: float = 100.0, step: float = 0.5) -> list[dict]:
+    """Real-parameter lower bound (s+1)/(s+t+2) <= e for 1 <= t <= s <= s_max."""
+    return _bounds_checks([], [], _triangle(1.0, s_max, step), [])[0]
 
 
 def simmons_conjecture_sweep(s_max: float = 30.0, step: float = 0.5) -> list[dict]:
     """Report-only sweep of the conjectured real-parameter upper bound
     e_{s,t} <= s/(s+t); findings are informational, never asserted."""
-    shapes = _triangle(0.5, s_max, step)
-    reports = []
-    for shape, e in zip(shapes, equipoints(shapes)):
-        s, t = shape.s_frak, shape.t_frak
-        upper = s / (s + t)
-        if e > upper + 1e-12:
-            reports.append({"check": "simmons_conjecture", "s": s, "t": t, "e": e, "bound": upper})
-    return reports
+    return _bounds_checks([], [], [], _triangle(0.5, s_max, step))[1]
 
 
 def median_bounds_sweep(shapes: list[tuple[float, float]]) -> list[dict]:
     """Sandwich lower <= median <= upper on the given (s, t) shapes."""
-    bounds = [median_bounds(BetaShape(s, t)) for s, t in shapes]
-    ms = medians([BetaShape(s, t) for s, t in shapes])
-    violations = []
-    for (s, t), (lower, upper), m in zip(shapes, bounds, ms):
-        if not (lower - 1e-12 <= m <= upper + 1e-12):
-            violations.append({"check": "median_bounds", "s": s, "t": t, "m": m,
-                               "lower": lower, "upper": upper})
-    return violations
+    return _bounds_checks(shapes, [], [], [])[0]
 
 
 def ordering_sweep(shapes: list[tuple[float, float]]) -> list[dict]:
     """Chain e_{s,t} <= m_{s,t} (0 < t <= s) and m_{s+1,t+1} <= e_{s,t}
     (0 < t < s) over the given shapes."""
-    kept = [(s, t) for s, t in shapes if 0.0 < t <= s]
-    pairs = [BetaShape(s, t) for s, t in kept]
-    m_ups = medians([BetaShape(s + 1.0, t + 1.0) for s, t in kept])
-    violations = []
-    for (s, t), e, m, m_up in zip(kept, equipoints(pairs), medians(pairs), m_ups):
-        if e > m + 1e-12:
-            violations.append({"check": "e_le_m", "s": s, "t": t, "e": e, "m": m})
-        if t < s and m_up > e + 1e-12:
-            violations.append({"check": "m_up_le_e", "s": s, "t": t, "e": e, "m_up": m_up})
-    return violations
+    return _bounds_checks([], shapes, [], [])[0]
+
+
+def bounds_sweeps(shapes: list[tuple[float, float]], lower_s_max: float,
+                  conjecture_s_max: float, step: float) -> tuple[list[dict], list[dict]]:
+    """``median_bounds_sweep(shapes)``, ``ordering_sweep(shapes)`` and
+    ``equipoint_lower_sweep(lower_s_max, step)``: their violations, in that
+    order; and the findings of ``simmons_conjecture_sweep(conjecture_s_max,
+    step)``.  The same results as the four calls, with each median and
+    equipoint the four share solved once."""
+    return _bounds_checks(shapes, shapes, _triangle(1.0, lower_s_max, step),
+                          _triangle(0.5, conjecture_s_max, step))
 
 
 def phi_hat_monotone_sweep(d_max: float = 100.0, step: float = 0.25) -> list[dict]:
     """One-step monotonicity of Phi_hat on the real grid d/2 <= s < d-1."""
+    _check_step(step)
     grid = []  # (s, d) and (s + 1, d), interleaved
     d = 2.0 + step
     while d <= d_max + 1e-9:

@@ -16,6 +16,7 @@ JSON carries full double precision (17 significant digits).  Identical
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -176,11 +177,11 @@ def _verify_bounds(config: RunConfig) -> int:
         s = t + 19.0 * rng.random()
         if s + t >= 3.0:
             shapes.append((s, t))
-    violations = betastats.median_bounds_sweep(shapes)
-    violations += betastats.ordering_sweep(shapes)
-    violations += betastats.equipoint_lower_sweep(min(100.0, config.d_max), config.grid_step)
+    violations, findings = betastats.bounds_sweeps(
+        shapes, min(100.0, config.d_max), min(30.0, config.d_max), config.grid_step
+    )
     # conjectured real-parameter upper bound: reported, never asserted
-    for finding in betastats.simmons_conjecture_sweep(min(30.0, config.d_max), config.grid_step):
+    for finding in findings:
         print(f"  NOTE (conjecture, not asserted): {finding}")
     for d in range(3, min(config.d_max, 199) + 1, 2):
         theta(d)  # raises NumericError when theta(d) escapes its odd-d bounds
@@ -353,8 +354,8 @@ def main(argv: list[str] | None = None) -> int:
             raise DomainError(f"--d-max must be at least {least_d_max}, got {config.d_max}")
         if config.samples < 1:
             raise DomainError(f"--samples must be at least 1, got {config.samples}")
-        if config.grid_step <= 0:
-            raise DomainError("--grid-step must be positive")
+        if not (math.isfinite(config.grid_step) and config.grid_step > 0):
+            raise DomainError(f"--grid-step must be finite and positive, got {config.grid_step}")
         return _COMMANDS[config.command](config)
     except (DomainError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

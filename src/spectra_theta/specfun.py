@@ -9,8 +9,12 @@ package; one ``_ibeta_row`` pass yields both I_p and the density, sharing
 the logs and ln B.  It matches the point kernel bit for bit, lane by lane:
 the same operation order, the transcendental functions of ``math`` mapped
 per lane, and one modified-Lentz continued fraction advanced for every lane
-still iterating.  Rows shorter than ``_ROW_MIN_LANES`` go lane by lane
-through the point kernel, which is cheaper there.  The inverse is one
+still iterating.  That loop costs a fixed number of numpy calls per
+iteration whatever the row's length, so a caller with several independent
+rows at the same step stacks them into one pass (``_ibeta_rows``); lane
+exactness gives every lane the bits of its own row's pass.  Rows, stacked
+or not, shorter than ``_ROW_MIN_LANES`` go lane by lane through the point
+kernel, which is cheaper there.  The inverse is one
 bracketed-Newton row (``rootfind.newton_rows``) over the row kernel, whose
 residual call also returns its slope.
 Accuracy targets (absolute):
@@ -25,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -252,7 +257,7 @@ def _ibeta_row(a, b, p) -> tuple[np.ndarray, np.ndarray]:
     (scalars broadcast); a numpy-path row shares the logs and ln B."""
     a, b, p = _lanes(a, b, p)
     if a.size < _ROW_MIN_LANES:
-        return _map(_reg_inc_beta, a, b, p), _map(beta_pdf, a, b, p)
+        return _ibeta_points(a, b, p)
     value, density = np.where(p <= 0.0, 0.0, 1.0), np.zeros(a.size)
     inner = ~((p <= 0.0) | (p >= 1.0))  # the point kernel's endpoint tests
     a, b, p = a[inner], b[inner], p[inner]
@@ -266,6 +271,24 @@ def _ibeta_row(a, b, p) -> tuple[np.ndarray, np.ndarray]:
     value[inner] = np.where(swap, 1.0 - head, head)
     density[inner] = _map(math.exp, (a - 1.0) * ln_p + (b - 1.0) * ln_q - ln_b)
     return value, density
+
+
+def _ibeta_points(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_reg_inc_beta`` and ``beta_pdf`` lane by lane: the path of short rows."""
+    return _map(_reg_inc_beta, a, b, p), _map(beta_pdf, a, b, p)
+
+
+def _ibeta_rows(*triples) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``_ibeta_row`` of each (a, b, p) triple (scalars broadcast per
+    triple), from one pass over the rows stacked end to end: the row kernel
+    is lane-exact, so every lane gets the bits of its own row's pass.  A
+    stack shorter than ``_ROW_MIN_LANES`` goes lane by lane, unstacked."""
+    rows = [_lanes(*triple) for triple in triples]
+    if sum(row[0].size for row in rows) < _ROW_MIN_LANES:
+        return [_ibeta_points(*row) for row in rows]
+    value, density = _ibeta_row(*(np.concatenate(part) for part in zip(*rows)))
+    starts = [0, *accumulate(row[0].size for row in rows)]
+    return [(value[i:j], density[i:j]) for i, j in zip(starts, starts[1:])]
 
 
 def _ibeta_inv_row(y, a, b) -> np.ndarray:

@@ -19,10 +19,12 @@ f_{s,t}(sigma_{s,t})), cross-checking them against each other.
 
 That code is written once, on rows: theta(d) solves sigma and kappa_* for
 all its splits together, one bracketed-Newton row (``rootfind.newton_rows``)
-over the row kernel of ``specfun``, whose one pass per round gives the sigma
-residual and its slope.  The point functions ``alpha_beta``, ``f_g_h``,
-``sigma_st`` and ``kappa_star`` are one-lane calls of the same code, so a
-split gives the same bits either way.
+over the row kernel of ``specfun``: one stacked pass per round gives both
+incomplete betas of the sigma residual and their densities, its slope, and
+one more gives the four incomplete betas of kappa_*'s two routes.  The
+point functions ``alpha_beta``, ``f_g_h``, ``sigma_st`` and ``kappa_star``
+are one-lane calls of the same code, so a split gives the same bits either
+way.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .rootfind import newton_rows
-from .specfun import _ibeta_row, _reg_inc_beta, ln_gamma
+from .specfun import _ibeta_rows, _reg_inc_beta, ln_gamma
 
 KAPPA_CROSS_CHECK_TOL = 1e-9
 CLOSED_FORM_TOL = 1e-8
@@ -78,17 +80,20 @@ def alpha_beta(J: SignDiag) -> tuple[float, float]:
     """
     if J.t == 0:
         raise DomainError("alpha_beta requires t >= 1")
-    alpha, beta = _alpha_beta_rows(J.s, J.t, J.a, J.b)
+    (i_alpha, _), (i_beta, _) = _ibeta_rows(*_alpha_beta_triples(J.s, J.t, J.a, J.b))
+    alpha, beta = _alpha_beta_values(J.s + J.t, i_alpha, i_beta)
     return float(alpha[0]), float(beta[0])
 
 
-def _alpha_beta_rows(s, t, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """alpha_beta on rows of (s, t, a, b) (scalars broadcast)."""
-    d = s + t
+def _alpha_beta_triples(s, t, a, b) -> tuple[tuple, tuple]:
+    """The (a, b, p) triples of the incomplete betas behind alpha and beta."""
     u = a / (a + b)
-    alpha = (2.0 * _ibeta_row(t / 2.0, s / 2.0 + 1.0, u)[0] - 1.0) / d
-    beta = (2.0 * _ibeta_row(s / 2.0, t / 2.0 + 1.0, 1.0 - u)[0] - 1.0) / d
-    return alpha, beta
+    return (t / 2.0, s / 2.0 + 1.0, u), (s / 2.0, t / 2.0 + 1.0, 1.0 - u)
+
+
+def _alpha_beta_values(d, i_alpha, i_beta) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and beta from the values of their incomplete betas."""
+    return (2.0 * i_alpha - 1.0) / d, (2.0 * i_beta - 1.0) / d
 
 
 def kappa(J: SignDiag) -> float:
@@ -122,9 +127,9 @@ def sigma_st(s: int, t: int) -> float:
 
 def _sigma_residual(sh, th, x) -> tuple[np.ndarray, np.ndarray]:
     """I_x(s/2, 1+t/2) - I_{1-x}(t/2, 1+s/2) per lane, increasing in x, and
-    its x-derivative, the sum of the two densities."""
-    left, left_pdf = _ibeta_row(sh, th + 1.0, x)
-    right, right_pdf = _ibeta_row(th, sh + 1.0, 1.0 - x)
+    its x-derivative, the sum of the two densities; both incomplete betas
+    come from one stacked row-kernel pass."""
+    (left, left_pdf), (right, right_pdf) = _ibeta_rows((sh, th + 1.0, x), (th, sh + 1.0, 1.0 - x))
     return left - right, left_pdf + right_pdf
 
 
@@ -153,20 +158,23 @@ def f_g_h(s: int, t: int, p: float) -> tuple[float, float, float]:
         raise DomainError(f"f_g_h requires integers s, t >= 1, got ({s}, {t})")
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"f_g_h requires p in [0, 1], got {p}")
-    f, g, h = _f_g_h_rows(s, t, p)
-    return float(f[0]), float(g[0]), float(h[0])
-
-
-def _f_g_h_rows(s, t, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f_g_h on rows of (s, t, p) (scalars broadcast)."""
-    sh, th = s / 2.0, t / 2.0
-    i_left = _ibeta_row(th, sh + 1.0, 1.0 - p)[0]
-    i_right = _ibeta_row(sh, th + 1.0, p)[0]
-    w = (1.0 - p) * s + p * t
-    f = (2.0 * (1.0 - p) * s * i_left + 2.0 * p * t * i_right) / w - 1.0
+    (i_left, _), (i_right, _) = _ibeta_rows(*_profile_triples(s, t, p))
     g = 2.0 * (s * i_left + t * i_right) / (s + t) - 1.0
     h = i_left + i_right - 1.0
-    return f, g, h
+    return float(_f_value(s, t, p, i_left, i_right)[0]), float(g[0]), float(h[0])
+
+
+def _profile_triples(s, t, p) -> tuple[tuple, tuple]:
+    """The (a, b, p) triples of I_{1-p}(t/2, 1+s/2) and I_p(s/2, 1+t/2),
+    the incomplete betas behind f, g and h."""
+    sh, th = s / 2.0, t / 2.0
+    return (th, sh + 1.0, 1.0 - p), (sh, th + 1.0, p)
+
+
+def _f_value(s, t, p, i_left, i_right):
+    """f_{s,t}(p) from the values of its two incomplete betas."""
+    w = (1.0 - p) * s + p * t
+    return (2.0 * (1.0 - p) * s * i_left + 2.0 * p * t * i_right) / w - 1.0
 
 
 def h_closed_form(s: int, t: int, p: float) -> float:
@@ -201,18 +209,23 @@ def _kappa_rows(
     s: np.ndarray, t: np.ndarray, sigma: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """kappa_star's two routes and cross-check on rows of splits (s, t) with
-    their interior minimizers sigma; see kappa_star."""
+    their interior minimizers sigma; see kappa_star.  The four incomplete
+    betas of the two routes come from one stacked row-kernel pass (which
+    also computes their densities, unused here)."""
     d = s + t
     u = 1.0 - sigma
-
-    # Route 1: alpha = beta at the trace-normalized weights.
     lam = d / (s * u + t * (1.0 - u))
     a_opt, b_opt = lam * u, lam * (1.0 - u)
-    alpha, beta = _alpha_beta_rows(s, t, a_opt, b_opt)
+    (i_alpha, _), (i_beta, _), (i_left, _), (i_right, _) = _ibeta_rows(
+        *_alpha_beta_triples(s, t, a_opt, b_opt), *_profile_triples(s, t, sigma)
+    )
+
+    # Route 1: alpha = beta at the trace-normalized weights.
+    alpha, beta = _alpha_beta_values(d, i_alpha, i_beta)
     ks_root = d * 0.5 * (alpha + beta)
 
     # Route 2: profile value at the interior minimizer.
-    f_val = _f_g_h_rows(s, t, sigma)[0]
+    f_val = _f_value(s, t, sigma, i_left, i_right)
 
     bad = np.flatnonzero(np.abs(ks_root - f_val) > KAPPA_CROSS_CHECK_TOL)
     if bad.size:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -258,3 +259,46 @@ def test_median_sandwich_random_grid():
         lo, hi = median_bounds(BetaShape(s, t))
         m = median(BetaShape(s, t))
         assert lo - 1e-12 <= m <= hi + 1e-12
+
+
+def test_bounds_sweeps_equal_the_separate_sweeps(monkeypatch):
+    # The combined sweep solves each distinct median and equipoint once.
+    # Its rows are perturbed per shape, by up to 0.1 and differently for
+    # medians and equipoints, so that every check sees violations: each must
+    # come back with the separate sweeps' bits, at the same shape, in the
+    # same order.
+    import importlib
+    import random
+
+    betastats = importlib.import_module("spectra_theta.betastats")
+    for name, phase in (("_ibeta_inv_row", 0.0), ("_equipoint_rows", 1.0)):
+        solve = getattr(betastats, name)
+
+        def perturbed(*args, _solve=solve, _phase=phase):
+            s, t = args[-2:]
+            return _solve(*args) + 0.1 * np.sin(7.0 * s + 3.0 * t + _phase)
+
+        monkeypatch.setattr(betastats, name, perturbed)
+    rnd = random.Random(11)
+    shapes = []
+    for _ in range(150):
+        t = 1.0 + 9.0 * rnd.random()
+        shapes.append((t + 9.0 * rnd.random(), t))
+    shapes += [(4.0, 2.0), (4.0, 2.0), (3.0, 3.0)] + shapes[:10]
+    combined = betastats.bounds_sweeps(shapes, 8.0, 6.0, 0.5)
+    violations = betastats.median_bounds_sweep(shapes) + betastats.ordering_sweep(shapes)
+    violations += betastats.equipoint_lower_sweep(8.0, 0.5)
+    separate = violations, betastats.simmons_conjecture_sweep(6.0, 0.5)
+    assert combined == separate
+    checks = {v["check"] for v in combined[0] + combined[1]}
+    assert checks == {"median_bounds", "e_le_m", "m_up_le_e", "equipoint_lower",
+                      "simmons_conjecture"}
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -0.5])
+def test_sweeps_refuse_a_step_that_is_not_finite_and_positive(step):
+    from spectra_theta.betastats import equipoint_lower_sweep, simmons_conjecture_sweep
+
+    for sweep in (equipoint_lower_sweep, simmons_conjecture_sweep, phi_hat_monotone_sweep):
+        with pytest.raises(DomainError):
+            sweep(10.0, step)

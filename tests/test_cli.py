@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import pathlib
 
@@ -135,6 +136,10 @@ def test_usage_errors_exit_3(capsys):
     assert main(["no-such-command"]) == 3
     assert main(["verify", "wrong-sweep"]) == 3
     assert main(["verify", "monotone", "--grid-step", "-1"]) == 3
+    # a step that is not finite would check nothing (monotone) or crash (bounds)
+    for step in ("nan", "inf", "-inf"):
+        assert main(["verify", "monotone", "--grid-step", step]) == 3
+        assert main(["verify", "bounds", "--grid-step", step]) == 3
     assert main(["theta-table", "--tol", "1e-9"]) == 3
     # a sweep or table with no work to do is refused, not passed
     assert main(["verify", "simmons", "--d-max", "-5"]) == 3
@@ -157,3 +162,35 @@ def test_stdout_default(capsys):
     out = capsys.readouterr().out
     assert out.startswith("d,theta_minus")
     assert out.endswith("\n")
+
+
+def test_verify_bounds_solves_each_median_once(monkeypatch, capsys):
+    # every drawn shape has 1 <= t <= s, so the ordering chain reuses all
+    # the sandwich's medians: one inverse row of the medians at (s, t) and
+    # at (s + 1, t + 1), and one equipoint row
+    betastats = importlib.import_module("spectra_theta.betastats")
+    inverse, equipoint, drawn = [], [], []
+    inv_row, equipoint_rows, sweeps = (
+        betastats._ibeta_inv_row, betastats._equipoint_rows, betastats.bounds_sweeps)
+
+    def counted_inverse(y, a, b):
+        inverse.append(len(a))
+        return inv_row(y, a, b)
+
+    def counted_equipoints(s, t):
+        equipoint.append(len(s))
+        return equipoint_rows(s, t)
+
+    def recorded(shapes, *args):
+        drawn.append(len(shapes))
+        return sweeps(shapes, *args)
+
+    monkeypatch.setattr(betastats, "_ibeta_inv_row", counted_inverse)
+    monkeypatch.setattr(betastats, "_equipoint_rows", counted_equipoints)
+    monkeypatch.setattr(betastats, "bounds_sweeps", recorded)
+    assert main(["verify", "bounds", "--d-max", "20"]) == 0
+    assert capsys.readouterr().out == "verify bounds: OK (0 violations)\n"
+    assert inverse == [2 * drawn[0]] and 3990 <= inverse[0] <= 4000
+    # the random shapes, and the union of the two equipoint triangles
+    # (t <= s <= 20 on the half-integer grid from 1 and from 0.5)
+    assert equipoint == [drawn[0] + 820]

@@ -217,6 +217,27 @@ def test_row_kernel_is_lane_exact():
     assert np.array_equal(specfun._ln_beta_row(a, b).view(np.uint64), ln_b.view(np.uint64))
 
 
+@pytest.mark.parametrize(
+    "sizes", [(1, 60), (60, 60), (1, 1000), (0, 30), (0, 200, 7)],
+    ids=["1+60", "60+60", "1+1000", "empty+30", "empty+200+7"],
+)
+def test_stacked_rows_equal_separate_rows(sizes):
+    # One pass over rows stacked end to end gives each row the bits of its
+    # own pass, whether the stack is shorter or longer than the crossover.
+    # A last part of 5 lanes broadcasts the scalars a and p.
+    a, b, p = _lane_triples().T
+    p[::9], p[4::9] = 0.0, 1.0  # endpoint lanes in every part
+    starts = np.cumsum((0,) + sizes).tolist()
+    triples = [(a[i:j], b[i:j], p[i:j]) for i, j in zip(starts, starts[1:])]
+    triples.append((2.5, b[:5], 0.25))
+    assert (sum(sizes) + 5 < specfun._ROW_MIN_LANES) == (sizes in ((1, 60), (0, 30)))
+    stacked = specfun._ibeta_rows(*triples)
+    assert len(stacked) == len(triples)
+    for triple, got in zip(triples, stacked):
+        for out, alone in zip(got, specfun._ibeta_row(*triple), strict=True):
+            assert np.array_equal(out.view(np.uint64), alone.view(np.uint64))
+
+
 def test_row_kernel_names_the_lane_that_does_not_converge():
     # shape ~1e6: the continued fraction needs more than its 500 steps
     bad = (1902608.6356816522, 1723780.331182298, 0.5246606581572989)

@@ -234,6 +234,35 @@ def test_sigma_newton_stops_on_its_step(monkeypatch):
         assert max(evals.values()) <= 10, d
 
 
+def test_theta_stacks_its_independent_rows(monkeypatch):
+    # The two incomplete betas of each sigma residual, and the four of the
+    # two kappa_star routes, come from one stacked pass: theta(2000) makes 8
+    # passes (bracket ends, 6 Newton rounds, kappa_star) over the 15,512
+    # lanes that 18 unstacked passes covered.  A stack of at least
+    # _ROW_MIN_LANES lanes is one numpy pass of the row kernel; a shorter
+    # one goes lane by lane through the point kernel.
+    module = importlib.import_module("spectra_theta.theta")
+    specfun = importlib.import_module("spectra_theta.specfun")
+    rows, row = module._ibeta_rows, specfun._ibeta_row
+    stacks, numpy_passes = [], []
+
+    def counted_rows(*triples):
+        out = rows(*triples)
+        stacks.append(sum(value.size for value, _ in out))
+        return out
+
+    def counted_row(a, b, p):
+        value, density = row(a, b, p)
+        numpy_passes.append(value.size)
+        return value, density
+
+    monkeypatch.setattr(module, "_ibeta_rows", counted_rows)
+    monkeypatch.setattr(specfun, "_ibeta_row", counted_row)
+    theta(2000)
+    assert (len(stacks), sum(stacks)) == (8, 15512)
+    assert numpy_passes == [n for n in stacks if n >= specfun._ROW_MIN_LANES]
+
+
 @pytest.mark.parametrize("d", [61, 2001])
 def test_split_scan_lanes_equal_kappa_star(d):
     # theta's row scan and the one-lane kappa_star give the same bits, on a
