@@ -179,16 +179,16 @@ def phi_functions(s_frak: float, d_frak: float) -> tuple[float, float]:
 
 def phi(s_frak: float, d_frak: float) -> float:
     """Just the equipoint-evaluated cumulative Phi(s) of phi_functions."""
-    if not (0.0 < s_frak < d_frak):
-        raise DomainError(f"phi requires 0 < s < d, got s={s_frak}, d={d_frak}")
+    if not (0.0 < s_frak < d_frak < math.inf):
+        raise DomainError(f"phi requires 0 < s < d with d finite, got s={s_frak}, d={d_frak}")
     return _phi_rows(np.array([s_frak]), np.array([d_frak])).tolist()[0]
 
 
 def phi_hat(s_frak: float, d_frak: float) -> float:
     """Just the mean-evaluated cumulative Phi_hat(s) of phi_functions,
     skipping the equipoint solve."""
-    if not (0.0 < s_frak < d_frak):
-        raise DomainError(f"phi_hat requires 0 < s < d, got s={s_frak}, d={d_frak}")
+    if not (0.0 < s_frak < d_frak < math.inf):
+        raise DomainError(f"phi_hat requires 0 < s < d with d finite, got s={s_frak}, d={d_frak}")
     return _phi_hat_rows(np.array([s_frak]), np.array([d_frak])).tolist()[0]
 
 

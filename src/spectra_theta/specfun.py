@@ -1,22 +1,18 @@
 """Special functions: log-gamma, log-beta, the regularized incomplete beta,
 its density and its inverse, to double precision.
 
-Two kernels compute the same numbers.  The point kernel (``ln_beta``,
-``_reg_inc_beta``, ``beta_pdf``) is plain scalar code.  The row kernel
-(``_ln_beta_row``, ``_ibeta_row``, ``_ibeta_inv_row``) evaluates a whole
-numpy row of argument triples at once, for every sweep and root of the
-package; one ``_ibeta_row`` pass yields both I_p and the density, sharing
-the logs and ln B.  It matches the point kernel bit for bit, lane by lane:
-the same operation order, the transcendental functions of ``math`` mapped
-per lane, and one modified-Lentz continued fraction advanced for every lane
-still iterating.  That loop costs a fixed number of numpy calls per
-iteration whatever the row's length, so a caller with several independent
-rows at the same step stacks them into one pass (``_ibeta_rows``); lane
-exactness gives every lane the bits of its own row's pass.  Rows, stacked
-or not, shorter than ``_ROW_MIN_LANES`` go lane by lane through the point
-kernel, which is cheaper there.  The inverse is one
-bracketed-Newton row (``rootfind.newton_rows``) over the row kernel, whose
-residual call also returns its slope.
+One point function, ``_ibeta_point``, yields I_p and the density of one
+(a, b, p) triple from one set of logs and ln B; ``reg_inc_beta`` and
+``beta_pdf`` are each one call of it.  The row kernel (``_ln_beta_row``,
+``_ibeta_row``, ``_ibeta_inv_row``) evaluates a numpy row of triples for
+every sweep and root, with the point function's bits in every lane: the same
+operation order, ``math``'s transcendental functions mapped per lane, and
+one modified-Lentz loop over the lanes still iterating.  ``_ibeta_row``
+alone picks the path, mapping the point function over rows shorter than
+``_ROW_MIN_LANES``, where it is cheaper.  The loop's numpy calls per
+iteration do not grow with the row, so independent rows of one step share
+one ``_ibeta_row`` call (``_ibeta_rows``).  The inverse is a bracketed-Newton
+row (``rootfind.newton_rows``) whose residual call also returns its slope.
 Accuracy targets (absolute):
 
 * ``ln_gamma``          max(1e-13, 5e-15 |ln Gamma(x)|) over [1e-3, 1e6]
@@ -68,13 +64,13 @@ def ln_gamma(x: float) -> float:
 
 @lru_cache(maxsize=8192)
 def ln_beta(a: float, b: float) -> float:
-    """log B(a, b) for positive shapes.
+    """log B(a, b) for finite positive shapes.
 
     Memoized: a root finder on a short row evaluates the point kernel
     dozens of times per shape pair, and the three log-gamma calls dominate.
     """
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError(f"ln_beta requires positive shapes, got ({a}, {b})")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DomainError(f"ln_beta requires finite positive shapes, got ({a}, {b})")
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
@@ -85,7 +81,9 @@ _CF_TINY = 1e-300
 
 def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta, evaluated by the modified
-    Lentz algorithm.  Valid (fast-converging) for x < (a+1)/(a+b+2)."""
+    Lentz algorithm.  Valid (fast-converging) for x < (a+1)/(a+b+2).
+    Unlike ``_beta_cf_row`` it writes out the even and the odd term: an inner
+    loop over the two costs a scalar lane about a fifth more time."""
     max_iter, eps, tiny = _CF_MAX_ITER, _CF_EPS, _CF_TINY
     qab = a + b
     qap = a + 1.0
@@ -128,16 +126,22 @@ def _cf_error(a: float, b: float, x: float) -> NumericError:
     )
 
 
-def _reg_inc_beta(a: float, b: float, p: float) -> float:
+def _ibeta_point(a: float, b: float, p: float) -> tuple[float, float]:
+    """I_p(a, b) and its density at p, from one log p, log(1-p) and ln B."""
     if p <= 0.0:
-        return 0.0
+        return 0.0, 0.0
     if p >= 1.0:
-        return 1.0
-    ln_front = a * math.log(p) + b * math.log1p(-p) - ln_beta(a, b)
+        return 1.0, 0.0
+    ln_p, ln_q, ln_b = math.log(p), math.log1p(-p), ln_beta(a, b)
+    ln_front = a * ln_p + b * ln_q - ln_b
+    try:
+        density = math.exp((a - 1.0) * ln_p + (b - 1.0) * ln_q - ln_b)
+    except OverflowError:  # a < 1 and p deep in the subnormals
+        density = math.inf
     # Symmetry switch keeps the continued fraction in its fast region.
     if p < (a + 1.0) / (a + b + 2.0):
-        return math.exp(ln_front) * _beta_cf(a, b, p) / a
-    return 1.0 - math.exp(ln_front) * _beta_cf(b, a, 1.0 - p) / b
+        return math.exp(ln_front) * _beta_cf(a, b, p) / a, density
+    return 1.0 - math.exp(ln_front) * _beta_cf(b, a, 1.0 - p) / b, density
 
 
 def reg_inc_beta(a: float, b: float, p: float) -> float:
@@ -148,7 +152,7 @@ def reg_inc_beta(a: float, b: float, p: float) -> float:
     the endpoints.
     """
     args = BetaArgs(a, b, p)
-    value = _reg_inc_beta(args.a, args.b, args.p)
+    value = _ibeta_point(args.a, args.b, args.p)[0]
     # Clip the last-ulp spill so callers can rely on the codomain.
     if value < 0.0:
         return 0.0
@@ -158,12 +162,10 @@ def reg_inc_beta(a: float, b: float, p: float) -> float:
 
 
 def beta_pdf(a: float, b: float, p: float) -> float:
-    """Density p^(a-1) (1-p)^(b-1) / B(a, b); zero at endpoints it cannot reach."""
-    if p <= 0.0 or p >= 1.0:
-        # Correct one-sided limit for a, b >= 1; the root finders only
-        # need a nonnegative value here.
-        return 0.0
-    return math.exp((a - 1.0) * math.log(p) + (b - 1.0) * math.log1p(-p) - ln_beta(a, b))
+    """Density p^(a-1) (1-p)^(b-1) / B(a, b); 0 at both endpoints (the
+    one-sided limit for a, b > 1; the root finders need only a value >= 0)."""
+    args = BetaArgs(a, b, p)
+    return _ibeta_point(args.a, args.b, args.p)[1]
 
 
 def reg_inc_beta_inv(y: float, a: float, b: float) -> float:
@@ -225,21 +227,15 @@ def _beta_cf_row(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     h = d
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        h = h * (d * c)
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            d = np.where(np.abs(d) < tiny, tiny, d)
+            c = 1.0 + aa / c
+            c = np.where(np.abs(c) < tiny, tiny, c)
+            d = 1.0 / d
+            delta = d * c
+            h = h * delta
         done = np.abs(delta - 1.0) < _CF_EPS
         if done.any():
             out[lane[done]] = h[done]
@@ -253,11 +249,13 @@ def _beta_cf_row(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _ibeta_row(a, b, p) -> tuple[np.ndarray, np.ndarray]:
-    """``_reg_inc_beta`` and ``beta_pdf`` on a row of (a, b, p) triples
-    (scalars broadcast); a numpy-path row shares the logs and ln B."""
+    """``_ibeta_point`` on a row of (a, b, p) triples (scalars broadcast),
+    mapped below ``_ROW_MIN_LANES`` lanes, else one numpy loop."""
     a, b, p = _lanes(a, b, p)
     if a.size < _ROW_MIN_LANES:
-        return _ibeta_points(a, b, p)
+        points = map(_ibeta_point, a.tolist(), b.tolist(), p.tolist())
+        value, density = tuple(zip(*points)) or ((), ())  # an empty row unzips to ()
+        return np.array(value), np.array(density)
     value, density = np.where(p <= 0.0, 0.0, 1.0), np.zeros(a.size)
     inner = ~((p <= 0.0) | (p >= 1.0))  # the point kernel's endpoint tests
     a, b, p = a[inner], b[inner], p[inner]
@@ -273,19 +271,11 @@ def _ibeta_row(a, b, p) -> tuple[np.ndarray, np.ndarray]:
     return value, density
 
 
-def _ibeta_points(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_reg_inc_beta`` and ``beta_pdf`` lane by lane: the path of short rows."""
-    return _map(_reg_inc_beta, a, b, p), _map(beta_pdf, a, b, p)
-
-
 def _ibeta_rows(*triples) -> list[tuple[np.ndarray, np.ndarray]]:
     """``_ibeta_row`` of each (a, b, p) triple (scalars broadcast per
-    triple), from one pass over the rows stacked end to end: the row kernel
-    is lane-exact, so every lane gets the bits of its own row's pass.  A
-    stack shorter than ``_ROW_MIN_LANES`` goes lane by lane, unstacked."""
+    triple), from one ``_ibeta_row`` call over the rows stacked end to end;
+    lane exactness gives every lane the bits of its own row's call."""
     rows = [_lanes(*triple) for triple in triples]
-    if sum(row[0].size for row in rows) < _ROW_MIN_LANES:
-        return [_ibeta_points(*row) for row in rows]
     value, density = _ibeta_row(*(np.concatenate(part) for part in zip(*rows)))
     starts = [0, *accumulate(row[0].size for row in rows)]
     return [(value[i:j], density[i:j]) for i, j in zip(starts, starts[1:])]

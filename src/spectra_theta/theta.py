@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .rootfind import newton_rows
-from .specfun import _ibeta_rows, _reg_inc_beta, ln_gamma
+from .specfun import _ibeta_rows, ln_gamma, reg_inc_beta
 
 KAPPA_CROSS_CHECK_TOL = 1e-9
 CLOSED_FORM_TOL = 1e-8
@@ -59,6 +59,8 @@ class SignDiag:
             raise DomainError(f"t must be a nonnegative integer, got {self.t}")
         if not (self.a >= 0.0 and self.b >= 0.0 and self.a + self.b > 0.0):
             raise DomainError(f"need a, b >= 0 with a + b > 0, got ({self.a}, {self.b})")
+        if not math.isfinite(self.s * self.a + self.t * self.b):
+            raise DomainError(f"need finite a, b and trace s a + t b, got ({self.a}, {self.b})")
 
     @property
     def d(self) -> int:
@@ -274,8 +276,8 @@ def theta_odd_bounds(d: int) -> tuple[float, float, float]:
     )
     theta_m = prefactor * theta_pp
     inv_theta_p = (
-        (d - 1.0) / d * _reg_inc_beta((d + 1) / 4.0, (d + 3) / 4.0, (d + 1.0) / (2.0 * d))
-        + (d + 1.0) / d * _reg_inc_beta((d - 1) / 4.0, (d + 5) / 4.0, (d - 1.0) / (2.0 * d))
+        (d - 1.0) / d * reg_inc_beta((d + 1) / 4.0, (d + 3) / 4.0, (d + 1.0) / (2.0 * d))
+        + (d + 1.0) / d * reg_inc_beta((d - 1) / 4.0, (d + 5) / 4.0, (d - 1.0) / (2.0 * d))
         - 1.0
     )
     return theta_m, 1.0 / inv_theta_p, theta_pp
@@ -324,7 +326,7 @@ def theta(d: int) -> ThetaReport:
         )
 
     if d % 2 == 0:
-        beta_form = 2.0 * _reg_inc_beta(d / 4.0, d / 4.0 + 1.0, 0.5) - 1.0
+        beta_form = 2.0 * reg_inc_beta(d / 4.0, d / 4.0 + 1.0, 0.5) - 1.0
         gamma_form = theta_even_closed_form(d)
         if abs(beta_form - gamma_form) > 1e-12:
             raise NumericError(

@@ -187,6 +187,15 @@ def test_phi_values():
         phi_functions(5.0, 4.0)
 
 
+def test_phi_refuses_a_d_that_is_not_finite():
+    from spectra_theta.betastats import phi, phi_hat
+
+    for fn in (phi, phi_hat):
+        for d in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                fn(2.0, d)
+
+
 def test_binom_tail_examples():
     assert binom_tail(0.77, 0, 6) == 1.0
     assert binom_tail(0.5, 3, 5) == pytest.approx(0.5, abs=1e-12)

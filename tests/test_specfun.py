@@ -201,10 +201,8 @@ def test_row_kernel_is_lane_exact():
     a, b, p = _lane_triples().T
     assert a.size > specfun._ROW_MIN_LANES
     lanes = list(zip(a.tolist(), b.tolist(), p.tolist()))
-    expected = {
-        "value": np.array([specfun._reg_inc_beta(*lane) for lane in lanes]),
-        "density": np.array([specfun.beta_pdf(*lane) for lane in lanes]),
-    }
+    points = np.array([specfun._ibeta_point(*lane) for lane in lanes]).T
+    expected = {"value": points[0], "density": points[1]}
     short = specfun._ROW_MIN_LANES // 2
     whole = specfun._ibeta_row(a, b, p)
     pieces = [specfun._ibeta_row(a[i:i + short], b[i:i + short], p[i:i + short])
@@ -242,7 +240,7 @@ def test_row_kernel_names_the_lane_that_does_not_converge():
     # shape ~1e6: the continued fraction needs more than its 500 steps
     bad = (1902608.6356816522, 1723780.331182298, 0.5246606581572989)
     with pytest.raises(NumericError) as point:
-        specfun._reg_inc_beta(*bad)
+        specfun._ibeta_point(*bad)
     for n in (3, 2 * specfun._ROW_MIN_LANES):
         a, b = np.full(n, 2.5), np.full(n, 4.0)
         p = np.linspace(0.05, 0.95, n)
@@ -262,3 +260,56 @@ def test_row_kernel_all_endpoint_row():
     value, density = specfun._ibeta_row(a, b, p)
     assert np.array_equal(value, p)
     assert np.array_equal(density, np.zeros(n))
+
+
+# (a, b, p) -> (I_p, density), recorded as float.hex: both sides of the
+# symmetry switch at shape scales 0.01 to 2000.
+POINT_KERNEL_BITS = {
+    (2.5, 7.0, 0.2): ("0x1.785101f986bf3p-2", "0x1.760ee6d179d1fp+1"),
+    (2.5, 7.0, 0.37): ("0x1.931ccac34ddcap-1", "0x1.c0fbb74047c54p+0"),
+    (0.01, 0.5, 0.3): ("0x1.f3d4d612f7665p-1", "0x1.3e154ab138e50p-5"),
+    (0.01, 0.5, 0.9): ("0x1.fcb196c1399f3p-1", "0x1.1b9f30e67318dp-5"),
+    (1000.0, 2000.0, 0.333): ("0x1.f1f0145daa168p-2", "0x1.72b1d3bf06959p+5"),
+    (1000.0, 2000.0, 0.334): ("0x1.10acf47e01f38p-1", "0x1.714f041b5260cp+5"),
+}
+
+
+def test_point_kernel_keeps_its_recorded_bits():
+    # The lane-exact test holds the row kernel to the point kernel; these
+    # pins hold the point kernel itself, and the public calls built on it.
+    from spectra_theta.betastats import binom_tail
+    from spectra_theta.specfun import beta_pdf
+    from spectra_theta.theta import theta
+
+    for (a, b, p), (value, density) in POINT_KERNEL_BITS.items():
+        assert ((a + 1.0) / (a + b + 2.0) <= p) == (p in (0.37, 0.9, 0.334))
+        expected = (float.fromhex(value), float.fromhex(density))
+        assert specfun._ibeta_point(a, b, p) == expected
+        assert (reg_inc_beta(a, b, p), beta_pdf(a, b, p)) == expected
+    assert binom_tail(0.3, 2, 4).hex() == "0x1.64a8c154c985ap-2"
+    assert [theta(d).theta.hex() for d in (2, 3, 20)] == [
+        "0x1.921fb54442d17p+0", "0x1.bc1cefd2e9e56p+0", "0x1.0410410410400p+2"
+    ]
+
+
+def test_scalar_functions_refuse_what_reg_inc_beta_refuses():
+    from spectra_theta.specfun import beta_pdf
+
+    for bad in ((math.nan, 2.0, 0.5), (2.0, 2.0, math.nan), (math.inf, 2.0, 0.5),
+                (2.0, 3.0, 1.5), (2.0, 0.0, 0.5)):
+        with pytest.raises(DomainError):
+            reg_inc_beta(*bad)
+        with pytest.raises(DomainError):
+            beta_pdf(*bad)
+    for bad in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf), (1.0, -math.inf)):
+        with pytest.raises(DomainError):
+            ln_beta(*bad)
+    assert beta_pdf(2.0, 3.0, 0.0) == beta_pdf(2.0, 3.0, 1.0) == 0.0
+
+
+def test_density_past_the_float_range_is_inf():
+    # a < 1 at a subnormal p: the density overflows, I_p does not
+    from spectra_theta.specfun import beta_pdf
+
+    assert beta_pdf(1e-5, 1e-5, 5e-324) == math.inf
+    assert 0.0 < reg_inc_beta(1e-5, 1e-5, 5e-324) < 1.0

@@ -238,13 +238,12 @@ def test_theta_stacks_its_independent_rows(monkeypatch):
     # The two incomplete betas of each sigma residual, and the four of the
     # two kappa_star routes, come from one stacked pass: theta(2000) makes 8
     # passes (bracket ends, 6 Newton rounds, kappa_star) over the 15,512
-    # lanes that 18 unstacked passes covered.  A stack of at least
-    # _ROW_MIN_LANES lanes is one numpy pass of the row kernel; a shorter
-    # one goes lane by lane through the point kernel.
+    # lanes that 18 unstacked passes covered.  Each stack is one call of the
+    # row kernel, which alone decides how to run it.
     module = importlib.import_module("spectra_theta.theta")
     specfun = importlib.import_module("spectra_theta.specfun")
     rows, row = module._ibeta_rows, specfun._ibeta_row
-    stacks, numpy_passes = [], []
+    stacks, row_calls = [], []
 
     def counted_rows(*triples):
         out = rows(*triples)
@@ -253,14 +252,14 @@ def test_theta_stacks_its_independent_rows(monkeypatch):
 
     def counted_row(a, b, p):
         value, density = row(a, b, p)
-        numpy_passes.append(value.size)
+        row_calls.append(value.size)
         return value, density
 
     monkeypatch.setattr(module, "_ibeta_rows", counted_rows)
     monkeypatch.setattr(specfun, "_ibeta_row", counted_row)
     theta(2000)
     assert (len(stacks), sum(stacks)) == (8, 15512)
-    assert numpy_passes == [n for n in stacks if n >= specfun._ROW_MIN_LANES]
+    assert row_calls == stacks
 
 
 @pytest.mark.parametrize("d", [61, 2001])
@@ -372,3 +371,12 @@ def test_sign_diag_validation():
     assert SignDiag(2, 1, 1.0, 1.0).is_trace_normalized() is True
     assert SignDiag(2, 1, 1.4, 0.2).is_trace_normalized() is True
     assert SignDiag(2, 1, 1.0, 0.5).is_trace_normalized() is False
+
+
+def test_sign_diag_refuses_weights_that_break_kappa():
+    # a weight that is not finite, or a trace s a + t b that overflows
+    for bad in ((1, 1, math.inf, 0.0), (1, 0, math.inf, 0.0), (1, 0, 1.0, math.inf),
+                (2, 1, 1e308, 1e308), (1, 2, 0.0, 1e308)):
+        with pytest.raises(DomainError):
+            SignDiag(*bad)
+    assert 0.0 < kappa(SignDiag(1, 1, 8e307, 8e307)) < math.inf
