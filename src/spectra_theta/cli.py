@@ -170,7 +170,7 @@ def _verify_monotone(config: RunConfig) -> int:
 
 
 def _verify_bounds(config: RunConfig) -> int:
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    rng = sphere_oracle._generator(config.seed)
     shapes = []
     for _ in range(2000):
         t = 1.0 + 19.0 * rng.random()
@@ -223,7 +223,7 @@ def _verify_oracle(config: RunConfig) -> int:
 
 
 def _verify_dilation(config: RunConfig) -> int:
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    rng = sphere_oracle._generator(config.seed)
     draws = []
     for _ in range(min(config.samples, 1000)):
         n = int(rng.integers(1, 5))
@@ -278,7 +278,7 @@ def _spin_ball_pairs(draws: list) -> np.ndarray:
     a, b = np.stack([draw[0] for draw in draws]), np.stack([draw[1] for draw in draws])
     x1 = 0.5 * (a + a.swapaxes(1, 2))
     x2 = 0.5 * (b + b.swapaxes(1, 2))
-    norm = np.max(np.abs(np.linalg.eigvalsh(np.block([[x1, x2], [x2, -x1]]))), axis=1)
+    norm = np.max(np.abs(np.linalg.eigvalsh(dilation._blocks(x1, x2, x2, -x1))), axis=1)
     scale = np.array([draw[2] for draw in draws]) / np.maximum(norm, 1e-12)
     return scale[:, None, None, None] * np.stack([x1, x2], axis=1)
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, ResourceError
-from .pencil import SymTuple
-from .sphere_oracle import DEFAULT_SEED, _generator
+from .pencil import SymTuple, _kron_sum
+from .sphere_oracle import DEFAULT_SEED, _generator, _require_symmetric, _require_tol
 
 SPIN_CONSTRUCTION_CAP = 14  # matrices of size 2^13; int8 storage keeps this ~1 GB
 SPIN_NORM_CAP = 8  # exact checks on matrices of size 2^(g-1): every g up to here in < 0.1 s
@@ -113,15 +113,12 @@ def _refuse(bad: np.ndarray, message: str, values: np.ndarray | None = None) -> 
 
 
 def _in_spin_ball(xs: np.ndarray, tol: float) -> np.ndarray:
-    """Spin-ball membership of each lane of an (m, g, n, n) stack."""
+    """Spin-ball membership of each lane of an (m, g, n, n) stack, via sum_j P_j (x) X_j."""
     if xs.shape[1] == 1:
         eigs = np.linalg.eigvalsh(xs[:, 0])
         return np.maximum(-eigs[:, 0], eigs[:, -1]) <= 1.0 + tol
-    m, g, n = xs.shape[:3]
-    P = np.stack(spin_matrices(g).float_mats())
-    size = n * P.shape[1]
-    total = np.einsum("mjab,jil->maibl", xs, P).reshape(m, size, size)  # sum_j X_j (x) P_j
-    return np.linalg.eigvalsh(np.eye(size) - total)[:, 0] >= -tol
+    total = _kron_sum(spin_matrices(xs.shape[1]).float_mats(), xs)
+    return np.linalg.eigvalsh(np.eye(total.shape[1]) - total)[:, 0] >= -tol
 
 
 def ball_membership(
@@ -142,6 +139,7 @@ def ball_membership(
 
     g = 1 degenerates for all three balls to the operator-norm ball.
     """
+    _require_tol(tol)
     if ball == "oh":
         total = np.zeros((X.n, X.n))
         for m in X.mats:
@@ -265,18 +263,12 @@ def defect_sqrt(S: np.ndarray) -> np.ndarray:
     (S^2 = I) do not error, while a genuine norm excess past 1 + 1e-12
     raises DomainError.
     """
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {S.shape}")
-    return _defect_stack(S[None])[0]
+    return _defect_stack(*np.linalg.eigh(_require_symmetric(S)[None]))[0]
 
 
-def _defect_stack(S: np.ndarray) -> np.ndarray:
-    """``defect_sqrt`` of each lane of an (m, k, k) stack, with its checks
-    run lane by lane."""
-    asym = np.abs(S - S.swapaxes(-1, -2)).max(axis=(1, 2), initial=0.0)
-    _refuse(asym > 1e-12, "defect_sqrt requires a symmetric matrix")
-    lam, q = np.linalg.eigh(S)
+def _defect_stack(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``defect_sqrt`` of each lane of a stack from its ``eigh`` (``lam``,
+    ``q``), with the contraction check run lane by lane."""
     norms = np.abs(lam).max(axis=1)
     _refuse(norms > 1.0 + 1e-12, "not a contraction: ||S|| = {}", norms)
     gaps = np.clip(1.0 - lam * lam, 0.0, None)
@@ -304,16 +296,17 @@ def spin2_dilation(X: SymTuple) -> DilationResult:
 
 
 def _spin2_stack(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """``spin2_dilation`` of each lane of an (m, 2, n, n) stack: the
-    dilation pairs (m, 2, 2n, 2n), their shared isometry and the scale 1.
-    The input checks of the one-tuple path run lane by lane, and a failing
-    lane raises DomainError naming it; the pairs are symmetric because the
-    defect's input passed its symmetry check.  The caller runs
+    """``spin2_dilation`` of each lane of an (m, 2, n, n) stack of symmetric
+    pairs: the dilation pairs (m, 2, 2n, 2n), their isometry and the scale 1.
+    One ``eigh`` of S = [[X1, X2], [X2, -X1]] (permutation-similar to
+    sum_j X_j (x) P_j) per lane gives the spin-ball check and the defect; a
+    failing lane raises DomainError naming it.  The caller runs
     ``_check_dilations`` (``DilationResult`` does on one tuple)."""
-    _refuse(~_in_spin_ball(xs, 1e-10), "tuple is not in the spin ball within 1e-10")
     n = xs.shape[2]
     x1, x2 = xs[:, 0], xs[:, 1]
-    defect = _defect_stack(_blocks(x1, x2, x2, -x1))
+    lam, q = np.linalg.eigh(_blocks(x1, x2, x2, -x1))
+    _refuse(lam[:, -1] > 1.0 + 1e-10, "tuple is not in the spin ball within 1e-10")
+    defect = _defect_stack(lam, q)
     dd = 0.5 * (defect[:, :n, :n] + defect[:, n:, n:])
     dd = 0.5 * (dd + dd.swapaxes(-1, -2))
     e = 0.5 * (defect[:, :n, n:] - defect[:, n:, :n])
@@ -358,11 +351,12 @@ def oh_to_spin_choi(g: int) -> np.ndarray:
 def spin2_extreme(X: SymTuple, tol: float = 1e-10) -> bool:
     """Extreme-point predicate for the two-variable spin ball: X must
     commute and Lambda(X) = [[X1, X2], [X2, -X1]] must square to I."""
+    _require_tol(tol)
     if X.g != 2:
         raise DomainError(f"spin2_extreme requires a 2-tuple, got g={X.g}")
     x1, x2 = X.mats
     comm = x1 @ x2 - x2 @ x1
-    lam = np.block([[x1, x2], [x2, -x1]])
+    lam = _blocks(x1, x2, x2, -x1)
     unitary_defect = lam @ lam - np.eye(2 * X.n)
     return (
         float(np.linalg.norm(comm, 2)) <= tol

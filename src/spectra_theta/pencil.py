@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError, ResourceError
-from .sphere_oracle import DEFAULT_SEED, _generator
+from .sphere_oracle import DEFAULT_SEED, _generator, _require_symmetric, _require_tol
 from .theta import SignDiag, kappa_star, theta
 
-SYMMETRY_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
 CUBE_VERTEX_CAP = 20
 
@@ -34,16 +33,7 @@ class SymTuple:
     mats: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if len(self.mats) == 0:
-            raise DomainError("SymTuple needs at least one matrix")
-        mats = tuple(np.asarray(m, dtype=float) for m in self.mats)
-        n = mats[0].shape[0]
-        for m in mats:
-            if m.ndim != 2 or m.shape != (n, n):
-                raise DomainError(f"all matrices must be square of one size, got {m.shape}")
-            if np.max(np.abs(m - m.T), initial=0.0) > SYMMETRY_TOL:
-                raise DomainError("matrix is not symmetric within 1e-12")
-        object.__setattr__(self, "mats", mats)
+        object.__setattr__(self, "mats", _symmetric_tuple(self.mats))
 
     @property
     def g(self) -> int:
@@ -61,16 +51,7 @@ class MonicPencil:
     coeffs: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if len(self.coeffs) == 0:
-            raise DomainError("MonicPencil needs at least one coefficient")
-        coeffs = tuple(np.asarray(a, dtype=float) for a in self.coeffs)
-        nu = coeffs[0].shape[0]
-        for a in coeffs:
-            if a.ndim != 2 or a.shape != (nu, nu):
-                raise DomainError(f"all coefficients must be square of one size, got {a.shape}")
-            if np.max(np.abs(a - a.T), initial=0.0) > SYMMETRY_TOL:
-                raise DomainError("coefficient is not symmetric within 1e-12")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _symmetric_tuple(self.coeffs))
 
     @property
     def g(self) -> int:
@@ -81,15 +62,27 @@ class MonicPencil:
         return self.coeffs[0].shape[0]
 
 
+def _symmetric_tuple(mats) -> tuple[np.ndarray, ...]:
+    """``mats``, each through ``_require_symmetric``: one or more, of one size."""
+    mats = tuple(map(_require_symmetric, mats))
+    if not mats or any(m.shape != mats[0].shape for m in mats):
+        raise DomainError(f"need one or more matrices of one size, got {[m.shape for m in mats]}")
+    return mats
+
+
+def _kron_sum(A, X: np.ndarray) -> np.ndarray:
+    """sum_j A_j (x) X_kj (nu x nu A_j) for each lane k of an (m, g, n, n)
+    stack X, summed in j order, so a lane has the bits of its one-lane call."""
+    m, _, n = X.shape[:3]
+    total = sum(np.einsum("ab,kxy->kaxby", a, X[:, j]) for j, a in enumerate(A))
+    return total.reshape(m, len(A[0]) * n, len(A[0]) * n)
+
+
 def evaluate(L: MonicPencil, X: SymTuple) -> np.ndarray:
     """L(X) = I - sum_j A_j (x) X_j, a symmetric (nu n) x (nu n) matrix."""
     if L.g != X.g:
         raise DomainError(f"arity mismatch: pencil has g={L.g}, tuple has g={X.g}")
-    size = L.nu * X.n
-    out = np.eye(size)
-    for a, x in zip(L.coeffs, X.mats):
-        out -= np.kron(a, x)
-    return out
+    return np.eye(L.nu * X.n) - _kron_sum(L.coeffs, np.stack(X.mats)[None])[0]
 
 
 def evaluate_scalar(L: MonicPencil, x) -> np.ndarray:
@@ -116,9 +109,7 @@ def min_eigenvalue(M: np.ndarray) -> float:
 
 def in_free_spectrahedron(L: MonicPencil, X: SymTuple, tol: float = MEMBERSHIP_TOL) -> bool:
     """Whether L(X) is positive semidefinite up to -tol on the bottom eigenvalue."""
-    if tol < 0.0:
-        raise DomainError(f"tol must be nonnegative, got {tol}")
-    return min_eigenvalue(evaluate(L, X)) >= -tol
+    return min_eigenvalue(evaluate(L, X)) >= -_require_tol(tol)
 
 
 def cube_pencil(g: int) -> MonicPencil:
@@ -135,32 +126,19 @@ def cube_pencil(g: int) -> MonicPencil:
 
 
 def haar_orthogonal(d: int, seed: int = DEFAULT_SEED) -> np.ndarray:
-    """A Haar-distributed d x d orthogonal matrix (QR of a Gaussian matrix
-    with the R-diagonal signs folded in)."""
+    """A Haar-distributed d x d orthogonal matrix (Gram-Schmidt of a Gaussian one)."""
     if d < 1:
         raise DomainError(f"haar_orthogonal requires d >= 1, got {d}")
-    return _haar_batch(_generator(seed), 1, d)[0]
-
-
-def _haar_batch(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
-    return _haar_from_gaussian(rng.standard_normal((m, d, d)))
-
-
-def _haar_from_gaussian(z: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(z)
-    signs = np.sign(np.einsum("nii->ni", r))
-    signs[signs == 0.0] = 1.0
-    return q * signs[:, None, :]
+    return _haar_gram_schmidt(_generator(seed).standard_normal((1, d, d)))[0]
 
 
 def _haar_gram_schmidt(z: np.ndarray) -> np.ndarray:
     """The orthonormalized columns of each matrix in the stack ``z``:
-    classical Gram-Schmidt, run twice ("twice is enough").
-
-    This is the Q factor whose R has a positive diagonal, the matrix
-    ``_haar_from_gaussian`` forms with LAPACK, up to rounding.  A column
-    whose remainder has norm zero (probability zero for Gaussian z) raises
-    NumericError rather than returning NaN.
+    classical Gram-Schmidt, run twice ("twice is enough").  For Gaussian z
+    this is the package's Haar sampler: the Q factor whose R has a positive
+    diagonal, which a sign-fixed QR gives up to rounding (Mezzadri, Notices
+    AMS 54(5), 2007).  Each matrix gets the same bits in a stack of any
+    size.  A column whose remainder has norm zero raises NumericError.
     """
     q = np.empty_like(z)
     for k in range(z.shape[-1]):
@@ -193,10 +171,8 @@ def _contraction_stack(g: int, n: int, trials: int, rng: np.random.Generator) ->
         for j in range(g):
             z[k, j] = rng.standard_normal((n, n))
             diag[k, j] = rng.uniform(-1.0, 1.0, size=n)
-    q = _haar_from_gaussian(z.reshape(trials * g, n, n))
-    d = np.zeros((trials * g, n, n))
-    d[:, range(n), range(n)] = diag.reshape(trials * g, n)
-    m = q.swapaxes(-1, -2) @ d @ q
+    q = _haar_gram_schmidt(z.reshape(trials * g, n, n))
+    m = (q.swapaxes(-1, -2) * diag.reshape(trials * g, 1, n)) @ q  # Q^T D Q
     return (0.5 * (m + m.swapaxes(-1, -2))).reshape(trials, g, n, n)
 
 
@@ -207,6 +183,7 @@ def verify_cube_inclusion(B: MonicPencil, tol: float = 1e-10) -> bool:
     rather than falling back to sampling, which would silently weaken the
     precondition of the relaxation test.
     """
+    _require_tol(tol)
     if B.g > CUBE_VERTEX_CAP:
         raise ResourceError(f"vertex enumeration capped at g <= {CUBE_VERTEX_CAP}, got g={B.g}")
     vertex = np.empty(B.g)
@@ -262,16 +239,12 @@ def cube_relaxation_test(
     """
     if d < 1 or trials < 1:
         raise DomainError(f"need d >= 1 and trials >= 1, got d={d}, trials={trials}")
-    if tol < 0.0:
-        raise DomainError(f"tol must be nonnegative, got {tol}")
+    _require_tol(tol)
     if not verify_cube_inclusion(B):
         raise DomainError("[-1,1]^g is not contained in the pencil's spectrahedron")
     th = theta(B.nu).theta
     X = _contraction_stack(B.g, d, trials, _generator(seed))
-    # S_k = sum_j B_j (x) X_kj, summed over j in the one-trial order so that
-    # every trial keeps the bits of its own spectrum
-    S = sum(np.einsum("ab,kxy->kaxby", b, X[:, j]) for j, b in enumerate(B.coeffs))
-    lam_maxes = _eigvalsh(S.reshape(trials, B.nu * d, B.nu * d))[:, -1].tolist()
+    lam_maxes = _eigvalsh(_kron_sum(B.coeffs, X))[:, -1].tolist()
     min_margin = math.inf
     tightest = math.inf
     violations = []
@@ -311,8 +284,7 @@ def sharpness_witness(
     (1/sqrt(d)) sum e_i (x) e_i already certifies the trace part exactly.
 
     Each U (centers and samples alike) is the Gram-Schmidt orthonormalization
-    of a Gaussian d x d matrix: the same Haar law as ``haar_orthogonal``, whose
-    LAPACK QR gives the same matrix up to its last bits, not bit for bit.
+    of a Gaussian d x d matrix, as in ``haar_orthogonal``.
 
     Returns the pencil, the norm-one tuple, and the achieved lambda_max.
     """
@@ -349,10 +321,8 @@ def sharpness_witness(
 
     pencil = MonicPencil(a_mats)
     witness = SymTuple(tuple(0.5 * (x + x.T) for x in x_mats))
-    total = np.zeros((d * d, d * d))
-    for a, x in zip(pencil.coeffs, witness.mats):
-        total += np.kron(a, x)
-    lam_max = float(np.linalg.eigvalsh(total)[-1])
+    total = _kron_sum(pencil.coeffs, np.stack(witness.mats)[None])
+    lam_max = float(np.linalg.eigvalsh(total[0])[-1])
     return pencil, witness, lam_max
 
 

@@ -57,6 +57,8 @@ def newton_rows(
     x = 0.5 * (lo + hi) if x0 is None else np.minimum(np.maximum(x0, lo), hi)
     lo, hi, x = np.broadcast_arrays(lo, hi, x)
     n = x.size
+    if not n:  # an empty row: no residual call
+        return np.empty(0)
     every = np.arange(n)
     ends = f(np.concatenate([lo, hi]), np.concatenate([every, every]))[0]
     flo, fhi = ends[:n], ends[n:]

@@ -126,6 +126,14 @@ def _cf_error(a: float, b: float, x: float) -> NumericError:
     )
 
 
+def _exp(x: float) -> float:
+    """``math.exp``, or inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:  # the density at a < 1 and p deep in the subnormals
+        return math.inf
+
+
 def _ibeta_point(a: float, b: float, p: float) -> tuple[float, float]:
     """I_p(a, b) and its density at p, from one log p, log(1-p) and ln B."""
     if p <= 0.0:
@@ -134,10 +142,7 @@ def _ibeta_point(a: float, b: float, p: float) -> tuple[float, float]:
         return 1.0, 0.0
     ln_p, ln_q, ln_b = math.log(p), math.log1p(-p), ln_beta(a, b)
     ln_front = a * ln_p + b * ln_q - ln_b
-    try:
-        density = math.exp((a - 1.0) * ln_p + (b - 1.0) * ln_q - ln_b)
-    except OverflowError:  # a < 1 and p deep in the subnormals
-        density = math.inf
+    density = _exp((a - 1.0) * ln_p + (b - 1.0) * ln_q - ln_b)
     # Symmetry switch keeps the continued fraction in its fast region.
     if p < (a + 1.0) / (a + b + 2.0):
         return math.exp(ln_front) * _beta_cf(a, b, p) / a, density
@@ -267,7 +272,7 @@ def _ibeta_row(a, b, p) -> tuple[np.ndarray, np.ndarray]:
     cf = _beta_cf_row(ca, np.where(swap, a, b), np.where(swap, 1.0 - p, p))
     head = _map(math.exp, ln_front) * cf / ca
     value[inner] = np.where(swap, 1.0 - head, head)
-    density[inner] = _map(math.exp, (a - 1.0) * ln_p + (b - 1.0) * ln_q - ln_b)
+    density[inner] = _map(_exp, (a - 1.0) * ln_p + (b - 1.0) * ln_q - ln_b)
     return value, density
 
 

@@ -32,6 +32,7 @@ from .theta import SignDiag
 
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_SAMPLES = 1_000_000
+SYMMETRY_TOL = 1e-12
 _BATCH = 1 << 17  # fixed so the accumulation order never depends on n
 _CHUNK = 1 << 13  # rows per x @ B product and per normalization: no batch-sized temporary
 
@@ -64,14 +65,25 @@ def _generator(seed: int) -> np.random.Generator:
 
 
 def _require_symmetric(B: np.ndarray) -> np.ndarray:
+    """B as a float matrix, refused unless it is square, at least 1x1, finite
+    and symmetric within ``SYMMETRY_TOL``: the package's one such check."""
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {B.shape}")
     if B.shape[0] < 1:
         raise DomainError("matrix must be at least 1x1")
-    if np.max(np.abs(B - B.T), initial=0.0) > 1e-12:
-        raise DomainError("matrix is not symmetric within 1e-12")
+    if not np.isfinite(B).all():
+        raise DomainError("matrix entries must be finite")
+    if np.max(np.abs(B - B.T)) > SYMMETRY_TOL:
+        raise DomainError(f"matrix is not symmetric within {SYMMETRY_TOL:g}")
     return B
+
+
+def _require_tol(tol: float) -> float:
+    """tol, refused unless finite and >= 0 (NaN or inf disables its check)."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"tol must be finite and nonnegative, got {tol}")
+    return tol
 
 
 def _stream_batches(dims, n: int, seed: int):

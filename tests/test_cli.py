@@ -116,6 +116,9 @@ def test_verify_dilation_is_repeatable_and_reports_its_worst_residual(capsys):
     assert ok == "verify dilation: OK (0 violations)"
     assert worst.startswith("verify dilation: worst instance residual ")
     assert worst.endswith(")") and ", instance " in worst
+    # recorded before the spin-ball check and the defect shared one spectrum
+    assert hashlib.sha256(outputs[0].encode()).hexdigest() == (
+        "eda966b2309fdfc8f07e1f8057312185b476bb0ae5ee7b6340ecd935fcc8acb2")
 
 
 def test_verify_oracle_is_repeatable_and_reports_its_worst_deviation(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import math
 import time
@@ -352,3 +353,28 @@ def test_dilation_result_validation():
     noncommuting = SymTuple((SIGMA1, SIGMA2))
     with pytest.raises(DomainError):
         DilationResult(T=noncommuting, V=np.eye(2), scale=1.0)
+
+
+def test_spin2_stack_takes_one_spectrum_per_call(monkeypatch):
+    # the spin-ball check and the defect share one eigh of
+    # S = [[X1, X2], [X2, -X1]] per lane
+    rng = _generator(45)
+    xs = np.stack([np.stack(random_spin_ball_pair(rng, 3).mats) for _ in range(5)])
+    calls = []
+
+    def counted(name, solver):
+        return lambda *args, **kwargs: calls.append(name) or solver(*args, **kwargs)
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    _spin2_stack(xs)
+    assert calls == ["eigh"]
+
+
+def test_spin2_dilation_keeps_its_recorded_bytes():
+    # SHA-256 of the T bytes, recorded before the spin-ball check and the
+    # defect shared one spectrum
+    X = SymTuple((np.array([[0.3, 0.1], [0.1, -0.2]]), np.array([[0.05, 0.2], [0.2, 0.1]])))
+    T = spin2_dilation(X).T.mats
+    assert hashlib.sha256(b"".join(t.tobytes() for t in T)).hexdigest() == (
+        "91d9b31595813512d80c6478d9defa0acd64245928e978306c031acf17eb4d43")

@@ -1,10 +1,15 @@
+import inspect
 import itertools
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import spectra_theta
+from spectra_theta import sphere_oracle
+from spectra_theta.dilation import ball_membership, defect_sqrt, spin2_extreme
 from spectra_theta.errors import DomainError, NumericError, ResourceError
 from spectra_theta.pencil import (
     CubeRelaxationReport,
@@ -12,8 +17,6 @@ from spectra_theta.pencil import (
     SymTuple,
     _contraction_stack,
     _eigvalsh,
-    _haar_batch,
-    _haar_from_gaussian,
     _haar_gram_schmidt,
     cube_pencil,
     cube_relaxation_test,
@@ -30,11 +33,20 @@ from spectra_theta.pencil import (
     symtuple_to_json,
     verify_cube_inclusion,
 )
-from spectra_theta.sphere_oracle import _generator
+from spectra_theta.sphere_oracle import _generator, sphere_abs_quadratic_integral
 from spectra_theta.theta import SignDiag, kappa_star, theta
 
 B1 = np.diag([1.0, -1.0])
 B2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _sign_fixed_qr(z):
+    # the LAPACK route to Haar matrices, kept as a reference: the Q of each
+    # QR with the signs of R's diagonal folded in (Mezzadri 2007)
+    q, r = np.linalg.qr(z)
+    signs = np.sign(np.einsum("nii->ni", r))
+    signs[signs == 0.0] = 1.0
+    return q * signs[:, None, :]
 
 
 def _kron_by_hand(a, x):
@@ -139,7 +151,7 @@ def test_haar_first_column_mean_vanishes():
     done = 0
     while done < n:
         m = min(20_000, n - done)
-        total += _haar_batch(rng, m, 3)[:, :, 0].sum(axis=0)
+        total += _haar_gram_schmidt(rng.standard_normal((m, 3, 3)))[:, :, 0].sum(axis=0)
         done += m
     # each column entry has variance 1/d, so the sample mean has std 1/sqrt(n d)
     assert np.max(np.abs(total / n)) <= 4.0 / math.sqrt(n * 3)
@@ -155,7 +167,7 @@ def test_haar_gram_schmidt_is_the_positive_diagonal_qr(d):
     assert np.all(below <= 1e-12 * np.linalg.norm(z, axis=(1, 2)))
     assert np.all(np.einsum("nii->ni", r) > 0.0)
     # the unique QR factor with a positive R diagonal: the LAPACK route's Q
-    assert np.max(np.abs(q - _haar_from_gaussian(z))) <= 1e-12
+    assert np.max(np.abs(q - _sign_fixed_qr(z))) <= 1e-12
 
 
 @pytest.mark.parametrize("column", [0, 1])
@@ -194,7 +206,8 @@ def test_cube_relaxation_margin_matches_direct_spectrum():
 
 def test_contraction_stack_replays_one_tuple_at_a_time():
     # the stacked kernel draws one matrix at a time and gives every tuple the
-    # bits of the one-tuple call and of a per-matrix reference loop
+    # bits of the one-tuple call and of a per-matrix reference loop, whose
+    # Gram-Schmidt runs on one matrix at a time
     g, n, trials, seed = 3, 4, 30, 41
     stack = _contraction_stack(g, n, trials, _generator(seed))
     assert stack.shape == (trials, g, n, n)
@@ -203,7 +216,7 @@ def test_contraction_stack_replays_one_tuple_at_a_time():
     for k in range(trials):
         X = random_contraction_tuple(g, n, one_at_a_time)
         for j in range(g):
-            q = _haar_batch(loop, 1, n)[0]
+            q = _haar_gram_schmidt(loop.standard_normal((1, n, n)))[0]
             m = q.T @ np.diag(loop.uniform(-1.0, 1.0, size=n)) @ q
             assert np.array_equal(stack[k, j], X.mats[j])
             assert np.array_equal(stack[k, j], 0.5 * (m + m.T))
@@ -287,7 +300,7 @@ def test_direct_sums_stay_inside():
 @pytest.mark.parametrize(
     "haar",
     [
-        lambda rng, m, d: _haar_batch(rng, m, d),
+        lambda rng, m, d: _sign_fixed_qr(rng.standard_normal((m, d, d))),
         lambda rng, m, d: _haar_gram_schmidt(rng.standard_normal((m, d, d))),
     ],
     ids=["lapack_qr", "gram_schmidt"],
@@ -404,3 +417,55 @@ def test_symmetry_validation():
         SymTuple((np.array([[0.0, 1.0], [0.0, 0.0]]),))
     with pytest.raises(DomainError):
         MonicPencil((np.array([[0.0, 1.0], [0.0, 0.0]]),))
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_matrices_are_refused():
+    # a NaN or infinite entry is refused, never answered: a NaN tuple is not
+    # inside the spin ball, nor a NaN pencil a passing cube report
+    nan = math.nan
+    refused = [
+        lambda: SymTuple((np.diag([nan, 1.0]),)),
+        lambda: cube_relaxation_test(MonicPencil(([[nan]],)), d=2, trials=2),
+        lambda: defect_sqrt([[nan]]),
+        lambda: sphere_abs_quadratic_integral([[nan]], n=10),
+        lambda: pencil_from_json('{"nu":1,"g":1,"coeffs":[[NaN]]}'),
+        lambda: MonicPencil(([[math.inf]],)),
+        lambda: SymTuple((np.array([[0.5, -math.inf], [-math.inf, 0.5]]),)),
+    ]
+    for call in refused:
+        with pytest.raises(DomainError, match="finite"):
+            call()
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_a_tolerance_must_be_finite_and_nonnegative(tol):
+    # a NaN tol makes every "x < -tol" test false, and an infinite one
+    # accepts X = 2I in both balls and the free spectrahedron
+    X = SymTuple((2.0 * np.eye(2), np.zeros((2, 2))))
+    calls = [
+        lambda: verify_cube_inclusion(MonicPencil((3.0 * np.eye(1),)), tol=tol),
+        lambda: cube_relaxation_test(cube_pencil(2), d=2, trials=2, tol=tol),
+        lambda: in_free_spectrahedron(cube_pencil(2), X, tol=tol),
+        lambda: ball_membership(X, "oh", tol=tol),
+        lambda: ball_membership(X, "spin", tol=tol),
+        lambda: spin2_extreme(X, tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="tol must be finite and nonnegative"):
+            call()
+    assert not verify_cube_inclusion(MonicPencil((3.0 * np.eye(1),)))
+
+
+def test_the_matrix_layer_does_each_thing_one_way():
+    # one Haar sampler (Gram-Schmidt, no LAPACK QR), one block-matrix
+    # builder, and one place that keys a Philox generator
+    sources = {path.name: path.read_text() for path in
+               pathlib.Path(spectra_theta.__file__).parent.glob("*.py")}
+    for name, text in sources.items():
+        assert "np.linalg.qr(" not in text, name
+        assert "np.block(" not in text, name
+    assert [name for name, text in sources.items() if "np.random.Philox(" in text] == [
+        "sphere_oracle.py"]
+    assert sources["sphere_oracle.py"].count("np.random.Philox(") == 1
+    assert "np.random.Philox(" in inspect.getsource(sphere_oracle._generator)

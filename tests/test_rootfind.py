@@ -64,3 +64,24 @@ def test_roots_keep_their_recorded_bits():
     assert reg_inc_beta_inv(0.37, 2.5, 7.0).hex() == "0x1.9b5abeeb916d1p-3"
     assert theta_module.sigma_st(1465, 536).hex() == "0x1.76d021a4b95fcp-1"
     assert theta_module.theta(2001).kappa_star.hex() == "0x1.9d2efb0a51181p-6"
+
+
+def test_an_empty_row_makes_no_residual_call():
+    # theta(1) and theta(2) solve an empty sigma row
+    calls = []
+
+    def f(x, lanes):
+        calls.append(x.size)
+        return x - 0.5, np.ones(x.size)
+
+    roots = newton_rows(f, np.empty(0), np.empty(0), xtol=1e-15)
+    assert roots.shape == (0,) and calls == []
+    assert [repr(theta_module.theta(d)) for d in (1, 2, 3)] == [
+        "ThetaReport(d=1, theta=1.0, kappa_star=1.0, minimizer_s=1, minimizer_t=0, p_opt=1.0, "
+        "bounds_odd=None)",
+        "ThetaReport(d=2, theta=1.5707963267948963, kappa_star=0.6366197723675815, minimizer_s=1, "
+        "minimizer_t=1, p_opt=0.5, bounds_odd=None)",
+        "ThetaReport(d=3, theta=1.7348165407110137, kappa_star=0.5764298278999291, minimizer_s=2, "
+        "minimizer_t=1, p_opt=0.64469860239188, bounds_odd=(1.7320508075688756, 1.770641430495141, "
+        "1.885618083164125))",
+    ]

@@ -312,4 +312,16 @@ def test_density_past_the_float_range_is_inf():
     from spectra_theta.specfun import beta_pdf
 
     assert beta_pdf(1e-5, 1e-5, 5e-324) == math.inf
-    assert 0.0 < reg_inc_beta(1e-5, 1e-5, 5e-324) < 1.0
+    value = reg_inc_beta(1e-5, 1e-5, 5e-324)
+    assert 0.0 < value < 1.0
+    # the same on rows either side of the mapped/numpy crossover, where the
+    # numpy path used to raise OverflowError; the finite lanes between the
+    # overflowing ones keep their point-kernel bits
+    crossover = specfun._ROW_MIN_LANES
+    for lanes in (1, crossover - 1, crossover, 200):
+        p = np.where(np.arange(lanes) % 3 == 1, 0.3, 5e-324)
+        row_value, row_density = specfun._ibeta_row(np.full(lanes, 1e-5), 1e-5, p)
+        finite = p == 0.3
+        assert np.all(row_value[~finite] == value) and np.all(row_density[~finite] == math.inf)
+        point = specfun._ibeta_point(1e-5, 1e-5, 0.3)
+        assert np.all(row_value[finite] == point[0]) and np.all(row_density[finite] == point[1])
