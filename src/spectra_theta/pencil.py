@@ -268,6 +268,66 @@ def cube_relaxation_test(
     )
 
 
+def _score_owner(centers: np.ndarray):
+    """The nearest center of each sample in a stack u of d x d matrices:
+    nearest in Frobenius distance is largest trace inner product, so the
+    argmax of the (samples x centers) score block, the first on a tie."""
+    flat = centers.reshape(len(centers), -1)
+    return lambda u: np.argmax(u.reshape(len(u), -1) @ flat.T, axis=1)
+
+
+def _arc_owner(centers: np.ndarray):
+    """``_score_owner`` for 2 x 2 orthogonal centers, by one search of an arc
+    table instead of a score block.
+
+    A 2 x 2 orthogonal U is a rotation or a reflection of angle
+    phi = atan2(U_10, U_00).  Two of one kind have trace inner product
+    2 cos(delta phi); a rotation and a reflection have exactly 0.  So a
+    sample belongs to the center of its own kind nearest in angle, on the
+    arc between the midpoints to that center's neighbours.  A sample with no
+    center of its own kind within a quarter turn (or none of its kind at
+    all) is exactly as near every center of the other kind, and goes to the
+    lowest-index one, as the score block's argmax would on exact scores; the
+    search keys each kind's angles apart, as phi + 4 pi [reflection].
+    """
+    def angle_kind(u):
+        phi = np.arctan2(u[:, 1, 0], u[:, 0, 0])
+        return phi, u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0] < 0.0
+
+    phi, refl = angle_kind(centers)
+    breaks, owners = [], []
+    for kind in (False, True):
+        mine = np.flatnonzero(refl == kind)
+        other = np.flatnonzero(refl != kind)
+        # beyond a quarter turn every center of the other kind is as near
+        # (inner product 0) and the first takes the sample; with no other
+        # kind, the arcs reach round the circle and leave no gap to fill
+        reach, fallback = (0.5 * math.pi, other[0]) if other.size else (math.pi, 0)
+        # a kind with no center gets no breaks and one slot, the fallback
+        order = mine[np.argsort(phi[mine], kind="stable")]
+        ring = np.concatenate([phi[order[-1:]] - 2.0 * math.pi, phi[order],
+                               phi[order[:1]] + 2.0 * math.pi])
+        mids = 0.5 * (ring[:-1] + ring[1:])
+        lo = np.maximum(np.concatenate([[-np.inf], mids]), ring - reach)
+        hi = np.minimum(np.concatenate([mids, [np.inf]]), ring + reach)
+        # keys of this kind lie in [-pi, pi]: clipping to [-2 pi, 2 pi]
+        # keeps their slots and keeps the two kinds' tables apart
+        breaks.append(np.clip(np.column_stack([lo, hi]).ravel(), -2.0 * math.pi, 2.0 * math.pi)
+                      + 4.0 * math.pi * kind)
+        # breaks lo_0, hi_0, lo_1, ...: [lo_k, hi_k) is ring center k's, the gaps the fallback's
+        slots = np.full(2 * ring.size + 1, fallback)
+        slots[1::2] = np.concatenate([order[-1:], order, order[:1]])
+        owners.append(slots)
+    table = np.concatenate([breaks[0], [2.0 * math.pi], breaks[1]])
+    owners = np.concatenate(owners)
+
+    def owner(u):
+        phi, refl = angle_kind(u)
+        return owners[np.searchsorted(table, phi + 4.0 * math.pi * refl, side="right")]
+
+    return owner
+
+
 def sharpness_witness(
     d: int,
     cells: int,
@@ -284,7 +344,11 @@ def sharpness_witness(
     (1/sqrt(d)) sum e_i (x) e_i already certifies the trace part exactly.
 
     Each U (centers and samples alike) is the Gram-Schmidt orthonormalization
-    of a Gaussian d x d matrix, as in ``haar_orthogonal``.
+    of a Gaussian d x d matrix, as in ``haar_orthogonal``.  A sample's cell
+    is its nearest center, the first on a tie; for d = 2 it is found by
+    angle (``_arc_owner``), where a sample with no center of its own kind
+    (rotation or reflection) within a quarter turn goes to the lowest-index
+    center of the other kind, all of which are exactly as near.
 
     Returns the pencil, the norm-one tuple, and the achieved lambda_max.
     """
@@ -301,7 +365,7 @@ def sharpness_witness(
     rng = _generator(seed)
     centers = _haar_gram_schmidt(rng.standard_normal((cells, d, d)))
     x_mats = tuple((c.T * j_one) @ c for c in centers)
-    centers_flat = centers.reshape(cells, d * d)
+    owner_of = _arc_owner(centers) if d == 2 else _score_owner(centers)
 
     n_total = cells * samples_per_cell
     sums = np.zeros((d * d, cells))
@@ -312,8 +376,7 @@ def sharpness_witness(
         m = min(batch, remaining)
         u = _haar_gram_schmidt(rng.standard_normal((m, d, d)))
         z = sum(j_hat[j] * u[:, j, :, None] * u[:, j, None, :] for j in range(d)).reshape(m, d * d)
-        # nearest center in Frobenius distance == largest trace inner product
-        owner = np.argmax(u.reshape(m, d * d) @ centers_flat.T, axis=1)
+        owner = owner_of(u)
         for e in range(d * d):
             sums[e] += np.bincount(owner, weights=z[:, e], minlength=cells)
         remaining -= m

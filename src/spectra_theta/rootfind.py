@@ -70,6 +70,7 @@ def newton_rows(
         )
     roots = np.where(flo == 0.0, lo, hi)  # right for lanes with a root at a bracket end
     lane = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
+    del ends, flo, fhi  # the 2n-lane residual is not needed in the loop
     lo, hi, x = lo[lane], hi[lane], x[lane]
     step = step_old = hi - lo
     for _ in range(_MAX_ITER):

@@ -247,9 +247,17 @@ def _beta_cf_row(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
             keep = ~done
             if not keep.any():
                 return out
-            lane, a, b, x, qab, qap, qam, c, d, h = (
-                v[keep] for v in (lane, a, b, x, qab, qap, qam, c, d, h)
-            )
+            # one array at a time, so each old array is freed as its successor is built
+            lane = lane[keep]
+            a = a[keep]
+            b = b[keep]
+            x = x[keep]
+            qab = qab[keep]
+            qap = qap[keep]
+            qam = qam[keep]
+            c = c[keep]
+            d = d[keep]
+            h = h[keep]
     raise _cf_error(float(a[0]), float(b[0]), float(x[0]))
 
 

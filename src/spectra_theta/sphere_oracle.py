@@ -13,10 +13,12 @@ of ``_BATCH`` rows.  So identical (inputs, seed, n) draw bit-identical
 samples on any machine and under any caller-side parallelism, and estimates
 with the same (n, seed) read prefixes of one stream: ``joint_estimates``
 draws that stream once, for the largest dimension asked, and each estimate
-is bit-identical to its one-estimate call.  The estimates contract the
-samples through BLAS matrix products, so they are bit-identical for one
-numpy/BLAS build on one CPU type (whatever its thread count); another BLAS
-kernel may move their last bits.
+is bit-identical to its one-estimate call.  Each normal is squared once,
+and every estimate reads a sample xi/|xi| from the raw row, its squares and
+|xi|^2 (dividing by |xi|^2), never from a normalized copy.  The estimates
+contract the samples through BLAS matrix products, so they are
+bit-identical for one numpy/BLAS build on one CPU type (whatever its thread
+count); another BLAS kernel may move their last bits.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ DEFAULT_SEED = 0xC0FFEE
 DEFAULT_SAMPLES = 1_000_000
 SYMMETRY_TOL = 1e-12
 _BATCH = 1 << 17  # fixed so the accumulation order never depends on n
-_CHUNK = 1 << 13  # rows per x @ B product and per normalization: no batch-sized temporary
+_CHUNK = 1 << 13  # rows per x @ B product: no batch-sized temporary
 
 
 @dataclass(frozen=True)
@@ -87,16 +89,19 @@ def _require_tol(tol: float) -> float:
 
 
 def _stream_batches(dims, n: int, seed: int):
-    """Yield (d, x) for every batch that an estimate in dimension d (for d
-    in ``dims``) reads: x holds rows [b, b + m) of its n sphere samples,
-    which are the normalized stream normals [b*d, (b + m)*d).
+    """Yield (d, raw, sq, r2) for every batch that an estimate in dimension d
+    (for d in ``dims``) reads: raw holds rows [b, b + m) of its n samples,
+    which are the stream normals [b*d, (b + m)*d) as rows of d, sq their
+    squares, and r2 their squared norms |xi|^2, one BLAS row sum of sq.
 
     Batches come in the order their ends occur in the stream, so one pass
     of the generator serves every dimension.  The stream is drawn into a
-    window the size of one batch of the widest dimension; when a batch
-    would run past its end, the window shifts forward to the earliest start
-    still to be served, which lies at most one window behind that batch's
-    end.  x is a view of a reused buffer, valid until the next batch.
+    window the size of one batch of the widest dimension, and each normal
+    is squared once, into a second window that moves with the first; when
+    a batch would run past their end, both shift forward to the earliest
+    start still to be served, which lies at most one window behind that
+    batch's end.  The arrays are views of reused buffers, valid until the
+    next batch.
     """
     rows = min(n, _BATCH)
     width = max(dims)
@@ -104,42 +109,34 @@ def _stream_batches(dims, n: int, seed: int):
                      for d in set(dims) for b in range(0, n, _BATCH))
     keep = list(accumulate([start for _, start, _ in reversed(batches)], min))[::-1]
     rng = _generator(seed)
-    window, unit = np.empty(rows * width), np.empty(rows * width)
-    squares, norms = np.empty(min(rows, _CHUNK) * width), np.empty((min(rows, _CHUNK), 1))
-    lo = hi = 0  # the window holds stream normals [lo, hi)
+    window, squares, norms = np.empty(rows * width), np.empty(rows * width), np.empty(rows)
+    lo = hi = 0  # the windows hold stream normals [lo, hi) and their squares
     for (end, start, d), first in zip(batches, keep):
         if end - lo > len(window):
             window[: hi - first] = window[first - lo : hi - lo]
+            squares[: hi - first] = squares[first - lo : hi - lo]
             lo = first
         if end > hi:
-            rng.standard_normal(out=window[hi - lo : end - lo])
+            fresh = rng.standard_normal(out=window[hi - lo : end - lo])
+            np.multiply(fresh, fresh, out=squares[hi - lo : end - lo])
             hi = end
-        raw = window[start - lo : end - lo].reshape(-1, d)
-        x = unit[: raw.size].reshape(raw.shape)
-        for i in range(0, len(raw), _CHUNK):  # x = raw / ||raw|| row by row
-            part = raw[i : i + _CHUNK]
-            k = len(part)
-            sq = np.multiply(part, part, out=squares[: k * d].reshape(k, d))
-            np.sqrt(np.add.reduce(sq, axis=1, keepdims=True, out=norms[:k]), out=norms[:k])
-            np.divide(part, norms[:k], out=x[i : i + _CHUNK])
-        yield d, x
-
-
-def _sphere_batches(d: int, n: int, seed: int):
-    """Yield unit-vector batches drawn as normalized standard normals."""
-    for _, x in _stream_batches((d,), n, seed):
-        yield x.copy()
+        sq = squares[start - lo : end - lo].reshape(-1, d)
+        # sq @ ones, not np.add.reduce(sq, axis=1): BLAS is ~10x faster on short rows
+        r2 = np.matmul(sq, np.ones(d), out=norms[: len(sq)])
+        yield d, window[start - lo : end - lo].reshape(-1, d), sq, r2
 
 
 class _Scratch:
-    """Buffers that the requests reuse from batch to batch: three vectors
-    of one batch, an (m, d) matrix for the requests that square whole
-    batches, and one ``_CHUNK``-row piece."""
+    """Buffers that the requests reuse from batch to batch: two vectors of
+    one batch, an (m, d) matrix for ``SignOuter``, and one ``_CHUNK``-row
+    piece for ``AbsQuadratic`` with a B that is not diagonal."""
 
     def __init__(self, rows: int, requests: list) -> None:
-        self.vec = np.empty((3, rows))
-        self._mat = np.empty(rows * max((r.d for r in requests if r.squares_batch), default=0))
-        self._chunk = np.empty(min(rows, _CHUNK) * max(r.d for r in requests))
+        self.vec = np.empty((2, rows))
+        self._mat = np.empty(rows * max((r.d for r in requests if isinstance(r, SignOuter)),
+                                        default=0))
+        self._chunk = np.empty(min(rows, _CHUNK) * max(
+            (r.d for r in requests if isinstance(r, AbsQuadratic) and r.diag is None), default=0))
 
     def matrix(self, m: int, d: int) -> np.ndarray:
         return self._mat[: m * d].reshape(m, d)
@@ -172,28 +169,31 @@ class _ScalarSum:
 
 class AbsQuadratic(_ScalarSum):
     """``joint_estimates`` request for the sphere integral of |xi* B xi|
-    (see ``sphere_abs_quadratic_integral``)."""
-
-    squares_batch = False
+    (see ``sphere_abs_quadratic_integral``).  A diagonal B needs only the
+    squared normals: |sq @ diag B| / |xi|^2."""
 
     def __init__(self, B: np.ndarray) -> None:
         self.B = _require_symmetric(B)
         self.d = self.B.shape[0]
+        diag = np.diagonal(self.B)
+        self.diag = diag.copy() if np.array_equal(self.B, np.diag(diag)) else None
 
-    def add(self, x: np.ndarray, scratch: _Scratch) -> None:
-        quad = scratch.vec[0, : len(x)]
-        for i in range(0, len(x), _CHUNK):
-            rows = x[i : i + _CHUNK]
-            prod = np.matmul(rows, self.B, out=scratch.chunk(len(rows), self.d))
-            np.einsum("ni,ni->n", prod, rows, out=quad[i : i + _CHUNK])
-        self._add_values(np.abs(quad, out=quad), scratch.vec[1, : len(x)])
+    def add(self, raw: np.ndarray, sq: np.ndarray, r2: np.ndarray, scratch: _Scratch) -> None:
+        quad = scratch.vec[0, : len(raw)]
+        if self.diag is not None:
+            np.matmul(sq, self.diag, out=quad)
+        else:
+            for i in range(0, len(raw), _CHUNK):
+                rows = raw[i : i + _CHUNK]
+                prod = np.matmul(rows, self.B, out=scratch.chunk(len(rows), self.d))
+                np.einsum("ni,ni->n", prod, rows, out=quad[i : i + _CHUNK])
+        np.divide(np.abs(quad, out=quad), r2, out=quad)
+        self._add_values(quad, scratch.vec[1, : len(raw)])
 
 
 class SignMoment(_ScalarSum):
     """``joint_estimates`` request for the sphere integral of
     sgn(xi* J xi) xi_coord^2 (see ``sign_quadratic_moment``)."""
-
-    squares_batch = True
 
     def __init__(self, J: SignDiag, coord: int) -> None:
         self.d = J.d
@@ -202,19 +202,17 @@ class SignMoment(_ScalarSum):
         self.diag = np.array(J.diagonal())
         self.k = coord - 1
 
-    def add(self, x: np.ndarray, scratch: _Scratch) -> None:
-        q, v, sq = scratch.vec[:, : len(x)]
-        np.matmul(np.multiply(x, x, out=scratch.matrix(len(x), self.d)), self.diag, out=q)
-        np.multiply(np.sign(q, out=q), np.square(x[:, self.k], out=v), out=v)
-        self._add_values(v, sq)
+    def add(self, raw: np.ndarray, sq: np.ndarray, r2: np.ndarray, scratch: _Scratch) -> None:
+        q, v = scratch.vec[:, : len(raw)]
+        np.sign(np.matmul(sq, self.diag, out=q), out=q)
+        np.multiply(q, np.divide(sq[:, self.k], r2, out=v), out=v)
+        self._add_values(v, q)
 
 
 class SignOuter:
     """``joint_estimates`` request for E_J, the sphere average of
     sgn(xi* J xi) xi xi*, with ``pad_zeros`` zero diagonal entries appended
     (see ``e_j_matrix``)."""
-
-    squares_batch = True
 
     def __init__(self, J: SignDiag, pad_zeros: int = 0) -> None:
         if pad_zeros < 0:
@@ -226,15 +224,16 @@ class SignOuter:
         self.s1 = np.zeros((self.d, self.d))
         self.s2 = np.zeros((self.d, self.d))
 
-    def add(self, x: np.ndarray, scratch: _Scratch) -> None:
-        xx = np.multiply(x, x, out=scratch.matrix(len(x), self.d))
-        sgn = scratch.vec[0, : len(x)]
-        np.sign(np.matmul(xx, self.diag, out=sgn), out=sgn)
-        self.s2 += xx.T @ xx  # sgn^2 == 1 a.s.
-        self.s1 += np.multiply(x, sgn[:, None], out=xx).T @ x
+    def add(self, raw: np.ndarray, sq: np.ndarray, r2: np.ndarray, scratch: _Scratch) -> None:
+        w = np.divide(sq, r2[:, None], out=scratch.matrix(len(raw), self.d))
+        self.s2 += w.T @ w  # sgn^2 == 1 a.s.
+        sgn = scratch.vec[0, : len(raw)]
+        np.divide(np.sign(np.matmul(sq, self.diag, out=sgn), out=sgn), r2, out=sgn)
+        self.s1 += np.multiply(raw, sgn[:, None], out=w).T @ raw
 
     def result(self, n: int, seed: int) -> McMatrixEstimate:
-        mean = self.s1 / n
+        # (raw sgn / |xi|^2)^T raw rounds its (i, j) and (j, i) entries apart
+        mean = 0.5 * (self.s1 + self.s1.T) / n
         if n > 1:
             var = np.maximum(self.s2 - n * mean * mean, 0.0) / (n - 1)
             std_err = np.sqrt(var / n)
@@ -260,10 +259,10 @@ def joint_estimates(requests, n: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
     scratch = _Scratch(min(n, _BATCH), distinct)
     for r in distinct:
         r.start()
-    for d, x in _stream_batches({r.d for r in distinct}, n, seed):
+    for d, *batch in _stream_batches({r.d for r in distinct}, n, seed):
         for r in distinct:
             if r.d == d:
-                r.add(x, scratch)
+                r.add(*batch, scratch)
     return [r.result(n, seed) for r in requests]
 
 

@@ -213,7 +213,9 @@ def _kappa_rows(
     """kappa_star's two routes and cross-check on rows of splits (s, t) with
     their interior minimizers sigma; see kappa_star.  The four incomplete
     betas of the two routes come from one stacked row-kernel pass (which
-    also computes their densities, unused here)."""
+    also computes their densities, unused here); an empty row makes none."""
+    if not s.size:
+        return np.empty(0), np.empty(0), np.empty(0)
     d = s + t
     u = 1.0 - sigma
     lam = d / (s * u + t * (1.0 - u))

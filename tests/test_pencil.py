@@ -15,9 +15,11 @@ from spectra_theta.pencil import (
     CubeRelaxationReport,
     MonicPencil,
     SymTuple,
+    _arc_owner,
     _contraction_stack,
     _eigvalsh,
     _haar_gram_schmidt,
+    _score_owner,
     cube_pencil,
     cube_relaxation_test,
     evaluate,
@@ -386,6 +388,54 @@ def test_witness_scale_tightens_under_refinement():
     _, _, lam_fine = sharpness_witness(2, cells=64, samples_per_cell=2_000, seed=19)
     assert lam_coarse < lam_fine
     assert kappa2 - 1e-9 <= 1.0 / lam_fine <= kappa2 / 0.85
+
+
+@pytest.mark.parametrize("cells", [1, 2, 3, 8, 128])
+def test_arc_search_finds_the_score_argmax(cells):
+    # a sample not in an exact tie goes where the score block's argmax puts
+    # it; a tie (no center of its own kind within a quarter turn, two or
+    # more of the other kind, all at inner product 0) goes to the
+    # lowest-index center of the other kind
+    rng = _generator(100 + cells)
+    centers = _haar_gram_schmidt(rng.standard_normal((cells, 2, 2)))
+    u = _haar_gram_schmidt(rng.standard_normal((20_000, 2, 2)))
+    arc, score = _arc_owner(centers)(u), _score_owner(centers)(u)
+    same = (np.linalg.det(u) < 0.0)[:, None] == (np.linalg.det(centers) < 0.0)[None, :]
+    own_best = np.where(same, np.einsum("nij,cij->nc", u, centers), -np.inf).max(axis=1)
+    assert np.all(np.abs(own_best) > 1e-9)  # no sample sits at a quarter turn
+    tie = (own_best < 0.0) & ((~same).sum(axis=1) >= 2)
+    assert np.array_equal(arc[~tie], score[~tie])
+    assert np.array_equal(arc[tie], np.argmax(~same, axis=1)[tie])
+
+
+def test_two_cells_of_one_kind_give_the_other_kind_to_cell_0():
+    # both centers rotations (or both reflections): every sample of the
+    # other kind is at inner product 0 from both, and joins cell 0
+    seed, cells, per_cell = 2, 2, 3_000
+    rng = _generator(seed)
+    centers = _haar_gram_schmidt(rng.standard_normal((cells, 2, 2)))
+    kind = np.linalg.det(centers) < 0.0
+    assert kind[0] == kind[1]
+    u = _haar_gram_schmidt(rng.standard_normal((cells * per_cell, 2, 2)))
+    other = (np.linalg.det(u) < 0.0) != kind[0]
+    assert 0 < other.sum() < len(u)
+    owner = np.where(other, 0, np.argmax(np.einsum("nij,cij->nc", u, centers), axis=1))
+    ks, a_opt, b_opt = kappa_star(1, 1)
+    z = u.transpose(0, 2, 1) @ np.diag(SignDiag(1, 1, a_opt, b_opt).diagonal()) @ u
+    pencil_a, _, _ = sharpness_witness(2, cells, per_cell, seed=seed)
+    for k, a_k in enumerate(pencil_a.coeffs):
+        assert np.allclose(a_k, z[owner == k].sum(axis=0) / (ks * cells * per_cell),
+                           rtol=0.0, atol=1e-12)
+
+
+def test_the_2x2_witness_makes_no_score_block(monkeypatch):
+    calls = []
+    argmax = np.argmax
+    monkeypatch.setattr(np, "argmax", lambda *a, **k: calls.append(a[0].shape) or argmax(*a, **k))
+    sharpness_witness(2, cells=16, samples_per_cell=100, seed=3)
+    assert calls == []
+    sharpness_witness(3, cells=4, samples_per_cell=10, seed=3)  # d >= 3 keeps the block
+    assert calls == [(40, 4)]
 
 
 def test_pencil_json_round_trip():

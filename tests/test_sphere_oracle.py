@@ -14,7 +14,7 @@ from spectra_theta.sphere_oracle import (
     SignMoment,
     SignOuter,
     _generator,
-    _sphere_batches,
+    _stream_batches,
     e_j_matrix,
     joint_estimates,
     sign_quadratic_moment,
@@ -23,6 +23,16 @@ from spectra_theta.sphere_oracle import (
 from spectra_theta.theta import SignDiag, alpha_beta, kappa, kappa_star
 
 N = 200_000  # module-level sample count; the acceptance suite runs 10^6
+
+
+def _sphere_batches(d, n, seed):
+    """The n sphere samples of dimension d in _BATCH-row batches: the seed's
+    normals drawn one batch at a time and normalized, the reference that the
+    estimators' arithmetic on squares and |xi|^2 is compared against."""
+    rng = _generator(seed)
+    for start in range(0, n, _BATCH):
+        x = rng.standard_normal((min(_BATCH, n - start), d))
+        yield x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 def test_identity_is_exact():
@@ -116,6 +126,15 @@ def test_e_j_zero_padding_scales_top_block():
     assert np.all(scale_err <= np.maximum(band, 1e-15))
 
 
+def test_e_j_estimate_is_exactly_symmetric():
+    # E_J is symmetric; its estimate must be too, to the bit, although the
+    # (i, j) and (j, i) sums of xi_i xi_j sgn / |xi|^2 round differently
+    for J, pad in [(SignDiag(2, 2, 1.0, 0.5), 0), (SignDiag(2, 1, 1.2, 0.6), 2)]:
+        est = e_j_matrix(J, n=_BATCH + 5, seed=15, pad_zeros=pad)
+        assert np.array_equal(est.value, est.value.T)
+        assert np.array_equal(est.std_err, est.std_err.T)
+
+
 def test_determinism_bit_identical():
     a = sphere_abs_quadratic_integral(np.diag([1.0, -1.0]), n=60_000, seed=42)
     b = sphere_abs_quadratic_integral(np.diag([1.0, -1.0]), n=60_000, seed=42)
@@ -177,12 +196,15 @@ SHARING_NS = [1, _BATCH - 1, _BATCH + 3 * _CHUNK + 5, 3 * _BATCH]
 
 def _requests():
     """Pairs (request, its one-estimate call at (n, seed)) of all three
-    kinds in dimensions 1, 2, 3, 4, 5 and 8, with and without padding."""
+    kinds in dimensions 1, 2, 3, 4, 5 and 8, with and without padding, and
+    with general and diagonal B."""
     rng = _generator(40)
     pairs = []
     for d in (1, 2, 3, 4, 5, 8):
         B = rng.standard_normal((d, d))
         B = 0.5 * (B + B.T)
+        pairs.append((AbsQuadratic(B), functools.partial(sphere_abs_quadratic_integral, B)))
+    for B in [np.diag([1.0, -0.5, 2.0]), np.diag(SignDiag(5, 3, 1.2, 0.7).diagonal())]:
         pairs.append((AbsQuadratic(B), functools.partial(sphere_abs_quadratic_integral, B)))
     for J, coord in [(SignDiag(1, 1, 1.0, 1.0), 2), (SignDiag(2, 1, 1.2, 0.6), 1),
                      (SignDiag(3, 2, 1.1, 0.85), 4), (SignDiag(5, 3, 1.2, 0.7), 8)]:
@@ -195,28 +217,36 @@ def _requests():
 
 def _reference_estimate(request, n, seed):
     """The estimate as a standalone loop in the estimators' arithmetic: a
-    fresh draw per batch, whole-batch sums and X^T X, _CHUNK-row x @ B."""
+    fresh draw per batch, its squares sq and |xi|^2 = sq @ ones, whole-batch
+    sums and Gram matrices divided by |xi|^2, _CHUNK-row x @ B for a B that
+    is not diagonal, and E_J's sum made symmetric at the end."""
     rng = _generator(seed)
     d = request.d
     totals = [np.zeros((d, d)), np.zeros((d, d))] if isinstance(request, SignOuter) else [0.0, 0.0]
     for start in range(0, n, _BATCH):
         x = rng.standard_normal((min(_BATCH, n - start), d))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        sq = x * x
+        r2 = sq @ np.ones(d)
         if isinstance(request, SignOuter):
-            xx = x * x
-            totals[0] += (x * np.sign(xx @ request.diag)[:, None]).T @ x
-            totals[1] += xx.T @ xx
+            w = sq / r2[:, None]
+            totals[0] += (x * (np.sign(sq @ request.diag) / r2)[:, None]).T @ x
+            totals[1] += w.T @ w
             continue
         if isinstance(request, AbsQuadratic):
-            v = np.empty(len(x))
-            for i in range(0, len(x), _CHUNK):
-                rows = x[i : i + _CHUNK]
-                v[i : i + _CHUNK] = np.einsum("ni,ni->n", rows @ request.B, rows)
-            v = np.abs(v)
+            if request.diag is not None:
+                v = sq @ request.diag
+            else:
+                v = np.empty(len(x))
+                for i in range(0, len(x), _CHUNK):
+                    rows = x[i : i + _CHUNK]
+                    v[i : i + _CHUNK] = np.einsum("ni,ni->n", rows @ request.B, rows)
+            v = np.abs(v) / r2
         else:
-            v = np.sign((x * x) @ request.diag) * x[:, request.k] ** 2
+            v = np.sign(sq @ request.diag) * (sq[:, request.k] / r2)
         totals[0] += float(v.sum())
         totals[1] += float((v * v).sum())
+    if isinstance(request, SignOuter):
+        totals[0] = 0.5 * (totals[0] + totals[0].T)
     mean = totals[0] / n
     if n == 1:
         return mean, np.zeros_like(mean)
@@ -255,9 +285,13 @@ def test_estimates_equal_the_standalone_loop(n):
     for r, est in zip(requests, joint_estimates(requests, n, seed=5)):
         value, std_err = _reference_estimate(r, n, 5)
         assert np.array_equal(est.value, value) and np.array_equal(est.std_err, std_err)
-    x = _generator(6).standard_normal((n, 5))
-    assert np.array_equal(np.concatenate(list(_sphere_batches(5, n, 6))),
-                          x / np.linalg.norm(x, axis=1, keepdims=True))
+    for dims in [(5,), (2, 5)]:  # one dimension, and two sharing the window
+        raw = {d: [] for d in dims}
+        for d, x, sq, r2 in _stream_batches(dims, n, 6):
+            assert np.array_equal(sq, x * x) and np.array_equal(r2, sq @ np.ones(d))
+            raw[d].append(x.copy())
+        for d in dims:
+            assert np.array_equal(np.concatenate(raw[d]), _generator(6).standard_normal((n, d)))
 
 
 def test_joint_estimates_inputs():

@@ -262,6 +262,18 @@ def test_theta_stacks_its_independent_rows(monkeypatch):
     assert row_calls == stacks
 
 
+def test_theta_1_makes_no_row_kernel_pass(monkeypatch):
+    # theta(1) has no split with s, t >= 1, so its sigma and kappa_star rows
+    # are empty, and neither is solved nor evaluated
+    module = importlib.import_module("spectra_theta.theta")
+    rows = module._ibeta_rows
+    stacks = []
+    monkeypatch.setattr(module, "_ibeta_rows",
+                        lambda *triples: stacks.append(triples) or rows(*triples))
+    assert theta(1).theta == 1.0
+    assert stacks == []
+
+
 @pytest.mark.parametrize("d", [61, 2001])
 def test_split_scan_lanes_equal_kappa_star(d):
     # theta's row scan and the one-lane kappa_star give the same bits, on a
