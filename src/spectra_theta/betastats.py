@@ -26,7 +26,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_int
 from .rootfind import newton_rows
 from .specfun import _ibeta_inv_row, _ibeta_row, reg_inc_beta
 
@@ -206,8 +206,8 @@ def _phi_hat_rows(s: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def binom_tail(p: float, s: int, d: int) -> float:
     """P(S >= s) for S ~ Bin(d, p), via I_p(s, d-s+1)."""
-    if d < 1 or not (0 <= s <= d):
-        raise DomainError(f"binom_tail requires 0 <= s <= d with d >= 1, got s={s}, d={d}")
+    s = _require_int("s", s, 0)
+    d = _require_int("d", d, max(s, 1))
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"binom_tail requires p in [0, 1], got {p}")
     if s == 0:
@@ -224,6 +224,7 @@ def binom_tail(p: float, s: int, d: int) -> float:
 def simmons_sweep(d_max: int = 400) -> list[dict]:
     """Check e_{s/2,t/2} <= s/d and (s'+1)/(d'+2) <= e over all integer
     splits d/2 <= s < d for d <= d_max (s' = s/2, d' = d/2)."""
+    d_max = _require_int("d_max", d_max, 2)
     splits = [(s, d - s) for d in range(2, d_max + 1) for s in range((d + 1) // 2, d)]
     shapes = [BetaShape(s / 2.0, t / 2.0) for s, t in splits]
     violations = []
@@ -238,7 +239,7 @@ def simmons_sweep(d_max: int = 400) -> list[dict]:
 
 def _triangle(first: float, s_max: float, step: float) -> list[tuple[float, float]]:
     """The shapes (s, t) with first <= t <= s <= s_max on the grid first + k step."""
-    _check_step(step)
+    _check_grid(s_max, step)
     shapes = []
     for i in range(int(round((s_max - first) / step)) + 1):
         s = first + i * step
@@ -249,7 +250,10 @@ def _triangle(first: float, s_max: float, step: float) -> list[tuple[float, floa
     return shapes
 
 
-def _check_step(step: float) -> None:
+def _check_grid(bound: float, step: float) -> None:
+    # a sweep to NaN checks nothing, and one to infinity never ends
+    if not math.isfinite(bound):
+        raise DomainError(f"sweep bound must be finite, got {bound}")
     if not (math.isfinite(step) and step > 0.0):
         raise DomainError(f"grid step must be finite and positive, got {step}")
 
@@ -341,7 +345,7 @@ def bounds_sweeps(shapes: list[tuple[float, float]], lower_s_max: float,
 
 def phi_hat_monotone_sweep(d_max: float = 100.0, step: float = 0.25) -> list[dict]:
     """One-step monotonicity of Phi_hat on the real grid d/2 <= s < d-1."""
-    _check_step(step)
+    _check_grid(d_max, step)
     grid = []  # (s, d) and (s + 1, d), interleaved
     d = 2.0 + step
     while d <= d_max + 1e-9:
@@ -366,6 +370,7 @@ def phi_monotone_sweep(d_max: float = 100.0) -> list[dict]:
     half-steps along the grid while d stays, and half-integers are exact in
     float.
     """
+    _check_grid(d_max, 0.5)
     grid = []
     d = 2.5
     while d <= d_max + 1e-9:

@@ -24,10 +24,9 @@ import numpy as np
 
 from . import betastats, dilation, sphere_oracle
 from .betastats import BetaShape
-from .errors import DomainError, NumericError, ResourceError
+from .errors import DomainError, NumericError, ResourceError, _require_int
+from .sphere_oracle import DEFAULT_SEED
 from .theta import SignDiag, alpha_beta, kappa_star, theta
-
-DEFAULT_SEED = 0xC0FFEE
 
 MEDIAN_TABLE_SHAPES = [(2.5, 1.0), (3.0, 1.0), (3.0, 2.0), (4.0, 2.0), (10.0, 3.0), (10.0, 7.0)]
 
@@ -85,8 +84,11 @@ def _emit(rows: list[dict], config: RunConfig) -> None:
             body.append("  {" + fields + "}")
         text = "[\n" + ",\n".join(body) + "\n]\n"
     if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {config.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -236,9 +238,8 @@ def _verify_dilation(config: RunConfig) -> int:
             continue
         xs = _spin_ball_pairs([draws[k] for k in lanes])
         T, v, scale = dilation._spin2_stack(xs)
-        dilation._check_dilations(T, v, scale)
+        residuals["commutator"][lanes] = dilation._check_dilations(T, v, scale)
         t1, t2 = T[:, 0], T[:, 1]
-        residuals["commutator"][lanes] = np.max(np.abs(t1 @ t2 - t2 @ t1), axis=(1, 2))
         residuals["circle"][lanes] = np.max(np.abs(t1 @ t1 + t2 @ t2 - np.eye(2 * n)), axis=(1, 2))
         residuals["reconstruction"][lanes] = dilation._reconstruction_residuals(T, v, scale, xs)
         stack = dilation._blockdiag_stack(xs)
@@ -350,10 +351,8 @@ def main(argv: list[str] | None = None) -> int:
         default_d_max, least_d_max = _VERIFY_DMAX.get(config.which, (100, 1))
         if config.d_max is None:
             config.d_max = default_d_max
-        if config.d_max < least_d_max:
-            raise DomainError(f"--d-max must be at least {least_d_max}, got {config.d_max}")
-        if config.samples < 1:
-            raise DomainError(f"--samples must be at least 1, got {config.samples}")
+        _require_int("--d-max", config.d_max, least_d_max)
+        _require_int("--samples", config.samples, 1)
         if not (math.isfinite(config.grid_step) and config.grid_step > 0):
             raise DomainError(f"--grid-step must be finite and positive, got {config.grid_step}")
         return _COMMANDS[config.command](config)

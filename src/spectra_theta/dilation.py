@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ResourceError
+from .errors import DomainError, NumericError, ResourceError, _require_int
 from .pencil import SymTuple, _kron_sum
 from .sphere_oracle import DEFAULT_SEED, _generator, _require_symmetric, _require_tol
 
@@ -47,9 +47,7 @@ def spin_matrices(g: int) -> SpinSystem:
     entries are in {-1, 0, 1} and the anticommutation relations hold in
     exact integer arithmetic.
     """
-    if g < 2:
-        raise DomainError(f"spin_matrices requires g >= 2, got {g}")
-    if g > SPIN_CONSTRUCTION_CAP:
+    if (g := _require_int("g", g, 2)) > SPIN_CONSTRUCTION_CAP:
         raise ResourceError(f"spin_matrices capped at g <= {SPIN_CONSTRUCTION_CAP}, got {g}")
     mats = []
     for j in range(1, g + 1):
@@ -75,9 +73,7 @@ def spin_tensor_norm(g: int) -> float:
     vec(I); so vec(I) has eigenvalue g, and the triangle inequality bounds
     the norm by g.  Raises NumericError if a check fails.
     """
-    if g < 2:
-        raise DomainError(f"spin_tensor_norm requires g >= 2, got {g}")
-    if g > SPIN_NORM_CAP:
+    if (g := _require_int("g", g, 2)) > SPIN_NORM_CAP:
         raise ResourceError(f"spin_tensor_norm capped at g <= {SPIN_NORM_CAP}, got {g}")
     mats = [p.astype(np.int64) for p in spin_matrices(g).mats]
     for j, p in enumerate(mats):
@@ -148,10 +144,7 @@ def ball_membership(
     if ball == "spin":
         return bool(_in_spin_ball(_lanes(X), tol)[0])
     if ball == "min_sampled":
-        if samples is None:
-            samples = 2048
-        if samples < 1:
-            raise DomainError(f"samples must be at least 1, got {samples}")
+        samples = _require_int("samples", 2048 if samples is None else samples, 1)
         return _min_ball_sampled(X, tol, samples, seed)
     raise DomainError(f"unknown ball {ball!r}; expected oh, spin, or min_sampled")
 
@@ -207,19 +200,21 @@ class DilationResult:
         return float(_reconstruction_residuals(_lanes(self.T), self.V, self.scale, _lanes(X))[0])
 
 
-def _check_dilations(T: np.ndarray, V: np.ndarray, scale: float) -> None:
-    """DilationResult's checks on an (m, g, N, N) stack of dilation tuples
-    that share the isometry V and the scale, lane by lane."""
+def _check_dilations(T: np.ndarray, V: np.ndarray, scale: float) -> np.ndarray:
+    """DilationResult's checks on an (m, g, N, N) stack of dilation tuples that
+    share V and the scale, lane by lane; returns each lane's largest commutator entry."""
     if np.abs(V.T @ V - np.eye(V.shape[1])).max() > 1e-12:
         raise DomainError("V is not an isometry within 1e-12")
     if scale <= 0.0:
         raise DomainError(f"scale must be positive, got {scale}")
     g = T.shape[1]
+    worst = np.zeros(len(T))
     for j in range(g):
         for k in range(j + 1, g):
-            comm = T[:, j] @ T[:, k] - T[:, k] @ T[:, j]
-            _refuse(np.abs(comm).max(axis=(1, 2)) > 1e-10,
-                    f"dilation tuple does not commute: blocks {j}, {k}")
+            comm = np.abs(T[:, j] @ T[:, k] - T[:, k] @ T[:, j]).max(axis=(1, 2))
+            _refuse(comm > 1e-10, f"dilation tuple does not commute: blocks {j}, {k}")
+            worst = np.maximum(worst, comm)
+    return worst
 
 
 def _compressions(T: np.ndarray, V: np.ndarray, scale: float) -> np.ndarray:
@@ -331,9 +326,7 @@ def oh_to_spin_choi(g: int) -> np.ndarray:
     block vanishes, so the matrix is positive semidefinite (and singular);
     the diagonal blocks sum to the identity, which is unitality.
     """
-    if g < 2:
-        raise DomainError(f"oh_to_spin_choi requires g >= 2, got {g}")
-    if g > CHOI_CAP:
+    if (g := _require_int("g", g, 2)) > CHOI_CAP:
         raise ResourceError(f"oh_to_spin_choi capped at g <= {CHOI_CAP}, got {g}")
     mats = spin_matrices(g).float_mats()
     m = mats[0].shape[0]

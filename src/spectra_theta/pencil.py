@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ResourceError
+from .errors import DomainError, NumericError, ResourceError, _require_int
 from .sphere_oracle import DEFAULT_SEED, _generator, _require_symmetric, _require_tol
 from .theta import SignDiag, kappa_star, theta
 
@@ -88,8 +88,8 @@ def evaluate(L: MonicPencil, X: SymTuple) -> np.ndarray:
 def evaluate_scalar(L: MonicPencil, x) -> np.ndarray:
     """L(x) for a scalar point x in R^g."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (L.g,):
-        raise DomainError(f"expected a point in R^{L.g}, got shape {x.shape}")
+    if x.shape != (L.g,) or not np.isfinite(x).all():
+        raise DomainError(f"expected a finite point in R^{L.g}, got {x}")
     out = np.eye(L.nu)
     for a, xj in zip(L.coeffs, x):
         out -= a * xj
@@ -115,8 +115,7 @@ def in_free_spectrahedron(L: MonicPencil, X: SymTuple, tol: float = MEMBERSHIP_T
 def cube_pencil(g: int) -> MonicPencil:
     """The pencil of size 2g whose spectrahedron is the cube [-1, 1]^g:
     C_j = diag(1, -1) (x) E_j."""
-    if g < 1:
-        raise DomainError(f"cube_pencil requires g >= 1, got {g}")
+    g = _require_int("g", g, 1)
     coeffs = []
     for j in range(g):
         e = np.zeros((g, g))
@@ -127,8 +126,7 @@ def cube_pencil(g: int) -> MonicPencil:
 
 def haar_orthogonal(d: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """A Haar-distributed d x d orthogonal matrix (Gram-Schmidt of a Gaussian one)."""
-    if d < 1:
-        raise DomainError(f"haar_orthogonal requires d >= 1, got {d}")
+    d = _require_int("d", d, 1)
     return _haar_gram_schmidt(_generator(seed).standard_normal((1, d, d)))[0]
 
 
@@ -157,6 +155,7 @@ def _haar_gram_schmidt(z: np.ndarray) -> np.ndarray:
 def random_contraction_tuple(g: int, n: int, rng: np.random.Generator) -> SymTuple:
     """A g-tuple of random symmetric contractions Q^T D Q with D uniform
     diagonal in [-1, 1]; covers the extreme points in closure."""
+    g, n = _require_int("g", g, 1), _require_int("n", n, 1)
     return SymTuple(tuple(_contraction_stack(g, n, 1, rng)[0]))
 
 
@@ -237,8 +236,7 @@ def cube_relaxation_test(
     One spectrum per trial suffices: with S = sum B_j (x) X_j, the bottom
     eigenvalue of L_B(X / theta) = I - S / theta is 1 - lambda_max(S) / theta.
     """
-    if d < 1 or trials < 1:
-        raise DomainError(f"need d >= 1 and trials >= 1, got d={d}, trials={trials}")
+    d, trials = _require_int("d", d, 1), _require_int("trials", trials, 1)
     _require_tol(tol)
     if not verify_cube_inclusion(B):
         raise DomainError("[-1,1]^g is not contained in the pencil's spectrahedron")
@@ -352,10 +350,8 @@ def sharpness_witness(
 
     Returns the pencil, the norm-one tuple, and the achieved lambda_max.
     """
-    if d < 2:
-        raise DomainError(f"sharpness_witness requires d >= 2, got {d}")
-    if cells < 1 or samples_per_cell < 1:
-        raise DomainError("cells and samples_per_cell must be >= 1")
+    d, cells = _require_int("d", d, 2), _require_int("cells", cells, 1)
+    samples_per_cell = _require_int("samples_per_cell", samples_per_cell, 1)
     report = theta(d)
     s, t = report.minimizer_s, report.minimizer_t
     ks, a_opt, b_opt = kappa_star(s, t)
@@ -402,11 +398,11 @@ def _mats_to_json(nu: int, mats: tuple[np.ndarray, ...]) -> str:
     )
 
 
-def _mats_from_json(text: str) -> tuple[int, list[np.ndarray]]:
+def _mats_from_json(text: str) -> list[np.ndarray]:
     try:
         doc = json.loads(text)
-        nu = int(doc["nu"])
-        g = int(doc["g"])
+        nu = _require_int("nu", doc["nu"], 1)
+        g = _require_int("g", doc["g"], 1)
         coeffs = doc["coeffs"]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed pencil/tuple JSON: {exc}") from exc
@@ -418,7 +414,7 @@ def _mats_from_json(text: str) -> tuple[int, list[np.ndarray]]:
         if arr.size != nu * nu:
             raise DomainError(f"coefficient block has {arr.size} entries, expected {nu * nu}")
         mats.append(arr.reshape(nu, nu))
-    return nu, mats
+    return mats
 
 
 def pencil_to_json(L: MonicPencil) -> str:
@@ -426,8 +422,7 @@ def pencil_to_json(L: MonicPencil) -> str:
 
 
 def pencil_from_json(text: str) -> MonicPencil:
-    _, mats = _mats_from_json(text)
-    return MonicPencil(tuple(mats))
+    return MonicPencil(tuple(_mats_from_json(text)))
 
 
 def symtuple_to_json(X: SymTuple) -> str:
@@ -435,5 +430,4 @@ def symtuple_to_json(X: SymTuple) -> str:
 
 
 def symtuple_from_json(text: str) -> SymTuple:
-    _, mats = _mats_from_json(text)
-    return SymTuple(tuple(mats))
+    return SymTuple(tuple(_mats_from_json(text)))

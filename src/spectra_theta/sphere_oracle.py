@@ -29,7 +29,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_int
 from .theta import SignDiag
 
 DEFAULT_SEED = 0xC0FFEE
@@ -63,6 +63,8 @@ class McMatrixEstimate:
 
 
 def _generator(seed: int) -> np.random.Generator:
+    if (seed := _require_int("seed", seed, 0)) >> 128:
+        raise DomainError(f"seed must be below 2**128, got {seed}")
     return np.random.Generator(np.random.Philox(key=seed))
 
 
@@ -197,10 +199,10 @@ class SignMoment(_ScalarSum):
 
     def __init__(self, J: SignDiag, coord: int) -> None:
         self.d = J.d
-        if not (1 <= coord <= self.d):
+        self.k = _require_int("coord", coord, 1) - 1
+        if self.k >= self.d:
             raise DomainError(f"coord must lie in 1..{self.d}, got {coord}")
         self.diag = np.array(J.diagonal())
-        self.k = coord - 1
 
     def add(self, raw: np.ndarray, sq: np.ndarray, r2: np.ndarray, scratch: _Scratch) -> None:
         q, v = scratch.vec[:, : len(raw)]
@@ -215,8 +217,7 @@ class SignOuter:
     (see ``e_j_matrix``)."""
 
     def __init__(self, J: SignDiag, pad_zeros: int = 0) -> None:
-        if pad_zeros < 0:
-            raise DomainError(f"pad_zeros must be nonnegative, got {pad_zeros}")
+        pad_zeros = _require_int("pad_zeros", pad_zeros, 0)
         self.d = J.d + pad_zeros
         self.diag = np.array(J.diagonal() + [0.0] * pad_zeros)
 
@@ -251,8 +252,7 @@ def joint_estimates(requests, n: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
     n * d per estimate.
     """
     requests = list(requests)
-    if n < 1:
-        raise DomainError(f"need n >= 1 samples, got {n}")
+    n = _require_int("n", n, 1)
     if not requests:
         return []
     distinct = list({id(r): r for r in requests}.values())  # a repeated request sums once

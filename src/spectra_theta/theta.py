@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, _require_int
 from .rootfind import newton_rows
 from .specfun import _ibeta_rows, ln_gamma, reg_inc_beta
 
@@ -53,10 +53,8 @@ class SignDiag:
     b: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.s, int) and self.s >= 1):
-            raise DomainError(f"s must be a positive integer, got {self.s}")
-        if not (isinstance(self.t, int) and self.t >= 0):
-            raise DomainError(f"t must be a nonnegative integer, got {self.t}")
+        object.__setattr__(self, "s", _require_int("s", self.s, 1))
+        object.__setattr__(self, "t", _require_int("t", self.t, 0))
         if not (self.a >= 0.0 and self.b >= 0.0 and self.a + self.b > 0.0):
             raise DomainError(f"need a, b >= 0 with a + b > 0, got ({self.a}, {self.b})")
         if not math.isfinite(self.s * self.a + self.t * self.b):
@@ -120,8 +118,8 @@ def sigma_st(s: int, t: int) -> float:
     s >= t >= 1).  A bracket without a sign change signals an upstream bug
     and raises NumericError.
     """
-    if not (isinstance(s, int) and isinstance(t, int) and s >= t >= 1):
-        raise DomainError(f"sigma_st requires integers s >= t >= 1, got ({s}, {t})")
+    t = _require_int("t", t, 1)
+    s = _require_int("s", s, t)
     if s == t:
         return 0.5
     return float(_sigma_rows(np.array([s]), np.array([t]))[0])
@@ -156,8 +154,7 @@ def f_g_h(s: int, t: int, p: float) -> tuple[float, float, float]:
     side of it.  h collapses to the closed form
     Gamma(s/2+t/2+1) / (Gamma(s/2+1) Gamma(t/2+1)) p^(s/2) (1-p)^(t/2).
     """
-    if not (isinstance(s, int) and isinstance(t, int) and s >= 1 and t >= 1):
-        raise DomainError(f"f_g_h requires integers s, t >= 1, got ({s}, {t})")
+    s, t = _require_int("s", s, 1), _require_int("t", t, 1)
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"f_g_h requires p in [0, 1], got {p}")
     (i_left, _), (i_right, _) = _ibeta_rows(*_profile_triples(s, t, p))
@@ -200,8 +197,7 @@ def kappa_star(s: int, t: int) -> tuple[float, float, float]:
 
     Disagreement beyond 1e-9 raises NumericError.
     """
-    if not (isinstance(s, int) and isinstance(t, int) and s >= 1 and t >= 1):
-        raise DomainError(f"kappa_star requires integers s, t >= 1, got ({s}, {t})")
+    s, t = _require_int("s", s, 1), _require_int("t", t, 1)
     sigma = sigma_st(s, t) if s >= t else 1.0 - sigma_st(t, s)
     ks, a_opt, b_opt = _kappa_rows(np.array([s]), np.array([t]), np.array([sigma]))
     return float(ks[0]), float(a_opt[0]), float(b_opt[0])
@@ -257,7 +253,7 @@ class ThetaReport:
 
 def theta_even_closed_form(d: int) -> float:
     """Gamma-quotient closed form of 1/theta(d) for even d."""
-    if d % 2 != 0 or d < 2:
+    if (d := _require_int("d", d, 2)) % 2:
         raise DomainError(f"even d required, got {d}")
     return math.exp(ln_gamma(0.5 + d / 4.0) - ln_gamma(1.0 + d / 4.0)) / math.sqrt(math.pi)
 
@@ -270,7 +266,7 @@ def theta_odd_bounds(d: int) -> tuple[float, float, float]:
     theta_plus is the reciprocal of the two-term incomplete-beta expression
     evaluated at (d+-1)/(2d).
     """
-    if d < 3 or d % 2 == 0:
+    if (d := _require_int("d", d, 3)) % 2 == 0:
         raise DomainError(f"theta_odd_bounds requires odd d >= 3, got {d}")
     theta_pp = math.sqrt(math.pi / 2.0) * math.exp(ln_gamma((d + 3) / 2.0) - ln_gamma(d / 2.0 + 1.0))
     prefactor = math.exp(
@@ -308,8 +304,7 @@ def theta(d: int) -> ThetaReport:
     required to agree to 1e-12, and the scan minimum must match the closed
     form to 1e-8; a mismatch raises NumericError.
     """
-    if not (isinstance(d, int) and d >= 1):
-        raise DomainError(f"theta requires a positive integer d, got {d!r}")
+    d = _require_int("d", d, 1)
     # the last split, (d, 0), is the identity pattern: the integrand is constant
     rows = [np.append(row, last) for row, last in zip(_split_scan(d), (d, 0, 1.0, 1.0, 0.0))]
     i = int(np.argmin(rows[2]))  # the first minimum: ties go to the smaller s

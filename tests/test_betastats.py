@@ -311,3 +311,13 @@ def test_sweeps_refuse_a_step_that_is_not_finite_and_positive(step):
     for sweep in (equipoint_lower_sweep, simmons_conjecture_sweep, phi_hat_monotone_sweep):
         with pytest.raises(DomainError):
             sweep(10.0, step)
+
+
+def test_sweeps_refuse_a_bound_that_is_not_finite():
+    from spectra_theta.betastats import equipoint_lower_sweep, simmons_conjecture_sweep
+
+    for sweep in (phi_monotone_sweep, phi_hat_monotone_sweep, equipoint_lower_sweep,
+                  simmons_conjecture_sweep):
+        for bound in (math.nan, -math.inf):
+            with pytest.raises(DomainError):
+                sweep(bound)

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import inspect
 import json
 import pathlib
 
@@ -197,3 +198,26 @@ def test_verify_bounds_solves_each_median_once(monkeypatch, capsys):
     # the random shapes, and the union of the two equipoint triangles
     # (t <= s <= 20 on the half-integer grid from 1 and from 0.5)
     assert equipoint == [drawn[0] + 820]
+
+
+def test_an_unwritable_out_path_exits_3(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "table.csv", tmp_path):
+        assert main(["theta-table", "--d-max", "2", "--out", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot write --out {path}: ")
+
+
+def test_the_cli_keeps_no_seed_of_its_own():
+    cli = importlib.import_module("spectra_theta.cli")
+    assert cli.DEFAULT_SEED is importlib.import_module("spectra_theta.sphere_oracle").DEFAULT_SEED
+    assert "0xC0FFEE" not in inspect.getsource(cli)
+
+
+def test_verify_dilation_takes_each_commutator_from_the_dilation_check(monkeypatch, capsys):
+    # a commutator residual just under its bound, as the check reports it,
+    # must become the worst residual that the command prints
+    dilation = importlib.import_module("spectra_theta.dilation")
+    check = dilation._check_dilations
+    monkeypatch.setattr(dilation, "_check_dilations", lambda *stack: check(*stack) + 9e-10)
+    assert main(["verify", "dilation", "--samples", "20"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith(
+        "verify dilation: worst instance residual 9e-10 of bound 1e-09 (commutator, instance ")

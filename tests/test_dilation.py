@@ -378,3 +378,16 @@ def test_spin2_dilation_keeps_its_recorded_bytes():
     T = spin2_dilation(X).T.mats
     assert hashlib.sha256(b"".join(t.tobytes() for t in T)).hexdigest() == (
         "91d9b31595813512d80c6478d9defa0acd64245928e978306c031acf17eb4d43")
+
+
+def test_the_dilation_check_returns_each_lanes_worst_commutator():
+    rng = _generator(11)
+    pairs = np.stack([np.stack(random_spin_ball_pair(rng, 3).mats) for _ in range(4)])
+    T, v, scale = _spin2_stack(pairs)
+    t1, t2 = T[:, 0], T[:, 1]
+    assert np.array_equal(dilation._check_dilations(T, v, scale),
+                          np.abs(t1 @ t2 - t2 @ t1).max(axis=(1, 2)))
+    # blockdiag blocks commute exactly; a g = 1 tuple has no pair to commute
+    assert not dilation._check_dilations(*dilation._blockdiag_stack(pairs)).any()
+    one = pairs[:, :1]
+    assert np.array_equal(dilation._check_dilations(one, np.eye(3), 1.0), np.zeros(4))

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -519,3 +520,13 @@ def test_the_matrix_layer_does_each_thing_one_way():
         "sphere_oracle.py"]
     assert sources["sphere_oracle.py"].count("np.random.Philox(") == 1
     assert "np.random.Philox(" in inspect.getsource(sphere_oracle._generator)
+
+
+def test_a_scalar_point_must_be_finite():
+    L = cube_pencil(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in ([math.nan, 0.0], [0.0, math.inf], [-math.inf, 0.5]):
+            with pytest.raises(DomainError):
+                evaluate_scalar(L, x)
+    assert np.array_equal(evaluate_scalar(L, [0.5, -1.0]), np.diag([0.5, 2.0, 1.5, 0.0]))
