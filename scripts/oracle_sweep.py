@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from spectra_theta.sphere_oracle import AbsQuadratic, joint_estimates
+from spectra_theta.sphere_oracle import DEFAULT_SEED, AbsQuadratic, joint_estimates
 from spectra_theta.theta import SignDiag, kappa_star
 
 
@@ -18,7 +18,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--d-max", type=int, default=6)
     parser.add_argument("--samples", type=int, default=200_000)
-    parser.add_argument("--seed", type=lambda v: int(v, 0), default=0xC0FFEE)
+    parser.add_argument("--seed", type=lambda v: int(v, 0), default=DEFAULT_SEED)
     args = parser.parse_args()
 
     print("s,t,kappa_closed,kappa_mc,std_err,z")

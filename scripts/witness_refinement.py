@@ -13,6 +13,7 @@ import argparse
 import time
 
 from spectra_theta.pencil import sharpness_witness
+from spectra_theta.sphere_oracle import DEFAULT_SEED
 from spectra_theta.theta import theta
 
 
@@ -21,7 +22,7 @@ def main() -> None:
     parser.add_argument("--d", type=int, default=2)
     parser.add_argument("--cells", type=int, nargs="*", default=[1, 4, 16, 64, 256])
     parser.add_argument("--samples-per-cell", type=int, default=5000)
-    parser.add_argument("--seed", type=lambda v: int(v, 0), default=0xC0FFEE)
+    parser.add_argument("--seed", type=lambda v: int(v, 0), default=DEFAULT_SEED)
     args = parser.parse_args()
 
     th = theta(args.d).theta

@@ -237,25 +237,30 @@ def simmons_sweep(d_max: int = 400) -> list[dict]:
     return violations
 
 
-def _triangle(first: float, s_max: float, step: float) -> list[tuple[float, float]]:
-    """The shapes (s, t) with first <= t <= s <= s_max on the grid first + k step."""
-    _check_grid(s_max, step)
-    shapes = []
-    for i in range(int(round((s_max - first) / step)) + 1):
-        s = first + i * step
-        j = 0
-        while (t := first + j * step) <= s:
-            shapes.append((s, t))
-            j += 1
-    return shapes
-
-
-def _check_grid(bound: float, step: float) -> None:
-    # a sweep to NaN checks nothing, and one to infinity never ends
-    if not math.isfinite(bound):
-        raise DomainError(f"sweep bound must be finite, got {bound}")
+def _grid(first: float, last: float, step: float) -> np.ndarray:
+    """The sweep-grid axis first + k step, k = 0, 1, ..., up to ``last``
+    (within 1e-9 of a step).  Refused with DomainError when ``last`` is not
+    finite (a sweep to NaN checks nothing, one to infinity never ends), when
+    ``step`` is not finite and positive or so small that the number of
+    steps overflows, and when the axis is empty: a sweep over an empty grid
+    checks nothing."""
+    if not math.isfinite(last):
+        raise DomainError(f"sweep bound must be finite, got {last}")
     if not (math.isfinite(step) and step > 0.0):
         raise DomainError(f"grid step must be finite and positive, got {step}")
+    steps = (last - first) / step
+    if math.isinf(steps):
+        raise DomainError(f"grid step {step} is too small for the sweep bound {last}")
+    count = math.floor(steps + 1e-9) + 1
+    if count < 1:
+        raise DomainError(f"the sweep grid {first} + k {step} has no point up to {last}")
+    return first + step * np.arange(count)
+
+
+def _triangle(first: float, s_max: float, step: float) -> list[tuple[float, float]]:
+    """The shapes (s, t) with t <= s on the grid ``_grid(first, s_max, step)``."""
+    axis = _grid(first, s_max, step).tolist()
+    return [(s, t) for i, s in enumerate(axis) for t in axis[: i + 1]]
 
 
 def _solve_once(rows, *groups) -> list[list[float]]:
@@ -345,15 +350,12 @@ def bounds_sweeps(shapes: list[tuple[float, float]], lower_s_max: float,
 
 def phi_hat_monotone_sweep(d_max: float = 100.0, step: float = 0.25) -> list[dict]:
     """One-step monotonicity of Phi_hat on the real grid d/2 <= s < d-1."""
-    _check_grid(d_max, step)
     grid = []  # (s, d) and (s + 1, d), interleaved
-    d = 2.0 + step
-    while d <= d_max + 1e-9:
-        s = d / 2.0
-        while s < d - 1.0 - 1e-9:
+    for i, d in enumerate(_grid(2.0 + step, d_max, step).tolist()):
+        # d = 2 + (i + 1) step: s = d/2 + j step is below d - 1 for j <= i // 2
+        for j in range(i // 2 + 1):
+            s = d / 2.0 + j * step
             grid += [(s, d), (s + 1.0, d)]
-            s += step
-        d += step
     phis = _phi_hat_rows(*np.array(grid, dtype=float).reshape(-1, 2).T).tolist()
     violations = []
     for (s, d), ph0, ph1 in zip(grid[::2], phis[::2], phis[1::2]):
@@ -370,13 +372,10 @@ def phi_monotone_sweep(d_max: float = 100.0) -> list[dict]:
     half-steps along the grid while d stays, and half-integers are exact in
     float.
     """
-    _check_grid(d_max, 0.5)
     grid = []
-    d = 2.5
-    while d <= d_max + 1e-9:
+    for d in _grid(2.5, d_max, 0.5).tolist():
         # half-integers from the smallest one >= d/2 up to d - 1/2
         grid += [(s / 2.0, d) for s in range(math.ceil(d), int(2.0 * d))]
-        d += 0.5
     phis = _phi_rows(*np.array(grid, dtype=float).reshape(-1, 2).T).tolist()
     violations = []
     for (s, d), (_, d1), p0, p1 in zip(grid, grid[2:], phis, phis[2:]):

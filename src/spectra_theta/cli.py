@@ -5,7 +5,13 @@ Commands
 * ``theta-table``      one row per d with theta(d) and the odd-d bounds
 * ``median-table``     the six-row median bound comparison table
 * ``equipoint-table``  equipoints of the integer shapes (s, 10 - s)
-* ``verify WHICH``     invariant sweeps; exits nonzero on any violation
+* ``verify SWEEP``     invariant sweeps; exits nonzero on any violation
+
+Each command, and each ``verify`` sweep (simmons, monotone, bounds, oracle,
+dilation), is its own subcommand that declares only the flags it reads,
+with their defaults, so any other flag is a usage error.  A ``--d-max`` or
+``--grid-step`` that leaves a sweep nothing to check is refused by the
+sweep itself, in ``betastats``.
 
 CSV output prints 6 significant digits (matching the published tables);
 JSON carries full double precision (17 significant digits).  Identical
@@ -16,9 +22,8 @@ JSON carries full double precision (17 significant digits).  Identical
 from __future__ import annotations
 
 import argparse
-import math
+import functools
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,18 +34,6 @@ from .sphere_oracle import DEFAULT_SEED
 from .theta import SignDiag, alpha_beta, kappa_star, theta
 
 MEDIAN_TABLE_SHAPES = [(2.5, 1.0), (3.0, 1.0), (3.0, 2.0), (4.0, 2.0), (10.0, 3.0), (10.0, 7.0)]
-
-
-@dataclass
-class RunConfig:
-    command: str
-    d_max: int | None = 20
-    seed: int = DEFAULT_SEED
-    samples: int = 1_000_000
-    fmt: str = "csv"
-    out: str | None = None
-    grid_step: float = 0.5
-    which: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +61,10 @@ def _fmt_json_value(v) -> str:
     return '"' + str(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _emit(rows: list[dict], config: RunConfig) -> None:
+def _emit(rows: list[dict], args: argparse.Namespace) -> None:
     if not rows:
         text = ""
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         header = list(rows[0].keys())
         lines = [",".join(header)]
         for row in rows:
@@ -83,12 +76,12 @@ def _emit(rows: list[dict], config: RunConfig) -> None:
             fields = ", ".join(f'"{k}": {_fmt_json_value(v)}' for k, v in row.items())
             body.append("  {" + fields + "}")
         text = "[\n" + ",\n".join(body) + "\n]\n"
-    if config.out:
+    if args.out:
         try:
-            with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise DomainError(f"cannot write --out {config.out}: {exc.strerror}") from exc
+            raise DomainError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -98,9 +91,9 @@ def _emit(rows: list[dict], config: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_theta_table(config: RunConfig) -> int:
+def cmd_theta_table(args: argparse.Namespace) -> int:
     rows = []
-    for report in map(theta, range(1, config.d_max + 1)):
+    for report in map(theta, range(1, _require_int("--d-max", args.d_max, 1) + 1)):
         if report.bounds_odd is None:
             t_minus = t_plus = t_pp = None
         else:
@@ -114,11 +107,11 @@ def cmd_theta_table(config: RunConfig) -> int:
                 "theta_plusplus": t_pp,
             }
         )
-    _emit(rows, config)
+    _emit(rows, args)
     return 0
 
 
-def cmd_median_table(config: RunConfig) -> int:
+def cmd_median_table(args: argparse.Namespace) -> int:
     rows = []
     shapes = [BetaShape(s, t) for s, t in MEDIAN_TABLE_SHAPES]
     for (s, t), shape, m in zip(MEDIAN_TABLE_SHAPES, shapes, betastats.medians(shapes)):
@@ -134,14 +127,14 @@ def cmd_median_table(config: RunConfig) -> int:
                 "upper_old": betastats.median_old_upper_bound(shape),
             }
         )
-    _emit(rows, config)
+    _emit(rows, args)
     return 0
 
 
-def cmd_equipoint_table(config: RunConfig) -> int:
+def cmd_equipoint_table(args: argparse.Namespace) -> int:
     shapes = [BetaShape(float(s), float(10 - s)) for s in range(1, 11)]
     rows = [{"s": s, "equipoint": e} for s, e in zip(range(1, 11), betastats.equipoints(shapes))]
-    _emit(rows, config)
+    _emit(rows, args)
     return 0
 
 
@@ -161,18 +154,18 @@ def _report_violations(name: str, violations: list[dict]) -> int:
     return 2
 
 
-def _verify_simmons(config: RunConfig) -> int:
-    return _report_violations("simmons", betastats.simmons_sweep(config.d_max))
+def _verify_simmons(args: argparse.Namespace) -> int:
+    return _report_violations("simmons", betastats.simmons_sweep(args.d_max))
 
 
-def _verify_monotone(config: RunConfig) -> int:
-    violations = betastats.phi_hat_monotone_sweep(float(config.d_max), config.grid_step)
-    violations += betastats.phi_monotone_sweep(float(config.d_max))
+def _verify_monotone(args: argparse.Namespace) -> int:
+    violations = betastats.phi_hat_monotone_sweep(float(args.d_max), args.grid_step)
+    violations += betastats.phi_monotone_sweep(float(args.d_max))
     return _report_violations("monotone", violations)
 
 
-def _verify_bounds(config: RunConfig) -> int:
-    rng = sphere_oracle._generator(config.seed)
+def _verify_bounds(args: argparse.Namespace) -> int:
+    rng = sphere_oracle._generator(args.seed)
     shapes = []
     for _ in range(2000):
         t = 1.0 + 19.0 * rng.random()
@@ -180,24 +173,25 @@ def _verify_bounds(config: RunConfig) -> int:
         if s + t >= 3.0:
             shapes.append((s, t))
     violations, findings = betastats.bounds_sweeps(
-        shapes, min(100.0, config.d_max), min(30.0, config.d_max), config.grid_step
+        shapes, min(100.0, args.d_max), min(30.0, args.d_max), args.grid_step
     )
     # conjectured real-parameter upper bound: reported, never asserted
     for finding in findings:
         print(f"  NOTE (conjecture, not asserted): {finding}")
-    for d in range(3, min(config.d_max, 199) + 1, 2):
+    for d in range(3, min(args.d_max, 199) + 1, 2):
         theta(d)  # raises NumericError when theta(d) escapes its odd-d bounds
     return _report_violations("bounds", violations)
 
 
-def _verify_oracle(config: RunConfig) -> int:
+def _verify_oracle(args: argparse.Namespace) -> int:
+    samples = _require_int("--samples", args.samples, 1)
     shapes = [(1, 1), (2, 1), (2, 2), (3, 2), (4, 4)]
     stars = {st: kappa_star(*st) for st in shapes}
     J = {st: SignDiag(*st, *stars[st][1:]) for st in shapes}
     requests = [sphere_oracle.AbsQuadratic(np.diag(J[st].diagonal())) for st in shapes]
     requests += [sphere_oracle.SignMoment(J[2, 1], 1), sphere_oracle.SignMoment(J[2, 1], 3),
                  sphere_oracle.SignOuter(J[2, 2])]
-    *estimates, ej = sphere_oracle.joint_estimates(requests, config.samples, config.seed)
+    *estimates, ej = sphere_oracle.joint_estimates(requests, samples, args.seed)
     alpha, beta = alpha_beta(J[2, 1])
     checks = [({"check": "kappa_mc", "s": s, "t": t}, stars[s, t][0]) for s, t in shapes]
     checks += [({"check": "moment_mc", "coord": 1}, alpha),
@@ -224,10 +218,11 @@ def _verify_oracle(config: RunConfig) -> int:
     return rc
 
 
-def _verify_dilation(config: RunConfig) -> int:
-    rng = sphere_oracle._generator(config.seed)
+def _verify_dilation(args: argparse.Namespace) -> int:
+    samples = _require_int("--samples", args.samples, 1)
+    rng = sphere_oracle._generator(args.seed)
     draws = []
-    for _ in range(min(config.samples, 1000)):
+    for _ in range(min(samples, 1000)):
         n = int(rng.integers(1, 5))
         draws.append((rng.standard_normal((n, n)), rng.standard_normal((n, n)), rng.random()))
     bounds = {"commutator": 1e-9, "circle": 1e-9, "reconstruction": 1e-9, "blockdiag": 1e-12}
@@ -284,27 +279,6 @@ def _spin_ball_pairs(draws: list) -> np.ndarray:
     return scale[:, None, None, None] * np.stack([x1, x2], axis=1)
 
 
-_VERIFIERS = {
-    "simmons": _verify_simmons,
-    "monotone": _verify_monotone,
-    "bounds": _verify_bounds,
-    "oracle": _verify_oracle,
-    "dilation": _verify_dilation,
-}
-
-# --d-max of the sweeps that read it: (default, smallest value whose sweep
-# checks anything; the Simmons sweep starts at d = 2, Phi's at d = 2.5)
-_VERIFY_DMAX = {
-    "simmons": (400, 2),
-    "monotone": (100, 3),
-    "bounds": (99, 1),
-}
-
-
-def cmd_verify(config: RunConfig) -> int:
-    return _VERIFIERS[config.which](config)
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -315,47 +289,50 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first call: every command, and every verify
+    sweep, declares the flags it reads with their defaults and the function
+    that runs it (``run``)."""
     parser = _Parser(prog="spectra-theta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(p):
+    def add_output(p, run):
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None)
+        p.set_defaults(run=run)
 
     theta_table = sub.add_parser("theta-table")
     theta_table.add_argument("--d-max", type=int, default=20)
-    add_output(theta_table)
-    add_output(sub.add_parser("median-table"))
-    add_output(sub.add_parser("equipoint-table"))
-    verify = sub.add_parser("verify")
-    verify.add_argument("which", choices=sorted(_VERIFIERS))
-    verify.add_argument("--d-max", type=int, default=None)
-    verify.add_argument("--seed", type=lambda v: int(v, 0), default=DEFAULT_SEED)
-    verify.add_argument("--samples", type=int, default=1_000_000)
-    verify.add_argument("--grid-step", type=float, default=0.5)
+    add_output(theta_table, cmd_theta_table)
+    add_output(sub.add_parser("median-table"), cmd_median_table)
+    add_output(sub.add_parser("equipoint-table"), cmd_equipoint_table)
+
+    def d_max(default):
+        return {"--d-max": {"type": int, "default": default}}
+
+    seed = {"--seed": {"type": lambda v: int(v, 0), "default": DEFAULT_SEED}}
+    samples = {"--samples": {"type": int, "default": 1_000_000}}
+    grid_step = {"--grid-step": {"type": float, "default": 0.5}}
+    sweeps = sub.add_parser("verify").add_subparsers(dest="sweep", required=True)
+    for name, run, flags in (
+        ("simmons", _verify_simmons, d_max(400)),
+        ("monotone", _verify_monotone, d_max(100) | grid_step),
+        ("bounds", _verify_bounds, d_max(99) | seed | grid_step),
+        ("oracle", _verify_oracle, seed | samples),
+        ("dilation", _verify_dilation, seed | samples),
+    ):
+        sweep = sweeps.add_parser(name)
+        for flag, spec in flags.items():
+            sweep.add_argument(flag, **spec)
+        sweep.set_defaults(run=run)
     return parser
-
-
-_COMMANDS = {
-    "theta-table": cmd_theta_table,
-    "median-table": cmd_median_table,
-    "equipoint-table": cmd_equipoint_table,
-    "verify": cmd_verify,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        config = RunConfig(**vars(_build_parser().parse_args(argv)))
-        default_d_max, least_d_max = _VERIFY_DMAX.get(config.which, (100, 1))
-        if config.d_max is None:
-            config.d_max = default_d_max
-        _require_int("--d-max", config.d_max, least_d_max)
-        _require_int("--samples", config.samples, 1)
-        if not (math.isfinite(config.grid_step) and config.grid_step > 0):
-            raise DomainError(f"--grid-step must be finite and positive, got {config.grid_step}")
-        return _COMMANDS[config.command](config)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except (DomainError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -202,17 +202,18 @@ class DilationResult:
 
 def _check_dilations(T: np.ndarray, V: np.ndarray, scale: float) -> np.ndarray:
     """DilationResult's checks on an (m, g, N, N) stack of dilation tuples that
-    share V and the scale, lane by lane; returns each lane's largest commutator entry."""
-    if np.abs(V.T @ V - np.eye(V.shape[1])).max() > 1e-12:
+    share V and the scale, lane by lane; returns each lane's largest commutator entry.
+    Each test is written so that NaN fails it."""
+    if not np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-12:
         raise DomainError("V is not an isometry within 1e-12")
-    if scale <= 0.0:
-        raise DomainError(f"scale must be positive, got {scale}")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise DomainError(f"scale must be finite and positive, got {scale}")
     g = T.shape[1]
     worst = np.zeros(len(T))
     for j in range(g):
         for k in range(j + 1, g):
             comm = np.abs(T[:, j] @ T[:, k] - T[:, k] @ T[:, j]).max(axis=(1, 2))
-            _refuse(comm > 1e-10, f"dilation tuple does not commute: blocks {j}, {k}")
+            _refuse(~(comm <= 1e-10), f"dilation tuple does not commute: blocks {j}, {k}")
             worst = np.maximum(worst, comm)
     return worst
 

@@ -321,3 +321,80 @@ def test_sweeps_refuse_a_bound_that_is_not_finite():
         for bound in (math.nan, -math.inf):
             with pytest.raises(DomainError):
                 sweep(bound)
+
+
+def _grid_pin(rows) -> tuple[int, str]:
+    """The lane count of (s, d) or (s, t) rows and the first 16 hex digits
+    of the SHA-256 of their float64 bytes, in sweep order."""
+    import hashlib
+
+    rows = np.ascontiguousarray(np.asarray(rows, dtype=np.float64).reshape(-1, 2))
+    return len(rows), hashlib.sha256(rows.tobytes()).hexdigest()[:16]
+
+
+def _swept_rows(monkeypatch, kernel, sweep, *args):
+    """The (s, d) rows that ``sweep(*args)`` passes to ``kernel``, in order."""
+    import importlib
+
+    betastats = importlib.import_module("spectra_theta.betastats")
+    seen = []
+    monkeypatch.setattr(betastats, kernel,
+                        lambda s, d: seen.append(np.stack([s, d], axis=1)) or np.zeros(len(s)))
+    sweep(*args)
+    return np.concatenate(seen)
+
+
+@pytest.mark.parametrize("kernel, sweep, args, pin", [
+    ("_phi_hat_rows", phi_hat_monotone_sweep, (100.0, 0.25), (77224, "47f47f441fdcb5c1")),
+    ("_phi_hat_rows", phi_hat_monotone_sweep, (24.0, 0.5), (1012, "232604b4a690b7ad")),
+    ("_phi_rows", phi_monotone_sweep, (100.0,), (9996, "620ce1b3df8c6057")),
+    ("_phi_rows", phi_monotone_sweep, (24.0,), (572, "e35b52f59f54a635")),
+])
+def test_monotone_sweep_grids_keep_their_bits(monkeypatch, kernel, sweep, args, pin):
+    # recorded from the grids built by float-accumulating loops, which are
+    # exact on these dyadic steps
+    assert _grid_pin(_swept_rows(monkeypatch, kernel, sweep, *args)) == pin
+
+
+@pytest.mark.parametrize("args, pin", [
+    ((1.0, 100.0, 0.5), (19900, "b31fbb232d0f001c")),
+    ((0.5, 30.0, 0.5), (1830, "6902f540b56d177e")),
+    ((1.0, 20.0, 0.5), (780, "2c31f8f18e14e800")),
+    ((0.5, 20.0, 0.5), (820, "b4cfb0bb940b714d")),
+])
+def test_triangle_grids_keep_their_bits(args, pin):
+    from spectra_theta.betastats import _triangle
+
+    assert _grid_pin(_triangle(*args)) == pin
+
+
+def test_a_sweep_whose_grid_is_empty_is_refused():
+    # each bound lies below its sweep's first grid point, so the sweep
+    # would check nothing
+    from spectra_theta.betastats import equipoint_lower_sweep, simmons_conjecture_sweep
+
+    for sweep, bound in ((phi_monotone_sweep, 2.0), (phi_hat_monotone_sweep, 2.0),
+                         (equipoint_lower_sweep, 0.5), (simmons_conjecture_sweep, 0.4)):
+        with pytest.raises(DomainError, match="has no point up to"):
+            sweep(bound)
+
+
+def test_a_step_whose_count_overflows_is_refused():
+    from spectra_theta.betastats import equipoint_lower_sweep, simmons_conjecture_sweep
+
+    for sweep in (equipoint_lower_sweep, simmons_conjecture_sweep, phi_hat_monotone_sweep):
+        with pytest.raises(DomainError, match="too small"):
+            sweep(100.0, 1e-310)
+
+
+def test_a_triangle_sweep_checks_no_shape_above_its_bound(monkeypatch):
+    import importlib
+
+    betastats = importlib.import_module("spectra_theta.betastats")
+    solve, largest = betastats._equipoint_rows, []
+    monkeypatch.setattr(betastats, "_equipoint_rows",
+                        lambda s, t: largest.append(s.max()) or solve(s, t))
+    betastats.equipoint_lower_sweep(20.0, 0.4)
+    betastats.simmons_conjecture_sweep(30.0, 0.4)
+    # the last grid points below each bound: 1 + 47 * 0.4 and 0.5 + 73 * 0.4
+    assert largest == [pytest.approx(19.8), pytest.approx(29.7)]

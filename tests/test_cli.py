@@ -221,3 +221,41 @@ def test_verify_dilation_takes_each_commutator_from_the_dilation_check(monkeypat
     assert main(["verify", "dilation", "--samples", "20"]) == 0
     assert capsys.readouterr().out.splitlines()[1].startswith(
         "verify dilation: worst instance residual 9e-10 of bound 1e-09 (commutator, instance ")
+
+
+# each verify sweep with a cheap value of every flag it reads
+READ_FLAGS = {
+    "simmons": ["--d-max", "6"],
+    "monotone": ["--d-max", "4", "--grid-step", "0.25"],
+    "bounds": ["--d-max", "3", "--seed", "5", "--grid-step", "0.5"],
+    "oracle": ["--seed", "5", "--samples", "2000"],
+    "dilation": ["--seed", "5", "--samples", "20"],
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(READ_FLAGS))
+def test_each_sweep_accepts_the_flags_it_reads(sweep, capsys):
+    assert main(["verify", sweep, *READ_FLAGS[sweep]]) == 0
+    assert capsys.readouterr().out.startswith(f"verify {sweep}: OK (0 violations)\n")
+
+
+@pytest.mark.parametrize("sweep, flag", [
+    ("simmons", ["--seed", "5"]),
+    ("simmons", ["--samples", "9"]),
+    ("simmons", ["--grid-step", "0.1"]),
+    ("monotone", ["--seed", "5"]),
+    ("monotone", ["--samples", "9"]),
+    ("bounds", ["--samples", "9"]),
+    ("oracle", ["--d-max", "6"]),
+    ("oracle", ["--grid-step", "0.5"]),
+    ("dilation", ["--d-max", "6"]),
+    ("dilation", ["--grid-step", "0.5"]),
+])
+def test_each_sweep_refuses_a_flag_it_does_not_read(sweep, flag, capsys):
+    assert main(["verify", sweep, *READ_FLAGS[sweep], *flag]) == 3
+    assert capsys.readouterr().err == f"error: unrecognized arguments: {' '.join(flag)}\n"
+
+
+def test_the_parser_is_built_once():
+    cli = importlib.import_module("spectra_theta.cli")
+    assert cli._build_parser() is cli._build_parser()

@@ -391,3 +391,20 @@ def test_the_dilation_check_returns_each_lanes_worst_commutator():
     assert not dilation._check_dilations(*dilation._blockdiag_stack(pairs)).any()
     one = pairs[:, :1]
     assert np.array_equal(dilation._check_dilations(one, np.eye(3), 1.0), np.zeros(4))
+
+
+@pytest.mark.parametrize("V, scale", [
+    (np.full((2, 1), np.nan), 1.0),
+    (np.array([[1.0], [0.0]]), math.nan),
+    (np.array([[1.0], [0.0]]), math.inf),
+])
+def test_a_dilation_with_nan_or_infinite_parts_is_refused(V, scale):
+    with pytest.raises(DomainError):
+        DilationResult(T=SymTuple((np.eye(2),)), V=V, scale=scale)
+
+
+def test_a_nan_stack_entry_fails_the_commutator_check():
+    T = np.zeros((3, 2, 2, 2))
+    T[1, 0, 0, 1] = math.nan
+    with pytest.raises(DomainError, match="lane 1: dilation tuple does not commute"):
+        dilation._check_dilations(T, np.eye(2), 1.0)

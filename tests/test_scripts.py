@@ -50,3 +50,10 @@ def test_oracle_sweep_matches_per_split_estimates():
             z = (est.value - ks) / est.std_err if est.std_err else 0.0
             expected.append(f"{s},{t},{ks:.8f},{est.value:.8f},{est.std_err:.2e},{z:+.2f}")
     assert lines[1:] == expected
+
+
+def test_the_scripts_keep_no_seed_of_their_own():
+    # their default seed is sphere_oracle.DEFAULT_SEED, as the command line's is
+    for name in ("oracle_sweep.py", "witness_refinement.py"):
+        text = (ROOT / "scripts" / name).read_text()
+        assert "0xc0ffee" not in text.lower() and "DEFAULT_SEED" in text, name
