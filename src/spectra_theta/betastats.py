@@ -26,7 +26,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DomainError, _require_int
+from .errors import DomainError, _require_int, _require_real
 from .rootfind import newton_rows
 from .specfun import _ibeta_inv_row, _ibeta_row, reg_inc_beta
 
@@ -40,10 +40,8 @@ class BetaShape:
     t_frak: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.s_frak) and self.s_frak > 0.0):
-            raise DomainError(f"s_frak must be finite and > 0, got {self.s_frak}")
-        if not (math.isfinite(self.t_frak) and self.t_frak >= 0.0):
-            raise DomainError(f"t_frak must be finite and >= 0, got {self.t_frak}")
+        object.__setattr__(self, "s_frak", _require_real("s_frak", self.s_frak, 0.0, above=True))
+        object.__setattr__(self, "t_frak", _require_real("t_frak", self.t_frak, 0.0))
 
     @property
     def d_frak(self) -> float:
@@ -51,8 +49,6 @@ class BetaShape:
 
     @property
     def mean(self) -> float:
-        if self.d_frak == 0.0:
-            raise DomainError("mean undefined for zero total shape")
         return self.s_frak / self.d_frak
 
 
@@ -179,17 +175,17 @@ def phi_functions(s_frak: float, d_frak: float) -> tuple[float, float]:
 
 def phi(s_frak: float, d_frak: float) -> float:
     """Just the equipoint-evaluated cumulative Phi(s) of phi_functions."""
-    if not (0.0 < s_frak < d_frak < math.inf):
-        raise DomainError(f"phi requires 0 < s < d with d finite, got s={s_frak}, d={d_frak}")
-    return _phi_rows(np.array([s_frak]), np.array([d_frak])).tolist()[0]
+    s = _require_real("s_frak", s_frak, 0.0, above=True)
+    d = _require_real("d_frak", d_frak, s, above=True)
+    return _phi_rows(np.array([s]), np.array([d])).tolist()[0]
 
 
 def phi_hat(s_frak: float, d_frak: float) -> float:
     """Just the mean-evaluated cumulative Phi_hat(s) of phi_functions,
     skipping the equipoint solve."""
-    if not (0.0 < s_frak < d_frak < math.inf):
-        raise DomainError(f"phi_hat requires 0 < s < d with d finite, got s={s_frak}, d={d_frak}")
-    return _phi_hat_rows(np.array([s_frak]), np.array([d_frak])).tolist()[0]
+    s = _require_real("s_frak", s_frak, 0.0, above=True)
+    d = _require_real("d_frak", d_frak, s, above=True)
+    return _phi_hat_rows(np.array([s]), np.array([d])).tolist()[0]
 
 
 def _phi_rows(s: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -208,8 +204,7 @@ def binom_tail(p: float, s: int, d: int) -> float:
     """P(S >= s) for S ~ Bin(d, p), via I_p(s, d-s+1)."""
     s = _require_int("s", s, 0)
     d = _require_int("d", d, max(s, 1))
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"binom_tail requires p in [0, 1], got {p}")
+    p = _require_real("p", p, 0.0, 1.0)
     if s == 0:
         return 1.0
     return reg_inc_beta(float(s), float(d - s + 1), p)
@@ -244,10 +239,8 @@ def _grid(first: float, last: float, step: float) -> np.ndarray:
     ``step`` is not finite and positive or so small that the number of
     steps overflows, and when the axis is empty: a sweep over an empty grid
     checks nothing."""
-    if not math.isfinite(last):
-        raise DomainError(f"sweep bound must be finite, got {last}")
-    if not (math.isfinite(step) and step > 0.0):
-        raise DomainError(f"grid step must be finite and positive, got {step}")
+    last = _require_real("sweep bound", last)
+    step = _require_real("grid step", step, 0.0, above=True)
     steps = (last - first) / step
     if math.isinf(steps):
         raise DomainError(f"grid step {step} is too small for the sweep bound {last}")
@@ -283,10 +276,10 @@ def _bounds_checks(median_shapes: list[tuple[float, float]],
     distinct median is solved once, in one inverse row, and every distinct
     equipoint once, in one equipoint row."""
     bounds = [median_bounds(BetaShape(s, t)) for s, t in median_shapes]
-    kept = [(s, t) for s, t in ordering_shapes if 0.0 < t <= s]
+    # checked before the 0 < t <= s filter, which would drop a NaN shape unseen
+    shapes = [(_require_real("s", s), _require_real("t", t)) for s, t in ordering_shapes]
+    kept = [(s, t) for s, t in shapes if 0.0 < t <= s]
     pairs = np.array(kept, dtype=float).reshape(-1, 2)
-    if not np.isfinite(pairs).all():
-        raise DomainError("ordering_sweep requires finite shapes")
     ms, m_pairs, m_ups = _solve_once(
         lambda s, t: _ibeta_inv_row(0.5, s, t), median_shapes, pairs, pairs + 1.0
     )
@@ -351,6 +344,7 @@ def bounds_sweeps(shapes: list[tuple[float, float]], lower_s_max: float,
 def phi_hat_monotone_sweep(d_max: float = 100.0, step: float = 0.25) -> list[dict]:
     """One-step monotonicity of Phi_hat on the real grid d/2 <= s < d-1."""
     grid = []  # (s, d) and (s + 1, d), interleaved
+    step = _require_real("grid step", step, 0.0, above=True)  # checked before 2 + step uses it
     for i, d in enumerate(_grid(2.0 + step, d_max, step).tolist()):
         # d = 2 + (i + 1) step: s = d/2 + j step is below d - 1 for j <= i // 2
         for j in range(i // 2 + 1):

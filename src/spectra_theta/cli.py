@@ -159,8 +159,8 @@ def _verify_simmons(args: argparse.Namespace) -> int:
 
 
 def _verify_monotone(args: argparse.Namespace) -> int:
-    violations = betastats.phi_hat_monotone_sweep(float(args.d_max), args.grid_step)
-    violations += betastats.phi_monotone_sweep(float(args.d_max))
+    violations = betastats.phi_hat_monotone_sweep(args.d_max, args.grid_step)
+    violations += betastats.phi_monotone_sweep(args.d_max)
     return _report_violations("monotone", violations)
 
 
@@ -219,10 +219,9 @@ def _verify_oracle(args: argparse.Namespace) -> int:
 
 
 def _verify_dilation(args: argparse.Namespace) -> int:
-    samples = _require_int("--samples", args.samples, 1)
     rng = sphere_oracle._generator(args.seed)
     draws = []
-    for _ in range(min(samples, 1000)):
+    for _ in range(_require_int("--samples", args.samples, 1)):
         n = int(rng.integers(1, 5))
         draws.append((rng.standard_normal((n, n)), rng.standard_normal((n, n)), rng.random()))
     bounds = {"commutator": 1e-9, "circle": 1e-9, "reconstruction": 1e-9, "blockdiag": 1e-12}
@@ -308,19 +307,18 @@ def _build_parser() -> _Parser:
     add_output(sub.add_parser("median-table"), cmd_median_table)
     add_output(sub.add_parser("equipoint-table"), cmd_equipoint_table)
 
-    def d_max(default):
-        return {"--d-max": {"type": int, "default": default}}
+    def count(flag, default):
+        return {flag: {"type": int, "default": default}}
 
     seed = {"--seed": {"type": lambda v: int(v, 0), "default": DEFAULT_SEED}}
-    samples = {"--samples": {"type": int, "default": 1_000_000}}
     grid_step = {"--grid-step": {"type": float, "default": 0.5}}
     sweeps = sub.add_parser("verify").add_subparsers(dest="sweep", required=True)
     for name, run, flags in (
-        ("simmons", _verify_simmons, d_max(400)),
-        ("monotone", _verify_monotone, d_max(100) | grid_step),
-        ("bounds", _verify_bounds, d_max(99) | seed | grid_step),
-        ("oracle", _verify_oracle, seed | samples),
-        ("dilation", _verify_dilation, seed | samples),
+        ("simmons", _verify_simmons, count("--d-max", 400)),
+        ("monotone", _verify_monotone, count("--d-max", 100) | grid_step),
+        ("bounds", _verify_bounds, count("--d-max", 99) | seed | grid_step),
+        ("oracle", _verify_oracle, seed | count("--samples", sphere_oracle.DEFAULT_SAMPLES)),
+        ("dilation", _verify_dilation, seed | count("--samples", 1000)),
     ):
         sweep = sweeps.add_parser(name)
         for flag, spec in flags.items():

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ResourceError, _require_int
+from .errors import DomainError, NumericError, ResourceError, _require_int, _require_real
 from .pencil import SymTuple, _kron_sum
-from .sphere_oracle import DEFAULT_SEED, _generator, _require_symmetric, _require_tol
+from .sphere_oracle import DEFAULT_SEED, _generator, _require_symmetric
 
 SPIN_CONSTRUCTION_CAP = 14  # matrices of size 2^13; int8 storage keeps this ~1 GB
 SPIN_NORM_CAP = 8  # exact checks on matrices of size 2^(g-1): every g up to here in < 0.1 s
@@ -135,7 +135,7 @@ def ball_membership(
 
     g = 1 degenerates for all three balls to the operator-norm ball.
     """
-    _require_tol(tol)
+    tol = _require_real("tol", tol, 0.0)
     if ball == "oh":
         total = np.zeros((X.n, X.n))
         for m in X.mats:
@@ -206,8 +206,7 @@ def _check_dilations(T: np.ndarray, V: np.ndarray, scale: float) -> np.ndarray:
     Each test is written so that NaN fails it."""
     if not np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-12:
         raise DomainError("V is not an isometry within 1e-12")
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise DomainError(f"scale must be finite and positive, got {scale}")
+    _require_real("scale", scale, 0.0, above=True)
     g = T.shape[1]
     worst = np.zeros(len(T))
     for j in range(g):
@@ -345,7 +344,7 @@ def oh_to_spin_choi(g: int) -> np.ndarray:
 def spin2_extreme(X: SymTuple, tol: float = 1e-10) -> bool:
     """Extreme-point predicate for the two-variable spin ball: X must
     commute and Lambda(X) = [[X1, X2], [X2, -X1]] must square to I."""
-    _require_tol(tol)
+    tol = _require_real("tol", tol, 0.0)
     if X.g != 2:
         raise DomainError(f"spin2_extreme requires a 2-tuple, got g={X.g}")
     x1, x2 = X.mats

@@ -6,6 +6,8 @@ that fail to converge or internal cross-checks that disagree (NumericError),
 and requests whose memory/size cost exceeds a hard cap (ResourceError).
 """
 
+import math
+import numbers
 import operator
 
 
@@ -35,3 +37,24 @@ def _require_int(name: str, value, least: int) -> int:
     except TypeError:  # not an integer, or an array of more than one
         pass
     raise DomainError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def _require_real(name: str, value, least: float = -math.inf, most: float = math.inf, *,
+                  above: bool = False) -> float:
+    """``value`` as a float, refused with DomainError unless it is a Python or
+    numpy real number (never a bool), finite and in [least, most], or in
+    (least, most] when ``above`` is set: the package's one check of a real
+    argument.  A string, an array or an int past the float range is refused."""
+    x = value
+    if type(x) is not float:  # the fast path: a float is taken as it is
+        try:
+            x = float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+        except OverflowError:  # an int past the float range
+            x = math.nan
+    if (least < x if above else least <= x) and x <= most and math.isfinite(x):
+        return x
+    where = "positive" if above else "nonnegative"
+    if (least, most) != (0.0, math.inf):
+        where = ("real" if -least == most == math.inf
+                 else f"in {'(' if above else '['}{least:g}, {most:g}]")
+    raise DomainError(f"{name} must be finite and {where}, got {value!r}")

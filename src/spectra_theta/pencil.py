@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ResourceError, _require_int
-from .sphere_oracle import DEFAULT_SEED, _generator, _require_symmetric, _require_tol
+from .errors import DomainError, NumericError, ResourceError, _require_int, _require_real
+from .sphere_oracle import DEFAULT_SEED, _generator, _require_symmetric
 from .theta import SignDiag, kappa_star, theta
 
 MEMBERSHIP_TOL = 1e-9
@@ -109,7 +109,7 @@ def min_eigenvalue(M: np.ndarray) -> float:
 
 def in_free_spectrahedron(L: MonicPencil, X: SymTuple, tol: float = MEMBERSHIP_TOL) -> bool:
     """Whether L(X) is positive semidefinite up to -tol on the bottom eigenvalue."""
-    return min_eigenvalue(evaluate(L, X)) >= -_require_tol(tol)
+    return min_eigenvalue(evaluate(L, X)) >= -_require_real("tol", tol, 0.0)
 
 
 def cube_pencil(g: int) -> MonicPencil:
@@ -182,7 +182,7 @@ def verify_cube_inclusion(B: MonicPencil, tol: float = 1e-10) -> bool:
     rather than falling back to sampling, which would silently weaken the
     precondition of the relaxation test.
     """
-    _require_tol(tol)
+    tol = _require_real("tol", tol, 0.0)
     if B.g > CUBE_VERTEX_CAP:
         raise ResourceError(f"vertex enumeration capped at g <= {CUBE_VERTEX_CAP}, got g={B.g}")
     vertex = np.empty(B.g)
@@ -237,7 +237,7 @@ def cube_relaxation_test(
     eigenvalue of L_B(X / theta) = I - S / theta is 1 - lambda_max(S) / theta.
     """
     d, trials = _require_int("d", d, 1), _require_int("trials", trials, 1)
-    _require_tol(tol)
+    tol = _require_real("tol", tol, 0.0)
     if not verify_cube_inclusion(B):
         raise DomainError("[-1,1]^g is not contained in the pencil's spectrahedron")
     th = theta(B.nu).theta

@@ -29,7 +29,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DomainError, _require_int
+from .errors import DomainError, _require_int, _require_real
 from .theta import SignDiag
 
 DEFAULT_SEED = 0xC0FFEE
@@ -49,7 +49,8 @@ class McEstimate:
     seed: int
 
     def agrees_with(self, reference: float, n_sigma: float = 3.0) -> bool:
-        return abs(self.value - reference) <= n_sigma * self.std_err
+        reference = _require_real("reference", reference)
+        return abs(self.value - reference) <= _require_real("n_sigma", n_sigma, 0.0) * self.std_err
 
 
 @dataclass(frozen=True)
@@ -81,13 +82,6 @@ def _require_symmetric(B: np.ndarray) -> np.ndarray:
     if np.max(np.abs(B - B.T)) > SYMMETRY_TOL:
         raise DomainError(f"matrix is not symmetric within {SYMMETRY_TOL:g}")
     return B
-
-
-def _require_tol(tol: float) -> float:
-    """tol, refused unless finite and >= 0 (NaN or inf disables its check)."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise DomainError(f"tol must be finite and nonnegative, got {tol}")
-    return tol
 
 
 def _stream_batches(dims, n: int, seed: int):

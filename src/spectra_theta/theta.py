@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, _require_int
+from .errors import DomainError, NumericError, _require_int, _require_real
 from .rootfind import newton_rows
 from .specfun import _ibeta_rows, ln_gamma, reg_inc_beta
 
@@ -55,17 +55,17 @@ class SignDiag:
     def __post_init__(self) -> None:
         object.__setattr__(self, "s", _require_int("s", self.s, 1))
         object.__setattr__(self, "t", _require_int("t", self.t, 0))
-        if not (self.a >= 0.0 and self.b >= 0.0 and self.a + self.b > 0.0):
-            raise DomainError(f"need a, b >= 0 with a + b > 0, got ({self.a}, {self.b})")
-        if not math.isfinite(self.s * self.a + self.t * self.b):
-            raise DomainError(f"need finite a, b and trace s a + t b, got ({self.a}, {self.b})")
+        object.__setattr__(self, "a", _require_real("a", self.a, 0.0))
+        object.__setattr__(self, "b", _require_real("b", self.b, 0.0))
+        if not (self.a + self.b > 0.0 and math.isfinite(self.s * self.a + self.t * self.b)):
+            raise DomainError(f"need a + b > 0 and a finite s a + t b, got ({self.a}, {self.b})")
 
     @property
     def d(self) -> int:
         return self.s + self.t
 
     def is_trace_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.s * self.a + self.t * self.b - self.d) <= tol
+        return abs(self.s * self.a + self.t * self.b - self.d) <= _require_real("tol", tol, 0.0)
 
     def diagonal(self) -> list[float]:
         return [self.a] * self.s + [-self.b] * self.t
@@ -155,8 +155,7 @@ def f_g_h(s: int, t: int, p: float) -> tuple[float, float, float]:
     Gamma(s/2+t/2+1) / (Gamma(s/2+1) Gamma(t/2+1)) p^(s/2) (1-p)^(t/2).
     """
     s, t = _require_int("s", s, 1), _require_int("t", t, 1)
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"f_g_h requires p in [0, 1], got {p}")
+    p = _require_real("p", p, 0.0, 1.0)
     (i_left, _), (i_right, _) = _ibeta_rows(*_profile_triples(s, t, p))
     g = 2.0 * (s * i_left + t * i_right) / (s + t) - 1.0
     h = i_left + i_right - 1.0
@@ -178,7 +177,8 @@ def _f_value(s, t, p, i_left, i_right):
 
 def h_closed_form(s: int, t: int, p: float) -> float:
     """Gamma-form of h_{s,t}(p); see f_g_h."""
-    if p <= 0.0 or p >= 1.0:
+    s, t = _require_int("s", s, 1), _require_int("t", t, 1)
+    if (p := _require_real("p", p, 0.0, 1.0)) in (0.0, 1.0):
         return 0.0
     ln_c = ln_gamma(s / 2.0 + t / 2.0 + 1.0) - ln_gamma(s / 2.0 + 1.0) - ln_gamma(t / 2.0 + 1.0)
     return math.exp(ln_c + (s / 2.0) * math.log(p) + (t / 2.0) * math.log1p(-p))

@@ -259,3 +259,29 @@ def test_each_sweep_refuses_a_flag_it_does_not_read(sweep, flag, capsys):
 def test_the_parser_is_built_once():
     cli = importlib.import_module("spectra_theta.cli")
     assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("sweep, digest", [
+    ("simmons", "5b9401038baa66be73894cca7c5d14113d7378693addf61476ffb1fda2502bae"),
+    ("monotone", "f3706841afeb9d45790639db768b8dca12ae33f3839eee9068c263edda90a3b9"),
+    ("bounds", "3a4a2808a034d654f54bc5310f798db1d573467a54be9417506d6fd983e42e11"),
+    ("oracle", "0c089137e10b52753bfaf78a894742bbff113110ddd8eaaf1aefd832f793631f"),
+])
+def test_verify_keeps_its_stdout_at_the_default_flags(sweep, digest, capsys):
+    # recorded before the real arguments of the package shared one check
+    assert main(["verify", sweep]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_verify_dilation_checks_every_instance_it_is_asked_for(monkeypatch, capsys):
+    cli = importlib.import_module("spectra_theta.cli")
+    dilation = importlib.import_module("spectra_theta.dilation")
+    stack, lanes = dilation._spin2_stack, []
+    monkeypatch.setattr(dilation, "_spin2_stack", lambda xs: lanes.append(len(xs)) or stack(xs))
+    assert main(["verify", "dilation", "--samples", "1200"]) == 0
+    assert sum(lanes) == 1200
+    capsys.readouterr()
+    sphere_oracle = importlib.import_module("spectra_theta.sphere_oracle")
+    defaults = {sweep: cli._build_parser().parse_args(["verify", sweep]).samples
+                for sweep in ("oracle", "dilation")}
+    assert defaults == {"oracle": sphere_oracle.DEFAULT_SAMPLES, "dilation": 1000}
