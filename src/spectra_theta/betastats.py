@@ -68,14 +68,19 @@ def _equipoint_residual(s, t, x) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * value + correction - 1.0, (s + t) * pdf * ((1.0 - x) / t + x / s)
 
 
+def _equipoint_band(s, t):
+    """The equipoint band ((s+1)/(s+t+2), s/(s+t)) on floats or rows; see ``equipoint_bounds``."""
+    return (s + 1.0) / (s + t + 2.0), s / (s + t)
+
+
 def _equipoint_rows(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The equipoint of every lane (s, t) with t > 0, one Newton row."""
-    d = s + t
+    lower, upper = _equipoint_band(s, t)
     return newton_rows(
         lambda x, lanes: _equipoint_residual(s[lanes], t[lanes], x),
         0.0,
         1.0,
-        x0=0.5 * ((s + 1.0) / (d + 2.0) + s / d),
+        x0=0.5 * (lower + upper),
         xtol=0.0,
         rtol=4e-16,
     )
@@ -160,7 +165,7 @@ def equipoint_bounds(shape: BetaShape) -> tuple[float, float]:
     s, t = shape.s_frak, shape.t_frak
     if not (0.0 < t <= s):
         raise DomainError(f"equipoint_bounds requires 0 < t <= s, got ({s}, {t})")
-    return (s + 1.0) / (s + t + 2.0), s / (s + t)
+    return _equipoint_band(s, t)
 
 
 def phi_functions(s_frak: float, d_frak: float) -> tuple[float, float]:
@@ -221,10 +226,10 @@ def simmons_sweep(d_max: int = 400) -> list[dict]:
     splits d/2 <= s < d for d <= d_max (s' = s/2, d' = d/2)."""
     d_max = _require_int("d_max", d_max, 2)
     splits = [(s, d - s) for d in range(2, d_max + 1) for s in range((d + 1) // 2, d)]
-    shapes = [BetaShape(s / 2.0, t / 2.0) for s, t in splits]
+    sh, th = np.array(splits, dtype=float).T / 2.0
+    rows = (_equipoint_rows(sh, th), *_equipoint_band(sh, th))
     violations = []
-    for (s, t), shape, e in zip(splits, shapes, equipoints(shapes)):
-        lower, upper = equipoint_bounds(shape)
+    for (s, t), e, lower, upper in zip(splits, *(row.tolist() for row in rows)):
         if e > upper + 1e-12:
             violations.append({"check": "simmons_upper", "s": s, "t": t, "e": e, "bound": upper})
         if e < lower - 1e-12:
@@ -297,12 +302,12 @@ def _bounds_checks(median_shapes: list[tuple[float, float]],
         if t < s and m_up > e + 1e-12:
             violations.append({"check": "m_up_le_e", "s": s, "t": t, "e": e, "m_up": m_up})
     for (s, t), e in zip(lower_shapes, e_lower):
-        lower = (s + 1.0) / (s + t + 2.0)
+        lower, _ = _equipoint_band(s, t)
         if e < lower - 1e-12:
             violations.append({"check": "equipoint_lower", "s": s, "t": t, "e": e, "bound": lower})
     findings = []
     for (s, t), e in zip(conjecture_shapes, e_conjecture):
-        upper = s / (s + t)
+        _, upper = _equipoint_band(s, t)
         if e > upper + 1e-12:
             findings.append({"check": "simmons_conjecture", "s": s, "t": t, "e": e, "bound": upper})
     return violations, findings

@@ -191,6 +191,7 @@ class DilationResult:
             raise DomainError(f"V must map into the dilation space, got shape {v.shape}")
         _check_dilations(_lanes(self.T), v, self.scale)
         object.__setattr__(self, "V", v)
+        object.__setattr__(self, "scale", float(self.scale))  # the float that the check accepted
 
     def compression(self) -> tuple[np.ndarray, ...]:
         """The compressed tuple (1/scale) V^T T_j V, which should equal X."""

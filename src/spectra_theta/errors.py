@@ -9,6 +9,7 @@ and requests whose memory/size cost exceeds a hard cap (ResourceError).
 import math
 import numbers
 import operator
+import reprlib
 
 
 class SpectraThetaError(Exception):
@@ -36,7 +37,7 @@ def _require_int(name: str, value, least: int) -> int:
             return operator.index(value)
     except TypeError:  # not an integer, or an array of more than one
         pass
-    raise DomainError(f"{name} must be an integer of at least {least}, got {value!r}")
+    raise DomainError(f"{name} must be an integer of at least {least}, got {reprlib.repr(value)}")
 
 
 def _require_real(name: str, value, least: float = -math.inf, most: float = math.inf, *,
@@ -44,7 +45,8 @@ def _require_real(name: str, value, least: float = -math.inf, most: float = math
     """``value`` as a float, refused with DomainError unless it is a Python or
     numpy real number (never a bool), finite and in [least, most], or in
     (least, most] when ``above`` is set: the package's one check of a real
-    argument.  A string, an array or an int past the float range is refused."""
+    argument.  A string, an array or an int past the float range is refused.
+    A refusal prints at most about 40 characters of the value (``reprlib``)."""
     x = value
     if type(x) is not float:  # the fast path: a float is taken as it is
         try:
@@ -57,4 +59,4 @@ def _require_real(name: str, value, least: float = -math.inf, most: float = math
     if (least, most) != (0.0, math.inf):
         where = ("real" if -least == most == math.inf
                  else f"in {'(' if above else '['}{least:g}, {most:g}]")
-    raise DomainError(f"{name} must be finite and {where}, got {value!r}")
+    raise DomainError(f"{name} must be finite and {where}, got {reprlib.repr(value)}")

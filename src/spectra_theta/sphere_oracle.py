@@ -24,6 +24,7 @@ count); another BLAS kernel may move their last bits.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -65,7 +66,7 @@ class McMatrixEstimate:
 
 def _generator(seed: int) -> np.random.Generator:
     if (seed := _require_int("seed", seed, 0)) >> 128:
-        raise DomainError(f"seed must be below 2**128, got {seed}")
+        raise DomainError(f"seed must be below 2**128, got {reprlib.repr(seed)}")
     return np.random.Generator(np.random.Philox(key=seed))
 
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .betastats import _equipoint_band
 from .errors import DomainError, NumericError, _require_int, _require_real
 from .rootfind import newton_rows
 from .specfun import _ibeta_rows, ln_gamma, reg_inc_beta
@@ -129,18 +130,21 @@ def _sigma_residual(sh, th, x) -> tuple[np.ndarray, np.ndarray]:
     """I_x(s/2, 1+t/2) - I_{1-x}(t/2, 1+s/2) per lane, increasing in x, and
     its x-derivative, the sum of the two densities; both incomplete betas
     come from one stacked row-kernel pass."""
+    # sigma_{s,t} is the equipoint e_{s/2,t/2} but keeps this residual: through
+    # betastats' one-beta form it lands 2-4x farther from 40-digit roots
+    # (1.2e-14 against 5.5e-15 at (2001, 2000)), and theta(20001) then escapes
+    # its odd-d bounds.  test_sigma_st_against_mpmath holds today's accuracy.
     (left, left_pdf), (right, right_pdf) = _ibeta_rows((sh, th + 1.0, x), (th, sh + 1.0, 1.0 - x))
     return left - right, left_pdf + right_pdf
 
 
 def _sigma_rows(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sigma_{s,t} for every lane s > t >= 1 (integer rows), one Newton row."""
+    """sigma_{s,t} for every lane s > t >= 1 (integer rows), one Newton row
+    on the equipoint band of (s/2, t/2), which is [(s+2)/(s+t+4), s/(s+t)]."""
     sh, th = s / 2.0, t / 2.0
-    d = s + t
     return newton_rows(
         lambda x, lanes: _sigma_residual(sh[lanes], th[lanes], x),
-        (s + 2.0) / (d + 4.0),
-        s / d,
+        *_equipoint_band(sh, th),
         xtol=1e-15,
     )
 
@@ -297,12 +301,12 @@ def theta(d: int) -> ThetaReport:
     """The relaxation constant theta(d) = 1 / min_{s+t=d} kappa_*(s, t).
 
     The minimum is found by scanning every split s >= ceil(d/2), all of them
-    solved together as rows (``_split_scan``), rather than
-    trusting the known minimizer, which is then asserted: (d/2, d/2) for
-    even d, ((d+1)/2, (d-1)/2) for odd d (with ties broken toward smaller
-    s).  For even d the two closed forms of 1/theta(d) are additionally
-    required to agree to 1e-12, and the scan minimum must match the closed
-    form to 1e-8; a mismatch raises NumericError.
+    solved together as rows (``_split_scan``), rather than trusting the
+    known minimizer, which is then asserted: the proven split
+    ((d+1)//2, d//2), that is (d/2, d/2) for even d (with ties broken toward
+    smaller s).  For even d the two closed forms of 1/theta(d) are
+    additionally required to agree to 1e-12, and the scan minimum must
+    match the closed form to 1e-8; a mismatch raises NumericError.
     """
     d = _require_int("d", d, 1)
     # the last split, (d, 0), is the identity pattern: the integrand is constant
@@ -310,16 +314,9 @@ def theta(d: int) -> ThetaReport:
     i = int(np.argmin(rows[2]))  # the first minimum: ties go to the smaller s
     best_s, best_t, best_ks, best_a, best_b = (row[i].item() for row in rows)
 
-    if d == 1:
-        expect_s, expect_t = 1, 0
-    elif d % 2 == 0:
-        expect_s = expect_t = d // 2
-    else:
-        expect_s, expect_t = (d + 1) // 2, (d - 1) // 2
-    if (best_s, best_t) != (expect_s, expect_t):
+    if (best_s, best_t) != (proven := ((d + 1) // 2, d // 2)):
         raise NumericError(
-            f"scan minimizer ({best_s}, {best_t}) differs from the proven split "
-            f"({expect_s}, {expect_t}) for d={d}"
+            f"scan minimizer ({best_s}, {best_t}) differs from the proven split {proven} for d={d}"
         )
 
     if d % 2 == 0:
@@ -333,18 +330,14 @@ def theta(d: int) -> ThetaReport:
             raise NumericError(
                 f"scan minimum {best_ks!r} differs from closed form {gamma_form!r} for d={d}"
             )
-        p_opt = 0.5
-    elif d == 1:
-        p_opt = 1.0  # degenerate split (1, 0); matches the equipoint convention e_{s,0} = 1
-    else:
-        p_opt = best_b / (best_a + best_b)  # sigma of the minimizing split
+    # sigma of the minimizing split (1/2 for even d, where a = b); the
+    # degenerate split (1, 0) of d = 1 takes the equipoint convention e_{s,0} = 1
+    p_opt = best_b / (best_a + best_b) if d > 1 else 1.0
 
-    bounds = theta_odd_bounds(d) if (d % 2 == 1 and d >= 3) else None
     th = 1.0 / best_ks
-    if bounds is not None:
-        t_minus, t_plus, t_pp = bounds
-        if not (t_minus - 1e-9 <= th <= min(t_plus, t_pp) + 1e-9):
-            raise NumericError(f"theta({d})={th!r} escapes its odd-d bounds {bounds!r}")
+    bounds = theta_odd_bounds(d) if d % 2 and d > 1 else None
+    if bounds and not (bounds[0] - 1e-9 <= th <= min(bounds[1:]) + 1e-9):
+        raise NumericError(f"theta({d})={th!r} escapes its odd-d bounds {bounds!r}")
     return ThetaReport(
         d=d,
         theta=th,

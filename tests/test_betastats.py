@@ -398,3 +398,37 @@ def test_a_triangle_sweep_checks_no_shape_above_its_bound(monkeypatch):
     betastats.simmons_conjecture_sweep(30.0, 0.4)
     # the last grid points below each bound: 1 + 47 * 0.4 and 0.5 + 73 * 0.4
     assert largest == [pytest.approx(19.8), pytest.approx(29.7)]
+
+
+def test_simmons_sweep_builds_no_beta_shape(monkeypatch):
+    # the sweep reads its equipoints and both bounds from the (s, t) rows
+    built = []
+    post_init = BetaShape.__post_init__
+    monkeypatch.setattr(BetaShape, "__post_init__", lambda self: built.append(1) or post_init(self))
+    assert simmons_sweep(400) == []
+    assert built == []
+
+
+def test_simmons_sweep_records_equal_a_plain_recomputation(monkeypatch):
+    # equipoints pushed off their band, alternately up and down, so that
+    # both checks fire; the records must be those of the defining loop
+    import importlib
+
+    betastats = importlib.import_module("spectra_theta.betastats")
+    splits = [(s, d - s) for d in range(2, 41) for s in range((d + 1) // 2, d)]
+    shifts = [0.02 if k % 2 else -0.02 for k in range(len(splits))]
+    expected = []
+    for (s, t), shift in zip(splits, shifts):
+        e = equipoint(BetaShape(s / 2.0, t / 2.0)) + shift
+        lower, upper = (s / 2.0 + 1.0) / (s / 2.0 + t / 2.0 + 2.0), (s / 2.0) / (s / 2.0 + t / 2.0)
+        if e > upper + 1e-12:
+            expected.append({"check": "simmons_upper", "s": s, "t": t, "e": e, "bound": upper})
+        if e < lower - 1e-12:
+            expected.append({"check": "equipoint_lower", "s": s, "t": t, "e": e, "bound": lower})
+    rows = betastats._equipoint_rows
+    monkeypatch.setattr(betastats, "_equipoint_rows", lambda s, t: rows(s, t) + np.array(shifts))
+    records = simmons_sweep(40)
+    assert {r["check"] for r in records} == {"simmons_upper", "equipoint_lower"}
+    assert [list(r.items()) for r in records] == [list(r.items()) for r in expected]
+    assert all(type(r["s"]) is int and type(r["t"]) is int and type(r["e"]) is float
+               and type(r["bound"]) is float for r in records)

@@ -285,3 +285,34 @@ def test_verify_dilation_checks_every_instance_it_is_asked_for(monkeypatch, caps
     defaults = {sweep: cli._build_parser().parse_args(["verify", sweep]).samples
                 for sweep in ("oracle", "dilation")}
     assert defaults == {"oracle": sphere_oracle.DEFAULT_SAMPLES, "dilation": 1000}
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "monotone", "--d-max", "1" + "0" * 400],
+    ["verify", "bounds", "--seed", "1" + "0" * 400],
+    ["verify", "simmons", "--d-max", "-" + "9" * 300],
+])
+def test_a_refusal_prints_a_short_value(args, capsys):
+    assert main(args) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and len(line) <= 120
+
+
+def test_verify_dilation_holds_each_residual_to_its_own_bound(monkeypatch, capsys):
+    # 5e-10 more on every reconstruction residual is past the blockdiag
+    # bound (1e-12) and within the spin-ball one (1e-9)
+    dilation = importlib.import_module("spectra_theta.dilation")
+    residuals = dilation._reconstruction_residuals
+    monkeypatch.setattr(dilation, "_reconstruction_residuals",
+                        lambda *stack: residuals(*stack) + 5e-10)
+    assert main(["verify", "dilation", "--samples", "20"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "verify dilation: 20 violation(s)"
+    assert [line.split()[1] for line in err[1:]] == ["check=blockdiag"] * 20
+
+
+def test_verify_dilation_keeps_its_stdout_at_the_default_flags(capsys):
+    # recorded before each instance residual was held to its own bound
+    assert main(["verify", "dilation"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "6439216cc98bf8b819aec7e975acdbcf148224c1bc57aa715b5ee8f73defe9bf")

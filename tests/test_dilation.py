@@ -408,3 +408,9 @@ def test_a_nan_stack_entry_fails_the_commutator_check():
     T[1, 0, 0, 1] = math.nan
     with pytest.raises(DomainError, match="lane 1: dilation tuple does not commute"):
         dilation._check_dilations(T, np.eye(2), 1.0)
+
+
+@pytest.mark.parametrize("scale", [np.float32(0.5), 1, np.int64(2)])
+def test_a_dilation_result_keeps_the_float_that_its_check_returns(scale):
+    result = DilationResult(T=SymTuple((np.eye(2),)), V=np.eye(2), scale=scale)
+    assert type(result.scale) is float and result.scale == float(scale)

@@ -392,3 +392,19 @@ def test_sign_diag_refuses_weights_that_break_kappa():
         with pytest.raises(DomainError):
             SignDiag(*bad)
     assert 0.0 < kappa(SignDiag(1, 1, 8e307, 8e307)) < math.inf
+
+
+@pytest.mark.parametrize("s, t, bound", [(2, 1, 1e-16), (31, 30, 5e-16), (1001, 1000, 2.5e-15)])
+def test_sigma_st_against_mpmath(s, t, bound):
+    # sigma keeps its two-beta residual because the contiguous one-beta form
+    # of the equipoint residual is several times less accurate here
+    import mpmath
+
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(s) / 2, mpmath.mpf(t) / 2
+        root = mpmath.findroot(
+            lambda x: mpmath.betainc(a, b + 1, 0, x, regularized=True)
+            - mpmath.betainc(b, a + 1, 0, 1 - x, regularized=True),
+            mpmath.mpf(sigma_st(s, t)),
+        )
+        assert abs(sigma_st(s, t) - root) <= bound
