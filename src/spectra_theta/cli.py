@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from . import betastats, dilation, sphere_oracle
+from . import betastats, dilation, pencil, sphere_oracle
 from .betastats import BetaShape
 from .errors import DomainError, NumericError, ResourceError, _require_int
 from .sphere_oracle import DEFAULT_SEED
@@ -238,7 +238,7 @@ def _verify_dilation(args: argparse.Namespace) -> int:
             violations.append({"check": "blockdiag", "instance": k, "residual": block})
     for g in range(2, 7):
         dilation.spin_tensor_norm(g)  # exactly g, or it raises NumericError
-        lam_min = float(np.linalg.eigvalsh(dilation.oh_to_spin_choi(g))[0])
+        lam_min = pencil.min_eigenvalue(dilation.oh_to_spin_choi(g))
         if lam_min < -1e-10:
             violations.append({"check": "choi_psd", "g": g, "lambda_min": lam_min})
     rc = _report_violations("dilation", violations)
@@ -258,7 +258,7 @@ def _spin_ball_pairs(draws: list) -> np.ndarray:
     a, b = np.stack([draw[0] for draw in draws]), np.stack([draw[1] for draw in draws])
     x1 = 0.5 * (a + a.swapaxes(1, 2))
     x2 = 0.5 * (b + b.swapaxes(1, 2))
-    norm = np.max(np.abs(np.linalg.eigvalsh(dilation._blocks(x1, x2, x2, -x1))), axis=1)
+    norm = np.max(np.abs(pencil._eigvalsh(dilation._blocks(x1, x2, x2, -x1))), axis=1)
     scale = np.array([draw[2] for draw in draws]) / np.maximum(norm, 1e-12)
     return scale[:, None, None, None] * np.stack([x1, x2], axis=1)
 

@@ -10,12 +10,13 @@ general nonsymmetric path exists in this module.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericError, ResourceError, _require_int, _require_real
-from .pencil import SymTuple, _kron_sum
+from .pencil import MonicPencil, SymTuple, _eigvalsh, cube_pencil, in_free_spectrahedron
 from .sphere_oracle import DEFAULT_SEED, _generator, _require_symmetric
 
 SPIN_CONSTRUCTION_CAP = 14  # matrices of size 2^13; int8 storage keeps this ~1 GB
@@ -48,7 +49,7 @@ def spin_matrices(g: int) -> SpinSystem:
     exact integer arithmetic.
     """
     if (g := _require_int("g", g, 2)) > SPIN_CONSTRUCTION_CAP:
-        raise ResourceError(f"spin_matrices capped at g <= {SPIN_CONSTRUCTION_CAP}, got {g}")
+        raise ResourceError(f"spin_matrices capped at g <= {SPIN_CONSTRUCTION_CAP}, got {reprlib.repr(g)}")
     mats = []
     for j in range(1, g + 1):
         if j < g:
@@ -74,7 +75,7 @@ def spin_tensor_norm(g: int) -> float:
     the norm by g.  Raises NumericError if a check fails.
     """
     if (g := _require_int("g", g, 2)) > SPIN_NORM_CAP:
-        raise ResourceError(f"spin_tensor_norm capped at g <= {SPIN_NORM_CAP}, got {g}")
+        raise ResourceError(f"spin_tensor_norm capped at g <= {SPIN_NORM_CAP}, got {reprlib.repr(g)}")
     mats = [p.astype(np.int64) for p in spin_matrices(g).mats]
     for j, p in enumerate(mats):
         if not (np.abs(p).sum(axis=1) == 1).all():
@@ -108,15 +109,6 @@ def _refuse(bad: np.ndarray, message: str, values: np.ndarray | None = None) -> 
         raise DomainError(text if bad.size == 1 else f"lane {k}: {text}")
 
 
-def _in_spin_ball(xs: np.ndarray, tol: float) -> np.ndarray:
-    """Spin-ball membership of each lane of an (m, g, n, n) stack, via sum_j P_j (x) X_j."""
-    if xs.shape[1] == 1:
-        eigs = np.linalg.eigvalsh(xs[:, 0])
-        return np.maximum(-eigs[:, 0], eigs[:, -1]) <= 1.0 + tol
-    total = _kron_sum(spin_matrices(xs.shape[1]).float_mats(), xs)
-    return np.linalg.eigvalsh(np.eye(total.shape[1]) - total)[:, 0] >= -tol
-
-
 def ball_membership(
     X: SymTuple,
     ball: str,
@@ -127,7 +119,7 @@ def ball_membership(
     """Membership of X in one of the matrix balls over R^g.
 
     * ``oh``:   lambda_max(sum X_j^2) <= 1 + tol;
-    * ``spin``: lambda_min(I - sum X_j (x) P_j) >= -tol;
+    * ``spin``: X in the free spectrahedron of the spin pencil (``cube_pencil(1)`` if g = 1);
     * ``min_sampled``: max over sampled unit vectors v of the Euclidean
       norm of (v^T X_1 v, ..., v^T X_g v) is <= 1 + tol.  The sampled test
       is one-sided: it can accept a tuple just outside the min ball but
@@ -140,9 +132,10 @@ def ball_membership(
         total = np.zeros((X.n, X.n))
         for m in X.mats:
             total += m @ m
-        return float(np.linalg.eigvalsh(total)[-1]) <= 1.0 + tol
+        return float(_eigvalsh(total)[-1]) <= 1.0 + tol
     if ball == "spin":
-        return bool(_in_spin_ball(_lanes(X), tol)[0])
+        spin = cube_pencil(1) if X.g == 1 else MonicPencil(spin_matrices(X.g).float_mats())
+        return in_free_spectrahedron(spin, X, tol)
     if ball == "min_sampled":
         samples = _require_int("samples", 2048 if samples is None else samples, 1)
         return _min_ball_sampled(X, tol, samples, seed)
@@ -328,7 +321,7 @@ def oh_to_spin_choi(g: int) -> np.ndarray:
     the diagonal blocks sum to the identity, which is unitality.
     """
     if (g := _require_int("g", g, 2)) > CHOI_CAP:
-        raise ResourceError(f"oh_to_spin_choi capped at g <= {CHOI_CAP}, got {g}")
+        raise ResourceError(f"oh_to_spin_choi capped at g <= {CHOI_CAP}, got {reprlib.repr(g)}")
     mats = spin_matrices(g).float_mats()
     m = mats[0].shape[0]
     col = np.vstack(mats)  # (g*m) x m

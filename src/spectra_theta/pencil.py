@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +67,8 @@ def _symmetric_tuple(mats) -> tuple[np.ndarray, ...]:
     """``mats``, each through ``_require_symmetric``: one or more, of one size."""
     mats = tuple(map(_require_symmetric, mats))
     if not mats or any(m.shape != mats[0].shape for m in mats):
-        raise DomainError(f"need one or more matrices of one size, got {[m.shape for m in mats]}")
+        raise DomainError("need one or more matrices of one size, "
+                          f"got {reprlib.repr([m.shape for m in mats])}")
     return mats
 
 
@@ -90,10 +92,7 @@ def evaluate_scalar(L: MonicPencil, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (L.g,) or not np.isfinite(x).all():
         raise DomainError(f"expected a finite point in R^{L.g}, got {x}")
-    out = np.eye(L.nu)
-    for a, xj in zip(L.coeffs, x):
-        out -= a * xj
-    return out
+    return np.eye(L.nu) - _kron_sum(L.coeffs, x.reshape(1, L.g, 1, 1))[0]
 
 
 def _eigvalsh(M: np.ndarray) -> np.ndarray:
@@ -104,7 +103,8 @@ def _eigvalsh(M: np.ndarray) -> np.ndarray:
 
 
 def min_eigenvalue(M: np.ndarray) -> float:
-    return float(_eigvalsh(M)[0])
+    """The bottom eigenvalue of a symmetric matrix, or the lowest over a stack."""
+    return float(_eigvalsh(M)[..., 0].min())
 
 
 def in_free_spectrahedron(L: MonicPencil, X: SymTuple, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -185,11 +185,11 @@ def verify_cube_inclusion(B: MonicPencil, tol: float = 1e-10) -> bool:
     tol = _require_real("tol", tol, 0.0)
     if B.g > CUBE_VERTEX_CAP:
         raise ResourceError(f"vertex enumeration capped at g <= {CUBE_VERTEX_CAP}, got g={B.g}")
-    vertex = np.empty(B.g)
-    for bits in range(1 << B.g):
-        for j in range(B.g):
-            vertex[j] = 1.0 if bits & (1 << j) else -1.0
-        if min_eigenvalue(evaluate_scalar(B, vertex)) < -tol:
+    batch = max(1, (1 << 20) // (B.nu**2 + B.g))  # vertices per spectrum call: ~2**20 entries
+    for start in range(0, 1 << B.g, batch):
+        bits = np.arange(start, min(start + batch, 1 << B.g))[:, None]
+        signs = ((bits >> np.arange(B.g)) & 1) * 2.0 - 1.0  # x_j = +1 where bit j is set
+        if min_eigenvalue(np.eye(B.nu) - _kron_sum(B.coeffs, signs[..., None, None])) < -tol:
             return False
     return True
 
@@ -242,27 +242,19 @@ def cube_relaxation_test(
         raise DomainError("[-1,1]^g is not contained in the pencil's spectrahedron")
     th = theta(B.nu).theta
     X = _contraction_stack(B.g, d, trials, _generator(seed))
-    lam_maxes = _eigvalsh(_kron_sum(B.coeffs, X))[:, -1].tolist()
-    min_margin = math.inf
-    tightest = math.inf
-    violations = []
-    for k, lam_max in enumerate(lam_maxes):
-        lam_min = 1.0 - lam_max / th
-        min_margin = min(min_margin, lam_min)
-        # feasible scaling of the unscaled tuple: 1 / lambda_max(S)
-        if lam_max > 0.0:
-            tightest = min(tightest, 1.0 / lam_max)
-        if lam_min < -tol:
-            violations.append({"trial": k, "lambda_min": lam_min})
+    lam_max = _eigvalsh(_kron_sum(B.coeffs, X))[:, -1]
+    lam_min = 1.0 - lam_max / th
     return CubeRelaxationReport(
         nu=B.nu,
         g=B.g,
         theta_nu=th,
         trials=trials,
         tol=tol,
-        min_margin=min_margin,
-        tightest_scale=tightest,
-        violations=tuple(violations),
+        min_margin=float(lam_min.min()),
+        # feasible scaling of the unscaled tuple: 1 / lambda_max(S)
+        tightest_scale=float(np.min(1.0 / lam_max[lam_max > 0.0], initial=math.inf)),
+        violations=tuple({"trial": k, "lambda_min": float(lam_min[k])}
+                         for k in np.flatnonzero(lam_min < -tol).tolist()),
     )
 
 
@@ -381,7 +373,7 @@ def sharpness_witness(
     pencil = MonicPencil(a_mats)
     witness = SymTuple(tuple(0.5 * (x + x.T) for x in x_mats))
     total = _kron_sum(pencil.coeffs, np.stack(witness.mats)[None])
-    lam_max = float(np.linalg.eigvalsh(total[0])[-1])
+    lam_max = float(_eigvalsh(total[0])[-1])
     return pencil, witness, lam_max
 
 
@@ -403,14 +395,13 @@ def _mats_from_json(text: str) -> list[np.ndarray]:
         doc = json.loads(text)
         nu = _require_int("nu", doc["nu"], 1)
         g = _require_int("g", doc["g"], 1)
-        coeffs = doc["coeffs"]
+        coeffs = [np.asarray(flat, dtype=float) for flat in doc["coeffs"]]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed pencil/tuple JSON: {exc}") from exc
     if g != len(coeffs):
         raise DomainError(f"declared g={g} but found {len(coeffs)} coefficient blocks")
     mats = []
-    for flat in coeffs:
-        arr = np.asarray(flat, dtype=float)
+    for arr in coeffs:
         if arr.size != nu * nu:
             raise DomainError(f"coefficient block has {arr.size} entries, expected {nu * nu}")
         mats.append(arr.reshape(nu, nu))

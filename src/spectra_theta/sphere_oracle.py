@@ -23,7 +23,6 @@ count); another BLAS kernel may move their last bits.
 
 from __future__ import annotations
 
-import math
 import reprlib
 from dataclasses import dataclass
 from itertools import accumulate
@@ -142,6 +141,14 @@ class _Scratch:
         return self._chunk[: k * d].reshape(k, d)
 
 
+def _mean_and_std_err(total, total_sq, n: int):
+    """The mean of n samples and its standard error (0 for one sample), from
+    their sum and sum of squares: floats, or arrays entrywise."""
+    mean = total / n
+    var = np.maximum(total_sq - n * mean * mean, 0.0) / max(n - 1, 1)
+    return mean, np.sqrt(var / n) if n > 1 else np.zeros_like(var)
+
+
 class _ScalarSum:
     """Sum and sum of squares of one scalar per sample, batch by batch."""
 
@@ -155,13 +162,8 @@ class _ScalarSum:
         self.total_sq += float(np.multiply(v, v, out=scratch).sum())
 
     def result(self, n: int, seed: int) -> McEstimate:
-        mean = self.total / n
-        if n > 1:
-            var = max(self.total_sq - n * mean * mean, 0.0) / (n - 1)
-            std_err = math.sqrt(var / n)
-        else:
-            std_err = 0.0
-        return McEstimate(value=mean, std_err=std_err, n_samples=n, seed=seed)
+        mean, std_err = _mean_and_std_err(self.total, self.total_sq, n)
+        return McEstimate(value=mean, std_err=float(std_err), n_samples=n, seed=seed)
 
 
 class AbsQuadratic(_ScalarSum):
@@ -196,7 +198,7 @@ class SignMoment(_ScalarSum):
         self.d = J.d
         self.k = _require_int("coord", coord, 1) - 1
         if self.k >= self.d:
-            raise DomainError(f"coord must lie in 1..{self.d}, got {coord}")
+            raise DomainError(f"coord must lie in 1..{self.d}, got {reprlib.repr(coord)}")
         self.diag = np.array(J.diagonal())
 
     def add(self, raw: np.ndarray, sq: np.ndarray, r2: np.ndarray, scratch: _Scratch) -> None:
@@ -229,12 +231,7 @@ class SignOuter:
 
     def result(self, n: int, seed: int) -> McMatrixEstimate:
         # (raw sgn / |xi|^2)^T raw rounds its (i, j) and (j, i) entries apart
-        mean = 0.5 * (self.s1 + self.s1.T) / n
-        if n > 1:
-            var = np.maximum(self.s2 - n * mean * mean, 0.0) / (n - 1)
-            std_err = np.sqrt(var / n)
-        else:
-            std_err = np.zeros((self.d, self.d))
+        mean, std_err = _mean_and_std_err(0.5 * (self.s1 + self.s1.T), self.s2, n)
         return McMatrixEstimate(value=mean, std_err=std_err, n_samples=n, seed=seed)
 
 

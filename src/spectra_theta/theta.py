@@ -30,6 +30,7 @@ way.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,7 +259,7 @@ class ThetaReport:
 def theta_even_closed_form(d: int) -> float:
     """Gamma-quotient closed form of 1/theta(d) for even d."""
     if (d := _require_int("d", d, 2)) % 2:
-        raise DomainError(f"even d required, got {d}")
+        raise DomainError(f"even d required, got {reprlib.repr(d)}")
     return math.exp(ln_gamma(0.5 + d / 4.0) - ln_gamma(1.0 + d / 4.0)) / math.sqrt(math.pi)
 
 
@@ -271,7 +272,7 @@ def theta_odd_bounds(d: int) -> tuple[float, float, float]:
     evaluated at (d+-1)/(2d).
     """
     if (d := _require_int("d", d, 3)) % 2 == 0:
-        raise DomainError(f"theta_odd_bounds requires odd d >= 3, got {d}")
+        raise DomainError(f"theta_odd_bounds requires odd d >= 3, got {reprlib.repr(d)}")
     theta_pp = math.sqrt(math.pi / 2.0) * math.exp(ln_gamma((d + 3) / 2.0) - ln_gamma(d / 2.0 + 1.0))
     prefactor = math.exp(
         0.25 * (2 * d * math.log(d) - (d + 1) * math.log(d + 1.0) - (d - 1) * math.log(d - 1.0))

@@ -16,7 +16,7 @@ import pytest
 
 from spectra_theta import betastats, dilation, pencil, sphere_oracle
 from spectra_theta.cli import main
-from spectra_theta.errors import DomainError
+from spectra_theta.errors import DomainError, ResourceError
 from spectra_theta.pencil import MonicPencil, SymTuple, cube_pencil
 from spectra_theta.specfun import BetaArgs, beta_pdf, ln_beta, ln_gamma, reg_inc_beta, reg_inc_beta_inv
 from spectra_theta.sphere_oracle import McEstimate
@@ -259,3 +259,19 @@ def test_the_cli_refuses_a_d_max_past_the_float_range(capsys):
     huge = str(10**400)
     assert main(["verify", "monotone", "--d-max", huge]) == 3
     assert capsys.readouterr().err.startswith("error: sweep bound must be finite and real, got ")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dilation.spin_matrices(10**400),
+    lambda: dilation.spin_tensor_norm(10**400),
+    lambda: dilation.oh_to_spin_choi(10**400),
+    lambda: theta_even_closed_form(10**400 + 1),
+    lambda: theta_odd_bounds(10**400),
+    lambda: sphere_oracle.SignMoment(J, 10**400),
+    lambda: MonicPencil(tuple(np.eye(1 + k % 2) for k in range(5001))),
+], ids=["spin_matrices", "spin_tensor_norm", "oh_to_spin_choi", "theta_even_closed_form",
+        "theta_odd_bounds", "SignMoment.coord", "matrix_sizes"])
+def test_a_refusal_prints_a_short_value(call):
+    with pytest.raises((DomainError, ResourceError)) as refusal:
+        call()
+    assert len(str(refusal.value)) <= 120

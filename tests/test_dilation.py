@@ -414,3 +414,33 @@ def test_a_nan_stack_entry_fails_the_commutator_check():
 def test_a_dilation_result_keeps_the_float_that_its_check_returns(scale):
     result = DilationResult(T=SymTuple((np.eye(2),)), V=np.eye(2), scale=scale)
     assert type(result.scale) is float and result.scale == float(scale)
+
+
+def _norm_one_pm(rng, xs, norm):
+    # xs scaled so that ``norm`` reads 1 - 1e-6 or 1 + 1e-6, at random
+    return [x * (1.0 + rng.choice([-1e-6, 1e-6])) / norm for x in xs]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_the_spin_ball_of_one_matrix_is_the_operator_norm_ball(n):
+    rng = _generator(70 + n)
+    for _ in range(40):
+        a = rng.standard_normal((n, n))
+        x = a + a.T
+        (x,) = _norm_one_pm(rng, [x], np.linalg.norm(x, 2))
+        for tol in (1e-9, 1e-3):
+            assert ball_membership(SymTuple((x,)), "spin", tol=tol) == (
+                np.linalg.norm(x, 2) <= 1.0 + tol)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_the_spin_ball_of_a_pair_is_the_block_matrix_norm_ball(n):
+    rng = _generator(80 + n)
+    for _ in range(40):
+        a, b = rng.standard_normal((2, n, n))
+        x1, x2 = a + a.T, b + b.T
+        lam = np.linalg.eigvalsh(np.block([[x1, x2], [x2, -x1]]))[-1]
+        x1, x2 = _norm_one_pm(rng, [x1, x2], lam)
+        for tol in (1e-9, 1e-3):
+            lam = np.linalg.eigvalsh(np.block([[x1, x2], [x2, -x1]]))[-1]
+            assert ball_membership(SymTuple((x1, x2)), "spin", tol=tol) == (lam <= 1.0 + tol)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import spectra_theta
-from spectra_theta import sphere_oracle
+from spectra_theta import pencil, sphere_oracle
 from spectra_theta.dilation import ball_membership, defect_sqrt, spin2_extreme
 from spectra_theta.errors import DomainError, NumericError, ResourceError
 from spectra_theta.pencil import (
@@ -530,3 +530,81 @@ def test_a_scalar_point_must_be_finite():
             with pytest.raises(DomainError):
                 evaluate_scalar(L, x)
     assert np.array_equal(evaluate_scalar(L, [0.5, -1.0]), np.diag([0.5, 2.0, 1.5, 0.0]))
+
+
+def _cube_inclusion_by_vertex(B, tol=1e-10):
+    # the defining loop: one spectrum per vertex, x_j = +1 where bit j is set
+    for bits in range(1 << B.g):
+        total = sum((1.0 if bits >> j & 1 else -1.0) * c for j, c in enumerate(B.coeffs))
+        if np.linalg.eigvalsh(np.eye(B.nu) - total)[0] < -tol:
+            return False
+    return True
+
+
+def test_verify_cube_inclusion_equals_a_per_vertex_loop():
+    rng = _generator(2024)
+    answers = set()
+    for _ in range(300):
+        nu, g = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        coeffs = [a + a.T for a in rng.standard_normal((g, nu, nu))]
+        peak = max(float(np.linalg.eigvalsh(sum(v * c for v, c in zip(vertex, coeffs)))[-1])
+                   for vertex in itertools.product((-1.0, 1.0), repeat=g))
+        B = MonicPencil(tuple(c * rng.uniform(0.9, 1.1) / peak for c in coeffs))
+        answer = verify_cube_inclusion(B)
+        assert answer == _cube_inclusion_by_vertex(B)
+        answers.add(answer)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("nu, calls", [(2, 1), (1100, 4)])
+def test_verify_cube_inclusion_takes_one_spectrum_per_batch(nu, calls, monkeypatch):
+    # with A_1 = A_2 = c J / nu (J all ones), L(x) has bottom eigenvalue
+    # 1 - c (x_1 + x_2) where x_1 + x_2 > 0: c = 0.6 fails at the last
+    # vertex (+1, +1) only, and c = 0.4 passes.  At nu = 1100 a batch of
+    # about 2**20 entries holds one vertex, so each pencil takes four calls
+    seen = []
+    counted = pencil.min_eigenvalue
+    monkeypatch.setattr(pencil, "min_eigenvalue", lambda M: seen.append(M.shape) or counted(M))
+    ones = np.ones((nu, nu)) / nu
+    assert verify_cube_inclusion(MonicPencil((0.4 * ones, 0.4 * ones)))
+    assert not verify_cube_inclusion(MonicPencil((0.6 * ones, 0.6 * ones)))
+    assert seen == [(4 // calls, nu, nu)] * (2 * calls)
+
+
+def test_min_eigenvalue_of_a_stack_is_the_lowest_of_its_matrices():
+    a = _generator(31).standard_normal((7, 5, 5))
+    stack = a + a.swapaxes(1, 2)
+    assert min_eigenvalue(stack) == min(min_eigenvalue(m) for m in stack)
+    assert min_eigenvalue(stack[3]) == float(np.linalg.eigvalsh(stack[3])[0])
+
+
+def test_each_spectrahedron_test_evaluates_through_the_one_kernel(monkeypatch):
+    kernel = pencil._kron_sum
+    calls = []
+    monkeypatch.setattr(pencil, "_kron_sum", lambda A, X: calls.append(X.shape) or kernel(A, X))
+    X = SymTuple((0.3 * B1, 0.2 * B2))
+    for check in (lambda: evaluate_scalar(cube_pencil(2), [0.5, -1.0]),
+                  lambda: verify_cube_inclusion(cube_pencil(2)),
+                  lambda: in_free_spectrahedron(cube_pencil(2), X),
+                  lambda: ball_membership(X, "spin"),
+                  lambda: ball_membership(SymTuple((0.3 * B1,)), "spin")):
+        calls.clear()
+        check()
+        assert len(calls) == 1
+
+
+def test_every_spectrum_goes_through_one_eigensolver_call():
+    sources = {path.name: path.read_text() for path in
+               pathlib.Path(spectra_theta.__file__).parent.glob("*.py")}
+    assert [name for name, text in sources.items() if "np.linalg.eigvalsh(" in text] == ["pencil.py"]
+    assert sources["pencil.py"].count("np.linalg.eigvalsh(") == 1
+    assert "np.linalg.eigvalsh(" in inspect.getsource(pencil._eigvalsh)
+    assert not any("_in_spin_ball" in text for text in sources.values())
+
+
+@pytest.mark.parametrize("coeffs", [5, [["a"]], ["ab"], {"a": 1}])
+def test_the_wire_format_refuses_malformed_coefficients(coeffs):
+    text = json.dumps({"nu": 1, "g": 1, "coeffs": coeffs})
+    for parse in (pencil_from_json, symtuple_from_json):
+        with pytest.raises(DomainError, match="malformed pencil/tuple JSON"):
+            parse(text)

@@ -321,3 +321,13 @@ def test_verify_oracle_draws_each_normal_once(monkeypatch, capsys):
     assert main(["verify", "oracle", "--samples", str(n)]) == 0
     capsys.readouterr()
     assert sum(drawn) == 8 * n  # the widest estimate is kappa*(4, 4) in d = 8
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_an_estimate_keeps_python_floats_and_one_sample_has_no_spread(n):
+    J = SignDiag(2, 1, 1.0, 1.0)
+    scalar, matrix = joint_estimates([SignMoment(J, 1), SignOuter(J)], n, seed=4)
+    assert type(scalar.value) is float and type(scalar.std_err) is float
+    assert matrix.std_err.shape == (3, 3)
+    assert (scalar.std_err == 0.0) == (n == 1)
+    assert (not matrix.std_err.any()) == (n == 1)
