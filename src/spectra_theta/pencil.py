@@ -12,6 +12,7 @@ semidefinite.  The scalar solution set S_{L_A} is the n = 1 slice.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import reprlib
@@ -91,7 +92,7 @@ def evaluate_scalar(L: MonicPencil, x) -> np.ndarray:
     """L(x) for a scalar point x in R^g."""
     x = np.asarray(x, dtype=float)
     if x.shape != (L.g,) or not np.isfinite(x).all():
-        raise DomainError(f"expected a finite point in R^{L.g}, got {x}")
+        raise DomainError(f"expected a finite point in R^{L.g}, got {reprlib.repr(x)}")
     return np.eye(L.nu) - _kron_sum(L.coeffs, x.reshape(1, L.g, 1, 1))[0]
 
 
@@ -194,6 +195,10 @@ def verify_cube_inclusion(B: MonicPencil, tol: float = 1e-10) -> bool:
     return True
 
 
+# theta(nu) once per size, through the module's ``theta`` at call time; a NumericError is not kept
+_theta_of = functools.lru_cache(maxsize=64)(lambda nu: theta(nu))
+
+
 @dataclass(frozen=True)
 class CubeRelaxationReport:
     """Result of the cube-relaxation property test.
@@ -240,7 +245,7 @@ def cube_relaxation_test(
     tol = _require_real("tol", tol, 0.0)
     if not verify_cube_inclusion(B):
         raise DomainError("[-1,1]^g is not contained in the pencil's spectrahedron")
-    th = theta(B.nu).theta
+    th = _theta_of(B.nu).theta
     X = _contraction_stack(B.g, d, trials, _generator(seed))
     lam_max = _eigvalsh(_kron_sum(B.coeffs, X))[:, -1]
     lam_min = 1.0 - lam_max / th
@@ -266,6 +271,11 @@ def _score_owner(centers: np.ndarray):
     return lambda u: np.argmax(u.reshape(len(u), -1) @ flat.T, axis=1)
 
 
+def _reflects(u: np.ndarray) -> np.ndarray:
+    """Whether each 2 x 2 matrix of the stack u has a negative determinant."""
+    return u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0] < 0.0
+
+
 def _arc_owner(centers: np.ndarray):
     """``_score_owner`` for 2 x 2 orthogonal centers, by one search of an arc
     table instead of a score block.
@@ -281,8 +291,7 @@ def _arc_owner(centers: np.ndarray):
     search keys each kind's angles apart, as phi + 4 pi [reflection].
     """
     def angle_kind(u):
-        phi = np.arctan2(u[:, 1, 0], u[:, 0, 0])
-        return phi, u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0] < 0.0
+        return np.arctan2(u[:, 1, 0], u[:, 0, 0]), _reflects(u)
 
     phi, refl = angle_kind(centers)
     breaks, owners = [], []
@@ -318,6 +327,15 @@ def _arc_owner(centers: np.ndarray):
     return owner
 
 
+def _conjugated_2x2(w: np.ndarray, j_hat: np.ndarray) -> np.ndarray:
+    """U^T diag(j_hat) U, flattened, for the Gram-Schmidt U = [[c, -k s], [s, k c]]
+    of each 2 x 2 draw w: (c, s) is w's first column normalized, k = sign det w."""
+    a, b = w[:, 0, 0], w[:, 1, 0]
+    c2, s2, cs = np.array([a * a, b * b, a * b]) / (a * a + b * b)
+    off = (j_hat[1] - j_hat[0]) * np.where(_reflects(w), -cs, cs)
+    return np.column_stack([j_hat[0] * c2 + j_hat[1] * s2, off, off, j_hat[0] * s2 + j_hat[1] * c2])
+
+
 def sharpness_witness(
     d: int,
     cells: int,
@@ -334,17 +352,17 @@ def sharpness_witness(
     (1/sqrt(d)) sum e_i (x) e_i already certifies the trace part exactly.
 
     Each U (centers and samples alike) is the Gram-Schmidt orthonormalization
-    of a Gaussian d x d matrix, as in ``haar_orthogonal``.  A sample's cell
-    is its nearest center, the first on a tie; for d = 2 it is found by
-    angle (``_arc_owner``), where a sample with no center of its own kind
-    (rotation or reflection) within a quarter turn goes to the lowest-index
-    center of the other kind, all of which are exactly as near.
+    of a Gaussian d x d matrix, as in ``haar_orthogonal``; a d = 2 sample's
+    Z(U) is read from its draw (``_conjugated_2x2``).  A sample's cell is its
+    nearest center, the first on a tie; for d = 2 it is found by the draw's
+    angle (``_arc_owner``), and one with no center of its own kind (rotation
+    or reflection) within a quarter turn joins the first center of the other.
 
     Returns the pencil, the norm-one tuple, and the achieved lambda_max.
     """
     d, cells = _require_int("d", d, 2), _require_int("cells", cells, 1)
     samples_per_cell = _require_int("samples_per_cell", samples_per_cell, 1)
-    report = theta(d)
+    report = _theta_of(d)
     s, t = report.minimizer_s, report.minimizer_t
     ks, a_opt, b_opt = kappa_star(s, t)
     j_hat = np.array(SignDiag(s, t, a_opt, b_opt).diagonal())
@@ -357,17 +375,19 @@ def sharpness_witness(
 
     n_total = cells * samples_per_cell
     sums = np.zeros((d * d, cells))
-    remaining = n_total
     # keeps the (rows x cells) score block near 2**20 entries
     batch = max(1, (1 << 20) // max(cells, 16 * d * d))
-    while remaining > 0:
-        m = min(batch, remaining)
-        u = _haar_gram_schmidt(rng.standard_normal((m, d, d)))
-        z = sum(j_hat[j] * u[:, j, :, None] * u[:, j, None, :] for j in range(d)).reshape(m, d * d)
+    for start in range(0, n_total, batch):
+        m = min(batch, n_total - start)
+        u = rng.standard_normal((m, d, d))
+        if d == 2:
+            z = _conjugated_2x2(u, j_hat)
+        else:
+            u = _haar_gram_schmidt(u)
+            z = sum(j_hat[j] * u[:, j, :, None] * u[:, j, None, :] for j in range(d)).reshape(m, d * d)
         owner = owner_of(u)
         for e in range(d * d):
             sums[e] += np.bincount(owner, weights=z[:, e], minlength=cells)
-        remaining -= m
     a_mats = tuple(0.5 * (a + a.T) for a in sums.T.reshape(cells, d, d) / (ks * n_total))
 
     pencil = MonicPencil(a_mats)
@@ -395,17 +415,17 @@ def _mats_from_json(text: str) -> list[np.ndarray]:
         doc = json.loads(text)
         nu = _require_int("nu", doc["nu"], 1)
         g = _require_int("g", doc["g"], 1)
+        if not all(isinstance(f, list) and all(type(v) in (int, float) for v in f) for f in doc["coeffs"]):
+            raise TypeError("a coefficient block must be a flat list of numbers (a bool is not one)")
         coeffs = [np.asarray(flat, dtype=float) for flat in doc["coeffs"]]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed pencil/tuple JSON: {exc}") from exc
     if g != len(coeffs):
         raise DomainError(f"declared g={g} but found {len(coeffs)} coefficient blocks")
-    mats = []
     for arr in coeffs:
         if arr.size != nu * nu:
             raise DomainError(f"coefficient block has {arr.size} entries, expected {nu * nu}")
-        mats.append(arr.reshape(nu, nu))
-    return mats
+    return [arr.reshape(nu, nu) for arr in coeffs]
 
 
 def pencil_to_json(L: MonicPencil) -> str:

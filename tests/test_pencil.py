@@ -17,6 +17,7 @@ from spectra_theta.pencil import (
     MonicPencil,
     SymTuple,
     _arc_owner,
+    _conjugated_2x2,
     _contraction_stack,
     _eigvalsh,
     _haar_gram_schmidt,
@@ -608,3 +609,92 @@ def test_the_wire_format_refuses_malformed_coefficients(coeffs):
     for parse in (pencil_from_json, symtuple_from_json):
         with pytest.raises(DomainError, match="malformed pencil/tuple JSON"):
             parse(text)
+
+
+def test_a_wrong_sized_point_is_refused_in_a_short_message():
+    with pytest.raises(DomainError, match="expected a finite point in R\\^2") as refusal:
+        evaluate_scalar(cube_pencil(2), np.zeros(999))
+    assert len(str(refusal.value)) <= 120
+
+
+@pytest.mark.parametrize("coeffs", [[["0.5"]], [[True]], [[[[0.5]]]], [[10**400]]],
+                         ids=["string", "bool", "nested", "past_the_float_range"])
+def test_the_wire_format_takes_flat_lists_of_numbers_only(coeffs):
+    # json.dumps writes 10**400 as an integer literal that no float holds
+    text = json.dumps({"nu": 1, "g": 1, "coeffs": coeffs})
+    for parse in (pencil_from_json, symtuple_from_json):
+        with pytest.raises(DomainError, match="malformed pencil/tuple JSON"):
+            parse(text)
+    # an int is a JSON number, and stays one
+    assert pencil_from_json('{"nu": 1, "g": 1, "coeffs": [[2]]}').coeffs[0][0, 0] == 2.0
+
+
+def _two_by_two_draws():
+    w = _generator(404).standard_normal((20_000, 2, 2))
+    return w, _haar_gram_schmidt(w)
+
+
+def test_the_2x2_closed_form_is_u_transpose_j_hat_u():
+    # the entries the d = 2 witness reads from each draw w, against U^T J_hat U
+    # of w's Gram-Schmidt U, for the split theta(2) uses
+    w, u = _two_by_two_draws()
+    report = theta(2)
+    _, a_opt, b_opt = kappa_star(report.minimizer_s, report.minimizer_t)
+    j_hat = np.array(SignDiag(report.minimizer_s, report.minimizer_t, a_opt, b_opt).diagonal())
+    direct = (u.transpose(0, 2, 1) @ np.diag(j_hat) @ u).reshape(-1, 4)
+    assert j_hat[0] != j_hat[1] and np.linalg.det(w).min() < 0.0 < np.linalg.det(w).max()
+    assert np.max(np.abs(_conjugated_2x2(w, j_hat) - direct)) <= 1e-15
+
+
+@pytest.mark.parametrize("cells", [1, 2, 3, 8, 128])
+def test_the_arc_search_reads_the_draw_as_its_gram_schmidt(cells):
+    # Gram-Schmidt keeps the first column's angle and the sign of det
+    w, u = _two_by_two_draws()
+    owner_of = _arc_owner(_haar_gram_schmidt(_generator(500 + cells).standard_normal((cells, 2, 2))))
+    assert np.array_equal(owner_of(w), owner_of(u))
+
+
+def test_the_2x2_witness_orthonormalizes_only_its_centers(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pencil, "_haar_gram_schmidt",
+                        lambda z: calls.append(z.shape) or _haar_gram_schmidt(z))
+    # 3 cells x 20,000 samples take four batches of 16,384 samples
+    for cells, per_cell in ((3, 20_000), (16, 100)):
+        calls.clear()
+        sharpness_witness(2, cells, per_cell, seed=3)
+        assert calls == [(cells, 2, 2)]
+    calls.clear()
+    sharpness_witness(3, cells=4, samples_per_cell=10, seed=3)  # d >= 3 keeps Gram-Schmidt
+    assert calls == [(4, 3, 3), (40, 3, 3)]
+
+
+def test_theta_is_solved_once_per_pencil_size(monkeypatch):
+    calls = []
+    solve = pencil.theta
+    monkeypatch.setattr(pencil, "theta", lambda nu: calls.append(nu) or solve(nu))
+    pencil._theta_of.cache_clear()
+    rng = _generator(77)
+    for k in range(20):
+        nu = 1 + k % 3
+        coeffs = [a + a.T for a in rng.standard_normal((2, nu, nu))]
+        peak = max(float(np.linalg.eigvalsh(sum(v * c for v, c in zip(vertex, coeffs)))[-1])
+                   for vertex in itertools.product((-1.0, 1.0), repeat=2))
+        report = cube_relaxation_test(MonicPencil(tuple(0.5 * c / peak for c in coeffs)),
+                                      d=2, trials=5, seed=k)
+        assert report.theta_nu == solve(nu).theta
+    assert sorted(calls) == [1, 2, 3]
+
+
+def test_a_failed_theta_is_not_kept(monkeypatch):
+    calls = []
+
+    def fail(nu):
+        calls.append(nu)
+        raise NumericError("no theta")
+
+    monkeypatch.setattr(pencil, "theta", fail)
+    pencil._theta_of.cache_clear()
+    for _ in range(2):
+        with pytest.raises(NumericError, match="no theta"):
+            cube_relaxation_test(cube_pencil(1), d=2, trials=1)
+    assert calls == [2, 2]

@@ -57,3 +57,11 @@ def test_the_scripts_keep_no_seed_of_their_own():
     for name in ("oracle_sweep.py", "witness_refinement.py"):
         text = (ROOT / "scripts" / name).read_text()
         assert "0xc0ffee" not in text.lower() and "DEFAULT_SEED" in text, name
+
+
+def test_witness_refinement_runs_the_score_block_witness():
+    # the d >= 3 witness is its own path, and only this script runs it
+    lines = run_script("witness_refinement.py", "--d", "3", "--cells", "1", "4",
+                       "--samples-per-cell", "200")
+    assert lines[0].startswith("theta(3) = ")
+    assert [line.split(",")[0] for line in lines[2:]] == ["1", "4"]
