@@ -6,8 +6,10 @@ One point function, ``_ibeta_point``, yields I_p and the density of one
 ``beta_pdf`` are each one call of it.  The row kernel (``_ln_beta_row``,
 ``_ibeta_row``, ``_ibeta_inv_row``) evaluates a numpy row of triples for
 every sweep and root, with the point function's bits in every lane: the same
-operation order, ``math``'s transcendental functions mapped per lane, and
-one modified-Lentz loop over the lanes still iterating.  ``_ibeta_row``
+operation order, ``math``'s transcendental functions mapped per lane (ln Gamma
+once per distinct shape value of the row), and one modified-Lentz loop over
+the lanes still iterating, which writes into a few row buffers and makes no
+temporary per iteration.  ``_ibeta_row``
 alone picks the path, mapping the point function over rows shorter than
 ``_ROW_MIN_LANES``, where it is cheaper.  The loop's numpy calls per
 iteration do not grow with the row, so independent rows of one step share
@@ -201,55 +203,99 @@ def _map(fn, *rows: np.ndarray) -> np.ndarray:
 
 
 def _ln_beta_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``ln_beta`` on a row, its three log-gamma terms mapped and summed in
-    its order (a row of many shapes would only churn the memo table)."""
-    return _map(math.lgamma, a) + _map(math.lgamma, b) - _map(math.lgamma, a + b)
+    """``ln_beta`` on a row: one ``math.lgamma`` per distinct value among the
+    a and b lanes, and one per distinct a + b, summed in ``ln_beta``'s
+    order.  A row of splits of d repeats its shapes (b of one lane is a of
+    another, and a + b is d/2 + 1 in every lane); it does not go through
+    the memo, which a row of many shapes would only churn."""
+    values, lanes = np.unique(np.concatenate([a, b]), return_inverse=True)
+    ln_gamma_ab = _map(math.lgamma, values)[lanes]
+    values, lanes = np.unique(a + b, return_inverse=True)
+    ln_b = ln_gamma_ab[:a.size] + ln_gamma_ab[a.size:]
+    ln_b -= _map(math.lgamma, values)[lanes]
+    return ln_b
+
+
+def _cf_guard(rows: np.ndarray, scratch: np.ndarray, tiny: float) -> None:
+    """``_beta_cf``'s ``if abs(v) < tiny: v = tiny`` on rows, applied only if
+    some lane needs it (``fmin`` skips the NaN of finished lanes)."""
+    np.abs(rows, out=scratch)
+    if np.fmin.reduce(scratch, axis=None) < tiny:
+        np.copyto(rows, tiny, where=scratch < tiny)
 
 
 def _beta_cf_row(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``_beta_cf`` on a row: one modified-Lentz loop for all lanes, each
-    lane leaving it (and the row compacting) when its own update converges."""
-    tiny = _CF_TINY
+    lane's value taken at the step where its own update converges.
+
+    Every lane keeps ``_beta_cf``'s operations, written into a few row
+    buffers, so that no step makes a temporary.  A step forms its even and
+    its odd term as one negated pair, w = m (m - b) x / ... and
+    (a + m) (a + b + m) x / ..., which share a + 2m, and each half step
+    subtracts (1 - w d is 1 + (-w) d exactly).  A finished lane is set to
+    NaN, which no later step turns into a value or a warning; once at most
+    half the lanes are open, the open ones move to the front of the buffers,
+    one row at a time."""
+    tiny, eps = _CF_TINY, _CF_EPS
     out = np.empty(a.size)
     if not a.size:
         return out
-    lane = np.arange(a.size)
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones(a.size)
-    d = 1.0 - qab * x / qap
-    d = 1.0 / np.where(np.abs(d) < tiny, tiny, d)
-    h = d
+    # rows (0, a), (-b, a + b), (a - 1, a + 1), (d, c), x, h, lane (-1 once finished);
+    # work rows: the step's two terms, scratch, and a + 2m, then each half step's update
+    block = np.empty((11, a.size))
+    block[0], block[7], block[8], block[10] = 0.0, 1.0, x, np.arange(a.size)
+    block[1:6] = a, -b, a + b, a - 1.0, a + 1.0
+    d = block[6]
+    d[:] = 1.0 - block[3] * x / block[5]
+    _cf_guard(d, block[9], tiny)
+    np.divide(1.0, d, out=d)
+    block[9] = d
+    work = np.empty((5, a.size))
+
+    def lanes(width: int) -> tuple[np.ndarray, ...]:
+        """The rows over the first ``width`` lanes: the pairs, x, h, lane and work."""
+        return (*block[:8, :width].reshape(4, 2, width), *block[8:, :width],
+                work[:2, :width], work[2:4, :width], work[4, :width])
+
+    base, shifted, ends, dc, x, h, lane, w, scratch, step = lanes(a.size)
+    d, c = dc
+    open_lanes = a.size
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
-                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
-            d = 1.0 + aa * d
-            d = np.where(np.abs(d) < tiny, tiny, d)
-            c = 1.0 + aa / c
-            c = np.where(np.abs(c) < tiny, tiny, c)
-            d = 1.0 / d
-            delta = d * c
-            h = h * delta
-        done = np.abs(delta - 1.0) < _CF_EPS
-        if done.any():
-            out[lane[done]] = h[done]
-            keep = ~done
-            if not keep.any():
+        np.add(base, m, out=w)
+        np.add(shifted, m, out=scratch)
+        np.multiply(w, scratch, out=w)
+        np.multiply(w, x, out=w)
+        np.add(base[1], m2, out=step)
+        np.add(ends, m2, out=scratch)
+        np.multiply(scratch, step, out=scratch)
+        np.divide(w, scratch, out=w)
+        for term in w:
+            np.multiply(term, d, out=d)
+            np.divide(term, c, out=c)
+            np.subtract(1.0, dc, out=dc)
+            _cf_guard(dc, scratch, tiny)
+            np.divide(1.0, d, out=d)
+            np.multiply(d, c, out=step)
+            np.multiply(h, step, out=h)
+        np.subtract(step, 1.0, out=step)
+        np.abs(step, out=step)
+        if np.fmin.reduce(step) < eps:
+            done = np.flatnonzero(step < eps)
+            out[lane[done].astype(np.intp)] = h[done]
+            dc[:, done] = np.nan
+            lane[done] = -1.0
+            open_lanes -= done.size
+            if not open_lanes:
                 return out
-            # one array at a time, so each old array is freed as its successor is built
-            lane = lane[keep]
-            a = a[keep]
-            b = b[keep]
-            x = x[keep]
-            qab = qab[keep]
-            qap = qap[keep]
-            qam = qam[keep]
-            c = c[keep]
-            d = d[keep]
-            h = h[keep]
-    raise _cf_error(float(a[0]), float(b[0]), float(x[0]))
+            if 2 * open_lanes <= lane.size:
+                keep = np.flatnonzero(lane >= 0.0)
+                for row in block:
+                    row[:open_lanes] = row[keep]
+                base, shifted, ends, dc, x, h, lane, w, scratch, step = lanes(open_lanes)
+                d, c = dc
+    i = np.argmax(lane >= 0.0)  # the first lane still open
+    raise _cf_error(float(base[1, i]), -float(shifted[0, i]), float(x[i]))
 
 
 def _ibeta_row(a, b, p) -> tuple[np.ndarray, np.ndarray]:
@@ -271,7 +317,10 @@ def _ibeta_row(a, b, p) -> tuple[np.ndarray, np.ndarray]:
     cf = _beta_cf_row(ca, np.where(swap, a, b), np.where(swap, 1.0 - p, p))
     head = _map(math.exp, ln_front) * cf / ca
     value[inner] = np.where(swap, 1.0 - head, head)
-    density[inner] = _map(_exp, (a - 1.0) * ln_p + (b - 1.0) * ln_q - ln_b)
+    ln_density = (a - 1.0) * ln_p + (b - 1.0) * ln_q - ln_b
+    # math.exp cannot overflow at or below 709; a NaN lane takes the guarded map too
+    safe = ln_density.max(initial=-math.inf) <= 709.0
+    density[inner] = _map(math.exp if safe else _exp, ln_density)
     return value, density
 
 

@@ -237,7 +237,8 @@ def test_stacked_rows_equal_separate_rows(sizes):
             assert np.array_equal(out.view(np.uint64), alone.view(np.uint64))
 
 
-def test_row_kernel_names_the_lane_that_does_not_converge():
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_row_kernel_names_the_lane_that_does_not_converge(where):
     # shape ~1e6: the continued fraction needs more than its 500 steps
     bad = (1902608.6356816522, 1723780.331182298, 0.5246606581572989)
     with pytest.raises(NumericError) as point:
@@ -245,10 +246,33 @@ def test_row_kernel_names_the_lane_that_does_not_converge():
     for n in (3, 2 * specfun._ROW_MIN_LANES):
         a, b = np.full(n, 2.5), np.full(n, 4.0)
         p = np.linspace(0.05, 0.95, n)
-        a[n // 2], b[n // 2], p[n // 2] = bad
+        i = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+        a[i], b[i], p[i] = bad
         with pytest.raises(NumericError) as row:
             specfun._ibeta_row(a, b, p)
         assert str(row.value) == str(point.value)
+
+
+def test_lentz_guard_keeps_the_row_kernel_lane_exact(monkeypatch):
+    # |d|, |c| < tiny never happens on these lanes at the kernels' 1e-300, so
+    # raise tiny until the guard fires on some lanes (their values move) and
+    # not on others; the numpy loop must still give every lane the point
+    # kernel's bits.
+    a, b, p = _lane_triples().T
+    assert a.size > specfun._ROW_MIN_LANES
+    unguarded = specfun._ibeta_row(a, b, p)[0]
+    monkeypatch.setattr(specfun, "_CF_TINY", 1e-3)
+    value, density = specfun._ibeta_row(a, b, p)
+    moved = np.count_nonzero(value != unguarded)
+    assert 0 < moved < a.size // 4
+    lanes = zip(a.tolist(), b.tolist(), p.tolist())
+    points = np.array([specfun._ibeta_point(*lane) for lane in lanes]).T
+    assert np.array_equal(value.view(np.uint64), points[0].view(np.uint64))
+    assert np.array_equal(density.view(np.uint64), points[1].view(np.uint64))
+    # a finished lane is NaN: the guard must still see the open lanes beside it
+    rows = np.array([[np.nan, 1e-5, 0.5], [-2e-4, np.nan, -0.5]])
+    specfun._cf_guard(rows, np.empty_like(rows), 1e-3)
+    assert np.array_equal(rows, [[np.nan, 1e-3, 0.5], [1e-3, np.nan, -0.5]], equal_nan=True)
 
 
 def test_row_kernel_all_endpoint_row():

@@ -234,6 +234,28 @@ def test_sigma_newton_stops_on_its_step(monkeypatch):
         assert max(evals.values()) <= 10, d
 
 
+def test_sigma_lane_at_the_noise_floor_of_2001(monkeypatch):
+    # A known defect of the step rule: at d = 2001 the sigma lane
+    # (s, t) = (1465, 536) reaches its residual's noise floor with Newton
+    # steps just above xtol, then bisects 17 times from a far bracket end.
+    # It takes 24 residual evaluations (bracket ends included) against at
+    # most 8 for every other split; a step rule that stops at the noise
+    # floor should lower this bound.
+    module = importlib.import_module("spectra_theta.theta")
+    residual = module._sigma_residual
+    evals = collections.Counter()
+
+    def counted(sh, th, x):
+        evals.update(zip(sh.tolist(), th.tolist()))
+        return residual(sh, th, x)
+
+    monkeypatch.setattr(module, "_sigma_residual", counted)
+    theta(2001)
+    assert len(evals) == 1000
+    assert evals.pop((1465 / 2, 536 / 2)) <= 24
+    assert max(evals.values()) <= 8
+
+
 def test_theta_stacks_its_independent_rows(monkeypatch):
     # The two incomplete betas of each sigma residual, and the four of the
     # two kappa_star routes, come from one stacked pass: theta(2000) makes 8
