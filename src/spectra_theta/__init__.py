@@ -55,6 +55,7 @@ from .theta import (
     sigma_st,
     theta,
     theta_odd_bounds,
+    thetas,
 )
 
 __version__ = "0.1.0"

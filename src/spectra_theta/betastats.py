@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, _require_int, _require_real
 from .rootfind import newton_rows
-from .specfun import _ibeta_inv_row, _ibeta_row, reg_inc_beta
+from .specfun import _ibeta_inv_row, _ibeta_row, _ln_beta_row, reg_inc_beta
 
 
 @dataclass(frozen=True)
@@ -52,18 +52,18 @@ class BetaShape:
         return self.s_frak / self.d_frak
 
 
-def _equipoint_residual(s, t, x) -> tuple[np.ndarray, np.ndarray]:
+def _equipoint_residual(s, t, x, ln_b) -> tuple[np.ndarray, np.ndarray]:
     """I_x(s, t+1) + I_x(s+1, t) - 1 per lane, strictly increasing in x,
     exactly -1 at x = 0 and +1 at x = 1; and its x-derivative
     (s + t) beta_pdf(s, t, x) ((1-x)/t + x/s).
 
     Evaluated through the contiguous-shape rearrangement
     2 I_x(s, t) + (s - t) x (1-x) beta_pdf(s, t, x) / (s t) - 1, so one
-    row-kernel pass at (s, t, x) gives the residual and the slope.  The test
-    suite checks the returned root against the two-call defining sum
-    directly.
+    row-kernel pass at (s, t, x), with ``ln_b`` the row of ln B(s, t), gives
+    the residual and the slope.  The test suite checks the returned root
+    against the two-call defining sum directly.
     """
-    value, pdf = _ibeta_row(s, t, x)
+    value, pdf = _ibeta_row(s, t, x, ln_b)
     correction = (s - t) * x * (1.0 - x) * pdf / (s * t)
     return 2.0 * value + correction - 1.0, (s + t) * pdf * ((1.0 - x) / t + x / s)
 
@@ -76,8 +76,9 @@ def _equipoint_band(s, t):
 def _equipoint_rows(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The equipoint of every lane (s, t) with t > 0, one Newton row."""
     lower, upper = _equipoint_band(s, t)
+    ln_b = _ln_beta_row(s, t)
     return newton_rows(
-        lambda x, lanes: _equipoint_residual(s[lanes], t[lanes], x),
+        lambda x, lanes: _equipoint_residual(s[lanes], t[lanes], x, ln_b[lanes]),
         0.0,
         1.0,
         x0=0.5 * (lower + upper),
@@ -140,7 +141,11 @@ def median_bounds(shape: BetaShape) -> tuple[float, float]:
     (s/(s+t), s/(s+t) + (s-t)/(s+t)^2).  The sandwich
     lower <= median <= upper is asserted by the test suite, not here.
     """
-    s, t = shape.s_frak, shape.t_frak
+    return _median_bounds(shape.s_frak, shape.t_frak)
+
+
+def _median_bounds(s: float, t: float) -> tuple[float, float]:
+    """``median_bounds`` of the shape (s, t), whose checks ``BetaShape`` passed."""
     if not (1.0 <= t <= s and s + t >= 3.0):
         raise DomainError(f"median_bounds requires 1 <= t <= s and s+t >= 3, got ({s}, {t})")
     mu = s / (s + t)
@@ -280,7 +285,8 @@ def _bounds_checks(median_shapes: list[tuple[float, float]],
     and the findings of ``simmons_conjecture_sweep`` on its shapes.  Every
     distinct median is solved once, in one inverse row, and every distinct
     equipoint once, in one equipoint row."""
-    bounds = [median_bounds(BetaShape(s, t)) for s, t in median_shapes]
+    bounds = [_median_bounds(_require_real("s_frak", s, 0.0, above=True),  # BetaShape's checks
+                             _require_real("t_frak", t, 0.0)) for s, t in median_shapes]
     # checked before the 0 < t <= s filter, which would drop a NaN shape unseen
     shapes = [(_require_real("s", s), _require_real("t", t)) for s, t in ordering_shapes]
     kept = [(s, t) for s, t in shapes if 0.0 < t <= s]

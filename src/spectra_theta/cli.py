@@ -7,6 +7,9 @@ Commands
 * ``equipoint-table``  equipoints of the integer shapes (s, 10 - s)
 * ``verify SWEEP``     invariant sweeps; exits nonzero on any violation
 
+``theta-table`` and ``verify bounds`` (odd d <= min(--d-max, 199), each
+within its odd-d bounds) solve all their theta(d) in one ``thetas`` call.
+
 Each command, and each ``verify`` sweep (simmons, monotone, bounds, oracle,
 dilation), is its own subcommand that declares only the flags it reads,
 with their defaults, so any other flag is a usage error.  A ``--d-max`` or
@@ -31,7 +34,7 @@ from . import betastats, dilation, pencil, sphere_oracle
 from .betastats import BetaShape
 from .errors import DomainError, NumericError, ResourceError, _require_int
 from .sphere_oracle import DEFAULT_SEED
-from .theta import SignDiag, alpha_beta, kappa_star, theta
+from .theta import SignDiag, alpha_beta, kappa_star, thetas
 
 MEDIAN_TABLE_SHAPES = [(2.5, 1.0), (3.0, 1.0), (3.0, 2.0), (4.0, 2.0), (10.0, 3.0), (10.0, 7.0)]
 
@@ -87,7 +90,7 @@ def _emit(rows: list[dict], args: argparse.Namespace) -> None:
 
 def cmd_theta_table(args: argparse.Namespace) -> int:
     rows = []
-    for report in map(theta, range(1, _require_int("--d-max", args.d_max, 1) + 1)):
+    for report in thetas(range(1, _require_int("--d-max", args.d_max, 1) + 1)):
         t_minus, t_plus, t_pp = report.bounds_odd or (None, None, None)
         rows.append(
             {
@@ -166,8 +169,7 @@ def _verify_bounds(args: argparse.Namespace) -> int:
     # conjectured real-parameter upper bound: reported, never asserted
     for finding in findings:
         print(f"  NOTE (conjecture, not asserted): {finding}")
-    for d in range(3, min(args.d_max, 199) + 1, 2):
-        theta(d)  # raises NumericError when theta(d) escapes its odd-d bounds
+    thetas(range(3, min(args.d_max, 199) + 1, 2))  # NumericError if one escapes its odd-d bounds
     return _report_violations("bounds", violations)
 
 

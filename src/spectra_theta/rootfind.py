@@ -35,6 +35,7 @@ def newton_rows(
     xtol: float,
     rtol: float = 0.0,
     ftol: float = 0.0,
+    lane_name: Callable[[int], str] = str,
 ) -> np.ndarray:
     """Safeguarded Newton iteration for increasing residuals on a row of
     brackets [lo[i], hi[i]] (scalars broadcast).
@@ -50,8 +51,8 @@ def newton_rows(
     its bracket width drops to ``xtol + rtol * max(|lo|, |hi|)``; when a
     Newton step is at most ``xtol + rtol * |x|``; or when its bracket can no
     longer be split in floating point.  Raises NumericError, naming the
-    lane, when a bracket does not change sign or a lane runs out of its
-    iteration budget.
+    lane (``lane_name`` of its index in the row), when a bracket does not
+    change sign or a lane runs out of its iteration budget.
     """
     lo, hi = np.atleast_1d(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     x = 0.5 * (lo + hi) if x0 is None else np.minimum(np.maximum(x0, lo), hi)
@@ -66,7 +67,7 @@ def newton_rows(
     if bad.size:
         i = bad[0]
         raise NumericError(
-            f"not a sign-changing bracket in lane {i}: f({lo[i]})={flo[i]}, f({hi[i]})={fhi[i]}"
+            f"not a sign-changing bracket in lane {lane_name(i)}: f({lo[i]})={flo[i]}, f({hi[i]})={fhi[i]}"
         )
     roots = np.where(flo == 0.0, lo, hi)  # right for lanes with a root at a bracket end
     lane = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
@@ -108,6 +109,6 @@ def newton_rows(
         x = np.where(inside, x_step, mid)
     if lane.size:
         raise NumericError(
-            f"root finder did not converge in lane {lane[0]} on [{lo[0]}, {hi[0]}]"
+            f"root finder did not converge in lane {lane_name(lane[0])} on [{lo[0]}, {hi[0]}]"
         )
     return roots

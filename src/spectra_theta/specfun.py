@@ -6,8 +6,8 @@ One point function, ``_ibeta_point``, yields I_p and the density of one
 ``beta_pdf`` are each one call of it.  The row kernel (``_ln_beta_row``,
 ``_ibeta_row``, ``_ibeta_inv_row``) evaluates a numpy row of triples for
 every sweep and root, with the point function's bits in every lane: the same
-operation order, ``math``'s transcendental functions mapped per lane (ln Gamma
-once per distinct shape value of the row), and one modified-Lentz loop over
+operation order, ``math``'s transcendental functions mapped per lane (ln B
+once per solve, not per Newton round), and one modified-Lentz loop over
 the lanes still iterating, which writes into a few row buffers and makes no
 temporary per iteration.  ``_ibeta_row``
 alone picks the path, mapping the point function over rows shorter than
@@ -207,7 +207,10 @@ def _ln_beta_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a and b lanes, and one per distinct a + b, summed in ``ln_beta``'s
     order.  A row of splits of d repeats its shapes (b of one lane is a of
     another, and a + b is d/2 + 1 in every lane); it does not go through
-    the memo, which a row of many shapes would only churn."""
+    the memo, which a row of many shapes would only churn, unless it is
+    shorter than ``_ROW_MIN_LANES``, where the sorts cost more."""
+    if a.size < _ROW_MIN_LANES:
+        return _map(_ln_beta, a, b)
     values, lanes = np.unique(np.concatenate([a, b]), return_inverse=True)
     ln_gamma_ab = _map(math.lgamma, values)[lanes]
     values, lanes = np.unique(a + b, return_inverse=True)
@@ -298,9 +301,10 @@ def _beta_cf_row(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     raise _cf_error(float(base[1, i]), -float(shifted[0, i]), float(x[i]))
 
 
-def _ibeta_row(a, b, p) -> tuple[np.ndarray, np.ndarray]:
+def _ibeta_row(a, b, p, ln_b=None) -> tuple[np.ndarray, np.ndarray]:
     """``_ibeta_point`` on a row of (a, b, p) triples (scalars broadcast),
-    mapped below ``_ROW_MIN_LANES`` lanes, else one numpy loop."""
+    mapped below ``_ROW_MIN_LANES`` lanes, else one numpy loop, which takes
+    ``ln_b`` (a root's ``_ln_beta_row(a, b)``) as its ln B if given."""
     a, b, p = _lanes(a, b, p)
     if a.size < _ROW_MIN_LANES:
         points = map(_ibeta_point, a.tolist(), b.tolist(), p.tolist())
@@ -309,7 +313,8 @@ def _ibeta_row(a, b, p) -> tuple[np.ndarray, np.ndarray]:
     value, density = np.where(p <= 0.0, 0.0, 1.0), np.zeros(a.size)
     inner = ~((p <= 0.0) | (p >= 1.0))  # the point kernel's endpoint tests
     a, b, p = a[inner], b[inner], p[inner]
-    ln_p, ln_q, ln_b = _map(math.log, p), _map(math.log1p, -p), _ln_beta_row(a, b)
+    ln_b = _ln_beta_row(a, b) if ln_b is None else ln_b[inner]
+    ln_p, ln_q = _map(math.log, p), _map(math.log1p, -p)
     ln_front = a * ln_p + b * ln_q - ln_b
     # the point kernel's symmetry switch, per lane
     swap = ~(p < (a + 1.0) / (a + b + 2.0))
@@ -324,12 +329,13 @@ def _ibeta_row(a, b, p) -> tuple[np.ndarray, np.ndarray]:
     return value, density
 
 
-def _ibeta_rows(*triples) -> list[tuple[np.ndarray, np.ndarray]]:
+def _ibeta_rows(*triples, ln_b=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """``_ibeta_row`` of each (a, b, p) triple (scalars broadcast per
-    triple), from one ``_ibeta_row`` call over the rows stacked end to end;
-    lane exactness gives every lane the bits of its own row's call."""
+    triple), from one ``_ibeta_row`` call over the rows stacked end to end,
+    with ``ln_b`` their stacked ln B row if given; lane exactness gives
+    every lane the bits of its own row's call."""
     rows = [_lanes(*triple) for triple in triples]
-    value, density = _ibeta_row(*(np.concatenate(part) for part in zip(*rows)))
+    value, density = _ibeta_row(*(np.concatenate(part) for part in zip(*rows)), ln_b)
     starts = [0, *accumulate(row[0].size for row in rows)]
     return [(value[i:j], density[i:j]) for i, j in zip(starts, starts[1:])]
 
@@ -338,9 +344,10 @@ def _ibeta_inv_row(y, a, b) -> np.ndarray:
     """``reg_inc_beta_inv`` on a row of (y, a, b) triples (scalars
     broadcast), one Newton row on [0, 1] with the density as its slope."""
     y, a, b = _lanes(y, a, b)
+    ln_b = _ln_beta_row(a, b)
 
     def residual(p, lanes):
-        value, density = _ibeta_row(a[lanes], b[lanes], p)
+        value, density = _ibeta_row(a[lanes], b[lanes], p, ln_b[lanes])
         return value - y[lanes], density
 
     # Crude but robust start: mean of the distribution.  The residual stop

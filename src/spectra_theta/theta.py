@@ -17,14 +17,15 @@ the profile function f_{s,t}, and evaluates the per-split optimum two
 independent ways (d/2 (alpha + beta) at the optimal (a, b), and
 f_{s,t}(sigma_{s,t})), cross-checking them against each other.
 
-That code is written once, on rows: theta(d) solves sigma and kappa_* for
-all its splits together, one bracketed-Newton row (``rootfind.newton_rows``)
-over the row kernel of ``specfun``: one stacked pass per round gives both
-incomplete betas of the sigma residual and their densities, its slope, and
-one more gives the four incomplete betas of kappa_*'s two routes.  The
-point functions ``alpha_beta``, ``f_g_h``, ``sigma_st`` and ``kappa_star``
-are one-lane calls of the same code, so a split gives the same bits either
-way.
+That code is written once, on rows: thetas(ds) solves sigma and kappa_*
+for all the splits of many d together (theta(d) is its one-d call), one
+bracketed-Newton row (``rootfind.newton_rows``) over the row kernel of
+``specfun``: one stacked pass per round gives both incomplete betas of the
+sigma residual and their densities, its slope, and one more gives the four
+incomplete betas of kappa_*'s two routes, on sigma's two shape pairs and
+their ln B rows.  The point functions ``alpha_beta``, ``f_g_h``,
+``sigma_st`` and ``kappa_star`` are one-lane calls of the same code, so a
+split gives the same bits either way.
 """
 
 from __future__ import annotations
@@ -38,10 +39,13 @@ import numpy as np
 from .betastats import _equipoint_band
 from .errors import DomainError, NumericError, _require_int, _require_real
 from .rootfind import newton_rows
-from .specfun import _ibeta_rows, ln_gamma, reg_inc_beta
+from .specfun import _ibeta_rows, _ln_beta_row, ln_gamma, reg_inc_beta
 
 KAPPA_CROSS_CHECK_TOL = 1e-9
 CLOSED_FORM_TOL = 1e-8
+# The most splits one pass of ``thetas`` solves together: 2**17 lanes in its kappa_* kernel
+# pass, about 42 MiB at its peak (1.3 kB per split)
+_PASS_SPLITS = 2**15
 
 
 @dataclass(frozen=True)
@@ -127,26 +131,36 @@ def sigma_st(s: int, t: int) -> float:
     return float(_sigma_rows(np.array([s]), np.array([t]))[0])
 
 
-def _sigma_residual(sh, th, x) -> tuple[np.ndarray, np.ndarray]:
+def _sigma_residual(sh, th, x, ln_b) -> tuple[np.ndarray, np.ndarray]:
     """I_x(s/2, 1+t/2) - I_{1-x}(t/2, 1+s/2) per lane, increasing in x, and
     its x-derivative, the sum of the two densities; both incomplete betas
-    come from one stacked row-kernel pass."""
+    come from one stacked row-kernel pass, with ln B from ``ln_b``."""
     # sigma_{s,t} is the equipoint e_{s/2,t/2} but keeps this residual: through
     # betastats' one-beta form it lands 2-4x farther from 40-digit roots
     # (1.2e-14 against 5.5e-15 at (2001, 2000)), and theta(20001) then escapes
     # its odd-d bounds.  test_sigma_st_against_mpmath holds today's accuracy.
-    (left, left_pdf), (right, right_pdf) = _ibeta_rows((sh, th + 1.0, x), (th, sh + 1.0, 1.0 - x))
+    (left, left_pdf), (right, right_pdf) = _ibeta_rows(
+        (sh, th + 1.0, x), (th, sh + 1.0, 1.0 - x), ln_b=ln_b.ravel()
+    )
     return left - right, left_pdf + right_pdf
 
 
-def _sigma_rows(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _split_ln_b(sh, th) -> np.ndarray:
+    """The rows of ln B(s/2, 1+t/2) and ln B(t/2, 1+s/2), from one call."""
+    return _ln_beta_row(np.concatenate([sh, th]), np.concatenate([th + 1.0, sh + 1.0])).reshape(2, -1)
+
+
+def _sigma_rows(s: np.ndarray, t: np.ndarray, ln_b=None) -> np.ndarray:
     """sigma_{s,t} for every lane s > t >= 1 (integer rows), one Newton row
-    on the equipoint band of (s/2, t/2), which is [(s+2)/(s+t+4), s/(s+t)]."""
+    on the equipoint band of (s/2, t/2), which is [(s+2)/(s+t+4), s/(s+t)],
+    with their ``_split_ln_b`` (computed if not given)."""
     sh, th = s / 2.0, t / 2.0
+    ln_b = _split_ln_b(sh, th) if ln_b is None else ln_b
     return newton_rows(
-        lambda x, lanes: _sigma_residual(sh[lanes], th[lanes], x),
+        lambda x, lanes: _sigma_residual(sh[lanes], th[lanes], x, ln_b[:, lanes]),
         *_equipoint_band(sh, th),
         xtol=1e-15,
+        lane_name=lambda i: f"{i} (sigma of (d, s, t) = ({s[i] + t[i]}, {s[i]}, {t[i]}))",
     )
 
 
@@ -204,25 +218,29 @@ def kappa_star(s: int, t: int) -> tuple[float, float, float]:
     """
     s, t = _require_int("s", s, 1), _require_int("t", t, 1)
     sigma = sigma_st(s, t) if s >= t else 1.0 - sigma_st(t, s)
-    ks, a_opt, b_opt = _kappa_rows(np.array([s]), np.array([t]), np.array([sigma]))
+    s, t = np.array([s]), np.array([t])
+    ks, a_opt, b_opt = _kappa_rows(s, t, np.array([sigma]), _split_ln_b(s / 2.0, t / 2.0))
     return float(ks[0]), float(a_opt[0]), float(b_opt[0])
 
 
 def _kappa_rows(
-    s: np.ndarray, t: np.ndarray, sigma: np.ndarray
+    s: np.ndarray, t: np.ndarray, sigma: np.ndarray, ln_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """kappa_star's two routes and cross-check on rows of splits (s, t) with
     their interior minimizers sigma; see kappa_star.  The four incomplete
     betas of the two routes come from one stacked row-kernel pass (which
-    also computes their densities, unused here); an empty row makes none."""
+    also computes their densities, unused here), with sigma's ``ln_b``; an
+    empty row makes none."""
     if not s.size:
         return np.empty(0), np.empty(0), np.empty(0)
     d = s + t
     u = 1.0 - sigma
     lam = d / (s * u + t * (1.0 - u))
     a_opt, b_opt = lam * u, lam * (1.0 - u)
+    # alpha and the profile's I_{1-p} have the shapes (t/2, 1+s/2), beta and its I_p (s/2, 1+t/2)
     (i_alpha, _), (i_beta, _), (i_left, _), (i_right, _) = _ibeta_rows(
-        *_alpha_beta_triples(s, t, a_opt, b_opt), *_profile_triples(s, t, sigma)
+        *_alpha_beta_triples(s, t, a_opt, b_opt), *_profile_triples(s, t, sigma),
+        ln_b=ln_b[[1, 0, 1, 0]].ravel(),
     )
 
     # Route 1: alpha = beta at the trace-normalized weights.
@@ -286,20 +304,49 @@ def theta_odd_bounds(d: int) -> tuple[float, float, float]:
     return theta_m, 1.0 / inv_theta_p, theta_pp
 
 
-def _split_scan(d: int) -> tuple[np.ndarray, ...]:
+def _split_scan(*ds: int) -> tuple[np.ndarray, ...]:
     """(s, t, kappa_*, a_opt, b_opt) of every split s >= ceil(d/2), t >= 1 of
-    d, as rows: one sigma row (sigma = 1/2 without a solve where s = t) and
-    one row of kappa_star's two routes."""
-    s = np.arange((d + 1) // 2, d)
-    t = d - s
+    each d in turn, as rows: one sigma row (sigma = 1/2 without a solve where
+    s = t) and one row of kappa_star's two routes, on one ``_split_ln_b``."""
+    s = np.concatenate([np.arange((d + 1) // 2, d) for d in ds])
+    t = np.repeat(ds, [d // 2 for d in ds]) - s
+    ln_b = _split_ln_b(s / 2.0, t / 2.0)
     sigma = np.full(s.size, 0.5)
     unequal = s > t
-    sigma[unequal] = _sigma_rows(s[unequal], t[unequal])
-    return (s, t, *_kappa_rows(s, t, sigma))
+    sigma[unequal] = _sigma_rows(s[unequal], t[unequal], ln_b[:, unequal])
+    return (s, t, *_kappa_rows(s, t, sigma, ln_b))
+
+
+def thetas(ds) -> list[ThetaReport]:
+    """``theta(d)`` for each d of ``ds``, in order, with the same bits.
+
+    Every d is checked first.  The d's are then cut, in order, into runs of
+    whole d's of at most ``_PASS_SPLITS`` splits (or one d), each one
+    ``_split_scan``, whose d's then take their minima and run theta's checks
+    in order.  A scan that fails is run again one d at a time, to raise the
+    NumericError that a loop of ``theta(d)`` raises first."""
+    runs, splits = [], 0
+    for d in [_require_int("d", d, 1) for d in ds]:
+        if not runs or splits + d // 2 > _PASS_SPLITS:
+            runs.append([])
+            splits = 0
+        runs[-1].append(d)
+        splits += d // 2
+    reports = []
+    for run in runs:
+        try:
+            rows = _split_scan(*run)
+        except NumericError:
+            if len(run) > 1:
+                list(map(theta, run))  # raises where a loop of theta(d) would
+            raise
+        stops = np.cumsum([d // 2 for d in run[:-1]])
+        reports += map(_theta_report, run, *(np.split(row, stops) for row in rows))
+    return reports
 
 
 def theta(d: int) -> ThetaReport:
-    """The relaxation constant theta(d) = 1 / min_{s+t=d} kappa_*(s, t).
+    """The relaxation constant theta(d) = 1 / min_{s+t=d} kappa_*(s, t); a one-d ``thetas``.
 
     The minimum is found by scanning every split s >= ceil(d/2), all of them
     solved together as rows (``_split_scan``), rather than trusting the
@@ -309,9 +356,13 @@ def theta(d: int) -> ThetaReport:
     additionally required to agree to 1e-12, and the scan minimum must
     match the closed form to 1e-8; a mismatch raises NumericError.
     """
-    d = _require_int("d", d, 1)
+    return thetas([d])[0]
+
+
+def _theta_report(d: int, *rows: np.ndarray) -> ThetaReport:
+    """theta(d), checked, from the rows (s, t, kappa_*, a_opt, b_opt) of its splits."""
     # the last split, (d, 0), is the identity pattern: the integrand is constant
-    rows = [np.append(row, last) for row, last in zip(_split_scan(d), (d, 0, 1.0, 1.0, 0.0))]
+    rows = [np.append(row, last) for row, last in zip(rows, (d, 0, 1.0, 1.0, 0.0))]
     i = int(np.argmin(rows[2]))  # the first minimum: ties go to the smaller s
     best_s, best_t, best_ks, best_a, best_b = (row[i].item() for row in rows)
 

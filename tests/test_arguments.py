@@ -29,6 +29,7 @@ from spectra_theta.theta import (
     theta,
     theta_even_closed_form,
     theta_odd_bounds,
+    thetas,
 )
 
 J = SignDiag(2, 1, 1.0, 1.0)
@@ -47,6 +48,7 @@ ARGUMENTS = [
     ("kappa_star.s", lambda v: kappa_star(v, 2), 3, 1),
     ("kappa_star.t", lambda v: kappa_star(3, v), 2, 1),
     ("theta.d", lambda v: theta(v), 5, 1),
+    ("thetas.d", lambda v: thetas([3, v]), 5, 1),
     ("theta_even_closed_form.d", lambda v: theta_even_closed_form(v), 4, 2),
     ("theta_odd_bounds.d", lambda v: theta_odd_bounds(v), 5, 3),
     ("binom_tail.s", lambda v: betastats.binom_tail(0.3, v, 5), 2, 0),

@@ -12,7 +12,9 @@ from spectra_theta.betastats import (
     equipoint_bounds,
     equipoints,
     median,
+    bounds_sweeps,
     median_bounds,
+    median_bounds_sweep,
     median_old_upper_bound,
     ordering_sweep,
     phi_functions,
@@ -407,6 +409,29 @@ def test_simmons_sweep_builds_no_beta_shape(monkeypatch):
     monkeypatch.setattr(BetaShape, "__post_init__", lambda self: built.append(1) or post_init(self))
     assert simmons_sweep(400) == []
     assert built == []
+
+
+def test_bounds_sweeps_builds_no_beta_shape(monkeypatch):
+    # the sweeps read the median bounds, like their medians and equipoints,
+    # from the (s, t) pairs
+    built = []
+    post_init = BetaShape.__post_init__
+    monkeypatch.setattr(BetaShape, "__post_init__", lambda self: built.append(1) or post_init(self))
+    shapes = [(4.0 + 0.5 * k, 1.0 + 0.25 * k) for k in range(12)]
+    assert bounds_sweeps(shapes, 10.0, 5.0, 0.5) == ([], [])
+    assert built == []
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 1.0), (3.0, -1.0), (1.0, 1.5), (1.4, 1.4),
+                                 (True, 2.0), ("3", 1.0)])
+def test_median_bounds_sweep_refuses_as_median_bounds(bad):
+    # the first bad shape is refused with the DomainError of
+    # median_bounds(BetaShape(s, t)), whichever check it fails
+    with pytest.raises(DomainError) as expected:
+        median_bounds(BetaShape(*bad))
+    with pytest.raises(DomainError) as got:
+        median_bounds_sweep([(4.0, 2.0), bad, (math.nan, 1.0), (1.0, 2.0)])
+    assert str(got.value) == str(expected.value)
 
 
 def test_simmons_sweep_records_equal_a_plain_recomputation(monkeypatch):

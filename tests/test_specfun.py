@@ -216,6 +216,16 @@ def test_row_kernel_is_lane_exact():
     assert np.array_equal(specfun._ln_beta_row(a, b).view(np.uint64), ln_b.view(np.uint64))
 
 
+def test_ln_beta_row_has_the_bits_of_ln_beta_on_short_rows():
+    # below the crossover the ln B row maps the memo instead of sorting; the
+    # kappa_* pass of theta(61) reads such a row on its numpy path
+    a, b, _ = _lane_triples().T
+    for n in (0, 1, specfun._ROW_MIN_LANES - 1, specfun._ROW_MIN_LANES):
+        expected = np.array([ln_beta(x, y) for x, y in zip(a[:n].tolist(), b[:n].tolist())])
+        row = specfun._ln_beta_row(a[:n], b[:n])
+        assert np.array_equal(row.view(np.uint64), expected.view(np.uint64)), n
+
+
 @pytest.mark.parametrize(
     "sizes", [(1, 60), (60, 60), (1, 1000), (0, 30), (0, 200, 7)],
     ids=["1+60", "60+60", "1+1000", "empty+30", "empty+200+7"],

@@ -2,6 +2,8 @@ import collections
 import importlib
 import math
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from spectra_theta.theta import (
     theta,
     theta_even_closed_form,
     theta_odd_bounds,
+    thetas,
 )
 
 # printed 6-digit table of theta(d) and its odd-d bounds
@@ -222,9 +225,9 @@ def test_sigma_newton_stops_on_its_step(monkeypatch):
     residual = module._sigma_residual
     evals = collections.Counter()
 
-    def counted(sh, th, x):
+    def counted(sh, th, x, ln_b):
         evals.update(zip(sh.tolist(), th.tolist()))
-        return residual(sh, th, x)
+        return residual(sh, th, x, ln_b)
 
     monkeypatch.setattr(module, "_sigma_residual", counted)
     for d in (60, 200):
@@ -245,9 +248,9 @@ def test_sigma_lane_at_the_noise_floor_of_2001(monkeypatch):
     residual = module._sigma_residual
     evals = collections.Counter()
 
-    def counted(sh, th, x):
+    def counted(sh, th, x, ln_b):
         evals.update(zip(sh.tolist(), th.tolist()))
-        return residual(sh, th, x)
+        return residual(sh, th, x, ln_b)
 
     monkeypatch.setattr(module, "_sigma_residual", counted)
     theta(2001)
@@ -267,13 +270,13 @@ def test_theta_stacks_its_independent_rows(monkeypatch):
     rows, row = module._ibeta_rows, specfun._ibeta_row
     stacks, row_calls = [], []
 
-    def counted_rows(*triples):
-        out = rows(*triples)
+    def counted_rows(*triples, ln_b=None):
+        out = rows(*triples, ln_b=ln_b)
         stacks.append(sum(value.size for value, _ in out))
         return out
 
-    def counted_row(a, b, p):
-        value, density = row(a, b, p)
+    def counted_row(a, b, p, ln_b=None):
+        value, density = row(a, b, p, ln_b)
         row_calls.append(value.size)
         return value, density
 
@@ -430,3 +433,93 @@ def test_sigma_st_against_mpmath(s, t, bound):
             mpmath.mpf(sigma_st(s, t)),
         )
         assert abs(sigma_st(s, t) - root) <= bound
+
+
+def test_thetas_keep_the_bits_of_theta(monkeypatch):
+    # every report of the stacked scan is the repr of its theta(d), in one
+    # pass and in passes cut down to 64 splits, so pass boundaries keep the
+    # bits too; each pass holds whole d's, in the order given
+    module = importlib.import_module("spectra_theta.theta")
+    ds = [*range(1, 121), 2000, 2001]
+    expected = [repr(theta(d)) for d in ds]
+    assert [repr(report) for report in thetas(ds)] == expected
+    scan, runs = module._split_scan, []
+    monkeypatch.setattr(module, "_split_scan", lambda *run: runs.append(run) or scan(*run))
+    monkeypatch.setattr(module, "_PASS_SPLITS", 64)
+    assert [repr(report) for report in thetas(ds)] == expected
+    assert [d for run in runs for d in run] == ds and len(runs) > 40
+    assert all(len(run) == 1 or sum(d // 2 for d in run) <= 64 for run in runs)
+    assert runs[-2:] == [(2000,), (2001,)]
+
+
+def test_thetas_of_nothing_and_of_a_bad_d(monkeypatch):
+    module = importlib.import_module("spectra_theta.theta")
+    assert thetas([]) == []
+    monkeypatch.setattr(module, "_split_scan", lambda *run: pytest.fail("solved before the check"))
+    for bad in (0, 2.5, "7"):
+        with pytest.raises(DomainError, match=f"d must be an integer of at least 1, got {bad!r}"):
+            thetas([3, bad, 5])
+
+
+def test_thetas_report_the_first_failing_d(monkeypatch):
+    # as a loop of theta(d) would: the closed form is made to disagree at
+    # d = 30 and d = 16, and the scan stops at the smaller
+    module = importlib.import_module("spectra_theta.theta")
+    closed_form = module.theta_even_closed_form
+    monkeypatch.setattr(module, "theta_even_closed_form",
+                        lambda d: closed_form(d) + (1e-6 if d in (16, 30) else 0.0))
+    with pytest.raises(NumericError, match="even-d closed forms disagree for d=16:"):
+        thetas(range(1, 41))
+
+
+def test_thetas_name_the_sigma_lane_that_fails(monkeypatch):
+    # a sigma bracket that does not change sign at d = 9 is named by its
+    # (d, s, t); a check that fails at a smaller d in the same pass is still
+    # the one reported, as a loop of theta(d) reports it
+    module = importlib.import_module("spectra_theta.theta")
+    residual = module._sigma_residual
+
+    def broken(sh, th, x, ln_b):
+        value, slope = residual(sh, th, x, ln_b)
+        return np.where(sh + th == 4.5, 1.0, value), slope
+
+    monkeypatch.setattr(module, "_sigma_residual", broken)
+    with pytest.raises(NumericError, match=r"lane 0 \(sigma of \(d, s, t\) = \(9, 5, 4\)\)"):
+        theta(9)
+    with pytest.raises(NumericError, match=r"lane 0 \(sigma of \(d, s, t\) = \(9, 5, 4\)\)"):
+        thetas(range(1, 41))
+    closed_form = module.theta_even_closed_form
+    monkeypatch.setattr(module, "theta_even_closed_form",
+                        lambda d: closed_form(d) + (1e-6 if d == 4 else 0.0))
+    with pytest.raises(NumericError, match="even-d closed forms disagree for d=4:"):
+        thetas(range(1, 41))
+
+
+def test_ln_beta_is_computed_once_per_solve(monkeypatch):
+    # ln B of a root's shapes is fixed over its Newton rounds: theta(2000)
+    # computes both of its shape pairs' rows in one call, which kappa_star's
+    # routes reuse, and a 4,000-lane median row computes its row once
+    from spectra_theta import betastats, specfun
+
+    calls = []
+    row = specfun._ln_beta_row
+
+    def counted(a, b):
+        calls.append(a.size)
+        return row(a, b)
+
+    for module in (specfun, betastats, importlib.import_module("spectra_theta.theta")):
+        monkeypatch.setattr(module, "_ln_beta_row", counted)
+    theta(2000)
+    assert calls == [2000]
+    calls.clear()
+    thetas(range(1, 201))
+    assert len(calls) == 1
+    rng = np.random.Generator(np.random.Philox(key=5))
+    shapes = [BetaShape(s, t) for s, t in (0.5 + 20.0 * rng.random((4000, 2))).tolist()]
+    calls.clear()
+    betastats.medians(shapes)
+    assert calls == [4000]
+    calls.clear()
+    betastats.equipoints(shapes)
+    assert calls == [4000]
