@@ -268,10 +268,11 @@ def _triangle(first: float, s_max: float, step: float) -> list[tuple[float, floa
 
 def _solve_once(rows, *groups) -> list[list[float]]:
     """``rows(s, t)`` at the shapes (s, t) of every group, solved as one row
-    over the distinct shapes (a lane gets the same bits in any row)."""
+    over the distinct shapes (a lane gets the same bits in any row).  Each
+    shape is read as the complex s + it, which sorts as the (s, t) rows would."""
     st = np.concatenate([np.asarray(group, dtype=float).reshape(-1, 2) for group in groups])
-    distinct, where = np.unique(st, axis=0, return_inverse=True)
-    values = rows(*distinct.T)[where.ravel()]
+    distinct, where = np.unique(st.view(complex)[:, 0], return_inverse=True)
+    values = rows(distinct.real, distinct.imag)[where]
     starts = [0, *accumulate(len(group) for group in groups)]
     return [values[i:j].tolist() for i, j in zip(starts, starts[1:])]
 

@@ -271,69 +271,57 @@ def _score_owner(centers: np.ndarray):
     return lambda u: np.argmax(u.reshape(len(u), -1) @ flat.T, axis=1)
 
 
-def _reflects(u: np.ndarray) -> np.ndarray:
-    """Whether each 2 x 2 matrix of the stack u has a negative determinant."""
-    return u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0] < 0.0
-
-
-def _arc_owner(centers: np.ndarray):
-    """``_score_owner`` for 2 x 2 orthogonal centers, by one search of an arc
-    table instead of a score block.
+def _arc_owner(centers: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The Voronoi cells of 2 x 2 orthogonal centers as arcs of angle: for
+    the rotations, then the reflections, the ascending arc edges (from -inf
+    to inf, one more than the arcs) and each arc's owner, the center that
+    ``_score_owner`` picks for a U of that kind and an angle on the arc.
 
     A 2 x 2 orthogonal U is a rotation or a reflection of angle
     phi = atan2(U_10, U_00).  Two of one kind have trace inner product
-    2 cos(delta phi); a rotation and a reflection have exactly 0.  So a
-    sample belongs to the center of its own kind nearest in angle, on the
-    arc between the midpoints to that center's neighbours.  A sample with no
-    center of its own kind within a quarter turn (or none of its kind at
-    all) is exactly as near every center of the other kind, and goes to the
-    lowest-index one, as the score block's argmax would on exact scores; the
-    search keys each kind's angles apart, as phi + 4 pi [reflection].
+    2 cos(delta phi); a rotation and a reflection have exactly 0.  So a U
+    belongs to the center of its own kind nearest in angle, on the arc
+    between the midpoints to that center's neighbours.  A U with no center
+    of its own kind within a quarter turn (or none of its kind at all) is
+    exactly as near every center of the other kind, and goes to the
+    lowest-index one, as the score block's argmax would on exact scores.
     """
-    def angle_kind(u):
-        return np.arctan2(u[:, 1, 0], u[:, 0, 0]), _reflects(u)
-
-    phi, refl = angle_kind(centers)
-    breaks, owners = [], []
+    phi = np.arctan2(centers[:, 1, 0], centers[:, 0, 0])
+    refl = np.linalg.det(centers) < 0.0
+    arcs = []
     for kind in (False, True):
         mine = np.flatnonzero(refl == kind)
         other = np.flatnonzero(refl != kind)
         # beyond a quarter turn every center of the other kind is as near
-        # (inner product 0) and the first takes the sample; with no other
+        # (inner product 0) and the first takes the arc; with no other
         # kind, the arcs reach round the circle and leave no gap to fill
         reach, fallback = (0.5 * math.pi, other[0]) if other.size else (math.pi, 0)
-        # a kind with no center gets no breaks and one slot, the fallback
+        # a kind with no center gets one arc, the fallback's
         order = mine[np.argsort(phi[mine], kind="stable")]
         ring = np.concatenate([phi[order[-1:]] - 2.0 * math.pi, phi[order],
                                phi[order[:1]] + 2.0 * math.pi])
         mids = 0.5 * (ring[:-1] + ring[1:])
         lo = np.maximum(np.concatenate([[-np.inf], mids]), ring - reach)
         hi = np.minimum(np.concatenate([mids, [np.inf]]), ring + reach)
-        # keys of this kind lie in [-pi, pi]: clipping to [-2 pi, 2 pi]
-        # keeps their slots and keeps the two kinds' tables apart
-        breaks.append(np.clip(np.column_stack([lo, hi]).ravel(), -2.0 * math.pi, 2.0 * math.pi)
-                      + 4.0 * math.pi * kind)
-        # breaks lo_0, hi_0, lo_1, ...: [lo_k, hi_k) is ring center k's, the gaps the fallback's
-        slots = np.full(2 * ring.size + 1, fallback)
-        slots[1::2] = np.concatenate([order[-1:], order, order[:1]])
-        owners.append(slots)
-    table = np.concatenate([breaks[0], [2.0 * math.pi], breaks[1]])
-    owners = np.concatenate(owners)
-
-    def owner(u):
-        phi, refl = angle_kind(u)
-        return owners[np.searchsorted(table, phi + 4.0 * math.pi * refl, side="right")]
-
-    return owner
+        # edges -inf, lo_0, hi_0, lo_1, ..., inf: [lo_k, hi_k) is ring center k's, the gaps the fallback's
+        owners = np.full(2 * ring.size + 1, fallback)
+        owners[1::2] = np.concatenate([order[-1:], order, order[:1]])
+        arcs.append((np.concatenate([[-np.inf], np.column_stack([lo, hi]).ravel(), [np.inf]]), owners))
+    return arcs
 
 
-def _conjugated_2x2(w: np.ndarray, j_hat: np.ndarray) -> np.ndarray:
-    """U^T diag(j_hat) U, flattened, for the Gram-Schmidt U = [[c, -k s], [s, k c]]
-    of each 2 x 2 draw w: (c, s) is w's first column normalized, k = sign det w."""
-    a, b = w[:, 0, 0], w[:, 1, 0]
-    c2, s2, cs = np.array([a * a, b * b, a * b]) / (a * a + b * b)
-    off = (j_hat[1] - j_hat[0]) * np.where(_reflects(w), -cs, cs)
-    return np.column_stack([j_hat[0] * c2 + j_hat[1] * s2, off, off, j_hat[0] * s2 + j_hat[1] * c2])
+def _arc_integrals(phi0: np.ndarray, phi1: np.ndarray, j_hat: np.ndarray, reflect: bool) -> np.ndarray:
+    """The integral over each arc [phi0, phi1] of U^T diag(j_hat) U in the
+    angle phi of the rotation U = [[c, -s], [s, c]] (reflection [[c, s], [s, -c]]):
+    diagonal j_0 c^2 + j_1 s^2 and j_0 s^2 + j_1 c^2, off-diagonal (j_1 - j_0) c s,
+    negated for a reflection.  With delta = phi1 - phi0 and sigma = phi0 + phi1,
+    the integrals of c^2 and s^2 are delta/2 +- cos(sigma) sin(delta)/2 and that
+    of c s is sin(sigma) sin(delta)/2, free of cancellation on a short arc."""
+    delta, sigma = phi1 - phi0, phi0 + phi1
+    wave = 0.5 * (j_hat[0] - j_hat[1]) * np.sin(delta)
+    mean, tilt = 0.5 * (j_hat[0] + j_hat[1]) * delta, wave * np.cos(sigma)
+    off = (wave if reflect else -wave) * np.sin(sigma)
+    return np.stack([mean + tilt, off, off, mean - tilt], axis=-1).reshape(-1, 2, 2)
 
 
 def sharpness_witness(
@@ -344,19 +332,22 @@ def sharpness_witness(
 ) -> tuple[MonicPencil, SymTuple, float]:
     """Discretized witness that the constant theta(d) cannot be improved.
 
-    Averages Z(U) = U^T J_hat U over a Voronoi partition of Haar samples
-    (Frobenius metric, one cell per representative) to form pencil
+    Averages Z(U) = U^T J_hat U over a Voronoi partition of Haar measure on
+    O(d) (Frobenius metric, one cell per representative) to form pencil
     coefficients A_j, and evaluates the tuple X_j = U_j^T J(s,t;1,1) U_j at
     the cell representatives.  As the partition refines,
     lambda_max(sum_j A_j (x) X_j) climbs to theta(d); the rigged vector
     (1/sqrt(d)) sum e_i (x) e_i already certifies the trace part exactly.
 
-    Each U (centers and samples alike) is the Gram-Schmidt orthonormalization
-    of a Gaussian d x d matrix, as in ``haar_orthogonal``; a d = 2 sample's
-    Z(U) is read from its draw (``_conjugated_2x2``).  A sample's cell is its
-    nearest center, the first on a tie; for d = 2 it is found by the draw's
-    angle (``_arc_owner``), and one with no center of its own kind (rotation
-    or reflection) within a quarter turn joins the first center of the other.
+    Each representative is the Gram-Schmidt orthonormalization of a
+    Gaussian d x d matrix, as in ``haar_orthogonal``.  For d = 2 the cell
+    averages are exact: Haar measure on O(2) is two circles, rotations and
+    reflections, of mass 1/2 each and uniform in angle (Mezzadri, Notices
+    AMS 54(5), 2007), each cell is a union of arcs (``_arc_owner``), and
+    each arc's integral of Z(U) has a closed form (``_arc_integrals``); no
+    sample is drawn.  For d >= 3 each cell average is estimated from
+    cells * samples_per_cell Haar samples, each in the cell of its nearest
+    center, the first on a tie; ``samples_per_cell`` is read only there.
 
     Returns the pencil, the norm-one tuple, and the achieved lambda_max.
     """
@@ -371,24 +362,28 @@ def sharpness_witness(
     rng = _generator(seed)
     centers = _haar_gram_schmidt(rng.standard_normal((cells, d, d)))
     x_mats = tuple((c.T * j_one) @ c for c in centers)
-    owner_of = _arc_owner(centers) if d == 2 else _score_owner(centers)
 
-    n_total = cells * samples_per_cell
-    sums = np.zeros((d * d, cells))
-    # keeps the (rows x cells) score block near 2**20 entries
-    batch = max(1, (1 << 20) // max(cells, 16 * d * d))
-    for start in range(0, n_total, batch):
-        m = min(batch, n_total - start)
-        u = rng.standard_normal((m, d, d))
-        if d == 2:
-            z = _conjugated_2x2(u, j_hat)
-        else:
-            u = _haar_gram_schmidt(u)
+    if d == 2:
+        sums = np.zeros((cells, 2, 2))
+        for reflect, (edges, owners) in enumerate(_arc_owner(centers)):
+            phi = np.clip(edges, -math.pi, math.pi)
+            np.add.at(sums, owners, _arc_integrals(phi[:-1], phi[1:], j_hat, bool(reflect)))
+        # each kind has density 1 / (4 pi) per radian
+        a_mats = tuple(sums / (4.0 * math.pi * ks))
+    else:
+        owner_of = _score_owner(centers)
+        n_total = cells * samples_per_cell
+        sums = np.zeros((d * d, cells))
+        # keeps the (rows x cells) score block near 2**20 entries
+        batch = max(1, (1 << 20) // max(cells, 16 * d * d))
+        for start in range(0, n_total, batch):
+            m = min(batch, n_total - start)
+            u = _haar_gram_schmidt(rng.standard_normal((m, d, d)))
             z = sum(j_hat[j] * u[:, j, :, None] * u[:, j, None, :] for j in range(d)).reshape(m, d * d)
-        owner = owner_of(u)
-        for e in range(d * d):
-            sums[e] += np.bincount(owner, weights=z[:, e], minlength=cells)
-    a_mats = tuple(0.5 * (a + a.T) for a in sums.T.reshape(cells, d, d) / (ks * n_total))
+            owner = owner_of(u)
+            for e in range(d * d):
+                sums[e] += np.bincount(owner, weights=z[:, e], minlength=cells)
+        a_mats = tuple(0.5 * (a + a.T) for a in sums.T.reshape(cells, d, d) / (ks * n_total))
 
     pencil = MonicPencil(a_mats)
     witness = SymTuple(tuple(0.5 * (x + x.T) for x in x_mats))

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import spectra_theta
 from spectra_theta import pencil, sphere_oracle
@@ -16,8 +17,8 @@ from spectra_theta.pencil import (
     CubeRelaxationReport,
     MonicPencil,
     SymTuple,
+    _arc_integrals,
     _arc_owner,
-    _conjugated_2x2,
     _contraction_stack,
     _eigvalsh,
     _haar_gram_schmidt,
@@ -330,19 +331,20 @@ def test_witness_tuple_norms_and_degenerate_cell():
     for m in X.mats:
         assert float(np.max(np.abs(np.linalg.eigvalsh(m)))) == pytest.approx(1.0, abs=1e-12)
     _, _, lam1 = sharpness_witness(2, cells=1, samples_per_cell=20_000, seed=7)
-    assert abs(lam1) <= 0.2  # Haar average of conjugated trace-0 patterns
+    assert abs(lam1) <= 1e-15  # the Haar average of Z(U) is trace(J_hat) / 2 I = 0
 
 
 @pytest.mark.parametrize(
     "d, cells, samples_per_cell, seed, lam_recorded",
     [
-        (2, 128, 2000, 0xC0FFEE, 1.556359481362574),
+        (2, 128, 2000, 0xC0FFEE, 1.556389174899079),
         (3, 27, 800, 5, 0.541446216082972),
     ],
 )
 def test_witness_keeps_its_lambda_max(d, cells, samples_per_cell, seed, lam_recorded):
-    # recorded with the LAPACK-QR witness: the Gram-Schmidt draws and the
-    # per-entry cell sums move lambda_max in the last bits only
+    # d = 2: the exact cell averages (1.556359481362574 from 256,000 samples);
+    # d = 3 was recorded with the LAPACK-QR witness: the Gram-Schmidt draws
+    # and the per-entry cell sums move lambda_max in the last bits only
     _, _, lam = sharpness_witness(d, cells, samples_per_cell, seed=seed)
     assert abs(lam - lam_recorded) <= 1e-12
 
@@ -392,6 +394,62 @@ def test_witness_scale_tightens_under_refinement():
     assert kappa2 - 1e-9 <= 1.0 / lam_fine <= kappa2 / 0.85
 
 
+def _arc_lookup(centers, u):
+    """The owner of each orthogonal 2 x 2 U in ``_arc_owner``'s table, by
+    U's angle and kind."""
+    phi, refl = np.arctan2(u[:, 1, 0], u[:, 0, 0]), np.linalg.det(u) < 0.0
+    owner = np.empty(len(u), dtype=int)
+    for kind, (edges, owners) in enumerate(_arc_owner(centers)):
+        assert np.all(np.diff(edges) >= 0.0) and edges[0] == -np.inf and edges[-1] == np.inf
+        mine = refl == kind
+        owner[mine] = owners[np.searchsorted(edges, phi[mine], side="right") - 1]
+    return owner
+
+
+def _rotation_or_reflection(phi, reflect):
+    c, s = np.cos(phi), np.sin(phi)
+    return np.array([[c, s], [s, -c]]) if reflect else np.array([[c, -s], [s, c]])
+
+
+def _quadrature_cells(centers, j_hat):
+    """Each cell's integral of U^T diag(j_hat) U over both circles of O(2),
+    in the angle, by scipy's adaptive quadrature between the angles where
+    the owner can change; the owner of an angle is the nearest center by
+    trace inner product, and one with no center of its own kind at a
+    positive inner product goes to the lowest-index center of the other
+    kind (if any)."""
+    phi_c = np.arctan2(centers[:, 1, 0], centers[:, 0, 0])
+    refl_c = np.linalg.det(centers) < 0.0
+    # pairwise midpoints and their antipodes, and the quarter turns
+    cuts = np.concatenate([(0.5 * (phi_c[:, None] + phi_c[None, :])).ravel() + shift for shift in (0.0, math.pi)]
+                          + [phi_c + shift for shift in (0.5 * math.pi, -0.5 * math.pi)])
+    cuts = np.unique(np.concatenate([[-math.pi, math.pi], np.angle(np.exp(1j * cuts))]))
+    out = np.zeros((len(centers), 2, 2))
+    for reflect in (False, True):
+        same = refl_c == reflect
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            u = _rotation_or_reflection(0.5 * (lo + hi), reflect)
+            scores = np.where(same, np.einsum("ij,cij->c", u, centers), -np.inf)
+            k = int(np.argmax(scores)) if same.any() and (scores.max() > 0.0 or same.all()) \
+                else int(np.flatnonzero(~same)[0])
+            for i, j in ((0, 0), (0, 1), (1, 1)):
+                out[k, i, j] += quad(lambda phi: (_rotation_or_reflection(phi, reflect).T * j_hat
+                                                  @ _rotation_or_reflection(phi, reflect))[i, j],
+                                     lo, hi, epsabs=1e-13, epsrel=1e-13)[0]
+    out[:, 1, 0] = out[:, 0, 1]
+    return out
+
+
+def _exact_cells(centers, j_hat):
+    """Each cell's integral of U^T diag(j_hat) U, from ``_arc_owner``'s arcs
+    and ``_arc_integrals``, as the d = 2 witness sums them."""
+    sums = np.zeros((len(centers), 2, 2))
+    for reflect, (edges, owners) in enumerate(_arc_owner(centers)):
+        phi = np.clip(edges, -math.pi, math.pi)
+        np.add.at(sums, owners, _arc_integrals(phi[:-1], phi[1:], np.asarray(j_hat), bool(reflect)))
+    return sums
+
+
 @pytest.mark.parametrize("cells", [1, 2, 3, 8, 128])
 def test_arc_search_finds_the_score_argmax(cells):
     # a sample not in an exact tie goes where the score block's argmax puts
@@ -401,7 +459,7 @@ def test_arc_search_finds_the_score_argmax(cells):
     rng = _generator(100 + cells)
     centers = _haar_gram_schmidt(rng.standard_normal((cells, 2, 2)))
     u = _haar_gram_schmidt(rng.standard_normal((20_000, 2, 2)))
-    arc, score = _arc_owner(centers)(u), _score_owner(centers)(u)
+    arc, score = _arc_lookup(centers, u), _score_owner(centers)(u)
     same = (np.linalg.det(u) < 0.0)[:, None] == (np.linalg.det(centers) < 0.0)[None, :]
     own_best = np.where(same, np.einsum("nij,cij->nc", u, centers), -np.inf).max(axis=1)
     assert np.all(np.abs(own_best) > 1e-9)  # no sample sits at a quarter turn
@@ -411,23 +469,73 @@ def test_arc_search_finds_the_score_argmax(cells):
 
 
 def test_two_cells_of_one_kind_give_the_other_kind_to_cell_0():
-    # both centers rotations (or both reflections): every sample of the
-    # other kind is at inner product 0 from both, and joins cell 0
-    seed, cells, per_cell = 2, 2, 3_000
+    # both centers rotations (or both reflections): every U of the other
+    # kind is at inner product 0 from both, and the whole other circle is
+    # one arc, cell 0's
+    seed, cells = 2, 2
+    centers = _haar_gram_schmidt(_generator(seed).standard_normal((cells, 2, 2)))
+    kind = bool(np.linalg.det(centers[0]) < 0.0)
+    assert kind == bool(np.linalg.det(centers[1]) < 0.0)
+    edges, owners = _arc_owner(centers)[int(not kind)]
+    assert edges.tolist() == [-np.inf, np.inf] and owners.tolist() == [0]
+    ks, a_opt, b_opt = kappa_star(1, 1)
+    j_hat = np.array(SignDiag(1, 1, a_opt, b_opt).diagonal())
+    # theta(2)'s J_hat = diag(1, -1) integrates to 0 over a whole circle, so
+    # a generic diagonal checks that the circle lands in cell 0: pi trace(J) I
+    for j in (j_hat, np.array([0.3, 0.9])):
+        phi = np.clip(edges, -math.pi, math.pi)
+        whole = _arc_integrals(phi[:-1], phi[1:], j, not kind)[0]
+        assert np.allclose(whole, math.pi * j.sum() * np.eye(2), rtol=0.0, atol=1e-15)
+        assert np.allclose(_exact_cells(centers, j), _quadrature_cells(centers, j), rtol=0.0, atol=1e-13)
+    pencil_a, _, _ = sharpness_witness(2, cells, 3_000, seed=seed)
+    expected = _quadrature_cells(centers, j_hat) / (4.0 * math.pi * ks)
+    for k, a_k in enumerate(pencil_a.coeffs):
+        assert np.allclose(a_k, expected[k], rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("cells", [1, 2, 3, 8])
+def test_the_exact_cells_equal_quadrature_over_score_cells(cells):
+    # each cell's integral from the arc table, against quadrature over the
+    # cells the score rule draws, for theta(2)'s J_hat and a generic diagonal
+    centers = _haar_gram_schmidt(_generator(900 + cells).standard_normal((cells, 2, 2)))
+    for j in (np.array([1.0, -1.0]), np.array([0.3, 0.9])):
+        assert np.max(np.abs(_exact_cells(centers, j) - _quadrature_cells(centers, j))) <= 1e-14
+
+
+def test_the_exact_2x2_witness_agrees_with_monte_carlo():
+    # the sampled witness (Gram-Schmidt draws, nearest center by the score
+    # block) on the exact witness's centers: every entry of every A_k, and
+    # lambda_max, within 5 standard errors of the exact value
+    cells, per_cell, seed = 16, 20_000, 29
+    pencil_a, X, lam = sharpness_witness(2, cells, per_cell, seed=seed)
+    exact = np.stack(pencil_a.coeffs)
+    ks = kappa_star(1, 1)[0]
+    j_hat = np.array([1.0, -1.0])
+    # Haar average of U^T J_hat U is trace(J_hat) / 2 I, here 0
+    assert np.max(np.abs(exact.sum(axis=0) - j_hat.sum() / (2.0 * ks) * np.eye(2))) <= 1e-14
     rng = _generator(seed)
     centers = _haar_gram_schmidt(rng.standard_normal((cells, 2, 2)))
-    kind = np.linalg.det(centers) < 0.0
-    assert kind[0] == kind[1]
     u = _haar_gram_schmidt(rng.standard_normal((cells * per_cell, 2, 2)))
-    other = (np.linalg.det(u) < 0.0) != kind[0]
-    assert 0 < other.sum() < len(u)
-    owner = np.where(other, 0, np.argmax(np.einsum("nij,cij->nc", u, centers), axis=1))
-    ks, a_opt, b_opt = kappa_star(1, 1)
-    z = u.transpose(0, 2, 1) @ np.diag(SignDiag(1, 1, a_opt, b_opt).diagonal()) @ u
-    pencil_a, _, _ = sharpness_witness(2, cells, per_cell, seed=seed)
-    for k, a_k in enumerate(pencil_a.coeffs):
-        assert np.allclose(a_k, z[owner == k].sum(axis=0) / (ks * cells * per_cell),
-                           rtol=0.0, atol=1e-12)
+    owner = _score_owner(centers)(u)
+    # on exact scores a tie (no center of its own kind at a positive inner
+    # product, all of the other kind at 0) goes to the first of the other kind
+    same = (np.linalg.det(u) < 0.0)[:, None] == (np.linalg.det(centers) < 0.0)[None, :]
+    tie = (np.where(same, np.einsum("nij,cij->nc", u, centers), -np.inf).max(axis=1) < 0.0) & ~same.all(axis=1)
+    owner[tie] = np.argmax(~same[tie], axis=1)
+    z = (u.transpose(0, 2, 1) * j_hat) @ u / ks
+    # each sample's share of A_k is z [owner = k], and A_k is their mean
+    n = len(u)
+    moments = [np.stack([np.bincount(owner, weights=w[:, e], minlength=cells) for e in range(4)], axis=1)
+               for w in (z.reshape(n, 4), z.reshape(n, 4) ** 2)]
+    sampled = (moments[0] / n).reshape(cells, 2, 2)
+    error = np.sqrt((moments[1] - n * (moments[0] / n) ** 2) / (n - 1) / n).reshape(cells, 2, 2)
+    assert np.all(error > 0.0)
+    assert np.all(np.abs(sampled - exact) <= 5.0 * error)
+    # lambda_max to first order: its error is the mean of v^T (z (x) X_owner) v
+    top = np.linalg.eigh(sum(map(np.kron, exact, X.mats)))[1][:, -1].reshape(2, 2)
+    per_sample = np.einsum("ia,nij,nab,jb->n", top, z, np.stack(X.mats)[owner], top)
+    lam_sampled = float(np.linalg.eigvalsh(sum(map(np.kron, sampled, X.mats)))[-1])
+    assert abs(lam_sampled - lam) <= 5.0 * per_sample.std(ddof=1) / math.sqrt(n)
 
 
 def test_the_2x2_witness_makes_no_score_block(monkeypatch):
@@ -629,36 +737,68 @@ def test_the_wire_format_takes_flat_lists_of_numbers_only(coeffs):
     assert pencil_from_json('{"nu": 1, "g": 1, "coeffs": [[2]]}').coeffs[0][0, 0] == 2.0
 
 
-def _two_by_two_draws():
-    w = _generator(404).standard_normal((20_000, 2, 2))
-    return w, _haar_gram_schmidt(w)
-
-
 def test_the_2x2_closed_form_is_u_transpose_j_hat_u():
-    # the entries the d = 2 witness reads from each draw w, against U^T J_hat U
-    # of w's Gram-Schmidt U, for the split theta(2) uses
-    w, u = _two_by_two_draws()
+    # the arc integrals the d = 2 witness sums, against adaptive quadrature
+    # of U^T J_hat U over the same arcs, for both kinds, for the split
+    # theta(2) uses and for a generic diagonal
     report = theta(2)
     _, a_opt, b_opt = kappa_star(report.minimizer_s, report.minimizer_t)
     j_hat = np.array(SignDiag(report.minimizer_s, report.minimizer_t, a_opt, b_opt).diagonal())
-    direct = (u.transpose(0, 2, 1) @ np.diag(j_hat) @ u).reshape(-1, 4)
-    assert j_hat[0] != j_hat[1] and np.linalg.det(w).min() < 0.0 < np.linalg.det(w).max()
-    assert np.max(np.abs(_conjugated_2x2(w, j_hat) - direct)) <= 1e-15
+    rng = _generator(404)
+    phi0 = rng.uniform(-math.pi, math.pi, 40)
+    # short, medium and whole-circle arcs
+    phi1 = phi0 + np.concatenate([rng.uniform(0.0, 1e-3, 10), rng.uniform(0.0, 2.0 * math.pi, 28), [0.0, 2 * math.pi]])
+    for j in (j_hat, np.array([0.7, -0.2])):
+        for reflect in (False, True):
+            exact = _arc_integrals(phi0, phi1, j, reflect)
+            for lo, hi, z in zip(phi0, phi1, exact):
+                u = _rotation_or_reflection(0.5 * (lo + hi), reflect)
+                assert math.isclose(math.atan2(u[1, 0], u[0, 0]), math.remainder(0.5 * (lo + hi), 2 * math.pi),
+                                    abs_tol=1e-12)
+                assert (np.linalg.det(u) < 0.0) == reflect
+                for i, k in itertools.product(range(2), repeat=2):
+                    want = quad(lambda phi: (_rotation_or_reflection(phi, reflect).T * j
+                                             @ _rotation_or_reflection(phi, reflect))[i, k],
+                                lo, hi, epsabs=1e-13, epsrel=1e-13)[0]
+                    assert abs(z[i, k] - want) <= 1e-14
 
 
 @pytest.mark.parametrize("cells", [1, 2, 3, 8, 128])
 def test_the_arc_search_reads_the_draw_as_its_gram_schmidt(cells):
-    # Gram-Schmidt keeps the first column's angle and the sign of det
-    w, u = _two_by_two_draws()
-    owner_of = _arc_owner(_haar_gram_schmidt(_generator(500 + cells).standard_normal((cells, 2, 2))))
-    assert np.array_equal(owner_of(w), owner_of(u))
+    # Gram-Schmidt keeps the first column's angle and the sign of det, so a
+    # Gaussian draw lies on the arc of its Haar sample: its angle is uniform
+    # on each circle, as the exact d = 2 witness integrates it
+    w = _generator(404).standard_normal((20_000, 2, 2))
+    centers = _haar_gram_schmidt(_generator(500 + cells).standard_normal((cells, 2, 2)))
+    assert np.array_equal(_arc_lookup(centers, w), _arc_lookup(centers, _haar_gram_schmidt(w)))
+
+
+def test_the_2x2_witness_draws_only_its_centers(monkeypatch):
+    draws = []
+
+    class Recorder:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, shape):
+            draws.append(shape)
+            return self.rng.standard_normal(shape)
+
+    monkeypatch.setattr(pencil, "_generator", lambda seed: Recorder(_generator(seed)))
+    _, X, _ = sharpness_witness(2, cells=256, samples_per_cell=10_000, seed=3)
+    assert draws == [(256, 2, 2)]
+    centers = _haar_gram_schmidt(_generator(3).standard_normal((256, 2, 2)))
+    j_one = np.array([1.0, -1.0])
+    for x, c in zip(X.mats, centers):
+        y = (c.T * j_one) @ c
+        assert x.tobytes() == (0.5 * (y + y.T)).tobytes()
 
 
 def test_the_2x2_witness_orthonormalizes_only_its_centers(monkeypatch):
     calls = []
     monkeypatch.setattr(pencil, "_haar_gram_schmidt",
                         lambda z: calls.append(z.shape) or _haar_gram_schmidt(z))
-    # 3 cells x 20,000 samples take four batches of 16,384 samples
+    # d = 2 draws no sample, whatever samples_per_cell says
     for cells, per_cell in ((3, 20_000), (16, 100)):
         calls.clear()
         sharpness_witness(2, cells, per_cell, seed=3)
