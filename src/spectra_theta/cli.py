@@ -217,27 +217,30 @@ def _verify_dilation(args: argparse.Namespace) -> int:
         draws.append((rng.standard_normal((n, n)), rng.standard_normal((n, n)), rng.random()))
     bounds = {"commutator": 1e-9, "circle": 1e-9, "reconstruction": 1e-9, "blockdiag": 1e-12}
     residuals = {name: np.empty(len(draws)) for name in bounds}
+    block_commutators = np.empty(len(draws))  # held to the commutator bound
     for n in range(1, 5):  # one stacked dilation per size
         lanes = [k for k, draw in enumerate(draws) if len(draw[0]) == n]
         if not lanes:
             continue
         xs = _spin_ball_pairs([draws[k] for k in lanes])
         T, v, scale = dilation._spin2_stack(xs)
-        residuals["commutator"][lanes] = dilation._check_dilations(T, v, scale)
+        residuals["commutator"][lanes] = dilation._commutators(T)
         t1, t2 = T[:, 0], T[:, 1]
         residuals["circle"][lanes] = np.max(np.abs(t1 @ t1 + t2 @ t2 - np.eye(2 * n)), axis=(1, 2))
         residuals["reconstruction"][lanes] = dilation._reconstruction_residuals(T, v, scale, xs)
         stack = dilation._blockdiag_stack(xs)
-        dilation._check_dilations(*stack)
+        block_commutators[lanes] = dilation._commutators(stack[0])
         residuals["blockdiag"][lanes] = dilation._reconstruction_residuals(*stack, xs)
     values = {name: residual.tolist() for name, residual in residuals.items()}
     violations = []
     for k in range(len(draws)):
         spin2 = {name: values[name][k] for name in ("commutator", "circle", "reconstruction")}
-        if any(residual > bounds[name] for name, residual in spin2.items()):
+        if not all(residual <= bounds[name] for name, residual in spin2.items()):
             violations.append({"check": "spin2_dilation", "instance": k, **spin2})
-        if (block := values["blockdiag"][k]) > bounds["blockdiag"]:
-            violations.append({"check": "blockdiag", "instance": k, "residual": block})
+        block, commutator = values["blockdiag"][k], float(block_commutators[k])
+        if not (block <= bounds["blockdiag"] and commutator <= bounds["commutator"]):
+            violations.append({"check": "blockdiag", "instance": k, "residual": block,
+                               "commutator": commutator})
     for g in range(2, 7):
         dilation.spin_tensor_norm(g)  # exactly g, or it raises NumericError
         lam_min = pencil.min_eigenvalue(dilation.oh_to_spin_choi(g))

@@ -196,18 +196,23 @@ class DilationResult:
 
 def _check_dilations(T: np.ndarray, V: np.ndarray, scale: float) -> np.ndarray:
     """DilationResult's checks on an (m, g, N, N) stack of dilation tuples that
-    share V and the scale, lane by lane; returns each lane's largest commutator entry.
+    share V and the scale, lane by lane; returns each lane's ``_commutators``.
     Each test is written so that NaN fails it."""
     if not np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-12:
         raise DomainError("V is not an isometry within 1e-12")
     _require_real("scale", scale, 0.0, above=True)
-    g = T.shape[1]
+    worst = _commutators(T)
+    _refuse(~(worst <= 1e-10), "dilation tuple does not commute within 1e-10")
+    return worst
+
+
+def _commutators(T: np.ndarray) -> np.ndarray:
+    """The largest entry of T_j T_k - T_k T_j over the pairs j < k, per lane
+    of an (m, g, N, N) stack: 0 for g = 1, NaN where an entry is NaN."""
     worst = np.zeros(len(T))
-    for j in range(g):
-        for k in range(j + 1, g):
-            comm = np.abs(T[:, j] @ T[:, k] - T[:, k] @ T[:, j]).max(axis=(1, 2))
-            _refuse(~(comm <= 1e-10), f"dilation tuple does not commute: blocks {j}, {k}")
-            worst = np.maximum(worst, comm)
+    for j in range(T.shape[1]):
+        for k in range(j + 1, T.shape[1]):
+            worst = np.maximum(worst, np.abs(T[:, j] @ T[:, k] - T[:, k] @ T[:, j]).max(axis=(1, 2)))
     return worst
 
 
@@ -252,7 +257,7 @@ def defect_sqrt(S: np.ndarray) -> np.ndarray:
     (S^2 = I) do not error, while a genuine norm excess past 1 + 1e-12
     raises DomainError.
     """
-    return _defect_stack(*np.linalg.eigh(_require_symmetric(S)[None]))[0]
+    return _defect_stack(*np.linalg.eigh(_require_symmetric((S,))))[0]
 
 
 def _defect_stack(lam: np.ndarray, q: np.ndarray) -> np.ndarray:

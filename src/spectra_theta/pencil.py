@@ -35,7 +35,7 @@ class SymTuple:
     mats: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mats", _symmetric_tuple(self.mats))
+        object.__setattr__(self, "mats", tuple(_require_symmetric(tuple(self.mats))))
 
     @property
     def g(self) -> int:
@@ -53,7 +53,7 @@ class MonicPencil:
     coeffs: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _symmetric_tuple(self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(_require_symmetric(tuple(self.coeffs))))
 
     @property
     def g(self) -> int:
@@ -62,15 +62,6 @@ class MonicPencil:
     @property
     def nu(self) -> int:
         return self.coeffs[0].shape[0]
-
-
-def _symmetric_tuple(mats) -> tuple[np.ndarray, ...]:
-    """``mats``, each through ``_require_symmetric``: one or more, of one size."""
-    mats = tuple(map(_require_symmetric, mats))
-    if not mats or any(m.shape != mats[0].shape for m in mats):
-        raise DomainError("need one or more matrices of one size, "
-                          f"got {reprlib.repr([m.shape for m in mats])}")
-    return mats
 
 
 def _kron_sum(A, X: np.ndarray) -> np.ndarray:
@@ -361,7 +352,7 @@ def sharpness_witness(
 
     rng = _generator(seed)
     centers = _haar_gram_schmidt(rng.standard_normal((cells, d, d)))
-    x_mats = tuple((c.T * j_one) @ c for c in centers)
+    x = (centers.swapaxes(1, 2) * j_one) @ centers
 
     if d == 2:
         sums = np.zeros((cells, 2, 2))
@@ -369,7 +360,7 @@ def sharpness_witness(
             phi = np.clip(edges, -math.pi, math.pi)
             np.add.at(sums, owners, _arc_integrals(phi[:-1], phi[1:], j_hat, bool(reflect)))
         # each kind has density 1 / (4 pi) per radian
-        a_mats = tuple(sums / (4.0 * math.pi * ks))
+        a = sums / (4.0 * math.pi * ks)
     else:
         owner_of = _score_owner(centers)
         n_total = cells * samples_per_cell
@@ -383,10 +374,10 @@ def sharpness_witness(
             owner = owner_of(u)
             for e in range(d * d):
                 sums[e] += np.bincount(owner, weights=z[:, e], minlength=cells)
-        a_mats = tuple(0.5 * (a + a.T) for a in sums.T.reshape(cells, d, d) / (ks * n_total))
+        a = sums.T.reshape(cells, d, d) / (ks * n_total)
 
-    pencil = MonicPencil(a_mats)
-    witness = SymTuple(tuple(0.5 * (x + x.T) for x in x_mats))
+    pencil = MonicPencil(0.5 * (a + a.swapaxes(1, 2)))  # the d = 2 sums are symmetric to the bit
+    witness = SymTuple(0.5 * (x + x.swapaxes(1, 2)))
     total = _kron_sum(pencil.coeffs, np.stack(witness.mats)[None])
     lam_max = float(_eigvalsh(total[0])[-1])
     return pencil, witness, lam_max

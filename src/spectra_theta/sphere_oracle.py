@@ -69,17 +69,24 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _require_symmetric(B: np.ndarray) -> np.ndarray:
-    """B as a float matrix, refused unless it is square, at least 1x1, finite
-    and symmetric within ``SYMMETRY_TOL``: the package's one such check."""
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {B.shape}")
-    if B.shape[0] < 1:
+def _require_symmetric(mats) -> np.ndarray:
+    """The tuple ``mats`` as one (g, n, n) float stack, refused unless it holds one or more
+    real matrices of one size, each square, at least 1x1, finite and symmetric within
+    ``SYMMETRY_TOL``: the package's one such check.  A matrix B is checked as ``(B,)``."""
+    try:
+        B = np.stack(mats, dtype=float)
+    except (TypeError, ValueError) as exc:  # no matrix, an entry that is not a real number, or two sizes
+        if len(mats) == 1:
+            raise DomainError("matrix entries must be real numbers") from exc
+        sizes = [_require_symmetric((m,)).shape[1:] for m in mats]  # the first faulty one is refused
+        raise DomainError(f"need one or more matrices of one size, got {reprlib.repr(sizes)}") from exc
+    if B.ndim != 3 or B.shape[1] != B.shape[2]:
+        raise DomainError(f"expected a square matrix, got shape {B.shape[1:]}")
+    if B.shape[1] < 1:
         raise DomainError("matrix must be at least 1x1")
     if not np.isfinite(B).all():
         raise DomainError("matrix entries must be finite")
-    if np.max(np.abs(B - B.T)) > SYMMETRY_TOL:
+    if np.max(np.abs(B - B.swapaxes(1, 2))) > SYMMETRY_TOL:
         raise DomainError(f"matrix is not symmetric within {SYMMETRY_TOL:g}")
     return B
 
@@ -172,7 +179,7 @@ class AbsQuadratic(_ScalarSum):
     squared normals: |sq @ diag B| / |xi|^2."""
 
     def __init__(self, B: np.ndarray) -> None:
-        self.B = _require_symmetric(B)
+        self.B = _require_symmetric((B,))[0]
         self.d = self.B.shape[0]
         diag = np.diagonal(self.B)
         self.diag = diag.copy() if np.array_equal(self.B, np.diag(diag)) else None

@@ -4,6 +4,7 @@ import inspect
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from spectra_theta.cli import main
@@ -216,11 +217,44 @@ def test_verify_dilation_takes_each_commutator_from_the_dilation_check(monkeypat
     # a commutator residual just under its bound, as the check reports it,
     # must become the worst residual that the command prints
     dilation = importlib.import_module("spectra_theta.dilation")
-    check = dilation._check_dilations
-    monkeypatch.setattr(dilation, "_check_dilations", lambda *stack: check(*stack) + 9e-10)
+    check = dilation._commutators
+    monkeypatch.setattr(dilation, "_commutators", lambda *stack: check(*stack) + 9e-10)
     assert main(["verify", "dilation", "--samples", "20"]) == 0
     assert capsys.readouterr().out.splitlines()[1].startswith(
         "verify dilation: worst instance residual 9e-10 of bound 1e-09 (commutator, instance ")
+
+
+def _push_lane_0(monkeypatch, push):
+    # T_1 of lane 0 of each size's spin-ball dilations pushed by ``push`` at
+    # the two corner entries, which lie outside the compressed block; returns
+    # the largest commutator entry that the push gives a lane 0
+    dilation = importlib.import_module("spectra_theta.dilation")
+    stack, pushed = dilation._spin2_stack, []
+
+    def pushed_stack(xs):
+        T, v, scale = stack(xs)
+        T[0, 0, 0, -1] += push
+        T[0, 0, -1, 0] += push
+        t1, t2 = T[0]
+        pushed.append(float(np.abs(t1 @ t2 - t2 @ t1).max()))
+        return T, v, scale
+
+    monkeypatch.setattr(dilation, "_spin2_stack", pushed_stack)
+    return pushed
+
+
+def test_verify_dilation_holds_each_commutator_to_its_bound(monkeypatch, capsys):
+    # a commutator past the 1e-10 of DilationResult but within the sweep's
+    # 1e-9 passes; one past 1e-9 is a spin2_dilation violation, not an error
+    pushed = _push_lane_0(monkeypatch, 2e-10)
+    assert main(["verify", "dilation", "--samples", "20"]) == 0
+    assert max(pushed) > 1e-10 and max(pushed) <= 1e-9
+    assert capsys.readouterr().out.startswith("verify dilation: OK (0 violations)\n")
+    pushed = _push_lane_0(monkeypatch, 1e-8)
+    assert main(["verify", "dilation", "--samples", "20"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert min(pushed) > 1e-9 and err[0] == f"verify dilation: {len(pushed)} violation(s)"
+    assert {line.split()[1] for line in err[1:]} == {"check=spin2_dilation"}
 
 
 # each verify sweep with a cheap value of every flag it reads

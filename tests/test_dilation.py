@@ -346,6 +346,19 @@ def test_one_tuple_dilation_checks_once(monkeypatch):
         assert len(calls) == 1, dilate.__name__
 
 
+@pytest.mark.parametrize("dilate", [spin2_dilation, blockdiag_dilation])
+def test_the_compression_gives_back_x(dilate):
+    rng = _generator(47)
+    for n in (1, 2, 4):
+        X = random_spin_ball_pair(rng, n)
+        result = dilate(X)
+        compressed = np.stack(result.compression())
+        assert compressed.shape == (2, n, n)
+        deviation = np.abs(compressed - np.stack(X.mats)).max()
+        assert deviation <= 1e-12
+        assert deviation == result.reconstruction_residual(X)
+
+
 def test_dilation_result_validation():
     X = SymTuple((0.5 * SIGMA1,))
     with pytest.raises(DomainError):

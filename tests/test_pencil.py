@@ -579,6 +579,49 @@ def test_symmetry_validation():
         MonicPencil((np.array([[0.0, 1.0], [0.0, 0.0]]),))
 
 
+ASYMMETRIC = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("build", [SymTuple, MonicPencil])
+@pytest.mark.parametrize("mats, text", [
+    ((), "need one or more matrices of one size, got []"),
+    ((np.ones(2),), "expected a square matrix, got shape (2,)"),
+    ((np.ones((2, 3)), np.ones((2, 3))), "expected a square matrix, got shape (2, 3)"),
+    ((np.zeros((0, 0)),), "matrix must be at least 1x1"),
+    ((np.eye(2), np.diag([1.0, math.inf])), "matrix entries must be finite"),
+    ((np.eye(2), ASYMMETRIC), "matrix is not symmetric within 1e-12"),
+    ((np.eye(1), np.eye(2)), "need one or more matrices of one size, got [(1, 1), (2, 2)]"),
+], ids=["empty", "1-D", "non-square", "0x0", "non-finite", "asymmetric", "two-sizes"])
+def test_a_tuple_with_one_fault_is_refused_with_its_text(build, mats, text):
+    with pytest.raises(DomainError) as refusal:
+        build(mats)
+    assert str(refusal.value) == text
+
+
+def test_a_tuple_is_checked_once(monkeypatch):
+    check, calls = pencil._require_symmetric, []
+    monkeypatch.setattr(pencil, "_require_symmetric", lambda mats: calls.append(len(mats)) or check(mats))
+    for g in (1, 4, 128):
+        for build in (SymTuple, MonicPencil):
+            calls.clear()
+            build(tuple(np.eye(3) for _ in range(g)))
+            assert calls == [g]
+    calls.clear()
+    sharpness_witness(2, 128, 2000)  # the pencil and the tuple
+    assert calls == [128, 128]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SymTuple((np.array([["a", "b"], ["b", "a"]]),)),
+    lambda: sphere_oracle.AbsQuadratic("x"),
+    lambda: defect_sqrt([[1j, 0], [0, 1]]),
+    lambda: MonicPencil((np.eye(2), 1j * np.eye(2))),
+], ids=["string-tuple", "string-matrix", "complex-matrix", "complex-array"])
+def test_a_matrix_that_cannot_be_read_is_refused(call):
+    with pytest.raises(DomainError, match="matrix entries must be real numbers"):
+        call()
+
+
 @pytest.mark.filterwarnings("error")
 def test_non_finite_matrices_are_refused():
     # a NaN or infinite entry is refused, never answered: a NaN tuple is not
