@@ -20,6 +20,8 @@ def main() -> None:
     parser.add_argument("--samples", type=int, default=200_000)
     parser.add_argument("--seed", type=lambda v: int(v, 0), default=DEFAULT_SEED)
     args = parser.parse_args()
+    if args.samples < 2:  # one sample has no standard error, so no z-score
+        parser.error(f"--samples must be at least 2, got {args.samples}")
 
     print("s,t,kappa_closed,kappa_mc,std_err,z")
     splits = [(s, d - s) for d in range(2, args.d_max + 1) for s in range((d + 1) // 2, d)]

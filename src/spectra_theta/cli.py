@@ -174,7 +174,7 @@ def _verify_bounds(args: argparse.Namespace) -> int:
 
 
 def _verify_oracle(args: argparse.Namespace) -> int:
-    samples = _require_int("--samples", args.samples, 1)
+    samples = _require_int("--samples", args.samples, 2)  # one sample has no standard error
     shapes = [(1, 1), (2, 1), (2, 2), (3, 2), (4, 4)]
     stars = {st: kappa_star(*st) for st in shapes}
     J = {st: SignDiag(*st, *stars[st][1:]) for st in shapes}

@@ -129,25 +129,6 @@ def _stream_batches(dims, n: int, seed: int):
         yield d, window[start - lo : end - lo].reshape(-1, d), sq, r2
 
 
-class _Scratch:
-    """Buffers that the requests reuse from batch to batch: two vectors of
-    one batch, an (m, d) matrix for ``SignOuter``, and one ``_CHUNK``-row
-    piece for ``AbsQuadratic`` with a B that is not diagonal."""
-
-    def __init__(self, rows: int, requests: list) -> None:
-        self.vec = np.empty((2, rows))
-        self._mat = np.empty(rows * max((r.d for r in requests if isinstance(r, SignOuter)),
-                                        default=0))
-        self._chunk = np.empty(min(rows, _CHUNK) * max(
-            (r.d for r in requests if isinstance(r, AbsQuadratic) and r.diag is None), default=0))
-
-    def matrix(self, m: int, d: int) -> np.ndarray:
-        return self._mat[: m * d].reshape(m, d)
-
-    def chunk(self, k: int, d: int) -> np.ndarray:
-        return self._chunk[: k * d].reshape(k, d)
-
-
 def _mean_and_std_err(total, total_sq, n: int):
     """The mean of n samples and its standard error (0 for one sample), from
     their sum and sum of squares: floats, or arrays entrywise."""
@@ -161,7 +142,7 @@ class _ScalarSum:
 
     d: int
 
-    def start(self) -> None:
+    def start(self, rows: int) -> None:
         self.total = self.total_sq = 0.0
 
     def _add_values(self, v: np.ndarray, scratch: np.ndarray) -> None:
@@ -176,7 +157,8 @@ class _ScalarSum:
 class AbsQuadratic(_ScalarSum):
     """``joint_estimates`` request for the sphere integral of |xi* B xi|
     (see ``sphere_abs_quadratic_integral``).  A diagonal B needs only the
-    squared normals: |sq @ diag B| / |xi|^2."""
+    squared normals: |sq @ diag B| / |xi|^2; any other B, x @ B in ``_CHUNK``-row
+    pieces, written into one piece of its own that ``add`` makes per batch."""
 
     def __init__(self, B: np.ndarray) -> None:
         self.B = _require_symmetric((B,))[0]
@@ -184,17 +166,18 @@ class AbsQuadratic(_ScalarSum):
         diag = np.diagonal(self.B)
         self.diag = diag.copy() if np.array_equal(self.B, np.diag(diag)) else None
 
-    def add(self, raw: np.ndarray, sq: np.ndarray, r2: np.ndarray, scratch: _Scratch) -> None:
-        quad = scratch.vec[0, : len(raw)]
+    def add(self, raw: np.ndarray, sq: np.ndarray, r2: np.ndarray, vec: np.ndarray) -> None:
+        quad = vec[0, : len(raw)]
         if self.diag is not None:
             np.matmul(sq, self.diag, out=quad)
         else:
+            piece = np.empty((min(len(raw), _CHUNK), self.d))
             for i in range(0, len(raw), _CHUNK):
                 rows = raw[i : i + _CHUNK]
-                prod = np.matmul(rows, self.B, out=scratch.chunk(len(rows), self.d))
+                prod = np.matmul(rows, self.B, out=piece[: len(rows)])
                 np.einsum("ni,ni->n", prod, rows, out=quad[i : i + _CHUNK])
         np.divide(np.abs(quad, out=quad), r2, out=quad)
-        self._add_values(quad, scratch.vec[1, : len(raw)])
+        self._add_values(quad, vec[1, : len(raw)])
 
 
 class SignMoment(_ScalarSum):
@@ -208,8 +191,8 @@ class SignMoment(_ScalarSum):
             raise DomainError(f"coord must lie in 1..{self.d}, got {reprlib.repr(coord)}")
         self.diag = np.array(J.diagonal())
 
-    def add(self, raw: np.ndarray, sq: np.ndarray, r2: np.ndarray, scratch: _Scratch) -> None:
-        q, v = scratch.vec[:, : len(raw)]
+    def add(self, raw: np.ndarray, sq: np.ndarray, r2: np.ndarray, vec: np.ndarray) -> None:
+        q, v = vec[:, : len(raw)]
         np.sign(np.matmul(sq, self.diag, out=q), out=q)
         np.multiply(q, np.divide(sq[:, self.k], r2, out=v), out=v)
         self._add_values(v, q)
@@ -218,25 +201,28 @@ class SignMoment(_ScalarSum):
 class SignOuter:
     """``joint_estimates`` request for E_J, the sphere average of
     sgn(xi* J xi) xi xi*, with ``pad_zeros`` zero diagonal entries appended
-    (see ``e_j_matrix``)."""
+    (see ``e_j_matrix``).  Its own (rows, d) matrix is made by ``start(rows)``,
+    written by every ``add`` and dropped by ``result``."""
 
     def __init__(self, J: SignDiag, pad_zeros: int = 0) -> None:
         pad_zeros = _require_int("pad_zeros", pad_zeros, 0)
         self.d = J.d + pad_zeros
         self.diag = np.array(J.diagonal() + [0.0] * pad_zeros)
 
-    def start(self) -> None:
+    def start(self, rows: int) -> None:
         self.s1 = np.zeros((self.d, self.d))
         self.s2 = np.zeros((self.d, self.d))
+        self._w = np.empty((rows, self.d))
 
-    def add(self, raw: np.ndarray, sq: np.ndarray, r2: np.ndarray, scratch: _Scratch) -> None:
-        w = np.divide(sq, r2[:, None], out=scratch.matrix(len(raw), self.d))
+    def add(self, raw: np.ndarray, sq: np.ndarray, r2: np.ndarray, vec: np.ndarray) -> None:
+        w = np.divide(sq, r2[:, None], out=self._w[: len(raw)])
         self.s2 += w.T @ w  # sgn^2 == 1 a.s.
-        sgn = scratch.vec[0, : len(raw)]
+        sgn = vec[0, : len(raw)]
         np.divide(np.sign(np.matmul(sq, self.diag, out=sgn), out=sgn), r2, out=sgn)
         self.s1 += np.multiply(raw, sgn[:, None], out=w).T @ raw
 
     def result(self, n: int, seed: int) -> McMatrixEstimate:
+        self._w = None
         # (raw sgn / |xi|^2)^T raw rounds its (i, j) and (j, i) entries apart
         mean, std_err = _mean_and_std_err(0.5 * (self.s1 + self.s1.T), self.s2, n)
         return McMatrixEstimate(value=mean, std_err=std_err, n_samples=n, seed=seed)
@@ -244,24 +230,36 @@ class SignOuter:
 
 def joint_estimates(requests, n: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> list:
     """The estimates of ``requests`` (``AbsQuadratic``, ``SignMoment`` and
-    ``SignOuter``), in order, from one pass over the seed's normal stream.
+    ``SignOuter``; anything else is refused before any draw), in order, from
+    one pass over the seed's normal stream.
 
     Each estimate is bit-identical to its one-estimate call with the same
     (n, seed); the stream is drawn once, n * max(d) normals, instead of
-    n * d per estimate.
+    n * d per estimate.  ``start(rows)`` gets the batch's row count, min(n,
+    ``_BATCH``).  A buffer that one request writes is its own; the two
+    per-sample vectors that all reuse are one (2, rows) array, passed to ``add``.
     """
-    requests = list(requests)
+    try:
+        requests = list(requests)
+    except TypeError as exc:
+        raise DomainError(f"requests must be iterable, got {reprlib.repr(requests)}") from exc
+    for r in requests:
+        if not isinstance(r, (AbsQuadratic, SignMoment, SignOuter)):
+            raise DomainError(f"a request must be an AbsQuadratic, SignMoment or SignOuter, "
+                              f"got {reprlib.repr(r)}")
     n = _require_int("n", n, 1)
+    _generator(seed)  # a bad seed is refused before any request makes a buffer
     if not requests:
         return []
     distinct = list({id(r): r for r in requests}.values())  # a repeated request sums once
-    scratch = _Scratch(min(n, _BATCH), distinct)
+    rows = min(n, _BATCH)
     for r in distinct:
-        r.start()
+        r.start(rows)
+    vec = np.empty((2, rows))
     for d, *batch in _stream_batches({r.d for r in distinct}, n, seed):
         for r in distinct:
             if r.d == d:
-                r.add(*batch, scratch)
+                r.add(*batch, vec)
     return [r.result(n, seed) for r in requests]
 
 

@@ -457,3 +457,9 @@ def test_simmons_sweep_records_equal_a_plain_recomputation(monkeypatch):
     assert [list(r.items()) for r in records] == [list(r.items()) for r in expected]
     assert all(type(r["s"]) is int and type(r["t"]) is int and type(r["e"]) is float
                and type(r["bound"]) is float for r in records)
+
+
+def test_a_shape_gives_its_sum_and_mean():
+    shape = BetaShape(3.0, 1.0)
+    assert shape.d_frak == 4.0 and shape.mean == 0.75
+    assert BetaShape(2.5, 0.0).mean == 1.0

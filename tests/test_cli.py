@@ -350,3 +350,35 @@ def test_verify_dilation_keeps_its_stdout_at_the_default_flags(capsys):
     assert main(["verify", "dilation"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
         "6439216cc98bf8b819aec7e975acdbcf148224c1bc57aa715b5ee8f73defe9bf")
+
+
+def test_verify_oracle_needs_two_samples_and_reports_each_violation(capsys):
+    # one sample has no standard error, so every check would demand exact equality
+    assert main(["verify", "oracle", "--samples", "1"]) == 3
+    assert capsys.readouterr().err == "error: --samples must be an integer of at least 2, got 1\n"
+    # two samples measure a spread, and three checks fall outside their bounds
+    assert main(["verify", "oracle", "--samples", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "verify oracle: 3 violation(s)"
+    assert [line.split(" closed=")[0].split(" max_excess=")[0] for line in err[1:]] == [
+        "  VIOLATION check=kappa_mc s=2 t=1", "  VIOLATION check=kappa_mc s=3 t=2",
+        "  VIOLATION check=e_j_mc"]
+
+
+def test_a_numeric_error_exits_4(monkeypatch, capsys):
+    module = importlib.import_module("spectra_theta.theta")
+    closed_form = module.theta_even_closed_form
+    monkeypatch.setattr(module, "theta_even_closed_form", lambda d: closed_form(d) + 1e-6)
+    assert main(["theta-table", "--d-max", "4"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric error: even-d closed forms disagree for d=2:")
+
+
+def test_verify_dilation_records_a_choi_matrix_that_is_not_psd(monkeypatch, capsys):
+    monkeypatch.setattr(importlib.import_module("spectra_theta.pencil"), "min_eigenvalue",
+                        lambda matrix: -1.0)
+    assert main(["verify", "dilation", "--samples", "3"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "verify dilation: 5 violation(s)"
+    assert err[1:] == [f"  VIOLATION check=choi_psd g={g} lambda_min=-1" for g in range(2, 7)]

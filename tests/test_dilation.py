@@ -457,3 +457,16 @@ def test_the_spin_ball_of_a_pair_is_the_block_matrix_norm_ball(n):
         for tol in (1e-9, 1e-3):
             lam = np.linalg.eigvalsh(np.block([[x1, x2], [x2, -x1]]))[-1]
             assert ball_membership(SymTuple((x1, x2)), "spin", tol=tol) == (lam <= 1.0 + tol)
+
+
+def test_dilation_result_refuses_a_v_of_the_wrong_shape():
+    X = SymTuple((0.5 * SIGMA1,))
+    for V in (np.ones(2), np.eye(3), np.ones((1, 2))):
+        with pytest.raises(DomainError, match="V must map into the dilation space, got shape"):
+            DilationResult(T=X, V=V, scale=1.0)
+
+
+def test_spin2_extreme_needs_a_two_tuple():
+    for mats in ((SIGMA1,), (SIGMA1, SIGMA2, np.eye(2))):
+        with pytest.raises(DomainError, match=f"spin2_extreme requires a 2-tuple, got g={len(mats)}"):
+            spin2_extreme(SymTuple(mats))

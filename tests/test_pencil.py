@@ -881,3 +881,9 @@ def test_a_failed_theta_is_not_kept(monkeypatch):
         with pytest.raises(NumericError, match="no theta"):
             cube_relaxation_test(cube_pencil(1), d=2, trials=1)
     assert calls == [2, 2]
+
+
+def test_the_wire_format_refuses_a_declared_g_that_its_blocks_disagree_with():
+    for text in ('{"nu": 1, "g": 2, "coeffs": [[1.0]]}', '{"nu": 1, "g": 1, "coeffs": [[1.0], [2.0]]}'):
+        with pytest.raises(DomainError, match="declared g=. but found . coefficient blocks"):
+            pencil_from_json(text)

@@ -14,7 +14,7 @@ from spectra_theta.theta import SignDiag, kappa_star
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_script(name, *args, returncode=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -25,7 +25,7 @@ def run_script(name, *args):
         text=True,
         timeout=300,
     )
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == returncode, done.stderr
     return done.stdout.splitlines()
 
 
@@ -51,6 +51,11 @@ def test_oracle_sweep_matches_per_split_estimates():
             expected.append(f"{s},{t},{ks:.8f},{est.value:.8f},{est.std_err:.2e},{z:+.2f}")
     assert lines[1:] == expected
 
+
+
+def test_oracle_sweep_refuses_one_sample():
+    # one sample has no standard error, so every split would read z = +0.00
+    assert run_script("oracle_sweep.py", "--d-max", "3", "--samples", "1", returncode=2) == []
 
 def test_the_scripts_keep_no_seed_of_their_own():
     # their default seed is sphere_oracle.DEFAULT_SEED, as the command line's is

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,3 +332,45 @@ def test_an_estimate_keeps_python_floats_and_one_sample_has_no_spread(n):
     assert matrix.std_err.shape == (3, 3)
     assert (scalar.std_err == 0.0) == (n == 1)
     assert (not matrix.std_err.any()) == (n == 1)
+
+
+@pytest.mark.parametrize("requests, shown", [
+    (["x"], "got 'x'"),
+    (AbsQuadratic(np.eye(2)), "requests must be iterable, got <"),
+    (None, "requests must be iterable, got None"),
+    ([AbsQuadratic(np.eye(2)), "y" * 100], "got 'yyyy"),
+], ids=["a_string", "a_bare_request", "none", "a_long_string"])
+def test_joint_estimates_refuses_what_is_not_a_request(requests, shown, monkeypatch):
+    def no_draw(seed):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(sphere_oracle, "_generator", no_draw)
+    with pytest.raises(DomainError) as refusal:
+        joint_estimates(requests, 10)
+    assert shown in str(refusal.value) and len(str(refusal.value)) < 120  # reprlib's short value
+
+
+def test_scalar_requests_share_one_pair_of_batch_vectors():
+    # each request owns only what it alone writes: eight diagonal requests
+    # take no more memory than one, and no request keeps a buffer of a
+    # batch's size after the call
+    def peak(requests):
+        tracemalloc.start()
+        try:
+            joint_estimates(requests, _BATCH, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    B = np.diag([1.0, 1.0, -1.0, -1.0])
+    one, eight = [AbsQuadratic(B)], [AbsQuadratic(B) for _ in range(8)]
+    peak(one)  # the first pass in a process also allocates state that outlives it
+    assert peak(eight) <= peak(one) + (1 << 16)  # a batch vector is 1 MiB
+    J = SignDiag(2, 2, 1.0, 0.5)
+    general = _generator(2).standard_normal((4, 4))
+    requests = [SignOuter(J), SignOuter(J), SignMoment(J, 1), AbsQuadratic(general + general.T)]
+    joint_estimates(requests, _BATCH + 7, seed=1)
+    with pytest.raises(DomainError):
+        joint_estimates(requests, _BATCH, seed=-1)
+    held = [v.size for r in requests for v in vars(r).values() if isinstance(v, np.ndarray)]
+    assert max(held) < _CHUNK

@@ -523,3 +523,41 @@ def test_ln_beta_is_computed_once_per_solve(monkeypatch):
     calls.clear()
     betastats.equipoints(shapes)
     assert calls == [4000]
+
+
+def test_alpha_beta_needs_a_negative_block():
+    with pytest.raises(DomainError, match="alpha_beta requires t >= 1"):
+        alpha_beta(SignDiag(2, 0, 1.0, 0.0))
+
+
+def test_theta_names_a_scan_minimizer_off_the_proven_split(monkeypatch):
+    # kappa of the split (4, 1) of d = 5 is made the smallest
+    module = importlib.import_module("spectra_theta.theta")
+    scan = module._split_scan
+
+    def rigged(*ds):
+        rows = scan(*ds)
+        rows[2][1] = 0.0
+        return rows
+
+    monkeypatch.setattr(module, "_split_scan", rigged)
+    with pytest.raises(NumericError, match=r"scan minimizer \(4, 1\) differs from the proven "
+                                           r"split \(3, 2\) for d=5"):
+        theta(5)
+
+
+def test_theta_refuses_a_scan_minimum_off_the_closed_form(monkeypatch):
+    # both closed forms move together, so they agree, and the scan is left behind
+    module = importlib.import_module("spectra_theta.theta")
+    closed_form, beta = module.theta_even_closed_form, module.reg_inc_beta
+    monkeypatch.setattr(module, "theta_even_closed_form", lambda d: closed_form(d) + 1e-6)
+    monkeypatch.setattr(module, "reg_inc_beta", lambda a, b, x: beta(a, b, x) + 5e-7)
+    with pytest.raises(NumericError, match="scan minimum .* differs from closed form .* for d=4"):
+        theta(4)
+
+
+def test_theta_refuses_a_value_outside_its_odd_d_bounds(monkeypatch):
+    module = importlib.import_module("spectra_theta.theta")
+    monkeypatch.setattr(module, "theta_odd_bounds", lambda d: (3.0, 4.0, 5.0))
+    with pytest.raises(NumericError, match=r"theta\(5\)=.* escapes its odd-d bounds \(3.0, 4.0, 5.0\)"):
+        theta(5)
