@@ -155,15 +155,15 @@ def _contraction_stack(g: int, n: int, trials: int, rng: np.random.Generator) ->
     """``trials`` tuples of ``random_contraction_tuple`` as one (trials, g, n, n)
     array.  The draws stay one matrix at a time (Gaussian, then diagonal),
     because the ziggurat consumes a variable number of words per draw and one
-    big draw would reorder the stream; the linear algebra is stacked."""
-    z = np.empty((trials, g, n, n))
-    diag = np.empty((trials, g, n))
-    for k in range(trials):
-        for j in range(g):
-            z[k, j] = rng.standard_normal((n, n))
-            diag[k, j] = rng.uniform(-1.0, 1.0, size=n)
-    q = _haar_gram_schmidt(z.reshape(trials * g, n, n))
-    m = (q.swapaxes(-1, -2) * diag.reshape(trials * g, 1, n)) @ q  # Q^T D Q
+    big draw would reorder the stream; each is drawn in place, and the linear algebra is stacked."""
+    z = np.empty((trials * g, n, n))
+    u = np.empty((trials * g, n))
+    for z_j, u_j in zip(z, u):
+        rng.standard_normal(out=z_j)
+        rng.random(out=u_j)
+    diag = -1.0 + 2.0 * u  # rng.uniform(-1.0, 1.0) is low + (high - low) * next_double
+    q = _haar_gram_schmidt(z)
+    m = (q.swapaxes(-1, -2) * diag[:, None, :]) @ q  # Q^T D Q
     return (0.5 * (m + m.swapaxes(-1, -2))).reshape(trials, g, n, n)
 
 

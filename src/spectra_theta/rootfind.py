@@ -3,9 +3,11 @@
 The iteration requires a sign-changing bracket per lane and never leaves
 it: it takes Newton steps when they stay inside the current bracket and
 bisects otherwise, so it converges for any continuous increasing residual.
-It stops on the residual, on the bracket width, or (the safeguarded Newton
-of Press et al., *Numerical Recipes* §9.4, ``rtsafe``) as soon as a Newton
-step is below the tolerance.
+A lane with no start of its own starts where the inverse cubic Hermite
+interpolant of its bracket ends crosses zero.  It stops on the residual, on
+the bracket width, as soon as a Newton step is below the tolerance (the
+safeguarded Newton of Press et al., *Numerical Recipes* §9.4, ``rtsafe``),
+or at the residual's noise floor.
 
 The step rule is written once, as one masked numpy loop over the lanes
 still iterating.  Each round makes one residual call, which returns the
@@ -24,6 +26,23 @@ import numpy as np
 from .errors import NumericError
 
 _MAX_ITER = 200
+# The noise-floor stop: a Newton step of at most this many xtol that fails only the creep test.
+# From 8 up to 1024, sigma stops on the same lanes at every d measured up to 8001; 4 misses some.
+_FLOOR_STEPS = 16
+
+
+def _inverse_hermite(lo, hi, flo, fhi, dlo, dhi, mid):
+    """Where the cubic Hermite interpolant of x(f) through the bracket ends,
+    with slopes 1/dlo and 1/dhi, crosses f = 0 (in the standard basis, at
+    u = -flo / (fhi - flo)); ``mid`` where a slope is not positive and finite
+    or the point is not strictly inside the bracket."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h = fhi - flo
+        u = -flo / h
+        x = (2 * u**3 - 3 * u**2 + 1) * lo + (u**3 - 2 * u**2 + u) * h / dlo
+        x = x + (-2 * u**3 + 3 * u**2) * hi + (u**3 - u**2) * h / dhi
+        ok = (0.0 < dlo) & (dlo < np.inf) & (0.0 < dhi) & (dhi < np.inf) & (lo < x) & (x < hi)
+    return np.where(ok, x, mid)
 
 
 def newton_rows(
@@ -42,17 +61,22 @@ def newton_rows(
 
     ``f(x, lanes)`` returns the residual and the slope of lane ``lanes[k]``
     at ``x[k]``, from one evaluation (the ``funcd`` of ``rtsafe``); each
-    round calls it once, on the lanes still iterating, and the bracket ends
-    use its residual only.  A lane starts at ``x0`` clipped to its bracket,
-    or at its midpoint.  Newton steps that leave the current bracket (or
-    have no positive slope, or fail to shrink the step before last fast
-    enough) are replaced with bisection steps.  A lane stops, by the first
-    rule that applies: when its residual magnitude drops to ``ftol``; when
-    its bracket width drops to ``xtol + rtol * max(|lo|, |hi|)``; when a
-    Newton step is at most ``xtol + rtol * |x|``; or when its bracket can no
-    longer be split in floating point.  Raises NumericError, naming the
-    lane (``lane_name`` of its index in the row), when a bracket does not
-    change sign or a lane runs out of its iteration budget.
+    round calls it once, on the lanes still iterating; the first call is on
+    the bracket ends.  A lane starts at ``x0`` clipped to its bracket, or
+    else where the inverse cubic Hermite interpolant of its ends (residuals
+    and slopes) crosses zero, or at its midpoint when an end slope is not
+    positive and finite or that point is not strictly inside.  Newton steps
+    that leave the current bracket (or have no positive slope, or fail to
+    shrink the step before last fast enough) are replaced with bisection
+    steps.  A lane stops, by the first rule that applies: at x, when its
+    residual magnitude drops to ``ftol`` or a Newton step inside the bracket
+    fails only the shrink test and is at most ``_FLOOR_STEPS * xtol`` (the
+    residual's noise floor); when its bracket width drops to
+    ``xtol + rtol * max(|lo|, |hi|)``; when a Newton step is at most
+    ``xtol + rtol * |x|``; or when its bracket can no longer be split in
+    floating point.  Raises NumericError, naming the lane (``lane_name`` of
+    its index in the row), when a bracket does not change sign or a lane
+    runs out of its iteration budget.
     """
     lo, hi = np.atleast_1d(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     x = 0.5 * (lo + hi) if x0 is None else np.minimum(np.maximum(x0, lo), hi)
@@ -61,8 +85,10 @@ def newton_rows(
     if not n:  # an empty row: no residual call
         return np.empty(0)
     every = np.arange(n)
-    ends = f(np.concatenate([lo, hi]), np.concatenate([every, every]))[0]
+    ends, slopes = f(np.concatenate([lo, hi]), np.concatenate([every, every]))
     flo, fhi = ends[:n], ends[n:]
+    if x0 is None:
+        x = _inverse_hermite(lo, hi, flo, fhi, slopes[:n], slopes[n:], x)
     bad = np.flatnonzero((flo > 0.0) | (fhi < 0.0))
     if bad.size:
         i = bad[0]
@@ -71,25 +97,28 @@ def newton_rows(
         )
     roots = np.where(flo == 0.0, lo, hi)  # right for lanes with a root at a bracket end
     lane = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
-    del ends, flo, fhi  # the 2n-lane residual is not needed in the loop
+    del ends, slopes, flo, fhi  # the 2n-lane residual is not needed in the loop
     lo, hi, x = lo[lane], hi[lane], x[lane]
     step = step_old = hi - lo
     for _ in range(_MAX_ITER):
         if not lane.size:
             return roots
         fx, dfx = f(x, lane)
-        at_root = np.abs(fx) <= ftol
+        abs_fx = np.abs(fx)
         lo, hi = np.where(fx < 0.0, x, lo), np.where(fx < 0.0, hi, x)
         mid = 0.5 * (lo + hi)
         narrow = hi - lo <= xtol + rtol * np.maximum(np.abs(lo), np.abs(hi))
         # Reject the Newton step when it leaves the bracket or when it fails
         # to shrink the step before last fast enough (flat-tail creep); bisect.
+        # A step that fails only the shrink test and is at most _FLOOR_STEPS xtol is rounding
+        # noise: stop at x (with xtol = 0 that is a zero residual, a stop anyway).
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            newton = (
-                (dfx > 0.0)
-                & (((x - hi) * dfx - fx) * ((x - lo) * dfx - fx) < 0.0)
-                & (np.abs(2.0 * fx) <= np.abs(step_old * dfx))
-            )
+            newton = (dfx > 0.0) & (((x - hi) * dfx - fx) * ((x - lo) * dfx - fx) < 0.0)
+            shrinks = 2.0 * abs_fx <= np.abs(step_old * dfx)
+            at_root = abs_fx <= ftol
+            if xtol:
+                at_root |= newton & ~shrinks & (abs_fx <= _FLOOR_STEPS * xtol * dfx)
+            newton &= shrinks
             step_old, step = step, np.where(newton, fx / dfx, 0.5 * (hi - lo))
         x_step = np.where(newton, x - step, lo + step)
         small = newton & (np.abs(step) <= xtol + rtol * np.abs(x_step))

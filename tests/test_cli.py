@@ -61,7 +61,7 @@ def test_json_round_trips_full_precision(tmp_path):
     (["median-table", "--format", "json"],
      "e0a17bab7782d1a6f102460fb4ef151bf85d9b58cbf258e0f440a3111ca079ce"),
     (["theta-table", "--d-max", "60", "--format", "json"],
-     "d4de097c683d4573658f37213b601c9569c7c7d82a941996fc84ca8015724da0"),
+     "46aae15425b929b117766413c719aacd32c766326019733ffbef8007c8b6e725"),
 ])
 def test_json_tables_keep_their_bits(capsys, args, digest):
     # The CSV goldens pin 6 digits; the JSON tables carry all 17, so their

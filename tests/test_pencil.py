@@ -227,6 +227,26 @@ def test_contraction_stack_replays_one_tuple_at_a_time():
             assert np.array_equal(stack[k, j], 0.5 * (m + m.T))
 
 
+@pytest.mark.parametrize("g, n, trials, seed", [(1, 1, 1, 0), (2, 3, 5, 7), (3, 4, 25, 41), (5, 2, 9, 12345)])
+def test_contraction_stack_draws_as_the_per_draw_loop(g, n, trials, seed):
+    # drawing in place, with the diagonal as -1 + 2 u from rng.random, keeps
+    # the bits and the stream of one standard_normal((n, n)) and one
+    # uniform(-1, 1, n) per matrix
+    loop = _generator(seed)
+    z = np.empty((trials, g, n, n))
+    diag = np.empty((trials, g, n))
+    for k in range(trials):
+        for j in range(g):
+            z[k, j] = loop.standard_normal((n, n))
+            diag[k, j] = loop.uniform(-1.0, 1.0, size=n)
+    q = _haar_gram_schmidt(z.reshape(trials * g, n, n))
+    m = (q.swapaxes(-1, -2) * diag.reshape(trials * g, 1, n)) @ q
+    rng = _generator(seed)
+    stack = _contraction_stack(g, n, trials, rng)
+    assert np.array_equal(stack, (0.5 * (m + m.swapaxes(-1, -2))).reshape(trials, g, n, n))
+    assert rng.random() == loop.random()
+
+
 @pytest.mark.parametrize("nu, g", [(1, 1), (2, 2), (3, 4)])
 def test_cube_relaxation_report_equals_per_trial_replay(nu, g):
     # one stacked spectrum call gives each trial the bits of its own

@@ -1,10 +1,11 @@
+import hashlib
 import importlib
 
 import numpy as np
 import pytest
 
 from spectra_theta import specfun
-from spectra_theta.betastats import BetaShape, equipoint, equipoints, median, medians
+from spectra_theta.betastats import BetaShape, _equipoint_rows, equipoint, equipoints, median, medians
 from spectra_theta.errors import NumericError
 from spectra_theta.rootfind import newton_rows
 from spectra_theta.specfun import reg_inc_beta_inv
@@ -62,7 +63,8 @@ def test_roots_keep_their_recorded_bits():
     assert equipoint(BetaShape(36.0, 11.5)).hex() == "0x1.83227b0109c1ep-1"
     assert median(BetaShape(10.0, 7.0)).hex() == "0x1.2efcef9ee5e9ap-1"
     assert reg_inc_beta_inv(0.37, 2.5, 7.0).hex() == "0x1.9b5abeeb916d1p-3"
-    assert theta_module.sigma_st(1465, 536).hex() == "0x1.76d021a4b95fcp-1"
+    # ...95fc from a midpoint start; both lie 77-79 ulps below the 40-digit root
+    assert theta_module.sigma_st(1465, 536).hex() == "0x1.76d021a4b95fap-1"
     assert theta_module.theta(2001).kappa_star.hex() == "0x1.9d2efb0a51181p-6"
 
 
@@ -85,3 +87,72 @@ def test_an_empty_row_makes_no_residual_call():
         "minimizer_t=1, p_opt=0.64469860239188, bounds_odd=(1.7320508075688756, 1.770641430495141, "
         "1.885618083164125))",
     ]
+
+
+def test_a_lane_without_x0_starts_at_the_inverse_hermite_point():
+    # f(x) = x**3 + x - 1/2 on [0, 1]: end residuals -1/2 and 3/2, slopes 1
+    # and 4.  The cubic Hermite interpolant of x(f) through the ends crosses
+    # f = 0 at u = 1/4 of the way from f(0) to f(1), at
+    # h10 * 2 / 1 + h01 * 1 + h11 * 2 / 4 = 0.4140625 (h10 = 9/64,
+    # h01 = 5/32, h11 = -3/64): the first residual call after the ends
+    calls = []
+
+    def f(x, lanes):
+        calls.append(x.tolist())
+        return x**3 + x - 0.5, 3.0 * x**2 + 1.0
+
+    newton_rows(f, 0.0, 1.0, xtol=1e-15)
+    assert calls[:2] == [[0.0, 1.0], [0.4140625]]
+
+
+@pytest.mark.parametrize(
+    "slope_lo, slope_hi, start",
+    [(2.0, 2.0, 0.25), (0.0, 2.0, 0.5), (-1.0, 2.0, 0.5), (np.nan, 2.0, 0.5), (2.0, np.nan, 0.5),
+     (2.0, np.inf, 0.5), (1e-3, 1e-3, 0.5)],
+)
+def test_a_bad_end_slope_or_a_point_outside_starts_at_the_midpoint(slope_lo, slope_hi, start):
+    # f(x) = 2x - 1/2 on [0, 1]: its true end slopes put the Hermite point on
+    # the root 1/4.  A zero, negative, NaN or infinite end slope, or end
+    # slopes of 1e-3, which put the point at 187.66 (outside), start the lane
+    # at the midpoint instead; Newton then lands on the root
+    calls = []
+
+    def f(x, lanes):
+        calls.append(x.tolist())
+        return 2.0 * x - 0.5, np.where(x == 0.0, slope_lo, np.where(x == 1.0, slope_hi, 2.0))
+
+    assert newton_rows(f, 0.0, 1.0, xtol=1e-15).tolist() == [0.25]
+    assert calls[1] == [start]
+
+
+def test_a_lane_at_its_noise_floor_stops_on_its_step():
+    # Rounding noise that keeps the residual's sign: on [r - 4e-15, r] the
+    # residual x - r reads 1.5e-15.  Newton from the right lands on that
+    # plateau, where its steps stay at 1.5 xtol and fail the creep test; the
+    # lane stops there, inside the plateau, within 6 residual calls (bracket
+    # ends included), where bisecting from the far bracket end took 55.
+    r, calls = 0.3, []
+
+    def f(x, lanes):
+        calls.append(x.size)
+        return np.where((r - 4e-15 <= x) & (x <= r), 1.5e-15, x - r), np.ones(x.size)
+
+    root = newton_rows(f, 0.0, 1.0, x0=0.9, xtol=1e-15)[0]
+    assert len(calls) <= 6 and r - 4e-15 <= root <= r
+
+
+def test_rows_without_an_absolute_tolerance_keep_their_bits():
+    # The noise-floor stop reads xtol only, so the xtol = 0 rows (equipoints,
+    # medians and the inverse, which also start at their own x0) keep every
+    # bit.  SHA-256 prefixes of 3,000 seeded lanes each, recorded before the
+    # start rule and the stop were added.
+    rng = np.random.Generator(np.random.Philox(key=25))
+    s, t = rng.uniform(0.5, 200.0, (2, 3000))
+    y = rng.random(3000)
+
+    def digest(values):
+        return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()[:16]
+
+    assert digest(_equipoint_rows(s, t)) == "1cef80b5b5ab8110"
+    assert digest(medians([BetaShape(a, b) for a, b in zip(s.tolist(), t.tolist())])) == "550c87abcfb2735d"
+    assert digest(specfun._ibeta_inv_row(y, s, t)) == "a2f53c1f263391f5"

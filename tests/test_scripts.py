@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from spectra_theta.sphere_oracle import sphere_abs_quadratic_integral
-from spectra_theta.theta import SignDiag, kappa_star
+from spectra_theta.theta import SignDiag, kappa_star, theta
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -70,3 +70,20 @@ def test_witness_refinement_runs_the_score_block_witness():
                        "--samples-per-cell", "200")
     assert lines[0].startswith("theta(3) = ")
     assert [line.split(",")[0] for line in lines[2:]] == ["1", "4"]
+
+
+def test_mpmath_roots_checks_sigma_and_theta_against_mpmath():
+    lines = run_script("mpmath_roots.py", "--d-max", "12", "--lanes", "8", "--seed", "3")
+    assert lines[0] == "kind,d,s,t,hex,error"
+    rows = [line.split(",") for line in lines[1:-2]]
+    sigma = [row for row in rows if row[0] == "sigma"]
+    assert len(sigma) == 8 and all(int(d) == int(s) + int(t) <= 12 and int(s) > int(t) for _, d, s, t, _, _ in sigma)
+    # every odd d of 3..12 at its proven split, and theta's hex is theta(d)'s
+    assert [(int(d), int(s), int(t)) for kind, d, s, t, _, _ in rows if kind == "theta"] == [
+        (d, (d + 1) // 2, (d - 1) // 2) for d in (3, 5, 7, 9, 11)
+    ]
+    assert all(float.fromhex(row[4]) == theta(int(row[1])).theta for row in rows if row[0] == "theta")
+    assert max(abs(float(row[5])) for row in sigma) <= 8  # ulps
+    assert max(abs(float(row[5])) for row in rows if row[0] == "theta") <= 1e-14
+    assert lines[-2].startswith("sigma: 8 values, |error| median ")
+    assert lines[-1].startswith("theta: 5 values, |error| median ")

@@ -217,10 +217,10 @@ def test_kappa_star_cross_check_fires_on_wrong_root(monkeypatch):
 
 
 def test_sigma_newton_stops_on_its_step(monkeypatch):
-    # A Newton step below the tolerance ends the root: at most 10 residual
+    # A Newton step below the tolerance ends the root: at most 6 residual
     # evaluations (bracket ends included) per sigma root, where stopping on
     # the bracket width alone bisected at the residual's noise floor (up to
-    # 41 at d = 60 and 50 at d = 200).
+    # 41 at d = 60 and 50 at d = 200), and a midpoint start took up to 8.
     module = importlib.import_module("spectra_theta.theta")
     residual = module._sigma_residual
     evals = collections.Counter()
@@ -234,16 +234,15 @@ def test_sigma_newton_stops_on_its_step(monkeypatch):
         evals.clear()
         theta(d)
         assert len(evals) == (d - 1) // 2  # one root per split s > t >= 1
-        assert max(evals.values()) <= 10, d
+        assert max(evals.values()) <= 6, d
 
 
 def test_sigma_lane_at_the_noise_floor_of_2001(monkeypatch):
-    # A known defect of the step rule: at d = 2001 the sigma lane
-    # (s, t) = (1465, 536) reaches its residual's noise floor with Newton
-    # steps just above xtol, then bisects 17 times from a far bracket end.
-    # It takes 24 residual evaluations (bracket ends included) against at
-    # most 8 for every other split; a step rule that stops at the noise
-    # floor should lower this bound.
+    # At d = 2001 the sigma lane (s, t) = (1465, 536) reaches its residual's
+    # noise floor with Newton steps just above xtol.  It stops there and
+    # takes 7 residual evaluations (bracket ends included), as many as any
+    # other split; without the noise-floor stop it bisected 17 times from a
+    # far bracket end and took 24.
     module = importlib.import_module("spectra_theta.theta")
     residual = module._sigma_residual
     evals = collections.Counter()
@@ -255,16 +254,17 @@ def test_sigma_lane_at_the_noise_floor_of_2001(monkeypatch):
     monkeypatch.setattr(module, "_sigma_residual", counted)
     theta(2001)
     assert len(evals) == 1000
-    assert evals.pop((1465 / 2, 536 / 2)) <= 24
-    assert max(evals.values()) <= 8
+    assert evals.pop((1465 / 2, 536 / 2)) <= 7
+    assert max(evals.values()) <= 7
 
 
 def test_theta_stacks_its_independent_rows(monkeypatch):
     # The two incomplete betas of each sigma residual, and the four of the
     # two kappa_star routes, come from one stacked pass: theta(2000) makes 8
-    # passes (bracket ends, 6 Newton rounds, kappa_star) over the 15,512
-    # lanes that 18 unstacked passes covered.  Each stack is one call of the
-    # row kernel, which alone decides how to run it.
+    # passes (bracket ends, 6 Newton rounds, kappa_star) over 12,304 lanes
+    # (15,512 from midpoint starts, in 18 unstacked passes before that).
+    # Each stack is one call of the row kernel, which alone decides how to
+    # run it.
     module = importlib.import_module("spectra_theta.theta")
     specfun = importlib.import_module("spectra_theta.specfun")
     rows, row = module._ibeta_rows, specfun._ibeta_row
@@ -283,7 +283,7 @@ def test_theta_stacks_its_independent_rows(monkeypatch):
     monkeypatch.setattr(module, "_ibeta_rows", counted_rows)
     monkeypatch.setattr(specfun, "_ibeta_row", counted_row)
     theta(2000)
-    assert (len(stacks), sum(stacks)) == (8, 15512)
+    assert (len(stacks), sum(stacks)) == (8, 12304)
     assert row_calls == stacks
 
 
