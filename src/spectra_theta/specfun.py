@@ -1,24 +1,21 @@
 """Special functions: log-gamma, log-beta, the regularized incomplete beta,
 its density and its inverse, to double precision.
 
-One point function, ``_ibeta_point``, yields I_p and the density of one
-(a, b, p) triple from one set of logs and ln B; ``reg_inc_beta`` and
-``beta_pdf`` are each one call of it.  The row kernel (``_ln_beta_row``,
-``_ibeta_row``, ``_ibeta_inv_row``) evaluates a numpy row of triples for
-every sweep and root, with the point function's bits in every lane: the same
-operation order, ``math``'s transcendental functions mapped per lane (ln B
-once per solve, not per Newton round), and one modified-Lentz loop over
-the lanes still iterating, which writes into a few row buffers and makes no
-temporary per iteration.  ``_ibeta_row``
-alone picks the path, mapping the point function over rows shorter than
-``_ROW_MIN_LANES``, where it is cheaper.  The loop's numpy calls per
-iteration do not grow with the row, so independent rows of one step share
-one ``_ibeta_row`` call (``_ibeta_rows``).  The inverse is a bracketed-Newton
-row (``rootfind.newton_rows``) whose residual call also returns its slope.
-Accuracy targets (absolute):
+One row kernel, ``_ibeta_row``, computes I_p and its density for a numpy
+row of (a, b, p) triples, with ln B passed in once per solve; ``reg_inc_beta``,
+``beta_pdf`` and ``reg_inc_beta_inv`` are one-lane calls.  Its one fork is
+the Lentz loop on the interior lanes: the scalar ``_beta_cf`` lane by lane
+below ``_ROW_MIN_LANES`` of them, else ``_beta_cf_row``, one numpy loop with
+``_beta_cf``'s bits whose calls per iteration do not grow with the row (so
+independent rows share one call, ``_ibeta_rows``).  With ``math`` mapped per
+lane, every lane has its one-lane call's bits.  The inverse is a
+bracketed-Newton row (``rootfind.newton_rows``) whose residual also returns
+its slope.  Accuracy targets (absolute):
 
 * ``ln_gamma``          max(1e-13, 5e-15 |ln Gamma(x)|) over [1e-3, 1e6]
-* ``reg_inc_beta``      1e-12
+* ``reg_inc_beta``      1e-12, tested against scipy on shapes in [0.3, 200];
+                        larger shapes lose digits near the mean, and near
+                        1e6 it raises NumericError (README numerics notes)
 * ``reg_inc_beta_inv``  residual |I_p(a,b) - y| <= 1e-11
 """
 
@@ -61,8 +58,8 @@ def ln_gamma(x: float) -> float:
 
 def ln_beta(a: float, b: float) -> float:
     """log B(a, b) for finite positive shapes, memoized behind the check (an
-    array, which the memo cannot hash, is refused first): a root finder on a
-    short row evaluates the point kernel dozens of times per shape pair."""
+    array, which the memo cannot hash, is refused first): short rows and
+    scalar calls repeat their shape pairs."""
     return _ln_beta(_require_real("a", a, 0.0, above=True), _require_real("b", b, 0.0, above=True))
 
 
@@ -134,21 +131,6 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _ibeta_point(a: float, b: float, p: float) -> tuple[float, float]:
-    """I_p(a, b) and its density at p, from one log p, log(1-p) and ln B."""
-    if p <= 0.0:
-        return 0.0, 0.0
-    if p >= 1.0:
-        return 1.0, 0.0
-    ln_p, ln_q, ln_b = math.log(p), math.log1p(-p), _ln_beta(a, b)
-    ln_front = a * ln_p + b * ln_q - ln_b
-    density = _exp((a - 1.0) * ln_p + (b - 1.0) * ln_q - ln_b)
-    # Symmetry switch keeps the continued fraction in its fast region.
-    if p < (a + 1.0) / (a + b + 2.0):
-        return math.exp(ln_front) * _beta_cf(a, b, p) / a, density
-    return 1.0 - math.exp(ln_front) * _beta_cf(b, a, 1.0 - p) / b, density
-
-
 def reg_inc_beta(a: float, b: float, p: float) -> float:
     """Regularized incomplete beta function I_p(a, b).
 
@@ -158,14 +140,14 @@ def reg_inc_beta(a: float, b: float, p: float) -> float:
     """
     args = BetaArgs(a, b, p)
     # Clip the last-ulp spill so callers can rely on the codomain.
-    return min(max(_ibeta_point(args.a, args.b, args.p)[0], 0.0), 1.0)
+    return min(max(float(_ibeta_row(args.a, args.b, args.p)[0][0]), 0.0), 1.0)
 
 
 def beta_pdf(a: float, b: float, p: float) -> float:
     """Density p^(a-1) (1-p)^(b-1) / B(a, b); 0 at both endpoints (the
     one-sided limit for a, b > 1; the root finders need only a value >= 0)."""
     args = BetaArgs(a, b, p)
-    return _ibeta_point(args.a, args.b, args.p)[1]
+    return float(_ibeta_row(args.a, args.b, args.p)[1][0])
 
 
 def reg_inc_beta_inv(y: float, a: float, b: float) -> float:
@@ -180,12 +162,12 @@ def reg_inc_beta_inv(y: float, a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Row kernel: the point kernel's arithmetic on numpy rows, lane by lane.
+# Row kernel: I_p and its density on numpy rows, lane by lane.
 # ---------------------------------------------------------------------------
 
-# Rows shorter than this go lane by lane through the point kernel: below it,
-# numpy's per-operation overhead on the continued-fraction loop costs more
-# than the scalar loops it replaces (crossover measured per call; CHANGES.md).
+# Fewer interior lanes than this run the scalar Lentz loop: below it, numpy's
+# per-operation overhead on the continued-fraction loop costs more than the
+# scalar loops it replaces (crossover measured per call; CHANGES.md).
 _ROW_MIN_LANES = 112
 
 
@@ -197,8 +179,8 @@ def _lanes(*args) -> list[np.ndarray]:
 
 
 def _map(fn, *rows: np.ndarray) -> np.ndarray:
-    """``fn`` applied lane by lane, so each lane gets the point kernel's bits
-    (numpy's own log and exp may differ from ``math`` in the last ulp)."""
+    """``fn`` applied lane by lane, so each lane gets ``math``'s bits
+    (numpy's own log and exp may differ from them in the last ulp)."""
     return np.fromiter(map(fn, *(row.tolist() for row in rows)), dtype=float, count=rows[0].size)
 
 
@@ -302,24 +284,20 @@ def _beta_cf_row(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _ibeta_row(a, b, p, ln_b=None) -> tuple[np.ndarray, np.ndarray]:
-    """``_ibeta_point`` on a row of (a, b, p) triples (scalars broadcast),
-    mapped below ``_ROW_MIN_LANES`` lanes, else one numpy loop, which takes
-    ``ln_b`` (a root's ``_ln_beta_row(a, b)``) as its ln B if given."""
+    """I_p(a, b) and its density on a row of triples (scalars broadcast),
+    with ``ln_b`` (a root's ``_ln_beta_row(a, b)``) as ln B if given; fewer
+    than ``_ROW_MIN_LANES`` interior lanes run ``_beta_cf``, more ``_beta_cf_row``."""
     a, b, p = _lanes(a, b, p)
-    if a.size < _ROW_MIN_LANES:
-        points = map(_ibeta_point, a.tolist(), b.tolist(), p.tolist())
-        value, density = tuple(zip(*points)) or ((), ())  # an empty row unzips to ()
-        return np.array(value), np.array(density)
     value, density = np.where(p <= 0.0, 0.0, 1.0), np.zeros(a.size)
-    inner = ~((p <= 0.0) | (p >= 1.0))  # the point kernel's endpoint tests
+    inner = ~((p <= 0.0) | (p >= 1.0))
     a, b, p = a[inner], b[inner], p[inner]
     ln_b = _ln_beta_row(a, b) if ln_b is None else ln_b[inner]
     ln_p, ln_q = _map(math.log, p), _map(math.log1p, -p)
     ln_front = a * ln_p + b * ln_q - ln_b
-    # the point kernel's symmetry switch, per lane
+    # Symmetry switch keeps the continued fraction in its fast region.
     swap = ~(p < (a + 1.0) / (a + b + 2.0))
-    ca = np.where(swap, b, a)
-    cf = _beta_cf_row(ca, np.where(swap, a, b), np.where(swap, 1.0 - p, p))
+    ca, cb, x = np.where(swap, b, a), np.where(swap, a, b), np.where(swap, 1.0 - p, p)
+    cf = _map(_beta_cf, ca, cb, x) if a.size < _ROW_MIN_LANES else _beta_cf_row(ca, cb, x)
     head = _map(math.exp, ln_front) * cf / ca
     value[inner] = np.where(swap, 1.0 - head, head)
     ln_density = (a - 1.0) * ln_p + (b - 1.0) * ln_q - ln_b

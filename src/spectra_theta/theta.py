@@ -137,8 +137,9 @@ def _sigma_residual(sh, th, x, ln_b) -> tuple[np.ndarray, np.ndarray]:
     come from one stacked row-kernel pass, with ln B from ``ln_b``."""
     # sigma_{s,t} is the equipoint e_{s/2,t/2} but keeps this residual: through
     # betastats' one-beta form it lands 2-4x farther from 40-digit roots
-    # (1.2e-14 against 5.5e-15 at (2001, 2000)), and theta(20001) then escapes
-    # its odd-d bounds.  test_sigma_st_against_mpmath holds today's accuracy.
+    # (1.2e-14 against 5.5e-15 at (2001, 2000)); test_sigma_st_against_mpmath
+    # holds today's accuracy.  theta(20001) escapes its odd-d bounds even so:
+    # its 125.33768006817907 is below the float theta_minus 125.33768006919689.
     (left, left_pdf), (right, right_pdf) = _ibeta_rows(
         (sh, th + 1.0, x), (th, sh + 1.0, 1.0 - x), ln_b=ln_b.ravel()
     )

@@ -26,8 +26,9 @@ def _bits(values) -> list[str]:
 
 @pytest.mark.parametrize("n", [specfun._ROW_MIN_LANES // 4, specfun._ROW_MIN_LANES + 8])
 def test_row_lanes_equal_their_one_lane_calls(n):
-    # The row kernel switches from lane-by-lane to numpy at _ROW_MIN_LANES;
-    # either way every lane of a row has its one-lane call's bits.
+    # The row kernel switches from the scalar Lentz loop to the numpy one at
+    # _ROW_MIN_LANES interior lanes; either way every lane of a row has its
+    # one-lane call's bits.
     shapes = _shapes(n)
     assert _bits(equipoints(shapes)) == _bits(equipoint(shape) for shape in shapes)
     assert _bits(medians(shapes)) == _bits(median(shape) for shape in shapes)

@@ -196,13 +196,21 @@ def _lane_triples() -> np.ndarray:
     return np.array(rows)
 
 
+def _one_lane_calls(a, b, p) -> np.ndarray:
+    """Each lane's (I_p, density) from its own one-lane ``_ibeta_row`` call,
+    whose one interior lane runs the scalar ``_beta_cf``: the per-lane
+    reference that holds ``_beta_cf_row`` to ``_beta_cf`` bit for bit."""
+    lanes = zip(np.ravel(a).tolist(), np.ravel(b).tolist(), np.ravel(p).tolist())
+    return np.array([[out[0] for out in specfun._ibeta_row(*lane)] for lane in lanes]).T
+
+
 def test_row_kernel_is_lane_exact():
-    # The row kernel gives every lane the point kernel's bits, in rows longer
-    # than the crossover (the numpy loop) and shorter (lane by lane).
+    # The row kernel gives every lane the bits of its one-lane call, in rows
+    # longer than the crossover (the numpy loop) and shorter (the scalar loop
+    # lane by lane).
     a, b, p = _lane_triples().T
     assert a.size > specfun._ROW_MIN_LANES
-    lanes = list(zip(a.tolist(), b.tolist(), p.tolist()))
-    points = np.array([specfun._ibeta_point(*lane) for lane in lanes]).T
+    points = _one_lane_calls(a, b, p)
     expected = {"value": points[0], "density": points[1]}
     short = specfun._ROW_MIN_LANES // 2
     whole = specfun._ibeta_row(a, b, p)
@@ -232,14 +240,15 @@ def test_ln_beta_row_has_the_bits_of_ln_beta_on_short_rows():
 )
 def test_stacked_rows_equal_separate_rows(sizes):
     # One pass over rows stacked end to end gives each row the bits of its
-    # own pass, whether the stack is shorter or longer than the crossover.
-    # A last part of 5 lanes broadcasts the scalars a and p.
+    # own pass, whether the stack has fewer or more interior lanes than the
+    # crossover.  A last part of 5 lanes broadcasts the scalars a and p.
     a, b, p = _lane_triples().T
     p[::9], p[4::9] = 0.0, 1.0  # endpoint lanes in every part
     starts = np.cumsum((0,) + sizes).tolist()
     triples = [(a[i:j], b[i:j], p[i:j]) for i, j in zip(starts, starts[1:])]
     triples.append((2.5, b[:5], 0.25))
-    assert (sum(sizes) + 5 < specfun._ROW_MIN_LANES) == (sizes in ((1, 60), (0, 30)))
+    interior = np.count_nonzero((0.0 < p[:sum(sizes)]) & (p[:sum(sizes)] < 1.0)) + 5
+    assert (interior < specfun._ROW_MIN_LANES) == (sizes in ((1, 60), (60, 60), (0, 30)))
     stacked = specfun._ibeta_rows(*triples)
     assert len(stacked) == len(triples)
     for triple, got in zip(triples, stacked):
@@ -247,12 +256,33 @@ def test_stacked_rows_equal_separate_rows(sizes):
             assert np.array_equal(out.view(np.uint64), alone.view(np.uint64))
 
 
+@pytest.mark.parametrize("interior", [specfun._ROW_MIN_LANES - 1, specfun._ROW_MIN_LANES])
+def test_crossover_counts_interior_lanes(interior, monkeypatch):
+    # The Lentz loop is chosen by the interior lanes, 0 < p < 1, not by the
+    # row's length: a row of twice the crossover whose other lanes sit at
+    # p = 0 or 1 runs the scalar loop one lane short of the crossover and the
+    # numpy loop at it.  Either way every lane has its one-lane call's bits.
+    n = 2 * specfun._ROW_MIN_LANES
+    triples = _lane_triples()
+    a, b, p = triples[(0.0 < triples[:, 2]) & (triples[:, 2] < 1.0)][-n:].T
+    ends = np.setdiff1d(np.arange(n), np.linspace(0, n - 1, interior).astype(int))
+    p[ends] = np.arange(ends.size) % 2
+    assert np.count_nonzero((0.0 < p) & (p < 1.0)) == interior
+    expected = _one_lane_calls(a, b, p)
+    loops, row_loop = [], specfun._beta_cf_row
+    monkeypatch.setattr(specfun, "_beta_cf_row", lambda *rows: loops.append(rows[0].size) or row_loop(*rows))
+    value, density = specfun._ibeta_row(a, b, p)
+    assert loops == ([] if interior < specfun._ROW_MIN_LANES else [interior])
+    assert np.array_equal(value.view(np.uint64), expected[0].view(np.uint64))
+    assert np.array_equal(density.view(np.uint64), expected[1].view(np.uint64))
+
+
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_row_kernel_names_the_lane_that_does_not_converge(where):
     # shape ~1e6: the continued fraction needs more than its 500 steps
     bad = (1902608.6356816522, 1723780.331182298, 0.5246606581572989)
     with pytest.raises(NumericError) as point:
-        specfun._ibeta_point(*bad)
+        specfun._ibeta_row(*bad)
     for n in (3, 2 * specfun._ROW_MIN_LANES):
         a, b = np.full(n, 2.5), np.full(n, 4.0)
         p = np.linspace(0.05, 0.95, n)
@@ -266,8 +296,8 @@ def test_row_kernel_names_the_lane_that_does_not_converge(where):
 def test_lentz_guard_keeps_the_row_kernel_lane_exact(monkeypatch):
     # |d|, |c| < tiny never happens on these lanes at the kernels' 1e-300, so
     # raise tiny until the guard fires on some lanes (their values move) and
-    # not on others; the numpy loop must still give every lane the point
-    # kernel's bits.
+    # not on others; the numpy loop must still give every lane the bits of its
+    # one-lane call, which runs the scalar loop.
     a, b, p = _lane_triples().T
     assert a.size > specfun._ROW_MIN_LANES
     unguarded = specfun._ibeta_row(a, b, p)[0]
@@ -275,8 +305,7 @@ def test_lentz_guard_keeps_the_row_kernel_lane_exact(monkeypatch):
     value, density = specfun._ibeta_row(a, b, p)
     moved = np.count_nonzero(value != unguarded)
     assert 0 < moved < a.size // 4
-    lanes = zip(a.tolist(), b.tolist(), p.tolist())
-    points = np.array([specfun._ibeta_point(*lane) for lane in lanes]).T
+    points = _one_lane_calls(a, b, p)
     assert np.array_equal(value.view(np.uint64), points[0].view(np.uint64))
     assert np.array_equal(density.view(np.uint64), points[1].view(np.uint64))
     # a finished lane is NaN: the guard must still see the open lanes beside it
@@ -310,8 +339,9 @@ POINT_KERNEL_BITS = {
 
 
 def test_point_kernel_keeps_its_recorded_bits():
-    # The lane-exact test holds the row kernel to the point kernel; these
-    # pins hold the point kernel itself, and the public calls built on it.
+    # The lane-exact test holds every lane of a row to its one-lane call;
+    # these pins hold the one-lane call itself, and the public calls built
+    # on it.
     from spectra_theta.betastats import binom_tail
     from spectra_theta.specfun import beta_pdf
     from spectra_theta.theta import theta
@@ -319,7 +349,7 @@ def test_point_kernel_keeps_its_recorded_bits():
     for (a, b, p), (value, density) in POINT_KERNEL_BITS.items():
         assert ((a + 1.0) / (a + b + 2.0) <= p) == (p in (0.37, 0.9, 0.334))
         expected = (float.fromhex(value), float.fromhex(density))
-        assert specfun._ibeta_point(a, b, p) == expected
+        assert tuple(out.item() for out in specfun._ibeta_row(a, b, p)) == expected
         assert (reg_inc_beta(a, b, p), beta_pdf(a, b, p)) == expected
     assert binom_tail(0.3, 2, 4).hex() == "0x1.64a8c154c985ap-2"
     assert [theta(d).theta.hex() for d in (2, 3, 20)] == [
@@ -349,16 +379,16 @@ def test_density_past_the_float_range_is_inf():
     assert beta_pdf(1e-5, 1e-5, 5e-324) == math.inf
     value = reg_inc_beta(1e-5, 1e-5, 5e-324)
     assert 0.0 < value < 1.0
-    # the same on rows either side of the mapped/numpy crossover, where the
-    # numpy path used to raise OverflowError; the finite lanes between the
-    # overflowing ones keep their point-kernel bits
+    # the same on rows either side of the scalar/numpy loop crossover, where
+    # the numpy path used to raise OverflowError; the finite lanes between
+    # the overflowing ones keep the bits of their one-lane call
     crossover = specfun._ROW_MIN_LANES
     for lanes in (1, crossover - 1, crossover, 200):
         p = np.where(np.arange(lanes) % 3 == 1, 0.3, 5e-324)
         row_value, row_density = specfun._ibeta_row(np.full(lanes, 1e-5), 1e-5, p)
         finite = p == 0.3
         assert np.all(row_value[~finite] == value) and np.all(row_density[~finite] == math.inf)
-        point = specfun._ibeta_point(1e-5, 1e-5, 0.3)
+        point = _one_lane_calls(1e-5, 1e-5, 0.3)[:, 0]
         assert np.all(row_value[finite] == point[0]) and np.all(row_density[finite] == point[1])
 
 

@@ -264,7 +264,8 @@ def test_theta_stacks_its_independent_rows(monkeypatch):
     # passes (bracket ends, 6 Newton rounds, kappa_star) over 12,304 lanes
     # (15,512 from midpoint starts, in 18 unstacked passes before that).
     # Each stack is one call of the row kernel, which alone decides how to
-    # run it.
+    # run it; the one row-kernel call after them is the one-lane
+    # reg_inc_beta of the even-d closed-form check.
     module = importlib.import_module("spectra_theta.theta")
     specfun = importlib.import_module("spectra_theta.specfun")
     rows, row = module._ibeta_rows, specfun._ibeta_row
@@ -284,7 +285,7 @@ def test_theta_stacks_its_independent_rows(monkeypatch):
     monkeypatch.setattr(specfun, "_ibeta_row", counted_row)
     theta(2000)
     assert (len(stacks), sum(stacks)) == (8, 12304)
-    assert row_calls == stacks
+    assert row_calls == [*stacks, 1]
 
 
 def test_theta_1_makes_no_row_kernel_pass(monkeypatch):
@@ -498,7 +499,9 @@ def test_thetas_name_the_sigma_lane_that_fails(monkeypatch):
 def test_ln_beta_is_computed_once_per_solve(monkeypatch):
     # ln B of a root's shapes is fixed over its Newton rounds: theta(2000)
     # computes both of its shape pairs' rows in one call, which kappa_star's
-    # routes reuse, and a 4,000-lane median row computes its row once
+    # routes reuse, and a 4,000-lane median row computes its row once; each
+    # reg_inc_beta adds its one-lane row: one in an even d's closed-form
+    # check, two in an odd d's theta_+ bound
     from spectra_theta import betastats, specfun
 
     calls = []
@@ -511,10 +514,10 @@ def test_ln_beta_is_computed_once_per_solve(monkeypatch):
     for module in (specfun, betastats, importlib.import_module("spectra_theta.theta")):
         monkeypatch.setattr(module, "_ln_beta_row", counted)
     theta(2000)
-    assert calls == [2000]
+    assert calls == [2000, 1]
     calls.clear()
     thetas(range(1, 201))
-    assert len(calls) == 1
+    assert calls[0] > 1 and calls[1:] == [1] * (100 + 2 * 99)
     rng = np.random.Generator(np.random.Philox(key=5))
     shapes = [BetaShape(s, t) for s, t in (0.5 + 20.0 * rng.random((4000, 2))).tolist()]
     calls.clear()
