@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
-"""Errors of sigma_{s,t} and of odd-d theta(d) against mpmath.
+"""Errors of sigma_{s,t}, of odd-d theta(d) and of equipoint rows against mpmath.
 
-For a seeded sample of splits s > t >= 1 of the chosen d's, sigma_st(s, t)
-is compared with sigma*, a bracketed mpmath root (Anderson-Bjorck, on the
-equipoint band) of the two-beta residual
-I_x(s/2, 1+t/2) - I_{1-x}(t/2, 1+s/2); the error is in units in the last
-place of the float.  For each odd d, theta(d) is compared with
-1/f_{s,t}(sigma*) at the proven split ((d+1)/2, (d-1)/2), as a relative
-error.  Each row prints the float's hex, so two trees can be compared lane
-by lane; the last lines give the median and the maximum of |error|.
+Every root is compared with one mpmath root, the equipoint e*_{a,b}: a
+bracketed root (Anderson-Bjorck) of the two-beta residual
+I_x(a, 1+b) - I_{1-x}(b, 1+a).  For a seeded sample of splits s > t >= 1 of
+the chosen d's, sigma_st(s, t) is compared with sigma* = e*_{s/2,t/2}; the
+error is in units in the last place of the float.  For each odd d, theta(d)
+is compared with 1/f_{s,t}(sigma*) at the proven split ((d+1)/2, (d-1)/2),
+as a relative error.  With --equipoints N, the script instead solves one
+row of N equipoints (``betastats._equipoint_rows``), its shapes (s, t)
+drawn uniform on [0.5, 200] from the Philox key --seed, and compares each
+lane with e*_{s,t}, in ulps.  Each row prints the float's hex, so two trees
+can be compared lane by lane; the last lines give the median and the
+maximum of |error|.
 
     python scripts/mpmath_roots.py --d-max 300 --lanes 200 --seed 0
     python scripts/mpmath_roots.py --d 2000 2001 --lanes 60
+    python scripts/mpmath_roots.py --equipoints 3000 --seed 25
 """
 
 import argparse
@@ -20,18 +25,38 @@ import math
 import mpmath
 import numpy as np
 
+from spectra_theta.betastats import _equipoint_rows
 from spectra_theta.theta import sigma_st, theta
 
 
-def sigma_star(s: int, t: int):
-    """The mpmath root of sigma's two-beta residual, bracketed by the equipoint band."""
-    a, b = mpmath.mpf(s) / 2, mpmath.mpf(t) / 2
+def equipoint_star(a, b):
+    """The mpmath equipoint of the real shapes (a, b), the root of the
+    two-beta residual.  The band's end (a+1)/(a+b+2) is a proven lower bound
+    for b <= a, and by the mirror e_{a,b} = 1 - e_{b,a} an upper bound for
+    b >= a, so it and the far end of [0, 1] bracket the root."""
+    a, b = mpmath.mpf(a), mpmath.mpf(b)
+    pivot = (a + 1) / (a + b + 2)
     return mpmath.findroot(
         lambda x: mpmath.betainc(a, b + 1, 0, x, regularized=True)
         - mpmath.betainc(b, a + 1, 0, 1 - x, regularized=True),
-        ((a + 1) / (a + b + 2), a / (a + b)),
+        (pivot, 1) if b <= a else (0, pivot),
         solver="anderson",
     )
+
+
+def sigma_star(s: int, t: int):
+    """sigma*, the mpmath equipoint of (s/2, t/2)."""
+    return equipoint_star(mpmath.mpf(s) / 2, mpmath.mpf(t) / 2)
+
+
+def equipoint_errors(lanes: int, seed: int) -> list[float]:
+    """Print each lane of a seeded equipoint row with its error in ulps."""
+    s, t = np.random.Generator(np.random.Philox(key=seed)).uniform(0.5, 200.0, (2, lanes))
+    errors = []
+    for a, b, value in zip(s.tolist(), t.tolist(), _equipoint_rows(s, t).tolist()):
+        errors.append(float((value - equipoint_star(a, b)) / math.ulp(value)))
+        print(f"equipoint,{a + b!r},{a!r},{b!r},{value.hex()},{errors[-1]:+.1f}")
+    return errors
 
 
 def theta_star(d: int):
@@ -58,11 +83,19 @@ def main() -> None:
     parser.add_argument("--lanes", type=int, default=100, help="sigma lanes to sample (all if fewer)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--dps", type=int, default=40, help="mpmath decimal digits")
+    parser.add_argument("--equipoints", type=int, metavar="N",
+                        help="check a seeded row of N equipoints instead of sigma and theta")
     args = parser.parse_args()
+    mpmath.mp.dps = args.dps
+    if args.equipoints is not None:
+        if args.equipoints < 0:
+            parser.error("--equipoints must be at least 0")
+        print("kind,d,s,t,hex,error")
+        print(summary("equipoint", "ulps", equipoint_errors(args.equipoints, args.seed)))
+        return
     ds = sorted(set(args.d or range(3, args.d_max + 1)))
     if not ds or ds[0] < 3 or args.lanes < 0:
         parser.error("every d must be at least 3, and --lanes at least 0")
-    mpmath.mp.dps = args.dps
 
     splits = [(s, d - s) for d in ds for s in range(d // 2 + 1, d)]
     rng = np.random.Generator(np.random.Philox(key=args.seed))

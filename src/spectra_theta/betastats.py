@@ -26,7 +26,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DomainError, _require_int, _require_real
+from .errors import DomainError, _require_int, _require_items, _require_real
 from .rootfind import newton_rows
 from .specfun import _ibeta_inv_row, _ibeta_row, _ln_beta_row, reg_inc_beta
 
@@ -99,6 +99,7 @@ def equipoints(shapes: list[BetaShape]) -> list[float]:
     every admissible shape.  The degenerate case t = 0 gives 1 by
     convention (the residual is I_e(s, 1) - 1, whose root is 1).
     """
+    shapes = _require_items("shapes", shapes, (BetaShape,))
     s, t = np.array([(sh.s_frak, sh.t_frak) for sh in shapes], dtype=float).reshape(-1, 2).T
     e = np.ones(s.size)
     live = t > 0.0
@@ -123,6 +124,7 @@ def equipoint(shape: BetaShape) -> float:
 def medians(shapes: list[BetaShape]) -> list[float]:
     """The medians m of Beta(s, t), the roots of I_m(s, t) = 1/2, solved
     together as one row of the inverse incomplete beta."""
+    shapes = _require_items("shapes", shapes, (BetaShape,))
     s, t = np.array([(sh.s_frak, sh.t_frak) for sh in shapes], dtype=float).reshape(-1, 2).T
     if (t == 0.0).any():
         raise DomainError("median requires t_frak > 0")
@@ -286,6 +288,8 @@ def _bounds_checks(median_shapes: list[tuple[float, float]],
     and the findings of ``simmons_conjecture_sweep`` on its shapes.  Every
     distinct median is solved once, in one inverse row, and every distinct
     equipoint once, in one equipoint row."""
+    median_shapes = _require_items("shapes", median_shapes)
+    ordering_shapes = _require_items("shapes", ordering_shapes)
     bounds = [_median_bounds(_require_real("s_frak", s, 0.0, above=True),  # BetaShape's checks
                              _require_real("t_frak", t, 0.0)) for s, t in median_shapes]
     # checked before the 0 < t <= s filter, which would drop a NaN shape unseen

@@ -60,3 +60,18 @@ def _require_real(name: str, value, least: float = -math.inf, most: float = math
         where = ("real" if -least == most == math.inf
                  else f"in {'(' if above else '['}{least:g}, {most:g}]")
     raise DomainError(f"{name} must be finite and {where}, got {reprlib.repr(value)}")
+
+
+def _require_items(name: str, value, kinds: tuple[type, ...] = (object,)) -> list:
+    """``value`` as a list, refused with DomainError unless it is iterable and
+    each of its items is an instance of one of ``kinds``: the package's one
+    check of a batch argument, made before any item is used."""
+    try:
+        items = list(value)
+    except TypeError:
+        raise DomainError(f"{name} must be iterable, got {reprlib.repr(value)}") from None
+    for item in items:
+        if not isinstance(item, kinds):
+            names = " or ".join(kind.__name__ for kind in kinds)
+            raise DomainError(f"each item of {name} must be of type {names}, got {reprlib.repr(item)}")
+    return items

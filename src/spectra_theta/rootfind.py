@@ -4,10 +4,10 @@ The iteration requires a sign-changing bracket per lane and never leaves
 it: it takes Newton steps when they stay inside the current bracket and
 bisects otherwise, so it converges for any continuous increasing residual.
 A lane with no start of its own starts where the inverse cubic Hermite
-interpolant of its bracket ends crosses zero.  It stops on the residual, on
-the bracket width, as soon as a Newton step is below the tolerance (the
-safeguarded Newton of Press et al., *Numerical Recipes* §9.4, ``rtsafe``),
-or at the residual's noise floor.
+interpolant of its bracket ends crosses zero.  It stops on the residual,
+or on one tolerance, xtol + rtol |x|, that the bracket width, a Newton step
+(the safeguarded Newton of Press et al., *Numerical Recipes* §9.4,
+``rtsafe``) or the residual's noise floor falls below.
 
 The step rule is written once, as one masked numpy loop over the lanes
 still iterating.  Each round makes one residual call, which returns the
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import NumericError
 
 _MAX_ITER = 200
-# The noise-floor stop: a Newton step of at most this many xtol that fails only the creep test.
+# The noise-floor stop: a Newton step of at most this many tol that fails only the creep test.
 # From 8 up to 1024, sigma stops on the same lanes at every d measured up to 8001; 4 misses some.
 _FLOOR_STEPS = 16
 
@@ -68,15 +68,15 @@ def newton_rows(
     positive and finite or that point is not strictly inside.  Newton steps
     that leave the current bracket (or have no positive slope, or fail to
     shrink the step before last fast enough) are replaced with bisection
-    steps.  A lane stops, by the first rule that applies: at x, when its
-    residual magnitude drops to ``ftol`` or a Newton step inside the bracket
-    fails only the shrink test and is at most ``_FLOOR_STEPS * xtol`` (the
-    residual's noise floor); when its bracket width drops to
-    ``xtol + rtol * max(|lo|, |hi|)``; when a Newton step is at most
-    ``xtol + rtol * |x|``; or when its bracket can no longer be split in
-    floating point.  Raises NumericError, naming the lane (``lane_name`` of
-    its index in the row), when a bracket does not change sign or a lane
-    runs out of its iteration budget.
+    steps.  Each round a lane has one tolerance, ``tol = xtol + rtol * |x|``
+    at the iterate x just evaluated, and stops by the first rule that
+    applies: at x, when |f(x)| <= ``ftol`` or a Newton step inside the
+    bracket fails only the shrink test and is at most ``_FLOOR_STEPS * tol``
+    (the residual's noise floor); at the midpoint, when the bracket is at
+    most ``tol`` wide; at the Newton iterate, when the step is at most
+    ``tol``; or when the bracket can no longer be split in floating point.
+    Raises NumericError, naming the lane (``lane_name`` of its index in the
+    row), when a bracket does not change sign or a lane runs out of budget.
     """
     lo, hi = np.atleast_1d(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     x = 0.5 * (lo + hi) if x0 is None else np.minimum(np.maximum(x0, lo), hi)
@@ -107,21 +107,20 @@ def newton_rows(
         abs_fx = np.abs(fx)
         lo, hi = np.where(fx < 0.0, x, lo), np.where(fx < 0.0, hi, x)
         mid = 0.5 * (lo + hi)
-        narrow = hi - lo <= xtol + rtol * np.maximum(np.abs(lo), np.abs(hi))
+        tol = xtol + rtol * np.abs(x)  # the one tolerance of every stop below
+        narrow = hi - lo <= tol
         # Reject the Newton step when it leaves the bracket or when it fails
         # to shrink the step before last fast enough (flat-tail creep); bisect.
-        # A step that fails only the shrink test and is at most _FLOOR_STEPS xtol is rounding
-        # noise: stop at x (with xtol = 0 that is a zero residual, a stop anyway).
+        # A step that fails only the shrink test and is at most _FLOOR_STEPS tol is rounding
+        # noise: stop at x (with tol = 0 that is a zero residual, a stop anyway).
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             newton = (dfx > 0.0) & (((x - hi) * dfx - fx) * ((x - lo) * dfx - fx) < 0.0)
             shrinks = 2.0 * abs_fx <= np.abs(step_old * dfx)
-            at_root = abs_fx <= ftol
-            if xtol:
-                at_root |= newton & ~shrinks & (abs_fx <= _FLOOR_STEPS * xtol * dfx)
+            at_root = (abs_fx <= ftol) | newton & ~shrinks & (abs_fx <= _FLOOR_STEPS * tol * dfx)
             newton &= shrinks
             step_old, step = step, np.where(newton, fx / dfx, 0.5 * (hi - lo))
         x_step = np.where(newton, x - step, lo + step)
-        small = newton & (np.abs(step) <= xtol + rtol * np.abs(x_step))
+        small = newton & (np.abs(step) <= tol)
         # rounding pushed the iterate onto the boundary: bisect instead, and
         # stop only if even the midpoint cannot separate the bracket
         inside = (lo < x_step) & (x_step < hi)

@@ -329,7 +329,7 @@ def _ibeta_inv_row(y, a, b) -> np.ndarray:
         return value - y[lanes], density
 
     # Crude but robust start: mean of the distribution.  The residual stop
-    # keeps |I_p - y| an order below the documented 1e-11; the relative
-    # width stop handles roots deep in a tail, where no absolute x
-    # tolerance is meaningful.  y = 0 and y = 1 stop at their bracket end.
+    # keeps |I_p - y| an order below the documented 1e-11; the other stops
+    # read one relative tolerance, 1e-14 |p|, as no absolute one suits a
+    # root deep in a tail.  y = 0 and y = 1 stop at their bracket end.
     return newton_rows(residual, 0.0, 1.0, x0=a / (a + b), xtol=0.0, rtol=1e-14, ftol=1e-13)

@@ -29,7 +29,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DomainError, _require_int, _require_real
+from .errors import DomainError, _require_int, _require_items, _require_real
 from .theta import SignDiag
 
 DEFAULT_SEED = 0xC0FFEE
@@ -239,14 +239,7 @@ def joint_estimates(requests, n: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
     ``_BATCH``).  A buffer that one request writes is its own; the two
     per-sample vectors that all reuse are one (2, rows) array, passed to ``add``.
     """
-    try:
-        requests = list(requests)
-    except TypeError as exc:
-        raise DomainError(f"requests must be iterable, got {reprlib.repr(requests)}") from exc
-    for r in requests:
-        if not isinstance(r, (AbsQuadratic, SignMoment, SignOuter)):
-            raise DomainError(f"a request must be an AbsQuadratic, SignMoment or SignOuter, "
-                              f"got {reprlib.repr(r)}")
+    requests = _require_items("requests", requests, (AbsQuadratic, SignMoment, SignOuter))
     n = _require_int("n", n, 1)
     _generator(seed)  # a bad seed is refused before any request makes a buffer
     if not requests:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .betastats import _equipoint_band
-from .errors import DomainError, NumericError, _require_int, _require_real
+from .errors import DomainError, NumericError, _require_int, _require_items, _require_real
 from .rootfind import newton_rows
 from .specfun import _ibeta_rows, _ln_beta_row, ln_gamma, reg_inc_beta
 
@@ -275,11 +275,16 @@ class ThetaReport:
     bounds_odd: tuple[float, float, float] | None = None
 
 
+def _ln_gamma_ratio(x: float) -> float:
+    """ln Gamma(x + 1/2) - ln Gamma(x): the one Gamma ratio of theta's closed forms."""
+    return ln_gamma(x + 0.5) - ln_gamma(x)
+
+
 def theta_even_closed_form(d: int) -> float:
     """Gamma-quotient closed form of 1/theta(d) for even d."""
     if (d := _require_int("d", d, 2)) % 2:
         raise DomainError(f"even d required, got {reprlib.repr(d)}")
-    return math.exp(ln_gamma(0.5 + d / 4.0) - ln_gamma(1.0 + d / 4.0)) / math.sqrt(math.pi)
+    return math.exp(-_ln_gamma_ratio(d / 4.0 + 0.5)) / math.sqrt(math.pi)
 
 
 def theta_odd_bounds(d: int) -> tuple[float, float, float]:
@@ -292,7 +297,7 @@ def theta_odd_bounds(d: int) -> tuple[float, float, float]:
     """
     if (d := _require_int("d", d, 3)) % 2 == 0:
         raise DomainError(f"theta_odd_bounds requires odd d >= 3, got {reprlib.repr(d)}")
-    theta_pp = math.sqrt(math.pi / 2.0) * math.exp(ln_gamma((d + 3) / 2.0) - ln_gamma(d / 2.0 + 1.0))
+    theta_pp = math.sqrt(math.pi / 2.0) * math.exp(_ln_gamma_ratio(d / 2.0 + 1.0))
     prefactor = math.exp(
         0.25 * (2 * d * math.log(d) - (d + 1) * math.log(d + 1.0) - (d - 1) * math.log(d - 1.0))
     )
@@ -327,7 +332,7 @@ def thetas(ds) -> list[ThetaReport]:
     in order.  A scan that fails is run again one d at a time, to raise the
     NumericError that a loop of ``theta(d)`` raises first."""
     runs, splits = [], 0
-    for d in [_require_int("d", d, 1) for d in ds]:
+    for d in [_require_int("d", d, 1) for d in _require_items("ds", ds)]:
         if not runs or splits + d // 2 > _PASS_SPLITS:
             runs.append([])
             splits = 0

@@ -277,3 +277,32 @@ def test_a_refusal_prints_a_short_value(call):
     with pytest.raises((DomainError, ResourceError)) as refusal:
         call()
     assert len(str(refusal.value)) <= 120
+
+
+@pytest.mark.parametrize("call, shown", [
+    (lambda: thetas(5), "ds must be iterable, got 5"),
+    (lambda: thetas(None), "ds must be iterable, got None"),
+    (lambda: betastats.equipoints([(2.0, 1.0)]), "BetaShape, got (2.0, 1.0)"),
+    (lambda: betastats.medians([(2.0, 1.0)]), "BetaShape, got (2.0, 1.0)"),
+    (lambda: betastats.median_bounds_sweep(5), "shapes must be iterable, got 5"),
+    (lambda: betastats.ordering_sweep(None), "shapes must be iterable, got None"),
+    (lambda: sphere_oracle.joint_estimates(None, 10), "requests must be iterable, got None"),
+    (lambda: sphere_oracle.joint_estimates([(2.0, 1.0)], 10), "SignOuter, got (2.0, 1.0)"),
+], ids=["thetas.int", "thetas.none", "equipoints.tuple", "medians.tuple",
+        "median_bounds_sweep.int", "ordering_sweep.none", "joint_estimates.none",
+        "joint_estimates.tuple"])
+def test_a_batch_argument_is_checked_one_way(call, shown):
+    # every batch entry point takes any iterable of its items and refuses
+    # anything else with DomainError (errors._require_items), never TypeError
+    # or AttributeError
+    with pytest.raises(DomainError) as refusal:
+        call()
+    assert shown in str(refusal.value) and len(str(refusal.value)) <= 120
+
+
+def test_a_batch_argument_may_be_any_iterable():
+    shapes = [betastats.BetaShape(3.0, 2.0), betastats.BetaShape(4.0, 1.0)]
+    assert [r.theta for r in thetas(iter([3, 4]))] == [theta(3).theta, theta(4).theta]
+    assert betastats.medians(iter(shapes)) == betastats.medians(shapes)
+    assert betastats.equipoints(tuple(shapes)) == betastats.equipoints(shapes)
+    assert betastats.ordering_sweep(iter([(3.0, 2.0)])) == betastats.ordering_sweep([(3.0, 2.0)]) == []

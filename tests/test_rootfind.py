@@ -142,18 +142,46 @@ def test_a_lane_at_its_noise_floor_stops_on_its_step():
     assert len(calls) <= 6 and r - 4e-15 <= root <= r
 
 
-def test_rows_without_an_absolute_tolerance_keep_their_bits():
-    # The noise-floor stop reads xtol only, so the xtol = 0 rows (equipoints,
-    # medians and the inverse, which also start at their own x0) keep every
-    # bit.  SHA-256 prefixes of 3,000 seeded lanes each, recorded before the
-    # start rule and the stop were added.
+def _seeded_row():
+    # 3,000 lanes: shapes (s, t) uniform on [0.5, 200] and levels y, Philox key 25
     rng = np.random.Generator(np.random.Philox(key=25))
     s, t = rng.uniform(0.5, 200.0, (2, 3000))
-    y = rng.random(3000)
+    return s, t, rng.random(3000)
+
+
+def test_rows_without_an_absolute_tolerance_keep_their_bits():
+    # Every stop reads tol = xtol + rtol |x|; the xtol = 0 rows (equipoints,
+    # medians and the inverse, which also start at their own x0) stop on it
+    # at their noise floor too.  SHA-256 prefixes of 3,000 seeded lanes each.
+    # The median and inverse digests were recorded before the start rule and
+    # the stops were added, and the noise-floor stop keeps them.  The
+    # equipoint digest moved once, when that stop came to read rtol |x|: 87
+    # lanes moved by up to 31 ulps, and their worst error against 40-digit
+    # mpmath fell from 1.49e-14 to 1.43e-14 (scripts/mpmath_roots.py
+    # --equipoints 3000 --seed 25).
+    s, t, y = _seeded_row()
 
     def digest(values):
         return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()[:16]
 
-    assert digest(_equipoint_rows(s, t)) == "1cef80b5b5ab8110"
+    assert digest(_equipoint_rows(s, t)) == "f2503a71f43bc28c"
     assert digest(medians([BetaShape(a, b) for a, b in zip(s.tolist(), t.tolist())])) == "550c87abcfb2735d"
     assert digest(specfun._ibeta_inv_row(y, s, t)) == "a2f53c1f263391f5"
+
+
+def test_an_equipoint_row_stops_at_its_noise_floor(monkeypatch):
+    # The seeded row's lanes reach their residual's noise floor with Newton
+    # steps just above rtol |x|; they stop there, and the row makes 11
+    # residual calls (bracket ends included).  When the stop read xtol only,
+    # its slowest lanes bisected from a far bracket end, and it made 46.
+    betastats = importlib.import_module("spectra_theta.betastats")
+    residual, calls = betastats._equipoint_residual, []
+
+    def counted(s, t, x, ln_b):
+        calls.append(x.size)
+        return residual(s, t, x, ln_b)
+
+    monkeypatch.setattr(betastats, "_equipoint_residual", counted)
+    s, t, _ = _seeded_row()
+    _equipoint_rows(s, t)
+    assert len(calls) <= 12

@@ -1,6 +1,7 @@
 """Smoke tests for the experiment scripts under scripts/: each runs as a
 subprocess, the way a user starts it, with src/ on the path."""
 
+import math
 import os
 import pathlib
 import subprocess
@@ -8,6 +9,7 @@ import sys
 
 import numpy as np
 
+from spectra_theta.betastats import _equipoint_rows
 from spectra_theta.sphere_oracle import sphere_abs_quadratic_integral
 from spectra_theta.theta import SignDiag, kappa_star, theta
 
@@ -87,3 +89,19 @@ def test_mpmath_roots_checks_sigma_and_theta_against_mpmath():
     assert max(abs(float(row[5])) for row in rows if row[0] == "theta") <= 1e-14
     assert lines[-2].startswith("sigma: 8 values, |error| median ")
     assert lines[-1].startswith("theta: 5 values, |error| median ")
+
+
+def test_mpmath_roots_checks_an_equipoint_row_against_mpmath():
+    lines = run_script("mpmath_roots.py", "--equipoints", "6", "--seed", "25")
+    assert lines[0] == "kind,d,s,t,hex,error"
+    rows = [line.split(",") for line in lines[1:-1]]
+    # the lanes are the seeded row, and each hex is the lane's root in that row
+    s, t = np.random.Generator(np.random.Philox(key=25)).uniform(0.5, 200.0, (2, 6))
+    assert [(float(row[2]), float(row[3])) for row in rows] == list(zip(s.tolist(), t.tolist()))
+    assert [row[4] for row in rows] == [value.hex() for value in _equipoint_rows(s, t).tolist()]
+    assert all(row[0] == "equipoint" and float(row[1]) == float(row[2]) + float(row[3]) for row in rows)
+    # equipoint's absolute accuracy on shapes up to 200, in ulps of each root
+    for row in rows:
+        value = float.fromhex(row[4])
+        assert abs(float(row[5])) * math.ulp(value) <= 2e-14
+    assert lines[-1].startswith("equipoint: 6 values, |error| median ")

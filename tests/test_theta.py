@@ -392,6 +392,20 @@ def test_asymptotics(d):
     assert abs(theta(d).theta / math.sqrt(d) - math.sqrt(math.pi) / 2.0) <= 0.02
 
 
+def test_theta_at_large_odd_d():
+    # No other test reaches an odd d above 10001.  These three pass every
+    # check of theta's scan, their odd-d bounds among them; 13001, 15001,
+    # 16001 and 19001-21001 raise NumericError (ROADMAP item 1).
+    ds = [12001, 14001, 18001]
+    reports = thetas(ds)
+    assert [report.d for report in reports] == ds
+    for report in reports:
+        theta_minus, theta_plus, _ = report.bounds_odd
+        assert theta_minus <= report.theta <= theta_plus
+        assert (report.minimizer_s, report.minimizer_t) == ((report.d + 1) // 2, report.d // 2)
+        assert abs(report.theta / math.sqrt(report.d) - math.sqrt(math.pi) / 2.0) <= 0.01
+
+
 def test_even_d_explicit_bounds():
     for d in range(2, 121, 2):
         th = theta(d).theta
