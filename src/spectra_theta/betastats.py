@@ -353,6 +353,7 @@ def bounds_sweeps(shapes: list[tuple[float, float]], lower_s_max: float,
     order; and the findings of ``simmons_conjecture_sweep(conjecture_s_max,
     step)``.  The same results as the four calls, with each median and
     equipoint the four share solved once."""
+    shapes = _require_items("shapes", shapes)  # read once, for both checks
     return _bounds_checks(shapes, shapes, _triangle(1.0, lower_s_max, step),
                           _triangle(0.5, conjecture_s_max, step))
 

@@ -44,11 +44,20 @@ MEDIAN_TABLE_SHAPES = [(2.5, 1.0), (3.0, 1.0), (3.0, 2.0), (4.0, 2.0), (10.0, 3.
 # ---------------------------------------------------------------------------
 
 
-def _fmt_value(v, none: str, spec: str) -> str:
-    """A cell: ``none`` for None, a float in the format ``spec``, else its str."""
+def _fmt_csv_value(v) -> str:
     if v is None:
-        return none
-    return format(v, spec) if isinstance(v, float) else str(v)
+        return ""
+    if isinstance(v, float):
+        return f"{v:.6g}"
+    return str(v)
+
+
+def _fmt_json_value(v) -> str:
+    if v is None:
+        return "null"
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return str(v)
 
 
 def _emit(rows: list[dict], args: argparse.Namespace) -> None:
@@ -56,12 +65,12 @@ def _emit(rows: list[dict], args: argparse.Namespace) -> None:
         header = list(rows[0].keys())
         lines = [",".join(header)]
         for row in rows:
-            lines.append(",".join(_fmt_value(row.get(k), "", ".6g") for k in header))
+            lines.append(",".join(_fmt_csv_value(row.get(k)) for k in header))
         text = "\n".join(lines) + "\n"
     else:
         body = []
         for row in rows:
-            fields = ", ".join(f'"{k}": {_fmt_value(v, "null", ".17g")}' for k, v in row.items())
+            fields = ", ".join(f'"{k}": {_fmt_json_value(v)}' for k, v in row.items())
             body.append("  {" + fields + "}")
         text = "[\n" + ",\n".join(body) + "\n]\n"
     if args.out:
@@ -134,7 +143,7 @@ def _report_violations(name: str, violations: list[dict]) -> int:
         return 0
     print(f"verify {name}: {len(violations)} violation(s)", file=sys.stderr)
     for v in violations:
-        detail = " ".join(f"{k}={_fmt_value(val, '', '.6g')}" for k, val in v.items())
+        detail = " ".join(f"{k}={_fmt_csv_value(val)}" for k, val in v.items())
         print(f"  VIOLATION {detail}", file=sys.stderr)
     return 2
 

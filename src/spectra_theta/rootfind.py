@@ -7,7 +7,8 @@ A lane with no start of its own starts where the inverse cubic Hermite
 interpolant of its bracket ends crosses zero.  It stops on the residual,
 or on one tolerance, xtol + rtol |x|, that the bracket width, a Newton step
 (the safeguarded Newton of Press et al., *Numerical Recipes* §9.4,
-``rtsafe``) or the residual's noise floor falls below.
+``rtsafe``) or, in a row with no residual tolerance, the residual's noise
+floor falls below.
 
 The step rule is written once, as one masked numpy loop over the lanes
 still iterating.  Each round makes one residual call, which returns the
@@ -70,10 +71,11 @@ def newton_rows(
     shrink the step before last fast enough) are replaced with bisection
     steps.  Each round a lane has one tolerance, ``tol = xtol + rtol * |x|``
     at the iterate x just evaluated, and stops by the first rule that
-    applies: at x, when |f(x)| <= ``ftol`` or a Newton step inside the
-    bracket fails only the shrink test and is at most ``_FLOOR_STEPS * tol``
-    (the residual's noise floor); at the midpoint, when the bracket is at
-    most ``tol`` wide; at the Newton iterate, when the step is at most
+    applies: at x, when |f(x)| <= ``ftol`` or, in a row with ``ftol = 0``,
+    a Newton step inside the bracket fails only the shrink test and is at
+    most ``_FLOOR_STEPS * tol`` (the residual's noise floor, which a row
+    that sets ``ftol`` puts below it); at the midpoint, when the bracket is
+    at most ``tol`` wide; at the Newton iterate, when the step is at most
     ``tol``; or when the bracket can no longer be split in floating point.
     Raises NumericError, naming the lane (``lane_name`` of its index in the
     row), when a bracket does not change sign or a lane runs out of budget.
@@ -112,11 +114,13 @@ def newton_rows(
         # Reject the Newton step when it leaves the bracket or when it fails
         # to shrink the step before last fast enough (flat-tail creep); bisect.
         # A step that fails only the shrink test and is at most _FLOOR_STEPS tol is rounding
-        # noise: stop at x (with tol = 0 that is a zero residual, a stop anyway).
+        # noise: stop at x.  Not where ftol is set: the floor is below ftol, so that is creep.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             newton = (dfx > 0.0) & (((x - hi) * dfx - fx) * ((x - lo) * dfx - fx) < 0.0)
             shrinks = 2.0 * abs_fx <= np.abs(step_old * dfx)
-            at_root = (abs_fx <= ftol) | newton & ~shrinks & (abs_fx <= _FLOOR_STEPS * tol * dfx)
+            at_root = abs_fx <= ftol
+            if not ftol:
+                at_root |= newton & ~shrinks & (abs_fx <= _FLOOR_STEPS * tol * dfx)
             newton &= shrinks
             step_old, step = step, np.where(newton, fx / dfx, 0.5 * (hi - lo))
         x_step = np.where(newton, x - step, lo + step)

@@ -329,7 +329,9 @@ def _ibeta_inv_row(y, a, b) -> np.ndarray:
         return value - y[lanes], density
 
     # Crude but robust start: mean of the distribution.  The residual stop
-    # keeps |I_p - y| an order below the documented 1e-11; the other stops
+    # keeps |I_p - y| an order below the documented 1e-11, and takes the
+    # place of the noise-floor stop, which near p = 1 with b below about
+    # 0.1 would stop Newton's creep 2e-13 short.  The bracket and step stops
     # read one relative tolerance, 1e-14 |p|, as no absolute one suits a
     # root deep in a tail.  y = 0 and y = 1 stop at their bracket end.
     return newton_rows(residual, 0.0, 1.0, x0=a / (a + b), xtol=0.0, rtol=1e-14, ftol=1e-13)

@@ -306,3 +306,19 @@ def test_a_batch_argument_may_be_any_iterable():
     assert betastats.medians(iter(shapes)) == betastats.medians(shapes)
     assert betastats.equipoints(tuple(shapes)) == betastats.equipoints(shapes)
     assert betastats.ordering_sweep(iter([(3.0, 2.0)])) == betastats.ordering_sweep([(3.0, 2.0)]) == []
+
+    class Reads:  # an iterable that counts how often it is read
+        def __init__(self, items):
+            self.items, self.reads = items, 0
+
+        def __iter__(self):
+            self.reads += 1
+            return iter(self.items)
+
+    # one batch feeds both the median and the ordering checks: it is read
+    # once, so a generator reaches both
+    pairs = [(3.0, 2.0), (4.0, 1.0)]
+    batch = Reads(pairs)
+    assert betastats.bounds_sweeps(batch, 2.0, 1.0, 0.5) == betastats.bounds_sweeps(pairs, 2.0, 1.0, 0.5)
+    assert batch.reads == 1
+    assert betastats.bounds_sweeps(iter(pairs), 2.0, 1.0, 0.5) == betastats.bounds_sweeps(pairs, 2.0, 1.0, 0.5)

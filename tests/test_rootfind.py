@@ -151,11 +151,12 @@ def _seeded_row():
 
 def test_rows_without_an_absolute_tolerance_keep_their_bits():
     # Every stop reads tol = xtol + rtol |x|; the xtol = 0 rows (equipoints,
-    # medians and the inverse, which also start at their own x0) stop on it
-    # at their noise floor too.  SHA-256 prefixes of 3,000 seeded lanes each.
-    # The median and inverse digests were recorded before the start rule and
-    # the stops were added, and the noise-floor stop keeps them.  The
-    # equipoint digest moved once, when that stop came to read rtol |x|: 87
+    # medians and the inverse, which also start at their own x0) read it as
+    # rtol |x|, and the equipoint rows, which set no ftol, also stop on it at
+    # their noise floor.  SHA-256 prefixes of 3,000 seeded lanes each.  The
+    # median and inverse digests were recorded before the start rule and the
+    # stops were added, and the one tolerance keeps them.  The equipoint
+    # digest moved once, when the noise-floor stop came to read rtol |x|: 87
     # lanes moved by up to 31 ulps, and their worst error against 40-digit
     # mpmath fell from 1.49e-14 to 1.43e-14 (scripts/mpmath_roots.py
     # --equipoints 3000 --seed 25).
@@ -185,3 +186,20 @@ def test_an_equipoint_row_stops_at_its_noise_floor(monkeypatch):
     s, t, _ = _seeded_row()
     _equipoint_rows(s, t)
     assert len(calls) <= 12
+
+
+def test_an_inverse_lane_creeping_near_one_is_not_stopped_as_noise():
+    # Near p = 1 with b below about 0.1 the slope falls fast toward the root,
+    # so Newton steps from the right grow (2.7e-14, 8.0e-14, 1.2e-13) and
+    # fail the shrink test while they are within 16 rtol |p|.  Stopping there
+    # as at a noise floor gave p 2e-13 short, with |I_p - y| = 1.5e-2.  The
+    # inverse sets ftol, so it takes no noise-floor stop: the lane bisects on
+    # to the root it had before that stop existed, 2e-17 from the 40-digit
+    # one (lane 1190 of the Philox key 101 row, shapes log-uniform on
+    # [0.05, 1000]).
+    y = float.fromhex("0x1.8bebdd3bbd883p-1")  # 0.7732838759827846
+    a = float.fromhex("0x1.1c0e2efb2dab3p+9")  # 568.1108087513916
+    b = float.fromhex("0x1.1565103c325f6p-4")  # 0.06772333471158007
+    p = reg_inc_beta_inv(y, a, b)
+    assert p.hex() == "0x1.ffffffffff4d4p-1"
+    assert abs(specfun.reg_inc_beta(a, b, p) - y) < 1e-6
