@@ -359,7 +359,11 @@ def bounds_sweeps(shapes: list[tuple[float, float]], lower_s_max: float,
 
 
 def phi_hat_monotone_sweep(d_max: float = 100.0, step: float = 0.25) -> list[dict]:
-    """One-step monotonicity of Phi_hat on the real grid d/2 <= s < d-1."""
+    """One-step monotonicity of Phi_hat on the real grid d/2 <= s < d-1.
+
+    Each Phi_hat is computed once, all of them as one row over the distinct
+    grid points: on a dyadic step, s + 1 is itself a grid point of d.
+    """
     grid = []  # (s, d) and (s + 1, d), interleaved
     step = _require_real("grid step", step, 0.0, above=True)  # checked before 2 + step uses it
     for i, d in enumerate(_grid(2.0 + step, d_max, step).tolist()):
@@ -367,7 +371,7 @@ def phi_hat_monotone_sweep(d_max: float = 100.0, step: float = 0.25) -> list[dic
         for j in range(i // 2 + 1):
             s = d / 2.0 + j * step
             grid += [(s, d), (s + 1.0, d)]
-    phis = _phi_hat_rows(*np.array(grid, dtype=float).reshape(-1, 2).T).tolist()
+    [phis] = _solve_once(_phi_hat_rows, grid)
     violations = []
     for (s, d), ph0, ph1 in zip(grid[::2], phis[::2], phis[1::2]):
         if ph0 > ph1 + 1e-12:

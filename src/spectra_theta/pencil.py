@@ -35,7 +35,7 @@ class SymTuple:
     mats: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mats", tuple(_require_symmetric(tuple(self.mats))))
+        object.__setattr__(self, "mats", tuple(_require_symmetric(self.mats)))
 
     @property
     def g(self) -> int:
@@ -53,7 +53,7 @@ class MonicPencil:
     coeffs: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(_require_symmetric(tuple(self.coeffs))))
+        object.__setattr__(self, "coeffs", tuple(_require_symmetric(self.coeffs)))
 
     @property
     def g(self) -> int:

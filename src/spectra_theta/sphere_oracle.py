@@ -70,9 +70,11 @@ def _generator(seed: int) -> np.random.Generator:
 
 
 def _require_symmetric(mats) -> np.ndarray:
-    """The tuple ``mats`` as one (g, n, n) float stack, refused unless it holds one or more
-    real matrices of one size, each square, at least 1x1, finite and symmetric within
-    ``SYMMETRY_TOL``: the package's one such check.  A matrix B is checked as ``(B,)``."""
+    """The batch ``mats`` as one (g, n, n) float stack, refused unless it is iterable
+    (``_require_items``) and holds one or more real matrices of one size, each square, at
+    least 1x1, finite and symmetric within ``SYMMETRY_TOL``: the package's one such check.
+    A matrix B is checked as ``(B,)``."""
+    mats = _require_items("matrices", mats)
     try:
         B = np.stack(mats, dtype=float)
     except (TypeError, ValueError) as exc:  # no matrix, an entry that is not a real number, or two sizes

@@ -21,9 +21,12 @@ That code is written once, on rows: thetas(ds) solves sigma and kappa_*
 for all the splits of many d together (theta(d) is its one-d call), one
 bracketed-Newton row (``rootfind.newton_rows``) over the row kernel of
 ``specfun``: one stacked pass per round gives both incomplete betas of the
-sigma residual and their densities, its slope, and one more gives the four
+sigma residual and their densities, its slope, and one more gives the
 incomplete betas of kappa_*'s two routes, on sigma's two shape pairs and
-their ln B rows.  The point functions ``alpha_beta``, ``f_g_h``,
+their ln B rows.  Each route's betas have the shapes of the other's, and
+mostly the same p, so that pass evaluates the profile's two on every split
+and alpha's and beta's only where their p differs.  theta refuses a d above
+THETA_D_MAX.  The point functions ``alpha_beta``, ``f_g_h``,
 ``sigma_st`` and ``kappa_star`` are one-lane calls of the same code, so a
 split gives the same bits either way.
 """
@@ -43,8 +46,11 @@ from .specfun import _ibeta_rows, _ln_beta_row, ln_gamma, reg_inc_beta
 
 KAPPA_CROSS_CHECK_TOL = 1e-9
 CLOSED_FORM_TOL = 1e-8
-# The most splits one pass of ``thetas`` solves together: 2**17 lanes in its kappa_* kernel
-# pass, about 42 MiB at its peak (1.3 kB per split)
+# the largest d theta accepts: near it the scan's kappa_* noise, about 5e-12 relative on
+# theta ~ 280, reaches the fixed 1e-9 slack of the odd-d bounds, so the certificate stops here
+THETA_D_MAX = 10**5
+# The most splits one pass of ``thetas`` solves together: at most 2**17 lanes in its kappa_*
+# kernel pass, about 42 MiB at its peak (1.3 kB per split)
 _PASS_SPLITS = 2**15
 
 
@@ -228,21 +234,30 @@ def _kappa_rows(
     s: np.ndarray, t: np.ndarray, sigma: np.ndarray, ln_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """kappa_star's two routes and cross-check on rows of splits (s, t) with
-    their interior minimizers sigma; see kappa_star.  The four incomplete
-    betas of the two routes come from one stacked row-kernel pass (which
-    also computes their densities, unused here), with sigma's ``ln_b``; an
-    empty row makes none."""
+    their interior minimizers sigma; see kappa_star.  The incomplete betas
+    of the two routes come from one stacked row-kernel pass (which also
+    computes their densities, unused here), with sigma's ``ln_b``: the
+    profile's two on every split, and alpha's and beta's only on the lanes
+    where their p differs from that of the profile beta with their shapes;
+    an empty row makes none."""
     if not s.size:
         return np.empty(0), np.empty(0), np.empty(0)
     d = s + t
     u = 1.0 - sigma
     lam = d / (s * u + t * (1.0 - u))
     a_opt, b_opt = lam * u, lam * (1.0 - u)
-    # alpha and the profile's I_{1-p} have the shapes (t/2, 1+s/2), beta and its I_p (s/2, 1+t/2)
-    (i_alpha, _), (i_beta, _), (i_left, _), (i_right, _) = _ibeta_rows(
-        *_alpha_beta_triples(s, t, a_opt, b_opt), *_profile_triples(s, t, sigma),
-        ln_b=ln_b[[1, 0, 1, 0]].ravel(),
+    # alpha has the shapes (t/2, 1+s/2) of the profile's I_{1-p}, beta those (s/2, 1+t/2) of its
+    # I_p, and most lanes their p as well; the kernel is lane-exact, so those lanes copy the value
+    profile = _profile_triples(s, t, sigma)
+    routes = _alpha_beta_triples(s, t, a_opt, b_opt)
+    own = [np.flatnonzero(route[2] != partner[2]) for route, partner in zip(routes, profile)]
+    (i_left, _), (i_right, _), *own_values = _ibeta_rows(
+        *profile, *([row[lanes] for row in route] for route, lanes in zip(routes, own)),
+        ln_b=np.concatenate([ln_b[1], ln_b[0], ln_b[1, own[0]], ln_b[0, own[1]]]),
     )
+    i_alpha, i_beta = i_left.copy(), i_right.copy()
+    for i_route, lanes, (value, _) in zip((i_alpha, i_beta), own, own_values):
+        i_route[lanes] = value
 
     # Route 1: alpha = beta at the trace-normalized weights.
     alpha, beta = _alpha_beta_values(d, i_alpha, i_beta)
@@ -326,13 +341,16 @@ def _split_scan(*ds: int) -> tuple[np.ndarray, ...]:
 def thetas(ds) -> list[ThetaReport]:
     """``theta(d)`` for each d of ``ds``, in order, with the same bits.
 
-    Every d is checked first.  The d's are then cut, in order, into runs of
-    whole d's of at most ``_PASS_SPLITS`` splits (or one d), each one
-    ``_split_scan``, whose d's then take their minima and run theta's checks
-    in order.  A scan that fails is run again one d at a time, to raise the
+    Every d is checked first, and one above ``THETA_D_MAX`` is refused with
+    DomainError before any scan is built.  The d's are then cut, in order,
+    into runs of whole d's of at most ``_PASS_SPLITS`` splits (or one d),
+    each one ``_split_scan``, whose d's then take their minima and run
+    theta's checks in order.  A scan that fails is run again one d at a time, to raise the
     NumericError that a loop of ``theta(d)`` raises first."""
     runs, splits = [], 0
     for d in [_require_int("d", d, 1) for d in _require_items("ds", ds)]:
+        if d > THETA_D_MAX:
+            raise DomainError(f"theta capped at d <= {THETA_D_MAX}, got {reprlib.repr(d)}")
         if not runs or splits + d // 2 > _PASS_SPLITS:
             runs.append([])
             splits = 0

@@ -288,9 +288,11 @@ def test_a_refusal_prints_a_short_value(call):
     (lambda: betastats.ordering_sweep(None), "shapes must be iterable, got None"),
     (lambda: sphere_oracle.joint_estimates(None, 10), "requests must be iterable, got None"),
     (lambda: sphere_oracle.joint_estimates([(2.0, 1.0)], 10), "SignOuter, got (2.0, 1.0)"),
+    (lambda: SymTuple(5), "matrices must be iterable, got 5"),
+    (lambda: MonicPencil(None), "matrices must be iterable, got None"),
 ], ids=["thetas.int", "thetas.none", "equipoints.tuple", "medians.tuple",
         "median_bounds_sweep.int", "ordering_sweep.none", "joint_estimates.none",
-        "joint_estimates.tuple"])
+        "joint_estimates.tuple", "SymTuple.int", "MonicPencil.none"])
 def test_a_batch_argument_is_checked_one_way(call, shown):
     # every batch entry point takes any iterable of its items and refuses
     # anything else with DomainError (errors._require_items), never TypeError

@@ -347,15 +347,39 @@ def _swept_rows(monkeypatch, kernel, sweep, *args):
 
 
 @pytest.mark.parametrize("kernel, sweep, args, pin", [
-    ("_phi_hat_rows", phi_hat_monotone_sweep, (100.0, 0.25), (77224, "47f47f441fdcb5c1")),
-    ("_phi_hat_rows", phi_hat_monotone_sweep, (24.0, 0.5), (1012, "232604b4a690b7ad")),
+    ("_phi_hat_rows", phi_hat_monotone_sweep, (100.0, 0.25), (40168, "7df7d949b37e9f14")),
+    ("_phi_hat_rows", phi_hat_monotone_sweep, (24.0, 0.5), (592, "81dae51b6bf848e0")),
     ("_phi_rows", phi_monotone_sweep, (100.0,), (9996, "620ce1b3df8c6057")),
     ("_phi_rows", phi_monotone_sweep, (24.0,), (572, "e35b52f59f54a635")),
 ])
 def test_monotone_sweep_grids_keep_their_bits(monkeypatch, kernel, sweep, args, pin):
     # recorded from the grids built by float-accumulating loops, which are
-    # exact on these dyadic steps
+    # exact on these dyadic steps; the Phi_hat rows are the grid's distinct
+    # points, sorted by (s, d) (the interleaved (s, d), (s + 1, d) grid had
+    # 77,224 and 1,012 rows)
     assert _grid_pin(_swept_rows(monkeypatch, kernel, sweep, *args)) == pin
+
+
+@pytest.mark.parametrize("args, pin", [
+    ((100.0, 0.25), (77224, "47f47f441fdcb5c1")),
+    ((24.0, 0.5), (1012, "232604b4a690b7ad")),
+])
+def test_phi_hat_sweep_compares_each_s_with_s_plus_1(monkeypatch, args, pin):
+    # a Phi_hat decreasing in s makes every (s, d) of the grid a violation,
+    # reported in grid order against its own (s + 1, d): together they
+    # rebuild the interleaved grid of the recorded pin
+    import importlib
+
+    betastats = importlib.import_module("spectra_theta.betastats")
+
+    def fake(s, d):
+        return -s - d / 1024.0
+
+    monkeypatch.setattr(betastats, "_phi_hat_rows", fake)
+    violations = phi_hat_monotone_sweep(*args)
+    assert all(v["phi_hat_s"] == fake(v["s"], v["d"]) and v["phi_hat_s1"] == fake(v["s"] + 1.0, v["d"])
+               for v in violations)
+    assert _grid_pin([(v["s"] + k, v["d"]) for v in violations for k in (0.0, 1.0)]) == pin
 
 
 @pytest.mark.parametrize("args, pin", [

@@ -162,6 +162,11 @@ def test_usage_errors_exit_3(capsys):
     capsys.readouterr()
 
 
+def test_theta_table_past_the_theta_cap_exits_3_and_prints_nothing(capsys):
+    assert main(["theta-table", "--d-max", "100001"]) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_stdout_default(capsys):
     assert main(["theta-table", "--d-max", "2"]) == 0
     out = capsys.readouterr().out

@@ -259,10 +259,14 @@ def test_sigma_lane_at_the_noise_floor_of_2001(monkeypatch):
 
 
 def test_theta_stacks_its_independent_rows(monkeypatch):
-    # The two incomplete betas of each sigma residual, and the four of the
-    # two kappa_star routes, come from one stacked pass: theta(2000) makes 8
-    # passes (bracket ends, 6 Newton rounds, kappa_star) over 12,304 lanes
-    # (15,512 from midpoint starts, in 18 unstacked passes before that).
+    # The two incomplete betas of each sigma residual, and those of the two
+    # kappa_star routes, come from one stacked pass: theta(2000) makes 8
+    # passes (bracket ends, 6 Newton rounds, kappa_star) over 10,410 lanes.
+    # The kappa_star pass has 2,106 of them: the profile's two betas on each
+    # of the 1,000 splits, and alpha's on the 106 lanes where its p is not
+    # the profile's (beta's p is the profile's on every lane).  Evaluating
+    # all four betas on every split took 12,304 lanes (15,512 from midpoint
+    # starts, in 18 unstacked passes before that).
     # Each stack is one call of the row kernel, which alone decides how to
     # run it; the one row-kernel call after them is the one-lane
     # reg_inc_beta of the even-d closed-form check.
@@ -284,8 +288,43 @@ def test_theta_stacks_its_independent_rows(monkeypatch):
     monkeypatch.setattr(module, "_ibeta_rows", counted_rows)
     monkeypatch.setattr(specfun, "_ibeta_row", counted_row)
     theta(2000)
-    assert (len(stacks), sum(stacks)) == (8, 12304)
+    assert (len(stacks), sum(stacks), stacks[-1]) == (8, 10410, 2106)
     assert row_calls == [*stacks, 1]
+
+
+def _kappa_rows_of_four_betas(s, t, sigma, ln_b):
+    """The reference for ``_kappa_rows``: (kappa_*, a_opt, b_opt) with all
+    four incomplete betas of the two routes evaluated on every split."""
+    module = importlib.import_module("spectra_theta.theta")
+    d = s + t
+    u = 1.0 - sigma
+    lam = d / (s * u + t * (1.0 - u))
+    a_opt, b_opt = lam * u, lam * (1.0 - u)
+    (i_alpha, _), (i_beta, _), (i_left, _), (i_right, _) = module._ibeta_rows(
+        *module._alpha_beta_triples(s, t, a_opt, b_opt), *module._profile_triples(s, t, sigma),
+        ln_b=ln_b[[1, 0, 1, 0]].ravel(),
+    )
+    alpha, beta = module._alpha_beta_values(d, i_alpha, i_beta)
+    f_val = module._f_value(s, t, sigma, i_left, i_right)
+    assert np.all(np.abs(d * 0.5 * (alpha + beta) - f_val) <= module.KAPPA_CROSS_CHECK_TOL)
+    return d * 0.5 * (alpha + beta), a_opt, b_opt
+
+
+@pytest.mark.parametrize("d", [2, 3, 20, 201, 2000, 2001])
+def test_kappa_rows_keep_the_bits_of_four_betas(d):
+    # alpha and beta copy the profile betas that share their shapes and p,
+    # and evaluate only the other lanes; the kernel is lane-exact, so every
+    # output keeps the bits of the pass that evaluated all four everywhere
+    module = importlib.import_module("spectra_theta.theta")
+    s = np.arange((d + 1) // 2, d)
+    t = d - s
+    ln_b = module._split_ln_b(s / 2.0, t / 2.0)
+    sigma = np.full(s.size, 0.5)
+    unequal = s > t
+    sigma[unequal] = module._sigma_rows(s[unequal], t[unequal], ln_b[:, unequal])
+    got = module._kappa_rows(s, t, sigma, ln_b)
+    want = _kappa_rows_of_four_betas(s, t, sigma, ln_b)
+    assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
 
 
 def test_theta_1_makes_no_row_kernel_pass(monkeypatch):
@@ -474,6 +513,15 @@ def test_thetas_of_nothing_and_of_a_bad_d(monkeypatch):
     for bad in (0, 2.5, "7"):
         with pytest.raises(DomainError, match=f"d must be an integer of at least 1, got {bad!r}"):
             thetas([3, bad, 5])
+
+
+def test_theta_refuses_a_d_above_its_cap(monkeypatch):
+    module = importlib.import_module("spectra_theta.theta")
+    assert module.THETA_D_MAX == 10**5
+    monkeypatch.setattr(module, "_split_scan", lambda *run: pytest.fail("solved before the check"))
+    for call in (lambda: theta(100001), lambda: thetas([3, 100001])):
+        with pytest.raises(DomainError, match=r"theta capped at d <= 100000, got 100001"):
+            call()
 
 
 def test_thetas_report_the_first_failing_d(monkeypatch):
