@@ -11,11 +11,11 @@ is as likely to land at >= s as at <= s.
 
 Every root is solved on rows (``rootfind.newton_rows`` over the row kernel
 of ``specfun``, one kernel pass per Newton round for the residual and its
-slope): each sweep builds its grid and solves it as one row
-(``bounds_sweeps`` runs four sweeps on one median row and one equipoint row
-over their distinct shapes), and ``equipoint``, ``median``, ``phi`` and
-``phi_hat`` are one-lane calls of the same code, so a shape gives the same
-bits either way.
+slope): each sweep solves its grid as one row over its distinct shapes
+(``bounds_sweeps`` runs four sweeps on one median row and one equipoint row,
+and the Phi and Phi_hat sweeps share ``_one_step_sweep``), and ``equipoint``,
+``median``, ``phi`` and ``phi_hat`` are one-lane calls of the same code, so a
+shape gives the same bits either way.
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ def binom_tail(p: float, s: int, d: int) -> float:
     p = _require_real("p", p, 0.0, 1.0)
     if s == 0:
         return 1.0
-    return reg_inc_beta(float(s), float(d - s + 1), p)
+    return reg_inc_beta(s, d - s + 1, p)  # BetaArgs refuses an int past the float range
 
 
 # ---------------------------------------------------------------------------
@@ -358,43 +358,37 @@ def bounds_sweeps(shapes: list[tuple[float, float]], lower_s_max: float,
                           _triangle(0.5, conjecture_s_max, step))
 
 
-def phi_hat_monotone_sweep(d_max: float = 100.0, step: float = 0.25) -> list[dict]:
-    """One-step monotonicity of Phi_hat on the real grid d/2 <= s < d-1.
+def _one_step_sweep(rows, pairs, check: str, names: tuple[str, str]) -> list[dict]:
+    """A record, in pair order, of each pair ((s, d), (s + 1, d)) whose first
+    ``rows`` value exceeds its second by more than 1e-12, every distinct point
+    solved once (``_solve_once``).  An empty pair list is refused with
+    DomainError: a sweep that compares nothing checks nothing."""
+    if not pairs:
+        raise DomainError(f"the {check} sweep has no pair (s, d), (s + 1, d) to compare")
+    low, high = _solve_once(rows, [p for p, _ in pairs], [q for _, q in pairs])
+    return [{"check": check, "s": s, "d": d, names[0]: v0, names[1]: v1}
+            for ((s, d), _), v0, v1 in zip(pairs, low, high) if v0 > v1 + 1e-12]
 
-    Each Phi_hat is computed once, all of them as one row over the distinct
-    grid points: on a dyadic step, s + 1 is itself a grid point of d.
+
+def phi_hat_monotone_sweep(d_max: float = 100.0, step: float = 0.25) -> list[dict]:
+    """One-step monotonicity of Phi_hat on the real grid d/2 <= s < d-1, by
+    ``_one_step_sweep``: on a dyadic step, s + 1 is itself a grid point of d.
     """
-    grid = []  # (s, d) and (s + 1, d), interleaved
+    pairs = []
     step = _require_real("grid step", step, 0.0, above=True)  # checked before 2 + step uses it
     for i, d in enumerate(_grid(2.0 + step, d_max, step).tolist()):
         # d = 2 + (i + 1) step: s = d/2 + j step is below d - 1 for j <= i // 2
         for j in range(i // 2 + 1):
             s = d / 2.0 + j * step
-            grid += [(s, d), (s + 1.0, d)]
-    [phis] = _solve_once(_phi_hat_rows, grid)
-    violations = []
-    for (s, d), ph0, ph1 in zip(grid[::2], phis[::2], phis[1::2]):
-        if ph0 > ph1 + 1e-12:
-            violations.append({"check": "phi_hat_monotone", "s": s, "d": d,
-                               "phi_hat_s": ph0, "phi_hat_s1": ph1})
-    return violations
+            pairs.append(((s, d), (s + 1.0, d)))
+    return _one_step_sweep(_phi_hat_rows, pairs, "phi_hat_monotone", ("phi_hat_s", "phi_hat_s1"))
 
 
 def phi_monotone_sweep(d_max: float = 100.0) -> list[dict]:
-    """One-step monotonicity of Phi for half-integer s, d on d/2 <= s < d-1.
-
-    Each Phi is computed once, all of them as one row: s + 1 is two
-    half-steps along the grid while d stays, and half-integers are exact in
-    float.
+    """One-step monotonicity of Phi for half-integer s, d on d/2 <= s < d-1, by
+    ``_one_step_sweep`` (half-integers are exact in float); the first pair has
+    d = 3, so a ``d_max`` below 3 is refused.
     """
-    grid = []
-    for d in _grid(2.5, d_max, 0.5).tolist():
-        # half-integers from the smallest one >= d/2 up to d - 1/2
-        grid += [(s / 2.0, d) for s in range(math.ceil(d), int(2.0 * d))]
-    phis = _phi_rows(*np.array(grid, dtype=float).reshape(-1, 2).T).tolist()
-    violations = []
-    for (s, d), (_, d1), p0, p1 in zip(grid, grid[2:], phis, phis[2:]):
-        if d1 == d and p0 > p1 + 1e-12:
-            violations.append({"check": "phi_monotone", "s": s, "d": d,
-                               "phi_s": p0, "phi_s1": p1})
-    return violations
+    pairs = [((k / 2.0, d), (k / 2.0 + 1.0, d)) for d in _grid(2.5, d_max, 0.5).tolist()
+             for k in range(math.ceil(d), int(2.0 * d) - 2)]  # s = k/2 in [d/2, d - 1)
+    return _one_step_sweep(_phi_rows, pairs, "phi_monotone", ("phi_s", "phi_s1"))

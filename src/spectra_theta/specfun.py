@@ -223,8 +223,6 @@ def _beta_cf_row(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     one row at a time."""
     tiny, eps = _CF_TINY, _CF_EPS
     out = np.empty(a.size)
-    if not a.size:
-        return out
     # rows (0, a), (-b, a + b), (a - 1, a + 1), (d, c), x, h, lane (-1 once finished);
     # work rows: the step's two terms, scratch, and a + 2m, then each half step's update
     block = np.empty((11, a.size))

@@ -295,22 +295,29 @@ def _ln_gamma_ratio(x: float) -> float:
     return ln_gamma(x + 0.5) - ln_gamma(x)
 
 
+def _require_d(d, least: int) -> int:
+    """``d`` as an int in [least, THETA_D_MAX], else DomainError: theta's one check of d."""
+    if (d := _require_int("d", d, least)) > THETA_D_MAX:
+        raise DomainError(f"theta capped at d <= {THETA_D_MAX}, got {reprlib.repr(d)}")
+    return d
+
+
 def theta_even_closed_form(d: int) -> float:
-    """Gamma-quotient closed form of 1/theta(d) for even d."""
-    if (d := _require_int("d", d, 2)) % 2:
+    """Gamma-quotient closed form of 1/theta(d) for even d <= THETA_D_MAX."""
+    if (d := _require_d(d, 2)) % 2:
         raise DomainError(f"even d required, got {reprlib.repr(d)}")
     return math.exp(-_ln_gamma_ratio(d / 4.0 + 0.5)) / math.sqrt(math.pi)
 
 
 def theta_odd_bounds(d: int) -> tuple[float, float, float]:
-    """Analytic bounds (theta_minus, theta_plus, theta_plusplus) for odd d >= 3.
+    """Analytic bounds (theta_minus, theta_plus, theta_plusplus) for odd d in [3, THETA_D_MAX].
 
     theta_plusplus is the pure gamma-quotient bound; theta_minus multiplies
     it by the fourth-root prefactor (d^2d / ((d+1)^(d+1) (d-1)^(d-1)))^(1/4);
     theta_plus is the reciprocal of the two-term incomplete-beta expression
     evaluated at (d+-1)/(2d).
     """
-    if (d := _require_int("d", d, 3)) % 2 == 0:
+    if (d := _require_d(d, 3)) % 2 == 0:
         raise DomainError(f"theta_odd_bounds requires odd d >= 3, got {reprlib.repr(d)}")
     theta_pp = math.sqrt(math.pi / 2.0) * math.exp(_ln_gamma_ratio(d / 2.0 + 1.0))
     prefactor = math.exp(
@@ -348,9 +355,7 @@ def thetas(ds) -> list[ThetaReport]:
     theta's checks in order.  A scan that fails is run again one d at a time, to raise the
     NumericError that a loop of ``theta(d)`` raises first."""
     runs, splits = [], 0
-    for d in [_require_int("d", d, 1) for d in _require_items("ds", ds)]:
-        if d > THETA_D_MAX:
-            raise DomainError(f"theta capped at d <= {THETA_D_MAX}, got {reprlib.repr(d)}")
+    for d in [_require_d(d, 1) for d in _require_items("ds", ds)]:
         if not runs or splits + d // 2 > _PASS_SPLITS:
             runs.append([])
             splits = 0

@@ -22,6 +22,7 @@ from spectra_theta.specfun import BetaArgs, beta_pdf, ln_beta, ln_gamma, reg_inc
 from spectra_theta.sphere_oracle import McEstimate
 from spectra_theta.theta import (
     SignDiag,
+    THETA_D_MAX,
     f_g_h,
     h_closed_form,
     kappa_star,
@@ -269,14 +270,32 @@ def test_the_cli_refuses_a_d_max_past_the_float_range(capsys):
     lambda: dilation.oh_to_spin_choi(10**400),
     lambda: theta_even_closed_form(10**400 + 1),
     lambda: theta_odd_bounds(10**400),
+    lambda: theta_even_closed_form(10**400),
+    lambda: theta_odd_bounds(10**400 + 1),
+    lambda: theta_odd_bounds(4_000_001),
+    lambda: theta_odd_bounds(THETA_D_MAX + 1),
+    lambda: betastats.binom_tail(0.5, 1, 10**400),
     lambda: sphere_oracle.SignMoment(J, 10**400),
     lambda: MonicPencil(tuple(np.eye(1 + k % 2) for k in range(5001))),
 ], ids=["spin_matrices", "spin_tensor_norm", "oh_to_spin_choi", "theta_even_closed_form",
-        "theta_odd_bounds", "SignMoment.coord", "matrix_sizes"])
+        "theta_odd_bounds", "theta_even_closed_form.even", "theta_odd_bounds.odd",
+        "theta_odd_bounds.4000001", "theta_odd_bounds.cap",
+        "binom_tail.d", "SignMoment.coord", "matrix_sizes"])
 def test_a_refusal_prints_a_short_value(call):
     with pytest.raises((DomainError, ResourceError)) as refusal:
         call()
     assert len(str(refusal.value)) <= 120
+
+
+def test_the_closed_forms_of_theta_keep_its_cap():
+    # they read d through theta's one check: a d of the right parity past
+    # THETA_D_MAX is refused, and one at the cap still has its value
+    for call in (lambda: theta_odd_bounds(THETA_D_MAX + 1),
+                 lambda: theta_even_closed_form(THETA_D_MAX + 2)):
+        with pytest.raises(DomainError, match=f"theta capped at d <= {THETA_D_MAX}, got "):
+            call()
+    assert all(math.isfinite(v) and v > 0.0 for v in theta_odd_bounds(99_999))
+    assert 0.0 < theta_even_closed_form(100_000) < 1.0
 
 
 @pytest.mark.parametrize("call, shown", [

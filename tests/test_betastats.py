@@ -349,14 +349,15 @@ def _swept_rows(monkeypatch, kernel, sweep, *args):
 @pytest.mark.parametrize("kernel, sweep, args, pin", [
     ("_phi_hat_rows", phi_hat_monotone_sweep, (100.0, 0.25), (40168, "7df7d949b37e9f14")),
     ("_phi_hat_rows", phi_hat_monotone_sweep, (24.0, 0.5), (592, "81dae51b6bf848e0")),
-    ("_phi_rows", phi_monotone_sweep, (100.0,), (9996, "620ce1b3df8c6057")),
-    ("_phi_rows", phi_monotone_sweep, (24.0,), (572, "e35b52f59f54a635")),
+    ("_phi_rows", phi_monotone_sweep, (100.0,), (9992, "7f7f3eebde119e0d")),
+    ("_phi_rows", phi_monotone_sweep, (24.0,), (568, "4f93f78c96929fb7")),
 ])
 def test_monotone_sweep_grids_keep_their_bits(monkeypatch, kernel, sweep, args, pin):
     # recorded from the grids built by float-accumulating loops, which are
-    # exact on these dyadic steps; the Phi_hat rows are the grid's distinct
-    # points, sorted by (s, d) (the interleaved (s, d), (s + 1, d) grid had
-    # 77,224 and 1,012 rows)
+    # exact on these dyadic steps; the rows are the distinct points of the
+    # pairs, sorted by (s, d) (the interleaved (s, d), (s + 1, d) Phi_hat grid
+    # had 77,224 and 1,012 rows; the flat Phi grid, 9,996 and 572, four of
+    # them never compared)
     assert _grid_pin(_swept_rows(monkeypatch, kernel, sweep, *args)) == pin
 
 
@@ -380,6 +381,35 @@ def test_phi_hat_sweep_compares_each_s_with_s_plus_1(monkeypatch, args, pin):
     assert all(v["phi_hat_s"] == fake(v["s"], v["d"]) and v["phi_hat_s1"] == fake(v["s"] + 1.0, v["d"])
                for v in violations)
     assert _grid_pin([(v["s"] + k, v["d"]) for v in violations for k in (0.0, 1.0)]) == pin
+
+
+@pytest.mark.parametrize("d_max", [24.0, 40.0, 100.0])
+def test_phi_sweep_compares_each_s_with_s_plus_1(monkeypatch, d_max):
+    # a Phi decreasing in s makes every pair a violation, reported in pair
+    # order with both of its values: the half-integers s, d with
+    # d/2 <= s < d - 1, d from 3 up, each against (s + 1, d)
+    import importlib
+
+    betastats = importlib.import_module("spectra_theta.betastats")
+
+    def fake(s, d):
+        return -s - d / 1024.0
+
+    monkeypatch.setattr(betastats, "_phi_rows", fake)
+    pairs = [(k / 2.0, m / 2.0) for m in range(6, int(2 * d_max) + 1)
+             for k in range(m // 2 + m % 2, m - 2)]
+    assert phi_monotone_sweep(d_max) == [
+        {"check": "phi_monotone", "s": s, "d": d, "phi_s": fake(s, d), "phi_s1": fake(s + 1.0, d)}
+        for s, d in pairs]
+
+
+@pytest.mark.parametrize("d_max", [2.5, 2.9])
+def test_a_phi_sweep_with_no_pair_is_refused(d_max):
+    # the grid d = 2.5 has the points s = 1.5 and 2, but no s below d - 1:
+    # the sweep would compare nothing
+    with pytest.raises(DomainError, match="has no pair"):
+        phi_monotone_sweep(d_max)
+    assert phi_monotone_sweep(3.0) == []
 
 
 @pytest.mark.parametrize("args, pin", [

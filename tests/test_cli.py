@@ -106,6 +106,8 @@ def test_median_table_paper_digits(tmp_path):
 def test_verify_exit_codes():
     assert main(["verify", "simmons", "--d-max", "30"]) == 0
     assert main(["verify", "monotone", "--d-max", "10"]) == 0
+    # the least d_max whose Phi sweep has a pair to compare
+    assert main(["verify", "monotone", "--d-max", "3"]) == 0
 
 
 def test_verify_dilation_is_repeatable_and_reports_its_worst_residual(capsys):
