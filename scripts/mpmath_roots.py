@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Errors of sigma_{s,t}, of odd-d theta(d) and of equipoint rows against mpmath.
+"""Errors of sigma_{s,t}, of odd-d theta(d), of equipoint rows and of the
+incomplete-beta row kernel against mpmath.
 
 Every root is compared with one mpmath root, the equipoint e*_{a,b}: a
 bracketed root (Anderson-Bjorck) of the two-beta residual
@@ -10,13 +11,18 @@ is compared with 1/f_{s,t}(sigma*) at the proven split ((d+1)/2, (d-1)/2),
 as a relative error.  With --equipoints N, the script instead solves one
 row of N equipoints (``betastats._equipoint_rows``), its shapes (s, t)
 drawn uniform on [0.5, 200] from the Philox key --seed, and compares each
-lane with e*_{s,t}, in ulps.  Each row prints the float's hex, so two trees
-can be compared lane by lane; the last lines give the median and the
-maximum of |error|.
+lane with e*_{s,t}, in ulps.  With --kernel N, it evaluates one row of N
+lanes of the row kernel (``specfun._ibeta_row``), shapes (a, b) log-uniform
+on [0.5, 200] and p drawn from Beta(a, b) (so near the mean), and compares
+I_p with mpmath's betainc (absolute error) and the density with
+p^(a-1) (1-p)^(b-1) / B(a, b) (relative error).  Each row prints the
+float's hex, so two trees can be compared lane by lane; the last lines give
+the median and the maximum of |error|.
 
     python scripts/mpmath_roots.py --d-max 300 --lanes 200 --seed 0
     python scripts/mpmath_roots.py --d 2000 2001 --lanes 60
     python scripts/mpmath_roots.py --equipoints 3000 --seed 25
+    python scripts/mpmath_roots.py --kernel 1500 --seed 30
 """
 
 import argparse
@@ -26,6 +32,7 @@ import mpmath
 import numpy as np
 
 from spectra_theta.betastats import _equipoint_rows
+from spectra_theta.specfun import _ibeta_row
 from spectra_theta.theta import sigma_st, theta
 
 
@@ -59,6 +66,28 @@ def equipoint_errors(lanes: int, seed: int) -> list[float]:
     return errors
 
 
+def kernel_lanes(lanes: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The seeded (a, b, p) row of --kernel: shapes log-uniform on [0.5, 200],
+    p drawn from Beta(a, b)."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    a, b = np.exp(rng.uniform(math.log(0.5), math.log(200.0), (2, lanes)))
+    return a, b, rng.beta(a, b)
+
+
+def kernel_errors(lanes: int, seed: int) -> tuple[list[float], list[float]]:
+    """Print each lane of a seeded kernel row with the errors of I_p
+    (absolute) and of the density (relative) against mpmath."""
+    a, b, p = kernel_lanes(lanes, seed)
+    value_errors, density_errors = [], []
+    for x, y, z, value, density in zip(*(row.tolist() for row in (a, b, p, *_ibeta_row(a, b, p)))):
+        ma, mb, mz = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(z)
+        value_errors.append(float(value - mpmath.betainc(ma, mb, 0, mz, regularized=True)))
+        density_errors.append(float(density / (mz ** (ma - 1) * (1 - mz) ** (mb - 1) / mpmath.beta(ma, mb)) - 1))
+        print(f"kernel,{x!r},{y!r},{z!r},{value.hex()},{value_errors[-1]:+.3e},"
+              f"{density.hex()},{density_errors[-1]:+.3e}")
+    return value_errors, density_errors
+
+
 def theta_star(d: int):
     """1/f_{s,t}(sigma*) at the proven split of an odd d."""
     s, t = (d + 1) // 2, (d - 1) // 2
@@ -85,8 +114,18 @@ def main() -> None:
     parser.add_argument("--dps", type=int, default=40, help="mpmath decimal digits")
     parser.add_argument("--equipoints", type=int, metavar="N",
                         help="check a seeded row of N equipoints instead of sigma and theta")
+    parser.add_argument("--kernel", type=int, metavar="N",
+                        help="check a seeded row of N incomplete-beta kernel lanes instead")
     args = parser.parse_args()
     mpmath.mp.dps = args.dps
+    if args.kernel is not None:
+        if args.kernel < 0:
+            parser.error("--kernel must be at least 0")
+        print("kind,a,b,p,hex,error,density_hex,density_error")
+        value_errors, density_errors = kernel_errors(args.kernel, args.seed)
+        print(summary("I_p", "absolute", value_errors))
+        print(summary("density", "relative", density_errors))
+        return
     if args.equipoints is not None:
         if args.equipoints < 0:
             parser.error("--equipoints must be at least 0")

@@ -7,8 +7,9 @@ row of (a, b, p) triples, with ln B passed in once per solve; ``reg_inc_beta``,
 the Lentz loop on the interior lanes: the scalar ``_beta_cf`` lane by lane
 below ``_ROW_MIN_LANES`` of them, else ``_beta_cf_row``, one numpy loop with
 ``_beta_cf``'s bits whose calls per iteration do not grow with the row (so
-independent rows share one call, ``_ibeta_rows``).  With ``math`` mapped per
-lane, every lane has its one-lane call's bits.  The inverse is a
+independent rows share one call, ``_ibeta_rows``).  Its logs and exps are
+numpy's elementwise ufuncs, so every lane has its one-lane call's bits (their
+last ulp depends on the numpy build and the CPU).  The inverse is a
 bracketed-Newton row (``rootfind.newton_rows``) whose residual also returns
 its slope.  Accuracy targets (absolute):
 
@@ -123,14 +124,6 @@ def _cf_error(a: float, b: float, x: float) -> NumericError:
     )
 
 
-def _exp(x: float) -> float:
-    """``math.exp``, or inf where it overflows."""
-    try:
-        return math.exp(x)
-    except OverflowError:  # the density at a < 1 and p deep in the subnormals
-        return math.inf
-
-
 def reg_inc_beta(a: float, b: float, p: float) -> float:
     """Regularized incomplete beta function I_p(a, b).
 
@@ -179,8 +172,8 @@ def _lanes(*args) -> list[np.ndarray]:
 
 
 def _map(fn, *rows: np.ndarray) -> np.ndarray:
-    """``fn`` applied lane by lane, so each lane gets ``math``'s bits
-    (numpy's own log and exp may differ from them in the last ulp)."""
+    """``fn`` applied lane by lane: the scalar continued fraction on short
+    rows, and ``math.lgamma``, which numpy lacks."""
     return np.fromiter(map(fn, *(row.tolist() for row in rows)), dtype=float, count=rows[0].size)
 
 
@@ -290,18 +283,16 @@ def _ibeta_row(a, b, p, ln_b=None) -> tuple[np.ndarray, np.ndarray]:
     inner = ~((p <= 0.0) | (p >= 1.0))
     a, b, p = a[inner], b[inner], p[inner]
     ln_b = _ln_beta_row(a, b) if ln_b is None else ln_b[inner]
-    ln_p, ln_q = _map(math.log, p), _map(math.log1p, -p)
+    ln_p, ln_q = np.log(p), np.log1p(-p)
     ln_front = a * ln_p + b * ln_q - ln_b
     # Symmetry switch keeps the continued fraction in its fast region.
     swap = ~(p < (a + 1.0) / (a + b + 2.0))
     ca, cb, x = np.where(swap, b, a), np.where(swap, a, b), np.where(swap, 1.0 - p, p)
     cf = _map(_beta_cf, ca, cb, x) if a.size < _ROW_MIN_LANES else _beta_cf_row(ca, cb, x)
-    head = _map(math.exp, ln_front) * cf / ca
+    head = np.exp(ln_front) * cf / ca
     value[inner] = np.where(swap, 1.0 - head, head)
-    ln_density = (a - 1.0) * ln_p + (b - 1.0) * ln_q - ln_b
-    # math.exp cannot overflow at or below 709; a NaN lane takes the guarded map too
-    safe = ln_density.max(initial=-math.inf) <= 709.0
-    density[inner] = _map(math.exp if safe else _exp, ln_density)
+    with np.errstate(over="ignore"):  # inf at a < 1 and p deep in the subnormals
+        density[inner] = np.exp((a - 1.0) * ln_p + (b - 1.0) * ln_q - ln_b)
     return value, density
 
 

@@ -26,9 +26,10 @@ incomplete betas of kappa_*'s two routes, on sigma's two shape pairs and
 their ln B rows.  Each route's betas have the shapes of the other's, and
 mostly the same p, so that pass evaluates the profile's two on every split
 and alpha's and beta's only where their p differs.  theta refuses a d above
-THETA_D_MAX.  The point functions ``alpha_beta``, ``f_g_h``,
-``sigma_st`` and ``kappa_star`` are one-lane calls of the same code, so a
-split gives the same bits either way.
+THETA_D_MAX, and the split functions a split (s, t) with s + t above it.
+The point functions ``alpha_beta``, ``f_g_h``, ``sigma_st`` and
+``kappa_star`` are one-lane calls of the same code, so a split gives the
+same bits either way.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ _PASS_SPLITS = 2**15
 @dataclass(frozen=True)
 class SignDiag:
     """The diagonal matrix a I_s (+) (-b) I_t with s positive entries a and
-    t negative entries -b."""
+    t negative entries -b, of size s + t <= THETA_D_MAX."""
 
     s: int
     t: int
@@ -65,8 +66,9 @@ class SignDiag:
     b: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s", _require_int("s", self.s, 1))
-        object.__setattr__(self, "t", _require_int("t", self.t, 0))
+        s, t = _require_split(self.s, self.t, 0)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
         object.__setattr__(self, "a", _require_real("a", self.a, 0.0))
         object.__setattr__(self, "b", _require_real("b", self.b, 0.0))
         if not (self.a + self.b > 0.0 and math.isfinite(self.s * self.a + self.t * self.b)):
@@ -130,9 +132,8 @@ def sigma_st(s: int, t: int) -> float:
     s >= t >= 1).  A bracket without a sign change signals an upstream bug
     and raises NumericError.
     """
-    t = _require_int("t", t, 1)
-    s = _require_int("s", s, t)
-    if s == t:
+    s, t = _require_split(s, t)
+    if _require_int("s", s, t) == t:
         return 0.5
     return float(_sigma_rows(np.array([s]), np.array([t]))[0])
 
@@ -180,7 +181,7 @@ def f_g_h(s: int, t: int, p: float) -> tuple[float, float, float]:
     side of it.  h collapses to the closed form
     Gamma(s/2+t/2+1) / (Gamma(s/2+1) Gamma(t/2+1)) p^(s/2) (1-p)^(t/2).
     """
-    s, t = _require_int("s", s, 1), _require_int("t", t, 1)
+    s, t = _require_split(s, t)
     p = _require_real("p", p, 0.0, 1.0)
     (i_left, _), (i_right, _) = _ibeta_rows(*_profile_triples(s, t, p))
     g = 2.0 * (s * i_left + t * i_right) / (s + t) - 1.0
@@ -203,7 +204,7 @@ def _f_value(s, t, p, i_left, i_right):
 
 def h_closed_form(s: int, t: int, p: float) -> float:
     """Gamma-form of h_{s,t}(p); see f_g_h."""
-    s, t = _require_int("s", s, 1), _require_int("t", t, 1)
+    s, t = _require_split(s, t)
     if (p := _require_real("p", p, 0.0, 1.0)) in (0.0, 1.0):
         return 0.0
     ln_c = ln_gamma(s / 2.0 + t / 2.0 + 1.0) - ln_gamma(s / 2.0 + 1.0) - ln_gamma(t / 2.0 + 1.0)
@@ -223,7 +224,7 @@ def kappa_star(s: int, t: int) -> tuple[float, float, float]:
 
     Disagreement beyond 1e-9 raises NumericError.
     """
-    s, t = _require_int("s", s, 1), _require_int("t", t, 1)
+    s, t = _require_split(s, t)
     sigma = sigma_st(s, t) if s >= t else 1.0 - sigma_st(t, s)
     s, t = np.array([s]), np.array([t])
     ks, a_opt, b_opt = _kappa_rows(s, t, np.array([sigma]), _split_ln_b(s / 2.0, t / 2.0))
@@ -300,6 +301,14 @@ def _require_d(d, least: int) -> int:
     if (d := _require_int("d", d, least)) > THETA_D_MAX:
         raise DomainError(f"theta capped at d <= {THETA_D_MAX}, got {reprlib.repr(d)}")
     return d
+
+
+def _require_split(s, t, least_t: int = 1) -> tuple[int, int]:
+    """``(s, t)`` as ints with s >= 1, t >= least_t and d = s + t <= THETA_D_MAX,
+    else DomainError: the one check of a split, whose d is read as theta's."""
+    s, t = _require_int("s", s, 1), _require_int("t", t, least_t)
+    _require_d(s + t, 1)
+    return s, t
 
 
 def theta_even_closed_form(d: int) -> float:

@@ -277,10 +277,18 @@ def test_the_cli_refuses_a_d_max_past_the_float_range(capsys):
     lambda: betastats.binom_tail(0.5, 1, 10**400),
     lambda: sphere_oracle.SignMoment(J, 10**400),
     lambda: MonicPencil(tuple(np.eye(1 + k % 2) for k in range(5001))),
+    lambda: sigma_st(10**400, 1),
+    lambda: kappa_star(10**400, 1),
+    lambda: f_g_h(10**400, 1, 0.5),
+    lambda: h_closed_form(10**400, 1, 0.5),
+    lambda: SignDiag(10**400, 1, 1.0, 1.0),
+    lambda: SignDiag(1, 10**400, 1.0, 1.0),
+    lambda: kappa_star(10**7, 10**7),
 ], ids=["spin_matrices", "spin_tensor_norm", "oh_to_spin_choi", "theta_even_closed_form",
         "theta_odd_bounds", "theta_even_closed_form.even", "theta_odd_bounds.odd",
         "theta_odd_bounds.4000001", "theta_odd_bounds.cap",
-        "binom_tail.d", "SignMoment.coord", "matrix_sizes"])
+        "binom_tail.d", "SignMoment.coord", "matrix_sizes", "sigma_st.s", "kappa_star.s",
+        "f_g_h.s", "h_closed_form.s", "SignDiag.s", "SignDiag.t", "kappa_star.10**7"])
 def test_a_refusal_prints_a_short_value(call):
     with pytest.raises((DomainError, ResourceError)) as refusal:
         call()
@@ -296,6 +304,24 @@ def test_the_closed_forms_of_theta_keep_its_cap():
             call()
     assert all(math.isfinite(v) and v > 0.0 for v in theta_odd_bounds(99_999))
     assert 0.0 < theta_even_closed_form(100_000) < 1.0
+
+
+def test_a_split_past_the_cap_of_theta_is_refused():
+    # the split functions read (s, t) through one check, which refuses
+    # s + t > THETA_D_MAX as theta refuses such a d; a split at the cap still
+    # has its value (kappa_star(10**7, 10**7) used to raise NumericError from
+    # the continued fraction, and s = 10**400 a raw OverflowError)
+    half = THETA_D_MAX // 2
+    for call in (lambda: sigma_st(half + 1, half), lambda: kappa_star(half, half + 1),
+                 lambda: f_g_h(half + 1, half, 0.5), lambda: h_closed_form(half, half + 1, 0.5),
+                 lambda: SignDiag(THETA_D_MAX + 1, 0, 1.0, 0.0), lambda: SignDiag(1, THETA_D_MAX, 1.0, 1.0)):
+        with pytest.raises(DomainError, match=f"theta capped at d <= {THETA_D_MAX}, got {THETA_D_MAX + 1}"):
+            call()
+    assert sigma_st(half, half) == 0.5 and 0.5 < sigma_st(THETA_D_MAX - 1, 1) < 1.0
+    assert 0.0 < kappa_star(half, half)[0] < 1.0 and 0.0 < kappa_star(1, THETA_D_MAX - 1)[0] < 1.0
+    assert all(0.0 < v < 1.0 for v in f_g_h(half, half, 0.5))
+    assert 0.0 < h_closed_form(half, half, 0.5) < 1.0
+    assert SignDiag(THETA_D_MAX, 0, 1.0, 0.0).d == THETA_D_MAX
 
 
 @pytest.mark.parametrize("call, shown", [

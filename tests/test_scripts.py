@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 
+from spectra_theta import specfun
 from spectra_theta.betastats import _equipoint_rows
 from spectra_theta.sphere_oracle import sphere_abs_quadratic_integral
 from spectra_theta.theta import SignDiag, kappa_star, theta
@@ -105,3 +106,23 @@ def test_mpmath_roots_checks_an_equipoint_row_against_mpmath():
         value = float.fromhex(row[4])
         assert abs(float(row[5])) * math.ulp(value) <= 2e-14
     assert lines[-1].startswith("equipoint: 6 values, |error| median ")
+
+
+def test_mpmath_roots_checks_a_kernel_row_against_mpmath():
+    lines = run_script("mpmath_roots.py", "--kernel", "6", "--seed", "30")
+    assert lines[0] == "kind,a,b,p,hex,error,density_hex,density_error"
+    rows = [line.split(",") for line in lines[1:-2]]
+    # the lanes are the seeded row: shapes log-uniform on [0.5, 200], p from Beta(a, b)
+    rng = np.random.Generator(np.random.Philox(key=30))
+    a, b = np.exp(rng.uniform(math.log(0.5), math.log(200.0), (2, 6)))
+    p = rng.beta(a, b)
+    assert [tuple(map(float, row[1:4])) for row in rows] == list(zip(a.tolist(), b.tolist(), p.tolist()))
+    # each hex is the lane's I_p and density in that row
+    value, density = specfun._ibeta_row(a, b, p)
+    assert [(row[4], row[6]) for row in rows] == list(zip(map(float.hex, value.tolist()), map(float.hex, density.tolist())))
+    assert all(row[0] == "kernel" for row in rows)
+    # the kernel's accuracy on this sample: I_p absolute, the density relative
+    assert max(abs(float(row[5])) for row in rows) <= 1e-13
+    assert max(abs(float(row[7])) for row in rows) <= 1e-12
+    assert lines[-2].startswith("I_p: 6 values, |error| median ")
+    assert lines[-1].startswith("density: 6 values, |error| median ")

@@ -224,6 +224,27 @@ def test_row_kernel_is_lane_exact():
     assert np.array_equal(specfun._ln_beta_row(a, b).view(np.uint64), ln_b.view(np.uint64))
 
 
+def test_row_kernel_is_lane_exact_across_layouts():
+    # The kernel's logs and exps are numpy's elementwise ufuncs, so a lane's
+    # bits must not depend on how its row sits in memory: rows that are
+    # strided views (columns of one block), reversed views or broadcast
+    # scalars give every lane the bits of its one-lane call.
+    a, b, p = _lane_triples().T
+    expected = _one_lane_calls(a, b, p)
+    n = specfun._ROW_MIN_LANES // 2
+    layouts = {
+        "strided": (np.column_stack([a, b, p]).T, expected),
+        "reversed": ((a[::-1], b[::-1], p[::-1]), expected[:, ::-1]),
+        "every other": ((a[::2], b[::2], p[::2]), expected[:, ::2]),
+        "scalar a": ((2.5, b, p), _one_lane_calls(np.full(a.size, 2.5), b, p)),
+        "scalar p": ((a, b, 0.3), _one_lane_calls(a, b, np.full(a.size, 0.3))),
+        "scalar a and b, short": ((0.75, 40.0, p[:n]), _one_lane_calls(np.full(n, 0.75), np.full(n, 40.0), p[:n])),
+    }
+    for name, (triple, points) in layouts.items():
+        for row, point in zip(specfun._ibeta_row(*triple), points, strict=True):
+            assert np.array_equal(row.view(np.uint64), point.view(np.uint64)), name
+
+
 def test_ln_beta_row_has_the_bits_of_ln_beta_on_short_rows():
     # below the crossover the ln B row maps the memo instead of sorting; the
     # kappa_* pass of theta(61) reads such a row on its numpy path
@@ -327,13 +348,17 @@ def test_row_kernel_all_endpoint_row():
 
 
 # (a, b, p) -> (I_p, density), recorded as float.hex: both sides of the
-# symmetry switch at shape scales 0.01 to 2000.
+# symmetry switch at shape scales 0.01 to 2000.  Two moved when the kernel's
+# logs and exps became numpy's, against 40-digit mpmath: I_p at
+# (0.01, 0.5, 0.3) ...665 -> ...663 (-2.60e-15 -> -2.82e-15), the density at
+# (1000, 2000, 0.333) ...06959 -> ...0638f (-3.04e-12 -> -3.27e-12 relative,
+# the ulp of ln B near 2e4 at these shapes).
 POINT_KERNEL_BITS = {
     (2.5, 7.0, 0.2): ("0x1.785101f986bf3p-2", "0x1.760ee6d179d1fp+1"),
     (2.5, 7.0, 0.37): ("0x1.931ccac34ddcap-1", "0x1.c0fbb74047c54p+0"),
-    (0.01, 0.5, 0.3): ("0x1.f3d4d612f7665p-1", "0x1.3e154ab138e50p-5"),
+    (0.01, 0.5, 0.3): ("0x1.f3d4d612f7663p-1", "0x1.3e154ab138e50p-5"),
     (0.01, 0.5, 0.9): ("0x1.fcb196c1399f3p-1", "0x1.1b9f30e67318dp-5"),
-    (1000.0, 2000.0, 0.333): ("0x1.f1f0145daa168p-2", "0x1.72b1d3bf06959p+5"),
+    (1000.0, 2000.0, 0.333): ("0x1.f1f0145daa168p-2", "0x1.72b1d3bf0638fp+5"),
     (1000.0, 2000.0, 0.334): ("0x1.10acf47e01f38p-1", "0x1.714f041b5260cp+5"),
 }
 
@@ -355,6 +380,30 @@ def test_point_kernel_keeps_its_recorded_bits():
     assert [theta(d).theta.hex() for d in (2, 3, 20)] == [
         "0x1.921fb54442d17p+0", "0x1.bc1cefd2e9e56p+0", "0x1.0410410410400p+2"
     ]
+
+
+def test_row_kernel_against_mpmath():
+    # 1,500 seeded lanes, shapes log-uniform on [0.5, 200] and p drawn from
+    # Beta(a, b), as ``scripts/mpmath_roots.py --kernel 1500 --seed 30`` draws
+    # them.  The worst |I_p - ref| and relative density error stay within
+    # those of the kernel with per-lane math logs and exps, on this sample
+    # 1.7394e-13 and 3.8596e-13 (lanes 663 and 605; numpy's ufuncs give the
+    # same two worsts).
+    import mpmath
+
+    rng = np.random.Generator(np.random.Philox(key=30))
+    a, b = np.exp(rng.uniform(math.log(0.5), math.log(200.0), (2, 1500)))
+    p = rng.beta(a, b)
+    value, density = specfun._ibeta_row(a, b, p)
+    worst_value = worst_density = 0.0
+    with mpmath.workdps(40):
+        for x, y, z, v, pdf in zip(*(row.tolist() for row in (a, b, p, value, density))):
+            x, y, z = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(z)
+            worst_value = max(worst_value, abs(float(v - mpmath.betainc(x, y, 0, z, regularized=True))))
+            ref = z ** (x - 1) * (1 - z) ** (y - 1) / mpmath.beta(x, y)
+            worst_density = max(worst_density, abs(float(pdf / ref - 1)))
+    assert worst_value <= 1.74e-13
+    assert worst_density <= 3.86e-13
 
 
 def test_scalar_functions_refuse_what_reg_inc_beta_refuses():

@@ -260,11 +260,13 @@ def test_sigma_lane_at_the_noise_floor_of_2001(monkeypatch):
 
 def test_theta_stacks_its_independent_rows(monkeypatch):
     # The two incomplete betas of each sigma residual, and those of the two
-    # kappa_star routes, come from one stacked pass: theta(2000) makes 8
-    # passes (bracket ends, 6 Newton rounds, kappa_star) over 10,410 lanes.
-    # The kappa_star pass has 2,106 of them: the profile's two betas on each
-    # of the 1,000 splits, and alpha's on the 106 lanes where its p is not
-    # the profile's (beta's p is the profile's on every lane).  Evaluating
+    # kappa_star routes, come from one stacked pass: theta(2000) makes 6
+    # passes (bracket ends, 4 Newton rounds, kappa_star) over 10,323 lanes.
+    # The kappa_star pass has 2,107 of them: the profile's two betas on each
+    # of the 1,000 splits, and alpha's on the 107 lanes where its p is not
+    # the profile's (beta's p is the profile's on every lane).  With math's
+    # logs and exps in the kernel the lane (1305, 695) took 2 more rounds:
+    # 8 passes over 10,410 lanes, 2,106 in the kappa_star pass.  Evaluating
     # all four betas on every split took 12,304 lanes (15,512 from midpoint
     # starts, in 18 unstacked passes before that).
     # Each stack is one call of the row kernel, which alone decides how to
@@ -288,7 +290,7 @@ def test_theta_stacks_its_independent_rows(monkeypatch):
     monkeypatch.setattr(module, "_ibeta_rows", counted_rows)
     monkeypatch.setattr(specfun, "_ibeta_row", counted_row)
     theta(2000)
-    assert (len(stacks), sum(stacks), stacks[-1]) == (8, 10410, 2106)
+    assert (len(stacks), sum(stacks), stacks[-1]) == (6, 10323, 2107)
     assert row_calls == [*stacks, 1]
 
 
