@@ -1,26 +1,18 @@
 #!/usr/bin/env python3
-"""Errors of sigma_{s,t}, of odd-d theta(d), of equipoint rows and of the
-incomplete-beta row kernel against mpmath.
-
-Every root is compared with one mpmath root, the equipoint e*_{a,b}: a
-bracketed root (Anderson-Bjorck) of the two-beta residual
-I_x(a, 1+b) - I_{1-x}(b, 1+a).  For a seeded sample of splits s > t >= 1 of
-the chosen d's, sigma_st(s, t) is compared with sigma* = e*_{s/2,t/2}; the
-error is in units in the last place of the float.  For each odd d, theta(d)
-is compared with 1/f_{s,t}(sigma*) at the proven split ((d+1)/2, (d-1)/2),
-as a relative error.  With --equipoints N, the script instead solves one
-row of N equipoints (``betastats._equipoint_rows``), its shapes (s, t)
-drawn uniform on [0.5, 200] from the Philox key --seed, and compares each
-lane with e*_{s,t}, in ulps.  With --kernel N, it evaluates one row of N
-lanes of the row kernel (``specfun._ibeta_row``), shapes (a, b) log-uniform
-on [0.5, 200] and p drawn from Beta(a, b) (so near the mean), and compares
-I_p with mpmath's betainc (absolute error) and the density with
-p^(a-1) (1-p)^(b-1) / B(a, b) (relative error).  Each row prints the
-float's hex, so two trees can be compared lane by lane; the last lines give
-the median and the maximum of |error|.
+"""Errors against the mpmath reference of ``mp_reference.py``, at --dps
+digits: of sigma_{s,t} on a seeded sample of splits s > t >= 1 of the
+chosen d's, in ulps of sigma* = e*_{s/2,t/2}, and of theta(d), theta_- and
+theta_+ for each odd d, relative to theta* at the proven split (the theta
+row names the NumericError where theta(d) raises).  --equipoints N checks a
+seeded row of N equipoints (``betastats._equipoint_rows``, shapes uniform on
+[0.5, 200]) in ulps of e*; --kernel N a seeded row of N lanes of
+``specfun._ibeta_row`` (shapes log-uniform on [0.5, 200], p from
+Beta(a, b)), I_p absolute and the density relative.  Each row prints the
+float's hex, to compare two trees lane by lane; the last lines give the
+median and maximum |error| (theta's without its bounds).
 
     python scripts/mpmath_roots.py --d-max 300 --lanes 200 --seed 0
-    python scripts/mpmath_roots.py --d 2000 2001 --lanes 60
+    python scripts/mpmath_roots.py --d 2001 24959 99999 --lanes 0
     python scripts/mpmath_roots.py --equipoints 3000 --seed 25
     python scripts/mpmath_roots.py --kernel 1500 --seed 30
 """
@@ -31,47 +23,21 @@ import math
 import mpmath
 import numpy as np
 
+from mp_reference import density, equipoint, equipoint_lanes, ibeta, kernel_lanes, theta_star
 from spectra_theta.betastats import _equipoint_rows
+from spectra_theta.errors import NumericError
 from spectra_theta.specfun import _ibeta_row
-from spectra_theta.theta import sigma_st, theta
+from spectra_theta.theta import sigma_st, theta, theta_odd_bounds
 
 
-def equipoint_star(a, b):
-    """The mpmath equipoint of the real shapes (a, b), the root of the
-    two-beta residual.  The band's end (a+1)/(a+b+2) is a proven lower bound
-    for b <= a, and by the mirror e_{a,b} = 1 - e_{b,a} an upper bound for
-    b >= a, so it and the far end of [0, 1] bracket the root."""
-    a, b = mpmath.mpf(a), mpmath.mpf(b)
-    pivot = (a + 1) / (a + b + 2)
-    return mpmath.findroot(
-        lambda x: mpmath.betainc(a, b + 1, 0, x, regularized=True)
-        - mpmath.betainc(b, a + 1, 0, 1 - x, regularized=True),
-        (pivot, 1) if b <= a else (0, pivot),
-        solver="anderson",
-    )
-
-
-def sigma_star(s: int, t: int):
-    """sigma*, the mpmath equipoint of (s/2, t/2)."""
-    return equipoint_star(mpmath.mpf(s) / 2, mpmath.mpf(t) / 2)
-
-
-def equipoint_errors(lanes: int, seed: int) -> list[float]:
-    """Print each lane of a seeded equipoint row with its error in ulps."""
-    s, t = np.random.Generator(np.random.Philox(key=seed)).uniform(0.5, 200.0, (2, lanes))
+def root_errors(kind: str, rows) -> list[float]:
+    """Print each root of the (d, s, t, a, b, root) rows with its error in
+    ulps against e*_{a,b}."""
     errors = []
-    for a, b, value in zip(s.tolist(), t.tolist(), _equipoint_rows(s, t).tolist()):
-        errors.append(float((value - equipoint_star(a, b)) / math.ulp(value)))
-        print(f"equipoint,{a + b!r},{a!r},{b!r},{value.hex()},{errors[-1]:+.1f}")
+    for d, s, t, a, b, value in rows:
+        errors.append(float((value - equipoint(a, b)) / math.ulp(value)))
+        print(f"{kind},{d},{s},{t},{value.hex()},{errors[-1]:+.1f}")
     return errors
-
-
-def kernel_lanes(lanes: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The seeded (a, b, p) row of --kernel: shapes log-uniform on [0.5, 200],
-    p drawn from Beta(a, b)."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    a, b = np.exp(rng.uniform(math.log(0.5), math.log(200.0), (2, lanes)))
-    return a, b, rng.beta(a, b)
 
 
 def kernel_errors(lanes: int, seed: int) -> tuple[list[float], list[float]]:
@@ -79,23 +45,28 @@ def kernel_errors(lanes: int, seed: int) -> tuple[list[float], list[float]]:
     (absolute) and of the density (relative) against mpmath."""
     a, b, p = kernel_lanes(lanes, seed)
     value_errors, density_errors = [], []
-    for x, y, z, value, density in zip(*(row.tolist() for row in (a, b, p, *_ibeta_row(a, b, p)))):
-        ma, mb, mz = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(z)
-        value_errors.append(float(value - mpmath.betainc(ma, mb, 0, mz, regularized=True)))
-        density_errors.append(float(density / (mz ** (ma - 1) * (1 - mz) ** (mb - 1) / mpmath.beta(ma, mb)) - 1))
+    for x, y, z, value, pdf in zip(*(row.tolist() for row in (a, b, p, *_ibeta_row(a, b, p)))):
+        value_errors.append(float(value - ibeta(x, y, z)))
+        density_errors.append(float(pdf / density(x, y, z) - 1))
         print(f"kernel,{x!r},{y!r},{z!r},{value.hex()},{value_errors[-1]:+.3e},"
-              f"{density.hex()},{density_errors[-1]:+.3e}")
+              f"{pdf.hex()},{density_errors[-1]:+.3e}")
     return value_errors, density_errors
 
 
-def theta_star(d: int):
-    """1/f_{s,t}(sigma*) at the proven split of an odd d."""
-    s, t = (d + 1) // 2, (d - 1) // 2
-    p = sigma_star(s, t)
-    i_left = mpmath.betainc(mpmath.mpf(t) / 2, mpmath.mpf(s) / 2 + 1, 0, 1 - p, regularized=True)
-    i_right = mpmath.betainc(mpmath.mpf(s) / 2, mpmath.mpf(t) / 2 + 1, 0, p, regularized=True)
-    f = (2 * (1 - p) * s * i_left + 2 * p * t * i_right) / ((1 - p) * s + p * t) - 1
-    return 1 / f
+def theta_errors(d: int) -> list[float]:
+    """Print theta(d), theta_- and theta_+ of an odd d relative to theta*;
+    return theta's error, or nothing where theta(d) raises."""
+    s, t, star = (d + 1) // 2, (d - 1) // 2, theta_star(d)
+    try:
+        rows = [("theta", theta(d).theta)]
+    except NumericError:
+        print(f"theta,{d},{s},{t},NumericError,")
+        rows = []
+    errors = []
+    for kind, value in rows + list(zip(("theta_minus", "theta_plus"), theta_odd_bounds(d))):
+        errors.append(float(value / star - 1))
+        print(f"{kind},{d},{s},{t},{value.hex()},{errors[-1]:+.3e}")
+    return errors[: len(rows)]
 
 
 def summary(name: str, unit: str, errors: list[float]) -> str:
@@ -129,8 +100,10 @@ def main() -> None:
     if args.equipoints is not None:
         if args.equipoints < 0:
             parser.error("--equipoints must be at least 0")
+        s, t = equipoint_lanes(args.equipoints, args.seed)
         print("kind,d,s,t,hex,error")
-        print(summary("equipoint", "ulps", equipoint_errors(args.equipoints, args.seed)))
+        rows = zip(*(row.tolist() for row in (s + t, s, t, s, t, _equipoint_rows(s, t))))
+        print(summary("equipoint", "ulps", root_errors("equipoint", rows)))
         return
     ds = sorted(set(args.d or range(3, args.d_max + 1)))
     if not ds or ds[0] < 3 or args.lanes < 0:
@@ -142,17 +115,11 @@ def main() -> None:
         splits = [splits[i] for i in sorted(rng.choice(len(splits), args.lanes, replace=False))]
 
     print("kind,d,s,t,hex,error")
-    sigma_errors, theta_errors = [], []
-    for s, t in splits:
-        value = sigma_st(s, t)
-        sigma_errors.append(float((value - sigma_star(s, t)) / math.ulp(value)))
-        print(f"sigma,{s + t},{s},{t},{value.hex()},{sigma_errors[-1]:+.1f}")
-    for d in (d for d in ds if d % 2):
-        value = theta(d).theta
-        theta_errors.append(float(value / theta_star(d) - 1))
-        print(f"theta,{d},{(d + 1) // 2},{(d - 1) // 2},{value.hex()},{theta_errors[-1]:+.3e}")
+    rows = ((s + t, s, t, mpmath.mpf(s) / 2, mpmath.mpf(t) / 2, sigma_st(s, t)) for s, t in splits)
+    sigma_errors = root_errors("sigma", rows)
+    errors = [error for d in ds if d % 2 for error in theta_errors(d)]
     print(summary("sigma", "ulps", sigma_errors))
-    print(summary("theta", "relative", theta_errors))
+    print(summary("theta", "relative", errors))
 
 
 if __name__ == "__main__":

@@ -50,31 +50,6 @@ def test_equipoint_defining_equation(s, t):
     assert abs(residual) <= 1e-11
 
 
-def _equipoint_reference(s: float, t: float, start: float):
-    """The equipoint to 40 digits: Newton on the defining sum from ``start``,
-    certified by a sign change of the residual across +-1e-30."""
-    import mpmath
-
-    ms, mt = mpmath.mpf(s), mpmath.mpf(t)
-
-    def residual(x):
-        return (mpmath.betainc(ms, mt + 1, 0, x, regularized=True)
-                + mpmath.betainc(ms + 1, mt, 0, x, regularized=True) - 1)
-
-    ln_b = mpmath.log(mpmath.beta(ms, mt))
-
-    def slope(x):
-        pdf = mpmath.exp((ms - 1) * mpmath.log(x) + (mt - 1) * mpmath.log1p(-x) - ln_b)
-        return (ms + mt) * pdf * ((1 - x) / mt + x / ms)
-
-    x = mpmath.mpf(start)
-    for _ in range(4):
-        x -= residual(x) / slope(x)
-    delta = mpmath.mpf("1e-30")
-    assert residual(x - delta) < 0 < residual(x + delta), (s, t)
-    return x
-
-
 def test_equipoint_against_mpmath():
     # The documented 2e-14 absolute, on a grid of real shapes and on
     # half-integer shapes of the Simmons sweep (d <= 400, so shapes up to
@@ -82,6 +57,8 @@ def test_equipoint_against_mpmath():
     # seeded sample.
     import mpmath
     import random
+
+    from mp_reference import equipoint as equipoint_star
 
     grid = (0.1, 0.5, 1.0, 2.5, 7.0, 30.0, 100.0)
     shapes = [(s, t) for s in grid for t in grid]
@@ -95,31 +72,22 @@ def test_equipoint_against_mpmath():
     roots = equipoints([BetaShape(s, t) for s, t in shapes])
     with mpmath.workdps(40):
         for (s, t), e in zip(shapes, roots):
-            assert abs(e - float(_equipoint_reference(s, t, e))) <= 2e-14, (s, t)
+            assert abs(e - float(equipoint_star(s, t))) <= 2e-14, (s, t)
+        # lane 1932 of ``mpmath_roots.py --equipoints 3000 --seed 25``, the row's worst
+        s, t = 112.06056737778749, 183.57216059051396
+        assert abs(equipoint(BetaShape(s, t)) - float(equipoint_star(s, t))) <= 2.2e-14
 
 
 def test_equipoint_tiny_roots_absolute_accuracy():
     # Roots far below the residual's noise floor: the documented accuracy is
-    # absolute, not relative.  Reference: 60-digit bisection of
-    # the defining sum in log x.
+    # absolute, not relative.  Reference: the 60-digit root.
     import mpmath
+
+    from mp_reference import equipoint as equipoint_star
 
     with mpmath.workdps(60):
         for s, t in ((1e-6, 1e6), (1e-8, 1e8)):
-            ms, mt = mpmath.mpf(s), mpmath.mpf(t)
-
-            def residual(x):
-                return (mpmath.betainc(ms, mt + 1, 0, x, regularized=True)
-                        + mpmath.betainc(ms + 1, mt, 0, x, regularized=True) - 1)
-
-            lo, hi = mpmath.log(mpmath.mpf("1e-300")), mpmath.mpf(0)
-            for _ in range(80):
-                mid = (lo + hi) / 2
-                if residual(mpmath.exp(mid)) < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            ref = float(mpmath.exp((lo + hi) / 2))
+            ref = float(equipoint_star(s, t))
             # at (1e-8, 1e8) the root (1.5e-15) is below 2e-15: the bound
             # ref/2 keeps a collapse to zero from passing
             assert abs(equipoint(BetaShape(s, t)) - ref) <= min(2e-15, ref / 2), (s, t)

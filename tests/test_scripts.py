@@ -12,7 +12,7 @@ import numpy as np
 from spectra_theta import specfun
 from spectra_theta.betastats import _equipoint_rows
 from spectra_theta.sphere_oracle import sphere_abs_quadratic_integral
-from spectra_theta.theta import SignDiag, kappa_star, theta
+from spectra_theta.theta import SignDiag, kappa_star, theta, theta_odd_bounds
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -92,12 +92,24 @@ def test_mpmath_roots_checks_sigma_and_theta_against_mpmath():
     assert lines[-1].startswith("theta: 5 values, |error| median ")
 
 
+def test_mpmath_roots_names_theta_errors_and_prints_the_odd_d_bounds():
+    # theta(2015) raises NumericError: its row names it, and the bounds keep theirs
+    lines = run_script("mpmath_roots.py", "--d", "2015", "--lanes", "0")
+    assert lines[1:2] + lines[4:] == ["theta,2015,1008,1007,NumericError,", "sigma: no values", "theta: no values"]
+    rows = [line.split(",") for line in lines[2:4]]
+    assert [row[:5] for row in rows] == [[kind, "2015", "1008", "1007", bound.hex()] for kind, bound
+                                         in zip(("theta_minus", "theta_plus"), theta_odd_bounds(2015))]
+    assert -1e-10 < float(rows[0][5]) < 0.0 < float(rows[1][5]) < 1e-7
+
+
 def test_mpmath_roots_checks_an_equipoint_row_against_mpmath():
+    from mp_reference import equipoint_lanes
+
     lines = run_script("mpmath_roots.py", "--equipoints", "6", "--seed", "25")
     assert lines[0] == "kind,d,s,t,hex,error"
     rows = [line.split(",") for line in lines[1:-1]]
     # the lanes are the seeded row, and each hex is the lane's root in that row
-    s, t = np.random.Generator(np.random.Philox(key=25)).uniform(0.5, 200.0, (2, 6))
+    s, t = equipoint_lanes(6, 25)
     assert [(float(row[2]), float(row[3])) for row in rows] == list(zip(s.tolist(), t.tolist()))
     assert [row[4] for row in rows] == [value.hex() for value in _equipoint_rows(s, t).tolist()]
     assert all(row[0] == "equipoint" and float(row[1]) == float(row[2]) + float(row[3]) for row in rows)
@@ -109,13 +121,13 @@ def test_mpmath_roots_checks_an_equipoint_row_against_mpmath():
 
 
 def test_mpmath_roots_checks_a_kernel_row_against_mpmath():
+    from mp_reference import kernel_lanes
+
     lines = run_script("mpmath_roots.py", "--kernel", "6", "--seed", "30")
     assert lines[0] == "kind,a,b,p,hex,error,density_hex,density_error"
     rows = [line.split(",") for line in lines[1:-2]]
     # the lanes are the seeded row: shapes log-uniform on [0.5, 200], p from Beta(a, b)
-    rng = np.random.Generator(np.random.Philox(key=30))
-    a, b = np.exp(rng.uniform(math.log(0.5), math.log(200.0), (2, 6)))
-    p = rng.beta(a, b)
+    a, b, p = kernel_lanes(6, 30)
     assert [tuple(map(float, row[1:4])) for row in rows] == list(zip(a.tolist(), b.tolist(), p.tolist()))
     # each hex is the lane's I_p and density in that row
     value, density = specfun._ibeta_row(a, b, p)

@@ -391,17 +391,14 @@ def test_row_kernel_against_mpmath():
     # same two worsts).
     import mpmath
 
-    rng = np.random.Generator(np.random.Philox(key=30))
-    a, b = np.exp(rng.uniform(math.log(0.5), math.log(200.0), (2, 1500)))
-    p = rng.beta(a, b)
-    value, density = specfun._ibeta_row(a, b, p)
-    worst_value = worst_density = 0.0
+    from mp_reference import density, ibeta, kernel_lanes
+
+    a, b, p = kernel_lanes(1500, 30)
+    value, pdf = specfun._ibeta_row(a, b, p)
     with mpmath.workdps(40):
-        for x, y, z, v, pdf in zip(*(row.tolist() for row in (a, b, p, value, density))):
-            x, y, z = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(z)
-            worst_value = max(worst_value, abs(float(v - mpmath.betainc(x, y, 0, z, regularized=True))))
-            ref = z ** (x - 1) * (1 - z) ** (y - 1) / mpmath.beta(x, y)
-            worst_density = max(worst_density, abs(float(pdf / ref - 1)))
+        lanes = list(zip(*(row.tolist() for row in (a, b, p, value, pdf))))
+        worst_value = max(abs(float(v - ibeta(x, y, z))) for x, y, z, v, _ in lanes)
+        worst_density = max(abs(float(f / density(x, y, z) - 1)) for x, y, z, _, f in lanes)
     assert worst_value <= 1.74e-13
     assert worst_density <= 3.86e-13
 

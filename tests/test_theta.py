@@ -481,13 +481,10 @@ def test_sigma_st_against_mpmath(s, t, bound):
     # of the equipoint residual is several times less accurate here
     import mpmath
 
+    from mp_reference import equipoint as equipoint_star
+
     with mpmath.workdps(40):
-        a, b = mpmath.mpf(s) / 2, mpmath.mpf(t) / 2
-        root = mpmath.findroot(
-            lambda x: mpmath.betainc(a, b + 1, 0, x, regularized=True)
-            - mpmath.betainc(b, a + 1, 0, 1 - x, regularized=True),
-            mpmath.mpf(sigma_st(s, t)),
-        )
+        root = equipoint_star(mpmath.mpf(s) / 2, mpmath.mpf(t) / 2)
         assert abs(sigma_st(s, t) - root) <= bound
 
 
