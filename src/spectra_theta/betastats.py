@@ -227,11 +227,12 @@ def binom_tail(p: float, s: int, d: int) -> float:
 
 # ---------------------------------------------------------------------------
 # Verification sweeps.  Each returns a list of violation records (dicts) and
-# never raises on a violation; the CLI and test suite decide severity.
+# never raises on a violation; the CLI and test suite decide severity.  None
+# has defaults: the `verify` parser states them, once.
 # ---------------------------------------------------------------------------
 
 
-def simmons_sweep(d_max: int = 400) -> list[dict]:
+def simmons_sweep(d_max: int) -> list[dict]:
     """Check e_{s/2,t/2} <= s/d and (s'+1)/(d'+2) <= e over all integer
     splits d/2 <= s < d for d <= d_max (s' = s/2, d' = d/2)."""
     d_max = _require_int("d_max", d_max, 2)
@@ -327,12 +328,12 @@ def _bounds_checks(median_shapes: list[tuple[float, float]],
     return violations, findings
 
 
-def equipoint_lower_sweep(s_max: float = 100.0, step: float = 0.5) -> list[dict]:
+def equipoint_lower_sweep(s_max: float, step: float) -> list[dict]:
     """Real-parameter lower bound (s+1)/(s+t+2) <= e for 1 <= t <= s <= s_max."""
     return _bounds_checks([], [], _triangle(1.0, s_max, step), [])[0]
 
 
-def simmons_conjecture_sweep(s_max: float = 30.0, step: float = 0.5) -> list[dict]:
+def simmons_conjecture_sweep(s_max: float, step: float) -> list[dict]:
     """Report-only sweep of the conjectured real-parameter upper bound
     e_{s,t} <= s/(s+t); findings are informational, never asserted."""
     return _bounds_checks([], [], [], _triangle(0.5, s_max, step))[1]
@@ -373,7 +374,7 @@ def _one_step_sweep(rows, pairs, check: str, names: tuple[str, str]) -> list[dic
             for ((s, d), _), v0, v1 in zip(pairs, low, high) if v0 > v1 + 1e-12]
 
 
-def phi_hat_monotone_sweep(d_max: float = 100.0, step: float = 0.25) -> list[dict]:
+def phi_hat_monotone_sweep(d_max: float, step: float) -> list[dict]:
     """One-step monotonicity of Phi_hat on the real grid d/2 <= s < d-1, by
     ``_one_step_sweep``: on a dyadic step, s + 1 is itself a grid point of d.
     """
@@ -387,7 +388,7 @@ def phi_hat_monotone_sweep(d_max: float = 100.0, step: float = 0.25) -> list[dic
     return _one_step_sweep(_phi_hat_rows, pairs, "phi_hat_monotone", ("phi_hat_s", "phi_hat_s1"))
 
 
-def phi_monotone_sweep(d_max: float = 100.0) -> list[dict]:
+def phi_monotone_sweep(d_max: float) -> list[dict]:
     """One-step monotonicity of Phi for half-integer s, d on d/2 <= s < d-1, by
     ``_one_step_sweep`` (half-integers are exact in float); the first pair has
     d = 3, so a ``d_max`` below 3 is refused.

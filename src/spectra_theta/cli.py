@@ -12,9 +12,10 @@ within its odd-d bounds) solve all their theta(d) in one ``thetas`` call.
 
 Each command, and each ``verify`` sweep (simmons, monotone, bounds, oracle,
 dilation), is its own subcommand that declares only the flags it reads,
-with their defaults, so any other flag is a usage error.  A ``--d-max`` or
-``--grid-step`` that leaves a sweep nothing to check is refused by the
-sweep itself, in ``betastats``.
+with their defaults, so any other flag is a usage error.  Each sweep runs in
+its layer (``betastats``, ``sphere_oracle.oracle_sweep``,
+``dilation.dilation_sweep``), which refuses a flag value that leaves it
+nothing to check; this module parses, calls and prints.
 
 CSV output prints 6 significant digits (matching the published tables);
 JSON carries full double precision (17 significant digits).  Identical
@@ -28,13 +29,10 @@ import argparse
 import functools
 import sys
 
-import numpy as np
-
-from . import betastats, dilation, pencil, sphere_oracle
+from . import betastats, dilation, sphere_oracle
 from .betastats import BetaShape
-from .errors import DomainError, NumericError, ResourceError, _require_int
-from .sphere_oracle import DEFAULT_SEED
-from .theta import SignDiag, alpha_beta, kappa_star, thetas
+from .errors import DEFAULT_SEED, DomainError, NumericError, ResourceError, _generator, _require_int
+from .theta import thetas
 
 MEDIAN_TABLE_SHAPES = [(2.5, 1.0), (3.0, 1.0), (3.0, 2.0), (4.0, 2.0), (10.0, 3.0), (10.0, 7.0)]
 
@@ -137,29 +135,34 @@ def cmd_equipoint_table(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _report_violations(name: str, violations: list[dict]) -> int:
-    if not violations:
-        print(f"verify {name}: OK (0 violations)")
-        return 0
-    print(f"verify {name}: {len(violations)} violation(s)", file=sys.stderr)
-    for v in violations:
-        detail = " ".join(f"{k}={_fmt_csv_value(val)}" for k, val in v.items())
-        print(f"  VIOLATION {detail}", file=sys.stderr)
-    return 2
+def _report(name: str, violations: list[dict], worst: tuple | None = None, measure: str = "") -> int:
+    """Print a sweep's outcome, and its ``worst`` (value, bound, where) if it
+    has no violation, the value as ``measure`` formats it; 2 on a violation."""
+    if violations:
+        print(f"verify {name}: {len(violations)} violation(s)", file=sys.stderr)
+        for v in violations:
+            detail = " ".join(f"{k}={_fmt_csv_value(val)}" for k, val in v.items())
+            print(f"  VIOLATION {detail}", file=sys.stderr)
+        return 2
+    print(f"verify {name}: OK (0 violations)")
+    if worst is not None:
+        value, bound, where = worst
+        print(f"verify {name}: worst {measure.format(value)} of bound {bound:g} ({where})")
+    return 0
 
 
 def _verify_simmons(args: argparse.Namespace) -> int:
-    return _report_violations("simmons", betastats.simmons_sweep(args.d_max))
+    return _report("simmons", betastats.simmons_sweep(args.d_max))
 
 
 def _verify_monotone(args: argparse.Namespace) -> int:
     violations = betastats.phi_hat_monotone_sweep(args.d_max, args.grid_step)
     violations += betastats.phi_monotone_sweep(args.d_max)
-    return _report_violations("monotone", violations)
+    return _report("monotone", violations)
 
 
 def _verify_bounds(args: argparse.Namespace) -> int:
-    u = sphere_oracle._generator(args.seed).random((2000, 2))  # rows (t, s), as drawn
+    u = _generator(args.seed).random((2000, 2))  # rows (t, s), as drawn
     t = 1.0 + 19.0 * u[:, 0]
     s = t + 19.0 * u[:, 1]
     shapes = [(a, b) for a, b in zip(s.tolist(), t.tolist()) if a + b >= 3.0]
@@ -170,102 +173,17 @@ def _verify_bounds(args: argparse.Namespace) -> int:
     for finding in findings:
         print(f"  NOTE (conjecture, not asserted): {finding}")
     thetas(range(3, min(args.d_max, 199) + 1, 2))  # NumericError if one escapes its odd-d bounds
-    return _report_violations("bounds", violations)
+    return _report("bounds", violations)
 
 
 def _verify_oracle(args: argparse.Namespace) -> int:
-    samples = _require_int("--samples", args.samples, 2)  # one sample has no standard error
-    shapes = [(1, 1), (2, 1), (2, 2), (3, 2), (4, 4)]
-    stars = {st: kappa_star(*st) for st in shapes}
-    J = {st: SignDiag(*st, *stars[st][1:]) for st in shapes}
-    requests = [sphere_oracle.AbsQuadratic(np.diag(J[st].diagonal())) for st in shapes]
-    requests += [sphere_oracle.SignMoment(J[2, 1], 1), sphere_oracle.SignMoment(J[2, 1], 3),
-                 sphere_oracle.SignOuter(J[2, 2])]
-    *estimates, ej = sphere_oracle.joint_estimates(requests, samples, args.seed)
-    alpha, beta = alpha_beta(J[2, 1])
-    checks = [({"check": "kappa_mc", "s": s, "t": t}, stars[s, t][0]) for s, t in shapes]
-    checks += [({"check": "moment_mc", "coord": 1}, alpha),
-               ({"check": "moment_mc", "coord": 3}, -beta)]
-    bound, bound_ej = 3.0, 4.0  # in standard errors; E_J's entrywise
-    violations, slack = [], []  # slack: (|mc - closed| / std_err, its bound, the check)
-    for (check, closed), est in zip(checks, estimates):
-        if not est.agrees_with(closed, bound):
-            violations.append({**check, "closed": closed, "mc": est.value, "std_err": est.std_err})
-        slack.append((abs(est.value - closed) / est.std_err if est.std_err else 0.0, bound, check))
-    target = (stars[2, 2][0] / 4.0) * np.diag(SignDiag(2, 2, 1.0, 1.0).diagonal())
-    deviation, std_err = np.abs(ej.value - target), np.maximum(ej.std_err, 1e-15)
-    if (excess := float((deviation - bound_ej * std_err).max())) > 0.0:
-        violations.append({"check": "e_j_mc", "max_excess": excess})
-    sigmas = deviation / std_err
-    i, j = np.unravel_index(sigmas.argmax(), sigmas.shape)
-    slack.append((float(sigmas[i, j]), bound_ej, {"check": "e_j_mc", "i": i + 1, "j": j + 1}))
-    rc = _report_violations("oracle", violations)
-    if rc == 0:
-        # the check whose deviation came closest to its bound
-        sigma, bound, check = max(slack, key=lambda entry: entry[0] / entry[1])
-        where = ", ".join(str(v) if k == "check" else f"{k}={v}" for k, v in check.items())
-        print(f"verify oracle: worst deviation {sigma:.3g} standard errors "
-              f"of bound {bound:g} ({where})")
-    return rc
+    return _report("oracle", *sphere_oracle.oracle_sweep(args.samples, args.seed),
+                   "deviation {:.3g} standard errors")
 
 
 def _verify_dilation(args: argparse.Namespace) -> int:
-    rng = sphere_oracle._generator(args.seed)
-    draws = []
-    for _ in range(_require_int("--samples", args.samples, 1)):
-        n = int(rng.integers(1, 5))
-        draws.append((rng.standard_normal((n, n)), rng.standard_normal((n, n)), rng.random()))
-    bounds = {"commutator": 1e-9, "circle": 1e-9, "reconstruction": 1e-9, "blockdiag": 1e-12}
-    residuals = {name: np.empty(len(draws)) for name in bounds}
-    block_commutators = np.empty(len(draws))  # held to the commutator bound
-    for n in range(1, 5):  # one stacked dilation per size
-        lanes = [k for k, draw in enumerate(draws) if len(draw[0]) == n]
-        if not lanes:
-            continue
-        xs = _spin_ball_pairs([draws[k] for k in lanes])
-        T, v, scale = dilation._spin2_stack(xs)
-        residuals["commutator"][lanes] = dilation._commutators(T)
-        t1, t2 = T[:, 0], T[:, 1]
-        residuals["circle"][lanes] = np.max(np.abs(t1 @ t1 + t2 @ t2 - np.eye(2 * n)), axis=(1, 2))
-        residuals["reconstruction"][lanes] = dilation._reconstruction_residuals(T, v, scale, xs)
-        stack = dilation._blockdiag_stack(xs)
-        block_commutators[lanes] = dilation._commutators(stack[0])
-        residuals["blockdiag"][lanes] = dilation._reconstruction_residuals(*stack, xs)
-    values = {name: residual.tolist() for name, residual in residuals.items()}
-    violations = []
-    for k in range(len(draws)):
-        spin2 = {name: values[name][k] for name in ("commutator", "circle", "reconstruction")}
-        if not all(residual <= bounds[name] for name, residual in spin2.items()):
-            violations.append({"check": "spin2_dilation", "instance": k, **spin2})
-        block, commutator = values["blockdiag"][k], float(block_commutators[k])
-        if not (block <= bounds["blockdiag"] and commutator <= bounds["commutator"]):
-            violations.append({"check": "blockdiag", "instance": k, "residual": block,
-                               "commutator": commutator})
-    for g in range(2, 7):
-        dilation.spin_tensor_norm(g)  # exactly g, or it raises NumericError
-        lam_min = pencil.min_eigenvalue(dilation.oh_to_spin_choi(g))
-        if lam_min < -1e-10:
-            violations.append({"check": "choi_psd", "g": g, "lambda_min": lam_min})
-    rc = _report_violations("dilation", violations)
-    if rc == 0:
-        # the instance residual that came closest to its bound
-        name = max(bounds, key=lambda check: residuals[check].max() / bounds[check])
-        k = int(residuals[name].argmax())
-        print(f"verify dilation: worst instance residual {residuals[name][k]:.3g} "
-              f"of bound {bounds[name]:g} ({name}, instance {k})")
-    return rc
-
-
-def _spin_ball_pairs(draws: list) -> np.ndarray:
-    """The drawn 2-tuples of one size n scaled into the spin ball (norm of
-    the block matrix [[X1, X2], [X2, -X1]] drawn uniformly in [0, 1]), as an
-    (m, 2, n, n) stack."""
-    a, b = np.stack([draw[0] for draw in draws]), np.stack([draw[1] for draw in draws])
-    x1 = 0.5 * (a + a.swapaxes(1, 2))
-    x2 = 0.5 * (b + b.swapaxes(1, 2))
-    norm = np.max(np.abs(pencil._eigvalsh(dilation._blocks(x1, x2, x2, -x1))), axis=1)
-    scale = np.array([draw[2] for draw in draws]) / np.maximum(norm, 1e-12)
-    return scale[:, None, None, None] * np.stack([x1, x2], axis=1)
+    return _report("dilation", *dilation.dilation_sweep(args.samples, args.seed),
+                   "instance residual {:.3g}")
 
 
 # ---------------------------------------------------------------------------

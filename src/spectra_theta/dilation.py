@@ -15,11 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ResourceError, _require_int, _require_real
-from .pencil import MonicPencil, SymTuple, _eigvalsh, cube_pencil, in_free_spectrahedron
-from .sphere_oracle import DEFAULT_SEED, _generator, _require_symmetric
+from .errors import (DEFAULT_SEED, DomainError, NumericError, ResourceError, _generator,
+                     _require_int, _require_real, _require_symmetric)
+from .pencil import (MonicPencil, SymTuple, _eigvalsh, cube_pencil, in_free_spectrahedron,
+                     min_eigenvalue)
 
 SPIN_CONSTRUCTION_CAP = 14  # matrices of size 2^13; int8 storage keeps this ~1 GB
+SPIN_BALL_CAP = 512  # side 2^(g-1) n of the spin ball's Kronecker sum; see ball_membership
 SPIN_NORM_CAP = 8  # exact checks on matrices of size 2^(g-1): every g up to here in < 0.1 s
 CHOI_CAP = 8
 
@@ -126,6 +128,11 @@ def ball_membership(
       never rejects a member.
 
     g = 1 degenerates for all three balls to the operator-norm ball.
+
+    The spin ball refuses with ResourceError, before it builds a spin matrix,
+    a Kronecker sum of side max(2, 2^(g-1)) n past ``SPIN_BALL_CAP``.  At the
+    cap, g = 10 with n = 1 took 0.11 s and 80 MiB (tracemalloc), and g = 2
+    with n = 256 0.02 s and 7 MiB, on one BLAS thread of a 2-core host.
     """
     tol = _require_real("tol", tol, 0.0)
     if ball == "oh":
@@ -134,6 +141,9 @@ def ball_membership(
             total += m @ m
         return float(_eigvalsh(total)[-1]) <= 1.0 + tol
     if ball == "spin":
+        if (side := max(2, 2 ** (X.g - 1)) * X.n) > SPIN_BALL_CAP:  # refused before any P_j is built
+            raise ResourceError(f"the spin ball is capped at a Kronecker side 2^(g-1) n <= "
+                                f"{SPIN_BALL_CAP}, got {reprlib.repr(side)}")
         spin = cube_pencil(1) if X.g == 1 else MonicPencil(spin_matrices(X.g).float_mats())
         return in_free_spectrahedron(spin, X, tol)
     if ball == "min_sampled":
@@ -360,3 +370,76 @@ def sign_flip_conjugator() -> np.ndarray:
     """The g = 2 witness u with (I (x) u)^T (sum X_j (x) P_j) (I (x) u)
     = -(sum X_j (x) P_j); a skew-symmetric orthogonal 2 x 2 matrix."""
     return _SIGMA3.astype(float)
+
+
+_SWEEP_BOUNDS = {"commutator": 1e-9, "circle": 1e-9, "reconstruction": 1e-9, "blockdiag": 1e-12}
+_DRAW_BATCH = 1 << 10  # draws per batch of dilation_sweep, so its memory is flat in the count
+
+
+def dilation_sweep(samples: int, seed: int) -> tuple[list[dict], tuple[float, float, str]]:
+    """The checks of ``verify dilation``: ``samples`` seeded pairs in the spin
+    ball, drawn in stream order and dilated in batches of ``_DRAW_BATCH``,
+    each residual held to ``_SWEEP_BOUNDS``; then g = 2..6 spin tensors and
+    Choi matrices.  Returns the violation records and the worst residual
+    for its bound, (residual, bound, where): the first check, then instance."""
+    rng = _generator(seed)  # a bad seed is named before a bad count
+    samples = _require_int("--samples", samples, 1)
+    violations = []
+    worst = {name: (-math.inf, 0) for name in _SWEEP_BOUNDS}  # (largest residual, its first instance)
+    for first in range(0, samples, _DRAW_BATCH):
+        draws = []
+        for _ in range(min(_DRAW_BATCH, samples - first)):
+            n = int(rng.integers(1, 5))
+            draws.append((rng.standard_normal((n, n)), rng.standard_normal((n, n)), rng.random()))
+        residuals = _instance_residuals(draws)
+        for name, (largest, _) in worst.items():
+            k = int(residuals[name].argmax())
+            if residuals[name][k] > largest:
+                worst[name] = (float(residuals[name][k]), first + k)
+        values = {name: residual.tolist() for name, residual in residuals.items()}
+        for k in range(len(draws)):
+            spin2 = {name: values[name][k] for name in ("commutator", "circle", "reconstruction")}
+            if not all(residual <= _SWEEP_BOUNDS[name] for name, residual in spin2.items()):
+                violations.append({"check": "spin2_dilation", "instance": first + k, **spin2})
+            block, commutator = values["blockdiag"][k], values["block_commutator"][k]
+            if not (block <= _SWEEP_BOUNDS["blockdiag"] and commutator <= _SWEEP_BOUNDS["commutator"]):
+                violations.append({"check": "blockdiag", "instance": first + k, "residual": block,
+                                   "commutator": commutator})
+    for g in range(2, 7):
+        spin_tensor_norm(g)  # exactly g, or it raises NumericError
+        if (lam_min := min_eigenvalue(oh_to_spin_choi(g))) < -1e-10:
+            violations.append({"check": "choi_psd", "g": g, "lambda_min": lam_min})
+    name = max(_SWEEP_BOUNDS, key=lambda check: worst[check][0] / _SWEEP_BOUNDS[check])
+    residual, k = worst[name]
+    return violations, (residual, _SWEEP_BOUNDS[name], f"{name}, instance {k}")
+
+
+def _instance_residuals(draws: list) -> dict[str, np.ndarray]:
+    """``dilation_sweep``'s residuals of each draw, one stacked dilation per size n."""
+    residuals = {name: np.empty(len(draws)) for name in (*_SWEEP_BOUNDS, "block_commutator")}
+    for n in range(1, 5):
+        lanes = [k for k, draw in enumerate(draws) if len(draw[0]) == n]
+        if not lanes:
+            continue
+        xs = _spin_ball_pairs([draws[k] for k in lanes])
+        T, v, scale = _spin2_stack(xs)
+        residuals["commutator"][lanes] = _commutators(T)
+        t1, t2 = T[:, 0], T[:, 1]
+        residuals["circle"][lanes] = np.max(np.abs(t1 @ t1 + t2 @ t2 - np.eye(2 * n)), axis=(1, 2))
+        residuals["reconstruction"][lanes] = _reconstruction_residuals(T, v, scale, xs)
+        stack = _blockdiag_stack(xs)
+        residuals["block_commutator"][lanes] = _commutators(stack[0])
+        residuals["blockdiag"][lanes] = _reconstruction_residuals(*stack, xs)
+    return residuals
+
+
+def _spin_ball_pairs(draws: list) -> np.ndarray:
+    """The drawn 2-tuples of one size n scaled into the spin ball (norm of
+    the block matrix [[X1, X2], [X2, -X1]] drawn uniformly in [0, 1]), as an
+    (m, 2, n, n) stack."""
+    a, b = np.stack([draw[0] for draw in draws]), np.stack([draw[1] for draw in draws])
+    x1 = 0.5 * (a + a.swapaxes(1, 2))
+    x2 = 0.5 * (b + b.swapaxes(1, 2))
+    norm = np.max(np.abs(_eigvalsh(_blocks(x1, x2, x2, -x1))), axis=1)
+    scale = np.array([draw[2] for draw in draws]) / np.maximum(norm, 1e-12)
+    return scale[:, None, None, None] * np.stack([x1, x2], axis=1)

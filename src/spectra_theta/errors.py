@@ -4,12 +4,20 @@ Three failure classes are distinguished so the command line driver can map
 them onto distinct exit codes: bad inputs (DomainError), iterative methods
 that fail to converge or internal cross-checks that disagree (NumericError),
 and requests whose memory/size cost exceeds a hard cap (ResourceError).
+Beside them sit the package's one check for each kind of argument.
 """
+
+from __future__ import annotations  # unevaluated: np.random loads with the first generator
 
 import math
 import numbers
 import operator
 import reprlib
+
+import numpy as np
+
+DEFAULT_SEED = 0xC0FFEE
+SYMMETRY_TOL = 1e-12
 
 
 class SpectraThetaError(Exception):
@@ -75,3 +83,35 @@ def _require_items(name: str, value, kinds: tuple[type, ...] = (object,)) -> lis
             names = " or ".join(kind.__name__ for kind in kinds)
             raise DomainError(f"each item of {name} must be of type {names}, got {reprlib.repr(item)}")
     return items
+
+
+def _generator(seed: int) -> np.random.Generator:
+    """The Philox generator keyed by ``seed``, an integer in [0, 2**128): the
+    package's one check of a seed, and its one place that keys a generator."""
+    if (seed := _require_int("seed", seed, 0)) >> 128:
+        raise DomainError(f"seed must be below 2**128, got {reprlib.repr(seed)}")
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+def _require_symmetric(mats) -> np.ndarray:
+    """The batch ``mats`` as one (g, n, n) float stack, refused unless it is iterable
+    (``_require_items``) and holds one or more real matrices of one size, each square, at
+    least 1x1, finite and symmetric within ``SYMMETRY_TOL``: the package's one such check.
+    A matrix B is checked as ``(B,)``."""
+    mats = _require_items("matrices", mats)
+    try:
+        B = np.stack(mats, dtype=float)
+    except (TypeError, ValueError) as exc:  # no matrix, an entry that is not a real number, or two sizes
+        if len(mats) == 1:
+            raise DomainError("matrix entries must be real numbers") from exc
+        sizes = [_require_symmetric((m,)).shape[1:] for m in mats]  # the first faulty one is refused
+        raise DomainError(f"need one or more matrices of one size, got {reprlib.repr(sizes)}") from exc
+    if B.ndim != 3 or B.shape[1] != B.shape[2]:
+        raise DomainError(f"expected a square matrix, got shape {B.shape[1:]}")
+    if B.shape[1] < 1:
+        raise DomainError("matrix must be at least 1x1")
+    if not np.isfinite(B).all():
+        raise DomainError("matrix entries must be finite")
+    if np.max(np.abs(B - B.swapaxes(1, 2))) > SYMMETRY_TOL:
+        raise DomainError(f"matrix is not symmetric within {SYMMETRY_TOL:g}")
+    return B

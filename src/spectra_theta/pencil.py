@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ResourceError, _require_int, _require_real
-from .sphere_oracle import DEFAULT_SEED, _generator, _require_symmetric
+from .errors import (DEFAULT_SEED, DomainError, NumericError, ResourceError, _generator,
+                     _require_int, _require_real, _require_symmetric)
 from .theta import SignDiag, kappa_star, theta
 
 MEMBERSHIP_TOL = 1e-9

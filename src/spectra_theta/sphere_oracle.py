@@ -19,6 +19,8 @@ and every estimate reads a sample xi/|xi| from the raw row, its squares and
 contract the samples through BLAS matrix products, so they are
 bit-identical for one numpy/BLAS build on one CPU type (whatever its thread
 count); another BLAS kernel may move their last bits.
+
+``oracle_sweep`` holds eight estimates to their closed forms in ``theta``.
 """
 
 from __future__ import annotations
@@ -29,12 +31,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DomainError, _require_int, _require_items, _require_real
-from .theta import SignDiag
+from .errors import (DEFAULT_SEED, DomainError, _generator, _require_int, _require_items,
+                     _require_real, _require_symmetric)
+from .theta import SignDiag, alpha_beta, kappa_star
 
-DEFAULT_SEED = 0xC0FFEE
 DEFAULT_SAMPLES = 1_000_000
-SYMMETRY_TOL = 1e-12
 _BATCH = 1 << 17  # fixed so the accumulation order never depends on n
 _CHUNK = 1 << 13  # rows per x @ B product: no batch-sized temporary
 
@@ -61,36 +62,6 @@ class McMatrixEstimate:
     std_err: np.ndarray
     n_samples: int
     seed: int
-
-
-def _generator(seed: int) -> np.random.Generator:
-    if (seed := _require_int("seed", seed, 0)) >> 128:
-        raise DomainError(f"seed must be below 2**128, got {reprlib.repr(seed)}")
-    return np.random.Generator(np.random.Philox(key=seed))
-
-
-def _require_symmetric(mats) -> np.ndarray:
-    """The batch ``mats`` as one (g, n, n) float stack, refused unless it is iterable
-    (``_require_items``) and holds one or more real matrices of one size, each square, at
-    least 1x1, finite and symmetric within ``SYMMETRY_TOL``: the package's one such check.
-    A matrix B is checked as ``(B,)``."""
-    mats = _require_items("matrices", mats)
-    try:
-        B = np.stack(mats, dtype=float)
-    except (TypeError, ValueError) as exc:  # no matrix, an entry that is not a real number, or two sizes
-        if len(mats) == 1:
-            raise DomainError("matrix entries must be real numbers") from exc
-        sizes = [_require_symmetric((m,)).shape[1:] for m in mats]  # the first faulty one is refused
-        raise DomainError(f"need one or more matrices of one size, got {reprlib.repr(sizes)}") from exc
-    if B.ndim != 3 or B.shape[1] != B.shape[2]:
-        raise DomainError(f"expected a square matrix, got shape {B.shape[1:]}")
-    if B.shape[1] < 1:
-        raise DomainError("matrix must be at least 1x1")
-    if not np.isfinite(B).all():
-        raise DomainError("matrix entries must be finite")
-    if np.max(np.abs(B - B.swapaxes(1, 2))) > SYMMETRY_TOL:
-        raise DomainError(f"matrix is not symmetric within {SYMMETRY_TOL:g}")
-    return B
 
 
 def _stream_batches(dims, n: int, seed: int):
@@ -291,3 +262,38 @@ def e_j_matrix(
     top-left block is the unpadded E_J shrunk by d/(d+u).
     """
     return joint_estimates([SignOuter(J, pad_zeros)], n, seed)[0]
+
+
+def oracle_sweep(samples: int, seed: int) -> tuple[list[dict], tuple[float, float, str]]:
+    """The checks of ``verify oracle``, from one ``joint_estimates`` pass:
+    kappa at five (s, t) and two sign moments within 3 standard errors of
+    their closed forms, and E_J of J(2, 2) entrywise within 4.  Returns the
+    violation records and the first check closest to its bound, as
+    (deviation in standard errors, bound, where)."""
+    samples = _require_int("--samples", samples, 2)  # one sample has no standard error
+    shapes = [(1, 1), (2, 1), (2, 2), (3, 2), (4, 4)]
+    stars = {st: kappa_star(*st) for st in shapes}
+    J = {st: SignDiag(*st, *stars[st][1:]) for st in shapes}
+    requests = [AbsQuadratic(np.diag(J[st].diagonal())) for st in shapes]
+    requests += [SignMoment(J[2, 1], 1), SignMoment(J[2, 1], 3), SignOuter(J[2, 2])]
+    *estimates, ej = joint_estimates(requests, samples, seed)
+    alpha, beta = alpha_beta(J[2, 1])
+    checks = [({"check": "kappa_mc", "s": s, "t": t}, stars[s, t][0]) for s, t in shapes]
+    checks += [({"check": "moment_mc", "coord": 1}, alpha),
+               ({"check": "moment_mc", "coord": 3}, -beta)]
+    bound, bound_ej = 3.0, 4.0  # in standard errors; E_J's entrywise
+    violations, slack = [], []  # slack: (|mc - closed| / std_err, its bound, the check)
+    for (check, closed), est in zip(checks, estimates):
+        if not est.agrees_with(closed, bound):
+            violations.append({**check, "closed": closed, "mc": est.value, "std_err": est.std_err})
+        slack.append((abs(est.value - closed) / est.std_err if est.std_err else 0.0, bound, check))
+    target = (stars[2, 2][0] / 4.0) * np.diag(SignDiag(2, 2, 1.0, 1.0).diagonal())
+    deviation, std_err = np.abs(ej.value - target), np.maximum(ej.std_err, 1e-15)
+    if (excess := float((deviation - bound_ej * std_err).max())) > 0.0:
+        violations.append({"check": "e_j_mc", "max_excess": excess})
+    sigmas = deviation / std_err
+    i, j = np.unravel_index(sigmas.argmax(), sigmas.shape)
+    slack.append((float(sigmas[i, j]), bound_ej, {"check": "e_j_mc", "i": i + 1, "j": j + 1}))
+    sigma, bound, check = max(slack, key=lambda entry: entry[0] / entry[1])
+    where = ", ".join(str(v) if k == "check" else f"{k}={v}" for k, v in check.items())
+    return violations, (sigma, bound, where)

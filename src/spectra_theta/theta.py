@@ -131,6 +131,12 @@ def sigma_st(s: int, t: int) -> float:
     inside the analytic bracket [(s+2)/(s+t+4), s/(s+t)] (valid for
     s >= t >= 1).  A bracket without a sign change signals an upstream bug
     and raises NumericError.
+
+    Against 40-digit mpmath roots (``scripts/mpmath_roots.py``) sigma is off
+    by at most 5.6 ulps for d = s + t <= 12 and by 5.2e-15 at (2001, 2000),
+    but by 223-873 ulps (up to about 1e-13) on the five seeded splits of
+    d = 99,999 (``--d 99999 --lanes 5``): the digits are lost at large
+    shapes, presumably in I_p near shape 2.5e4 (ROADMAP item 9).
     """
     s, t = _require_split(s, t)
     if _require_int("s", s, t) == t:
@@ -325,6 +331,11 @@ def theta_odd_bounds(d: int) -> tuple[float, float, float]:
     it by the fourth-root prefactor (d^2d / ((d+1)^(d+1) (d-1)^(d-1)))^(1/4);
     theta_plus is the reciprocal of the two-term incomplete-beta expression
     evaluated at (d+-1)/(2d).
+
+    Above d of about 2e4 the float theta_plus can fall below theta_minus: it
+    does on 39 of 98 sampled odd d in [4001, 99999] (every 998th from 4001,
+    and 99999), the first at d = 24,959, and on none of the odd d <= 4001.
+    That stands until the bounds are made accurate (ROADMAP item 1).
     """
     if (d := _require_d(d, 3)) % 2 == 0:
         raise DomainError(f"theta_odd_bounds requires odd d >= 3, got {reprlib.repr(d)}")

@@ -286,8 +286,8 @@ def test_sweeps_refuse_a_step_that_is_not_finite_and_positive(step):
 def test_sweeps_refuse_a_bound_that_is_not_finite():
     from spectra_theta.betastats import equipoint_lower_sweep, simmons_conjecture_sweep
 
-    for sweep in (phi_monotone_sweep, phi_hat_monotone_sweep, equipoint_lower_sweep,
-                  simmons_conjecture_sweep):
+    for sweep in (phi_monotone_sweep, lambda d: phi_hat_monotone_sweep(d, 0.25),
+                  lambda s: equipoint_lower_sweep(s, 0.5), lambda s: simmons_conjecture_sweep(s, 0.5)):
         for bound in (math.nan, -math.inf):
             with pytest.raises(DomainError):
                 sweep(bound)
@@ -397,8 +397,9 @@ def test_a_sweep_whose_grid_is_empty_is_refused():
     # would check nothing
     from spectra_theta.betastats import equipoint_lower_sweep, simmons_conjecture_sweep
 
-    for sweep, bound in ((phi_monotone_sweep, 2.0), (phi_hat_monotone_sweep, 2.0),
-                         (equipoint_lower_sweep, 0.5), (simmons_conjecture_sweep, 0.4)):
+    for sweep, bound in ((phi_monotone_sweep, 2.0), (lambda d: phi_hat_monotone_sweep(d, 0.25), 2.0),
+                         (lambda s: equipoint_lower_sweep(s, 0.5), 0.5),
+                         (lambda s: simmons_conjecture_sweep(s, 0.5), 0.4)):
         with pytest.raises(DomainError, match="has no point up to"):
             sweep(bound)
 

@@ -1,8 +1,11 @@
+import ast
 import hashlib
 import importlib
 import inspect
 import json
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -385,9 +388,50 @@ def test_a_numeric_error_exits_4(monkeypatch, capsys):
 
 
 def test_verify_dilation_records_a_choi_matrix_that_is_not_psd(monkeypatch, capsys):
-    monkeypatch.setattr(importlib.import_module("spectra_theta.pencil"), "min_eigenvalue",
+    monkeypatch.setattr(importlib.import_module("spectra_theta.dilation"), "min_eigenvalue",
                         lambda matrix: -1.0)
     assert main(["verify", "dilation", "--samples", "3"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "verify dilation: 5 violation(s)"
     assert err[1:] == [f"  VIOLATION check=choi_psd g={g} lambda_min=-1" for g in range(2, 7)]
+
+
+def _package_imports(tree):
+    # (module, name) for each name that a module imports from the package;
+    # name is None where it imports the package module itself
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                yield (node.module, alias.name) if node.module else (alias.name, None)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("spectra_theta."):
+                    yield alias.name.partition(".")[2], None
+
+
+def test_the_layers_keep_their_private_names():
+    # the command line reaches another module's private name only in
+    # errors, and the matrix layers check their arguments without the
+    # Monte Carlo module
+    package = pathlib.Path(importlib.import_module("spectra_theta").__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    cli = list(_package_imports(trees["cli"]))
+    modules = {module for module, name in cli if name is None} - {"errors"}
+    private = [f"{module}.{name}" for module, name in cli
+               if name and name.startswith("_") and module != "errors"]
+    private += [f"{node.value.id}.{node.attr}" for node in ast.walk(trees["cli"])
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")]
+    assert private == []
+    for layer in ("pencil", "dilation"):
+        assert "sphere_oracle" not in {module for module, _ in _package_imports(trees[layer])}, layer
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # numpy.random adds about 5.7 MiB of RSS; it loads with the first seeded
+    # generator, not with the package (errors' annotations stay unevaluated)
+    src = pathlib.Path(importlib.import_module("spectra_theta").__file__).parents[1]
+    probe = "import sys, spectra_theta.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": str(src)}).stdout
+    assert out == "False\n"

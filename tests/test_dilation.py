@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -470,3 +471,56 @@ def test_spin2_extreme_needs_a_two_tuple():
     for mats in ((SIGMA1,), (SIGMA1, SIGMA2, np.eye(2))):
         with pytest.raises(DomainError, match=f"spin2_extreme requires a 2-tuple, got g={len(mats)}"):
             spin2_extreme(SymTuple(mats))
+
+
+def test_the_spin_ball_refuses_a_side_past_its_cap_before_building_anything(monkeypatch):
+    # at the cap (side 2^(g-1) n = 512) the membership is answered; one step
+    # past it, the tuple is refused before a spin matrix or pencil is made
+    assert dilation.SPIN_BALL_CAP == 512
+    assert ball_membership(SymTuple((0.3 * np.eye(256), 0.3 * np.eye(256))), "spin")
+
+    def built(*args):
+        raise AssertionError("a spin pencil was built")
+
+    monkeypatch.setattr(dilation, "spin_matrices", built)
+    monkeypatch.setattr(dilation, "cube_pencil", built)
+    for X in (SymTuple(tuple(np.ones((1, 1)) for _ in range(11))),   # side 1024
+              SymTuple(tuple(np.ones((1, 1)) for _ in range(14))),   # side 8192
+              SymTuple((np.eye(257), np.eye(257))),                  # side 514
+              SymTuple((np.eye(257),))):                             # cube_pencil(1): side 514
+        with pytest.raises(ResourceError, match="capped at a Kronecker side 2\\^\\(g-1\\) n <= 512"):
+            ball_membership(X, "spin")
+
+
+def _sweep_with_batch(monkeypatch, batch, samples, seed):
+    monkeypatch.setattr(dilation, "_DRAW_BATCH", batch)
+    return dilation.dilation_sweep(samples, seed)
+
+
+def test_the_dilation_sweep_does_not_depend_on_its_batches(monkeypatch):
+    # the same records, in the same order, and the same worst residual with
+    # its first instance, whatever the batch size; with every blockdiag
+    # residual pushed past its bound so that each instance makes a record
+    whole = _sweep_with_batch(monkeypatch, 1 << 10, 300, 41)
+    for batch in (1, 7, 64, 299):
+        assert _sweep_with_batch(monkeypatch, batch, 300, 41) == whole
+    residuals = dilation._reconstruction_residuals
+    monkeypatch.setattr(dilation, "_reconstruction_residuals", lambda *stack: residuals(*stack) + 5e-10)
+    pushed = _sweep_with_batch(monkeypatch, 1 << 10, 300, 41)
+    assert [v["instance"] for v in pushed[0]] == list(range(300))
+    for batch in (1, 7, 64, 299):
+        assert _sweep_with_batch(monkeypatch, batch, 300, 41) == pushed
+
+
+def test_the_dilation_sweep_memory_is_flat_beyond_one_batch():
+    # the old one-stack sweep grew by about 2 KiB per instance (2.9, 6.5
+    # and 26 MiB at 1,000, 4,000 and 16,000 instances)
+    assert 1000 <= dilation._DRAW_BATCH <= 2048  # the default run and the benchmark's are one batch
+    dilation.dilation_sweep(10, 1)  # first-call caches out of the way
+    peaks = []
+    for samples in (2048, 6144):
+        tracemalloc.start()
+        dilation.dilation_sweep(samples, 5)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < peaks[0] + (256 << 10), peaks

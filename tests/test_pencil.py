@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 import spectra_theta
-from spectra_theta import pencil, sphere_oracle
+from spectra_theta import errors, pencil, sphere_oracle
 from spectra_theta.dilation import ball_membership, defect_sqrt, spin2_extreme
 from spectra_theta.errors import DomainError, NumericError, ResourceError
 from spectra_theta.pencil import (
@@ -689,9 +689,9 @@ def test_the_matrix_layer_does_each_thing_one_way():
         assert "np.linalg.qr(" not in text, name
         assert "np.block(" not in text, name
     assert [name for name, text in sources.items() if "np.random.Philox(" in text] == [
-        "sphere_oracle.py"]
-    assert sources["sphere_oracle.py"].count("np.random.Philox(") == 1
-    assert "np.random.Philox(" in inspect.getsource(sphere_oracle._generator)
+        "errors.py"]
+    assert sources["errors.py"].count("np.random.Philox(") == 1
+    assert "np.random.Philox(" in inspect.getsource(errors._generator)
 
 
 def test_a_scalar_point_must_be_finite():
