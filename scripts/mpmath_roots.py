@@ -9,7 +9,10 @@ seeded row of N equipoints (``betastats._equipoint_rows``, shapes uniform on
 ``specfun._ibeta_row`` (shapes log-uniform on [0.5, 200], p from
 Beta(a, b)), I_p absolute and the density relative.  Each row prints the
 float's hex, to compare two trees lane by lane; the last lines give the
-median and maximum |error| (theta's without its bounds).
+median and maximum |error| (theta's without its bounds).  The three modes
+(the d's, --equipoints, --kernel) are exclusive, as are --d and --d-max, and
+--lanes samples sigma only: a flag that the chosen mode would ignore is a
+usage error (exit 2).
 
     python scripts/mpmath_roots.py --d-max 300 --lanes 200 --seed 0
     python scripts/mpmath_roots.py --d 2001 24959 99999 --lanes 0
@@ -78,16 +81,19 @@ def summary(name: str, unit: str, errors: list[float]) -> str:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--d-max", type=int, default=60, help="use d = 3..D")
-    parser.add_argument("--d", type=int, nargs="+", help="use these d's instead of 3..--d-max")
-    parser.add_argument("--lanes", type=int, default=100, help="sigma lanes to sample (all if fewer)")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--d-max", type=int, help="use d = 3..D (default 60)")
+    mode.add_argument("--d", type=int, nargs="+", help="use these d's instead of 3..--d-max")
+    mode.add_argument("--equipoints", type=int, metavar="N",
+                      help="check a seeded row of N equipoints instead of sigma and theta")
+    mode.add_argument("--kernel", type=int, metavar="N",
+                      help="check a seeded row of N incomplete-beta kernel lanes instead")
+    parser.add_argument("--lanes", type=int, help="sigma lanes to sample (default 100; all if fewer)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--dps", type=int, default=40, help="mpmath decimal digits")
-    parser.add_argument("--equipoints", type=int, metavar="N",
-                        help="check a seeded row of N equipoints instead of sigma and theta")
-    parser.add_argument("--kernel", type=int, metavar="N",
-                        help="check a seeded row of N incomplete-beta kernel lanes instead")
     args = parser.parse_args()
+    if args.lanes is not None and (args.kernel is not None or args.equipoints is not None):
+        parser.error("--lanes samples sigma; it is not read with --kernel or --equipoints")
     mpmath.mp.dps = args.dps
     if args.kernel is not None:
         if args.kernel < 0:
@@ -105,14 +111,15 @@ def main() -> None:
         rows = zip(*(row.tolist() for row in (s + t, s, t, s, t, _equipoint_rows(s, t))))
         print(summary("equipoint", "ulps", root_errors("equipoint", rows)))
         return
-    ds = sorted(set(args.d or range(3, args.d_max + 1)))
-    if not ds or ds[0] < 3 or args.lanes < 0:
+    ds = sorted(set(args.d or range(3, (60 if args.d_max is None else args.d_max) + 1)))
+    lanes = 100 if args.lanes is None else args.lanes
+    if not ds or ds[0] < 3 or lanes < 0:
         parser.error("every d must be at least 3, and --lanes at least 0")
 
     splits = [(s, d - s) for d in ds for s in range(d // 2 + 1, d)]
     rng = np.random.Generator(np.random.Philox(key=args.seed))
-    if args.lanes < len(splits):
-        splits = [splits[i] for i in sorted(rng.choice(len(splits), args.lanes, replace=False))]
+    if lanes < len(splits):
+        splits = [splits[i] for i in sorted(rng.choice(len(splits), lanes, replace=False))]
 
     print("kind,d,s,t,hex,error")
     rows = ((s + t, s, t, mpmath.mpf(s) / 2, mpmath.mpf(t) / 2, sigma_st(s, t)) for s, t in splits)

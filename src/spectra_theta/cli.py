@@ -12,10 +12,13 @@ within its odd-d bounds) solve all their theta(d) in one ``thetas`` call.
 
 Each command, and each ``verify`` sweep (simmons, monotone, bounds, oracle,
 dilation), is its own subcommand that declares only the flags it reads,
-with their defaults, so any other flag is a usage error.  Each sweep runs in
-its layer (``betastats``, ``sphere_oracle.oracle_sweep``,
+with their defaults, so any other flag is a usage error.  Each sweep's
+checks run in its layer (``betastats``, ``sphere_oracle.oracle_sweep``,
 ``dilation.dilation_sweep``), which refuses a flag value that leaves it
-nothing to check; this module parses, calls and prints.
+nothing to check; this module parses, calls and prints.  ``verify bounds``
+is the exception: this module draws its 2,000 seeded shapes, caps --d-max
+at 100 and 30 for its two betastats grids and at 199 for the theta scan,
+and runs that scan.
 
 CSV output prints 6 significant digits (matching the published tables);
 JSON carries full double precision (17 significant digits).  Identical

@@ -3,8 +3,9 @@ the block-diagonal 1/g dilation, the two-variable spin-ball commuting
 dilation via the Halmos defect construction, the Choi matrix embedding the
 OH ball into the scaled spin ball, and the extreme-point predicate.
 
-All eigenvalue work goes through the symmetric (self-adjoint) solver; no
-general nonsymmetric path exists in this module.
+All eigenvalue work goes through the symmetric (self-adjoint) solver,
+``pencil._eigvalsh`` or ``pencil._eigh``; no general nonsymmetric path, SVD
+or matrix 2-norm exists in this module.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import (DEFAULT_SEED, DomainError, NumericError, ResourceError, _generator,
                      _require_int, _require_real, _require_symmetric)
-from .pencil import (MonicPencil, SymTuple, _eigvalsh, cube_pencil, in_free_spectrahedron,
+from .pencil import (MonicPencil, SymTuple, _eigh, _eigvalsh, cube_pencil, in_free_spectrahedron,
                      min_eigenvalue)
 
 SPIN_CONSTRUCTION_CAP = 14  # matrices of size 2^13; int8 storage keeps this ~1 GB
@@ -131,8 +132,8 @@ def ball_membership(
 
     The spin ball refuses with ResourceError, before it builds a spin matrix,
     a Kronecker sum of side max(2, 2^(g-1)) n past ``SPIN_BALL_CAP``.  At the
-    cap, g = 10 with n = 1 took 0.11 s and 80 MiB (tracemalloc), and g = 2
-    with n = 256 0.02 s and 7 MiB, on one BLAS thread of a 2-core host.
+    cap, g = 10 with n = 1 took 0.06 s and 26 MiB (tracemalloc), and g = 2
+    with n = 256 0.01 s and 7 MiB, on one BLAS thread of a 2-core host.
     """
     tol = _require_real("tol", tol, 0.0)
     if ball == "oh":
@@ -144,7 +145,8 @@ def ball_membership(
         if (side := max(2, 2 ** (X.g - 1)) * X.n) > SPIN_BALL_CAP:  # refused before any P_j is built
             raise ResourceError(f"the spin ball is capped at a Kronecker side 2^(g-1) n <= "
                                 f"{SPIN_BALL_CAP}, got {reprlib.repr(side)}")
-        spin = cube_pencil(1) if X.g == 1 else MonicPencil(spin_matrices(X.g).float_mats())
+        # the int8 P_j become float once, exactly, in the pencil's coefficient stack
+        spin = cube_pencil(1) if X.g == 1 else MonicPencil(spin_matrices(X.g).mats)
         return in_free_spectrahedron(spin, X, tol)
     if ball == "min_sampled":
         samples = _require_int("samples", 2048 if samples is None else samples, 1)
@@ -267,7 +269,7 @@ def defect_sqrt(S: np.ndarray) -> np.ndarray:
     (S^2 = I) do not error, while a genuine norm excess past 1 + 1e-12
     raises DomainError.
     """
-    return _defect_stack(*np.linalg.eigh(_require_symmetric((S,))))[0]
+    return _defect_stack(*_eigh(_require_symmetric((S,))))[0]
 
 
 def _defect_stack(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -308,7 +310,7 @@ def _spin2_stack(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     ``_check_dilations`` (``DilationResult`` does on one tuple)."""
     n = xs.shape[2]
     x1, x2 = xs[:, 0], xs[:, 1]
-    lam, q = np.linalg.eigh(_blocks(x1, x2, x2, -x1))
+    lam, q = _eigh(_blocks(x1, x2, x2, -x1))
     _refuse(lam[:, -1] > 1.0 + 1e-10, "tuple is not in the spin ball within 1e-10")
     defect = _defect_stack(lam, q)
     dd = 0.5 * (defect[:, :n, :n] + defect[:, n:, n:])
@@ -351,19 +353,16 @@ def oh_to_spin_choi(g: int) -> np.ndarray:
 
 
 def spin2_extreme(X: SymTuple, tol: float = 1e-10) -> bool:
-    """Extreme-point predicate for the two-variable spin ball: X must
-    commute and Lambda(X) = [[X1, X2], [X2, -X1]] must square to I."""
+    """Extreme-point predicate for the two-variable spin ball:
+    Lambda(X) = [[X1, X2], [X2, -X1]] must square to I, read from its one
+    spectrum as max |lambda^2 - 1| <= tol.  That also makes X commute: the
+    commutator X1 X2 - X2 X1 is an off-diagonal block of Lambda^2 - I."""
     tol = _require_real("tol", tol, 0.0)
     if X.g != 2:
         raise DomainError(f"spin2_extreme requires a 2-tuple, got g={X.g}")
     x1, x2 = X.mats
-    comm = x1 @ x2 - x2 @ x1
-    lam = _blocks(x1, x2, x2, -x1)
-    unitary_defect = lam @ lam - np.eye(2 * X.n)
-    return (
-        float(np.linalg.norm(comm, 2)) <= tol
-        and float(np.linalg.norm(unitary_defect, 2)) <= tol
-    )
+    lam = _eigvalsh(_blocks(x1, x2, x2, -x1))
+    return float(np.abs(lam * lam - 1.0).max()) <= tol
 
 
 def sign_flip_conjugator() -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 
 DEFAULT_SEED = 0xC0FFEE
 SYMMETRY_TOL = 1e-12
+_SYMMETRY_SLICE = 1 << 16  # entries per slice of the symmetry check
 
 
 class SpectraThetaError(Exception):
@@ -97,7 +98,9 @@ def _require_symmetric(mats) -> np.ndarray:
     """The batch ``mats`` as one (g, n, n) float stack, refused unless it is iterable
     (``_require_items``) and holds one or more real matrices of one size, each square, at
     least 1x1, finite and symmetric within ``SYMMETRY_TOL``: the package's one such check.
-    A matrix B is checked as ``(B,)``."""
+    A matrix B is checked as ``(B,)``.  The stack is the one copy made: symmetry is checked
+    in slices of whole matrices, about ``_SYMMETRY_SLICE`` entries each (one matrix if larger),
+    and integer matrices are converted in ``np.stack``, exactly."""
     mats = _require_items("matrices", mats)
     try:
         B = np.stack(mats, dtype=float)
@@ -112,6 +115,9 @@ def _require_symmetric(mats) -> np.ndarray:
         raise DomainError("matrix must be at least 1x1")
     if not np.isfinite(B).all():
         raise DomainError("matrix entries must be finite")
-    if np.max(np.abs(B - B.swapaxes(1, 2))) > SYMMETRY_TOL:
-        raise DomainError(f"matrix is not symmetric within {SYMMETRY_TOL:g}")
+    step = max(1, _SYMMETRY_SLICE // B.shape[1] ** 2)
+    for part in (B[k : k + step] for k in range(0, len(B), step)):
+        # B - B^T is antisymmetric to the bit, so its largest entry is its largest |entry|
+        if np.max(part - part.swapaxes(1, 2)) > SYMMETRY_TOL:
+            raise DomainError(f"matrix is not symmetric within {SYMMETRY_TOL:g}")
     return B

@@ -26,6 +26,7 @@ from .theta import SignDiag, kappa_star, theta
 
 MEMBERSHIP_TOL = 1e-9
 CUBE_VERTEX_CAP = 20
+KRON_SIDE_CAP = 1024  # side nu n of a general pencil's L(X); see _require_kron_side
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,23 @@ def _kron_sum(A, X: np.ndarray) -> np.ndarray:
     return total.reshape(m, len(A[0]) * n, len(A[0]) * n)
 
 
+def _require_kron_side(nu: int, n: int) -> None:
+    """ResourceError, before anything is built, for a Kronecker sum of side nu n
+    past ``KRON_SIDE_CAP``: the one cap on L(X) for a general pencil.  At the cap,
+    ``in_free_spectrahedron`` took 0.15 s and 25 MiB (tracemalloc) with nu = 4,
+    n = 256 and g = 2, on one BLAS thread of a 2-core host; a side of 2048 took
+    0.9 s and 98 MiB.  ``cube_relaxation_test`` holds one such matrix per trial."""
+    if nu * n > KRON_SIDE_CAP:
+        raise ResourceError(f"a pencil's Kronecker sum is capped at a side nu n <= {KRON_SIDE_CAP}, "
+                            f"got {nu * n}")
+
+
 def evaluate(L: MonicPencil, X: SymTuple) -> np.ndarray:
-    """L(X) = I - sum_j A_j (x) X_j, a symmetric (nu n) x (nu n) matrix."""
+    """L(X) = I - sum_j A_j (x) X_j, a symmetric (nu n) x (nu n) matrix;
+    a side nu n past ``KRON_SIDE_CAP`` is refused (``_require_kron_side``)."""
     if L.g != X.g:
         raise DomainError(f"arity mismatch: pencil has g={L.g}, tuple has g={X.g}")
+    _require_kron_side(L.nu, X.n)
     return np.eye(L.nu * X.n) - _kron_sum(L.coeffs, np.stack(X.mats)[None])[0]
 
 
@@ -91,6 +105,14 @@ def _eigvalsh(M: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.eigvalsh(M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericError(f"symmetric eigensolver failed: {exc}") from exc
+
+
+def _eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_eigvalsh`` with the eigenvectors: the package's one call that takes them."""
+    try:
+        return np.linalg.eigh(M)
+    except np.linalg.LinAlgError as exc:
         raise NumericError(f"symmetric eigensolver failed: {exc}") from exc
 
 
@@ -229,11 +251,13 @@ def cube_relaxation_test(
     The cube inclusion is pre-verified by vertex enumeration (DomainError on
     failure); each of ``trials`` random contraction tuples is then checked
     and any violation is recorded in the report, never silently dropped.
+    A side nu d past ``KRON_SIDE_CAP`` is refused before anything is drawn.
     One spectrum per trial suffices: with S = sum B_j (x) X_j, the bottom
     eigenvalue of L_B(X / theta) = I - S / theta is 1 - lambda_max(S) / theta.
     """
     d, trials = _require_int("d", d, 1), _require_int("trials", trials, 1)
     tol = _require_real("tol", tol, 0.0)
+    _require_kron_side(B.nu, d)
     if not verify_cube_inclusion(B):
         raise DomainError("[-1,1]^g is not contained in the pencil's spectrahedron")
     th = _theta_of(B.nu).theta

@@ -2,9 +2,10 @@
 and the averaged sign matrix E_J.
 
 This module is the anti-regression oracle for the closed forms in
-``theta``: it knows nothing about incomplete beta functions and estimates
-the integrals directly by sampling the uniform measure on S^(d-1) as
-normalized standard Gaussian vectors.
+``theta``: its estimators know nothing about incomplete beta functions and
+estimate the integrals directly by sampling the uniform measure on S^(d-1)
+as normalized standard Gaussian vectors.  Only ``oracle_sweep`` reads the
+closed forms (``kappa_star`` and ``alpha_beta``), to hold the estimates to them.
 
 Determinism contract: the generator is counter-based (Philox keyed by the
 seed), and an estimate in dimension d from n samples reads the first n*d
@@ -33,11 +34,11 @@ import numpy as np
 
 from .errors import (DEFAULT_SEED, DomainError, _generator, _require_int, _require_items,
                      _require_real, _require_symmetric)
+from .pencil import _eigvalsh
 from .theta import SignDiag, alpha_beta, kappa_star
 
 DEFAULT_SAMPLES = 1_000_000
 _BATCH = 1 << 17  # fixed so the accumulation order never depends on n
-_CHUNK = 1 << 13  # rows per x @ B product: no batch-sized temporary
 
 
 @dataclass(frozen=True)
@@ -129,26 +130,19 @@ class _ScalarSum:
 
 class AbsQuadratic(_ScalarSum):
     """``joint_estimates`` request for the sphere integral of |xi* B xi|
-    (see ``sphere_abs_quadratic_integral``).  A diagonal B needs only the
-    squared normals: |sq @ diag B| / |xi|^2; any other B, x @ B in ``_CHUNK``-row
-    pieces, written into one piece of its own that ``add`` makes per batch."""
+    (see ``sphere_abs_quadratic_integral``), read through the spectrum of B:
+    its diagonal when B is diagonal, otherwise its eigenvalues lambda.  For
+    B = Q diag(lambda) Q^T, Q^T xi is again uniform on the sphere, so each
+    sample is |sq @ lambda| / |xi|^2 without a product x @ B."""
 
     def __init__(self, B: np.ndarray) -> None:
-        self.B = _require_symmetric((B,))[0]
-        self.d = self.B.shape[0]
-        diag = np.diagonal(self.B)
-        self.diag = diag.copy() if np.array_equal(self.B, np.diag(diag)) else None
+        B = _require_symmetric((B,))[0]
+        self.d = B.shape[0]
+        diag = np.diagonal(B)
+        self.diag = diag.copy() if np.array_equal(B, np.diag(diag)) else _eigvalsh(B)
 
     def add(self, raw: np.ndarray, sq: np.ndarray, r2: np.ndarray, vec: np.ndarray) -> None:
-        quad = vec[0, : len(raw)]
-        if self.diag is not None:
-            np.matmul(sq, self.diag, out=quad)
-        else:
-            piece = np.empty((min(len(raw), _CHUNK), self.d))
-            for i in range(0, len(raw), _CHUNK):
-                rows = raw[i : i + _CHUNK]
-                prod = np.matmul(rows, self.B, out=piece[: len(rows)])
-                np.einsum("ni,ni->n", prod, rows, out=quad[i : i + _CHUNK])
+        quad = np.matmul(sq, self.diag, out=vec[0, : len(raw)])
         np.divide(np.abs(quad, out=quad), r2, out=quad)
         self._add_values(quad, vec[1, : len(raw)])
 

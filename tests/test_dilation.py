@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spectra_theta import dilation
+from spectra_theta.cli import main
 from spectra_theta.dilation import (
     SPIN_NORM_CAP,
     DilationResult,
@@ -524,3 +525,32 @@ def test_the_dilation_sweep_memory_is_flat_beyond_one_batch():
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] < peaks[0] + (256 << 10), peaks
+
+
+def test_a_lapack_failure_in_a_dilation_is_a_numeric_error(monkeypatch, capsys):
+    # the eigenvector solves go through pencil._eigh, so the command line
+    # exits 4 with a message, not with a LinAlgError traceback
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericError, match="symmetric eigensolver failed"):
+        defect_sqrt(0.5 * SIGMA1)
+    assert main(["verify", "dilation", "--samples", "20"]) == 4
+    assert "symmetric eigensolver failed" in capsys.readouterr().err
+
+
+def test_the_spin_ball_at_its_cap_holds_one_float_copy_of_its_pencil():
+    # g = 10, n = 1: the spin pencil's float coefficients take 20 MiB.  The
+    # int8 spin matrices become float once, in the coefficient stack, and its
+    # symmetry is checked in slices (80 MiB of tracemalloc with a float copy
+    # and whole-stack temporaries)
+    X = SymTuple(tuple(np.full((1, 1), 0.01) for _ in range(10)))
+    assert ball_membership(X, "spin")
+    tracemalloc.start()
+    try:
+        assert ball_membership(X, "spin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * 2**20

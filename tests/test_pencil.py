@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -768,10 +769,34 @@ def test_each_spectrahedron_test_evaluates_through_the_one_kernel(monkeypatch):
 def test_every_spectrum_goes_through_one_eigensolver_call():
     sources = {path.name: path.read_text() for path in
                pathlib.Path(spectra_theta.__file__).parent.glob("*.py")}
-    assert [name for name, text in sources.items() if "np.linalg.eigvalsh(" in text] == ["pencil.py"]
-    assert sources["pencil.py"].count("np.linalg.eigvalsh(") == 1
-    assert "np.linalg.eigvalsh(" in inspect.getsource(pencil._eigvalsh)
+    for call, wrapper in (("np.linalg.eigvalsh(", pencil._eigvalsh), ("np.linalg.eigh(", pencil._eigh)):
+        assert [name for name, text in sources.items() if call in text] == ["pencil.py"]
+        assert sources["pencil.py"].count(call) == 1
+        assert call in inspect.getsource(wrapper)
+    # no SVD and no matrix 2-norm: a symmetric matrix's norm is read from its spectrum
+    matrix_norm = re.compile(r"np\.linalg\.norm\([^()]*,\s*(ord\s*=\s*)?2\)")
+    assert not any("np.linalg.svd(" in text or matrix_norm.search(text) for text in sources.values())
     assert not any("_in_spin_ball" in text for text in sources.values())
+
+
+def test_a_general_pencil_refuses_a_kronecker_side_past_its_cap(monkeypatch):
+    # at the cap (side nu n = 1024) L(X) is built; one step past it, each
+    # pencil test refuses before it builds a Kronecker sum or draws a trial
+    assert pencil.KRON_SIDE_CAP == 1024
+    one = MonicPencil((np.ones((1, 1)),))
+    assert np.array_equal(evaluate(one, SymTuple((np.zeros((1024, 1024)),))), np.eye(1024))
+
+    def fail(*args):
+        raise AssertionError("built past the cap")
+
+    monkeypatch.setattr(pencil, "_kron_sum", fail)
+    monkeypatch.setattr(pencil, "_contraction_stack", fail)
+    X = SymTuple((np.zeros((1025, 1025)),))
+    for check in (lambda: evaluate(one, X), lambda: in_free_spectrahedron(one, X),
+                  lambda: cube_relaxation_test(one, 1025, 1),
+                  lambda: cube_relaxation_test(cube_pencil(1), 513, 1)):
+        with pytest.raises(ResourceError, match="side nu n <= 1024, got 102[56]"):
+            check()
 
 
 @pytest.mark.parametrize("coeffs", [5, [["a"]], ["ab"], {"a": 1}])

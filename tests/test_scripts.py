@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from spectra_theta import specfun
 from spectra_theta.betastats import _equipoint_rows
@@ -138,3 +139,50 @@ def test_mpmath_roots_checks_a_kernel_row_against_mpmath():
     assert max(abs(float(row[7])) for row in rows) <= 1e-12
     assert lines[-2].startswith("I_p: 6 values, |error| median ")
     assert lines[-1].startswith("density: 6 values, |error| median ")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kernel", "4", "--equipoints", "4"],
+    ["--kernel", "4", "--lanes", "3"],
+    ["--equipoints", "4", "--lanes", "3"],
+    ["--equipoints", "4", "--d-max", "12"],
+    ["--kernel", "4", "--d", "5"],
+    ["--d", "5", "--d-max", "60"],
+], ids=["kernel_equipoints", "kernel_lanes", "equipoints_lanes", "equipoints_d_max", "kernel_d", "d_d_max"])
+def test_mpmath_roots_refuses_a_flag_that_its_mode_would_not_read(flags, monkeypatch, capsys):
+    import mpmath_roots
+
+    monkeypatch.setattr(sys, "argv", ["mpmath_roots.py", *flags])
+    with pytest.raises(SystemExit) as usage:
+        mpmath_roots.main()
+    assert usage.value.code == 2 and capsys.readouterr().out == ""
+
+
+def test_dispatch_tier1_sets_each_dispatch_in_its_childs_environment_only(monkeypatch, capsys):
+    # the suite itself is not run: each child gets a recorded reply
+    import dispatch_tier1
+
+    monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", "AVX512F")  # the default run must not inherit it
+    before = dict(os.environ)
+    runs = []
+
+    def reply(cmd, *, env, **kwargs):
+        runs.append((cmd, env))
+        if cmd[1] == "-c":
+            return subprocess.CompletedProcess(cmd, 0, '{"exp": "X86_V3", "log": "X86_V3", "log1p": "baseline"}\n')
+        if "NPY_DISABLE_CPU_FEATURES" not in env:
+            return subprocess.CompletedProcess(cmd, 0, "...\n3 passed in 0.10s\n")
+        return subprocess.CompletedProcess(cmd, 1, "FAILED tests/t.py::test_a - AssertionError\n"
+                                                   "1 failed, 2 passed in 0.10s\n")
+
+    monkeypatch.setattr(dispatch_tier1.subprocess, "run", reply)
+    assert dispatch_tier1.main(["-k", "theta"]) == 1
+    assert dict(os.environ) == before
+    settings = [env.get("NPY_DISABLE_CPU_FEATURES") for _, env in runs]
+    assert settings == [None, None, "X86_V4", "X86_V4", "X86_V3 X86_V4", "X86_V3 X86_V4"]
+    assert [cmd[1:3] + cmd[-2:] for cmd, _ in runs[1::2]] == [["-m", "pytest", "-k", "theta"]] * 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["NPY_DISABLE_CPU_FEATURES=(unset): exp X86_V3, log X86_V3, log1p baseline",
+                       "  3 passed, 0 failed, 0 errors, exit 0"]
+    assert out[-3:] == ["NPY_DISABLE_CPU_FEATURES=X86_V3 X86_V4: exp X86_V3, log X86_V3, log1p baseline",
+                        "  2 passed, 1 failed, 0 errors, exit 1", "  FAILED tests/t.py::test_a"]

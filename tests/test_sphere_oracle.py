@@ -10,7 +10,6 @@ from spectra_theta.cli import main
 from spectra_theta.errors import DomainError
 from spectra_theta.sphere_oracle import (
     _BATCH,
-    _CHUNK,
     AbsQuadratic,
     SignMoment,
     SignOuter,
@@ -62,6 +61,18 @@ def test_general_symmetric_matrix_matches_kappa():
     B = q.T @ np.diag([1.0, -1.0]) @ q
     est = sphere_abs_quadratic_integral(0.5 * (B + B.T), n=N, seed=4)
     assert est.agrees_with(2.0 / math.pi, 3.0)
+
+
+def test_a_general_matrix_is_read_through_its_spectrum():
+    # for B = Q diag(lambda) Q^T, Q^T xi is again uniform on the sphere: the
+    # estimate for B is, to the bit, the one for diag(eigvalsh(B))
+    rng = _generator(41)
+    q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    B = (q * np.array([1.5, -0.7, 0.2, -2.0, 0.9])) @ q.T
+    B = 0.5 * (B + B.T)
+    spectral = np.diag(np.linalg.eigvalsh(B))
+    for n in (1, 1000, _BATCH + 7):
+        assert sphere_abs_quadratic_integral(B, n, seed=8) == sphere_abs_quadratic_integral(spectral, n, seed=8)
 
 
 def test_nonsymmetric_rejected():
@@ -149,15 +160,16 @@ def test_determinism_bit_identical():
 
 
 def test_blas_contractions_match_the_einsum_reference():
-    # the estimators contract through BLAS (x @ B in row chunks, X^T X); the
+    # the estimators contract through BLAS (squares @ spectrum, X^T X); the
     # three-operand einsums over the same samples are the reference, to the
-    # rounding of one 2^17-sample batch sum
-    n, seed = _BATCH + 3 * _CHUNK + 5, 12
+    # rounding of one 2^17-sample batch sum.  A general B is read through its
+    # spectrum, so its reference is the quadratic form of diag(eigvalsh(B))
+    n, seed = 155_653, 12
     rtol = _BATCH * np.finfo(float).eps
     rng = _generator(seed)
     B = rng.standard_normal((4, 4))
     B = 0.5 * (B + B.T)
-    quad = np.concatenate([np.abs(np.einsum("ni,ij,nj->n", x, B, x))
+    quad = np.concatenate([np.abs(np.einsum("ni,i,ni->n", x, np.linalg.eigvalsh(B), x))
                            for x in _sphere_batches(4, n, seed)])
     est = sphere_abs_quadratic_integral(B, n=n, seed=seed)
     assert est.value == pytest.approx(quad.mean(), rel=rtol)
@@ -192,7 +204,7 @@ def test_kappa_cross_check_generic():
 
 # --- one stream shared by every estimate --------------------------------------
 
-SHARING_NS = [1, _BATCH - 1, _BATCH + 3 * _CHUNK + 5, 3 * _BATCH]
+SHARING_NS = [1, 131_071, 155_653, 393_216]  # 1, one batch less one, past a batch, three batches
 
 
 def _requests():
@@ -219,8 +231,8 @@ def _requests():
 def _reference_estimate(request, n, seed):
     """The estimate as a standalone loop in the estimators' arithmetic: a
     fresh draw per batch, its squares sq and |xi|^2 = sq @ ones, whole-batch
-    sums and Gram matrices divided by |xi|^2, _CHUNK-row x @ B for a B that
-    is not diagonal, and E_J's sum made symmetric at the end."""
+    sums and Gram matrices divided by |xi|^2, a B read through its diagonal or
+    spectrum (``request.diag``), and E_J's sum made symmetric at the end."""
     rng = _generator(seed)
     d = request.d
     totals = [np.zeros((d, d)), np.zeros((d, d))] if isinstance(request, SignOuter) else [0.0, 0.0]
@@ -234,14 +246,7 @@ def _reference_estimate(request, n, seed):
             totals[1] += w.T @ w
             continue
         if isinstance(request, AbsQuadratic):
-            if request.diag is not None:
-                v = sq @ request.diag
-            else:
-                v = np.empty(len(x))
-                for i in range(0, len(x), _CHUNK):
-                    rows = x[i : i + _CHUNK]
-                    v[i : i + _CHUNK] = np.einsum("ni,ni->n", rows @ request.B, rows)
-            v = np.abs(v) / r2
+            v = np.abs(sq @ request.diag) / r2
         else:
             v = np.sign(sq @ request.diag) * (sq[:, request.k] / r2)
         totals[0] += float(v.sum())
@@ -262,14 +267,14 @@ def _same_bits(a, b):
 def test_normal_stream_is_the_same_in_uneven_pieces():
     # the sharing rests on this: drawing the seed's normals in pieces of
     # any size, into fresh arrays or into out=, gives one long draw
-    whole = _generator(17).standard_normal(3 * _CHUNK + 11)
+    whole = _generator(17).standard_normal(3 * 8192 + 11)
     rng = _generator(17)
-    pieces = [rng.standard_normal(k) for k in (1, 2, 3, 5, _CHUNK - 7)]
+    pieces = [rng.standard_normal(k) for k in (1, 2, 3, 5, 8192 - 7)]
     rest = np.empty(len(whole) - sum(len(p) for p in pieces))
     rng.standard_normal(out=rest[:4])
     rng.standard_normal(out=rest[4:])
     assert np.array_equal(np.concatenate(pieces + [rest]), whole)
-    assert np.array_equal(_generator(17).standard_normal((_CHUNK, 3)).ravel(), whole[: 3 * _CHUNK])
+    assert np.array_equal(_generator(17).standard_normal((8192, 3)).ravel(), whole[: 3 * 8192])
 
 
 @pytest.mark.parametrize("n", SHARING_NS)
@@ -280,7 +285,7 @@ def test_joint_estimates_equal_one_estimate_calls(n):
     assert same == [True] * len(joint)
 
 
-@pytest.mark.parametrize("n", [1, _BATCH + 3 * _CHUNK + 5])
+@pytest.mark.parametrize("n", [1, 155_653])
 def test_estimates_equal_the_standalone_loop(n):
     requests = [request for request, _ in _requests()]
     for r, est in zip(requests, joint_estimates(requests, n, seed=5)):
@@ -373,4 +378,4 @@ def test_scalar_requests_share_one_pair_of_batch_vectors():
     with pytest.raises(DomainError):
         joint_estimates(requests, _BATCH, seed=-1)
     held = [v.size for r in requests for v in vars(r).values() if isinstance(v, np.ndarray)]
-    assert max(held) < _CHUNK
+    assert max(held) < 8192
