@@ -27,6 +27,7 @@ from .theta import SignDiag, kappa_star, theta
 MEMBERSHIP_TOL = 1e-9
 CUBE_VERTEX_CAP = 20
 KRON_SIDE_CAP = 1024  # side nu n of a general pencil's L(X); see _require_kron_side
+_BATCH_ENTRIES = 1 << 20  # about this many float entries per stacked spectrum call
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,8 @@ def _require_kron_side(nu: int, n: int) -> None:
     past ``KRON_SIDE_CAP``: the one cap on L(X) for a general pencil.  At the cap,
     ``in_free_spectrahedron`` took 0.15 s and 25 MiB (tracemalloc) with nu = 4,
     n = 256 and g = 2, on one BLAS thread of a 2-core host; a side of 2048 took
-    0.9 s and 98 MiB.  ``cube_relaxation_test`` holds one such matrix per trial."""
+    0.9 s and 98 MiB.  ``cube_relaxation_test`` holds one such matrix per trial of
+    a batch (``_BATCH_ENTRIES``), and ``sharpness_witness`` one of side d**2."""
     if nu * n > KRON_SIDE_CAP:
         raise ResourceError(f"a pencil's Kronecker sum is capped at a side nu n <= {KRON_SIDE_CAP}, "
                             f"got {nu * n}")
@@ -199,7 +201,7 @@ def verify_cube_inclusion(B: MonicPencil, tol: float = 1e-10) -> bool:
     tol = _require_real("tol", tol, 0.0)
     if B.g > CUBE_VERTEX_CAP:
         raise ResourceError(f"vertex enumeration capped at g <= {CUBE_VERTEX_CAP}, got g={B.g}")
-    batch = max(1, (1 << 20) // (B.nu**2 + B.g))  # vertices per spectrum call: ~2**20 entries
+    batch = max(1, _BATCH_ENTRIES // (B.nu**2 + B.g))  # vertices per spectrum call
     for start in range(0, 1 << B.g, batch):
         bits = np.arange(start, min(start + batch, 1 << B.g))[:, None]
         signs = ((bits >> np.arange(B.g)) & 1) * 2.0 - 1.0  # x_j = +1 where bit j is set
@@ -254,6 +256,9 @@ def cube_relaxation_test(
     A side nu d past ``KRON_SIDE_CAP`` is refused before anything is drawn.
     One spectrum per trial suffices: with S = sum B_j (x) X_j, the bottom
     eigenvalue of L_B(X / theta) = I - S / theta is 1 - lambda_max(S) / theta.
+    The trials are drawn in stream order and checked in batches of about
+    ``_BATCH_ENTRIES`` entries, so memory does not grow with ``trials``; each
+    trial has the same bits in any batch.
     """
     d, trials = _require_int("d", d, 1), _require_int("trials", trials, 1)
     tol = _require_real("tol", tol, 0.0)
@@ -261,20 +266,27 @@ def cube_relaxation_test(
     if not verify_cube_inclusion(B):
         raise DomainError("[-1,1]^g is not contained in the pencil's spectrahedron")
     th = _theta_of(B.nu).theta
-    X = _contraction_stack(B.g, d, trials, _generator(seed))
-    lam_max = _eigvalsh(_kron_sum(B.coeffs, X))[:, -1]
-    lam_min = 1.0 - lam_max / th
+    rng = _generator(seed)
+    batch = max(1, _BATCH_ENTRIES // ((B.nu * d) ** 2 + B.g * d * d))  # trials per batch
+    margins, scales, violations = [], [], []
+    for start in range(0, trials, batch):
+        X = _contraction_stack(B.g, d, min(batch, trials - start), rng)
+        lam_max = _eigvalsh(_kron_sum(B.coeffs, X))[:, -1]
+        lam_min = 1.0 - lam_max / th
+        margins.append(lam_min.min())
+        # feasible scaling of the unscaled tuple: 1 / lambda_max(S)
+        scales.append(np.min(1.0 / lam_max[lam_max > 0.0], initial=math.inf))
+        violations.extend({"trial": start + k, "lambda_min": float(lam_min[k])}
+                          for k in np.flatnonzero(lam_min < -tol).tolist())
     return CubeRelaxationReport(
         nu=B.nu,
         g=B.g,
         theta_nu=th,
         trials=trials,
         tol=tol,
-        min_margin=float(lam_min.min()),
-        # feasible scaling of the unscaled tuple: 1 / lambda_max(S)
-        tightest_scale=float(np.min(1.0 / lam_max[lam_max > 0.0], initial=math.inf)),
-        violations=tuple({"trial": k, "lambda_min": float(lam_min[k])}
-                         for k in np.flatnonzero(lam_min < -tol).tolist()),
+        min_margin=float(np.min(margins)),
+        tightest_scale=float(np.min(scales)),
+        violations=tuple(violations),
     )
 
 
@@ -363,11 +375,14 @@ def sharpness_witness(
     sample is drawn.  For d >= 3 each cell average is estimated from
     cells * samples_per_cell Haar samples, each in the cell of its nearest
     center, the first on a tie; ``samples_per_cell`` is read only there.
+    A Kronecker side d**2 past ``KRON_SIDE_CAP`` (d > 32) is refused before
+    theta(d) is solved or anything is drawn.
 
     Returns the pencil, the norm-one tuple, and the achieved lambda_max.
     """
     d, cells = _require_int("d", d, 2), _require_int("cells", cells, 1)
     samples_per_cell = _require_int("samples_per_cell", samples_per_cell, 1)
+    _require_kron_side(d, d)  # sum_j A_j (x) X_j has side d**2
     report = _theta_of(d)
     s, t = report.minimizer_s, report.minimizer_t
     ks, a_opt, b_opt = kappa_star(s, t)
@@ -390,7 +405,7 @@ def sharpness_witness(
         n_total = cells * samples_per_cell
         sums = np.zeros((d * d, cells))
         # keeps the (rows x cells) score block near 2**20 entries
-        batch = max(1, (1 << 20) // max(cells, 16 * d * d))
+        batch = max(1, _BATCH_ENTRIES // max(cells, 16 * d * d))
         for start in range(0, n_total, batch):
             m = min(batch, n_total - start)
             u = _haar_gram_schmidt(rng.standard_normal((m, d, d)))

@@ -7,9 +7,14 @@ row of (a, b, p) triples, with ln B passed in once per solve; ``reg_inc_beta``,
 the Lentz loop on the interior lanes: the scalar ``_beta_cf`` lane by lane
 below ``_ROW_MIN_LANES`` of them, else ``_beta_cf_row``, one numpy loop with
 ``_beta_cf``'s bits whose calls per iteration do not grow with the row (so
-independent rows share one call, ``_ibeta_rows``).  Its logs and exps are
-numpy's elementwise ufuncs, so every lane has its one-lane call's bits (their
-last ulp depends on the numpy build and the CPU).  The inverse is a
+independent rows share one call, ``_ibeta_rows``).  Both loops are the
+modified Lentz method (*Numerical Recipes* §5.2) with its tests stated as
+what binary64 can show: a lane stops where a step's factor is exactly 1
+(the textbook |delta - 1| < 1e-16) and a denominator is guarded only where
+it is exactly 0 (|v| < 1e-300); the comment at ``_CF_TINY`` says why the
+two are the same tests.  The kernel's logs and exps are numpy's elementwise
+ufuncs, so every lane has its one-lane call's bits (their last ulp depends
+on the numpy build and the CPU).  The inverse is a
 bracketed-Newton row (``rootfind.newton_rows``) whose residual also returns
 its slope.  Accuracy targets (absolute):
 
@@ -73,8 +78,13 @@ ln_beta.cache_info = _ln_beta.cache_info  # the memo's traffic, which perfbench 
 
 
 _CF_MAX_ITER = 500
-_CF_EPS = 1e-16
 _CF_TINY = 1e-300
+# Both Lentz loops test only what binary64 can show.  The stop, |delta - 1| <
+# 1e-16, is delta == 1: for delta in [1/2, 2], delta - 1 is exact (Sterbenz),
+# and the doubles nearest 1, 1 - 2**-53 and 1 + 2**-52, are more than 1e-16
+# from it; outside [1/2, 2], |delta - 1| >= 1/2.  The guard, |v| < 1e-300 ->
+# 1e-300, fires only on an exact zero: every guarded value is 1 - u for a
+# double u, which by the same argument is 0 or at least 2**-53 in magnitude.
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -82,13 +92,13 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     Lentz algorithm.  Valid (fast-converging) for x < (a+1)/(a+b+2).
     Unlike ``_beta_cf_row`` it writes out the even and the odd term: an inner
     loop over the two costs a scalar lane about a fifth more time."""
-    max_iter, eps, tiny = _CF_MAX_ITER, _CF_EPS, _CF_TINY
+    max_iter, tiny = _CF_MAX_ITER, _CF_TINY
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
+    if d == 0.0:
         d = tiny
     d = 1.0 / d
     h = d
@@ -96,24 +106,24 @@ def _beta_cf(a: float, b: float, x: float) -> float:
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
-        if abs(d) < tiny:
+        if d == 0.0:
             d = tiny
         c = 1.0 + aa / c
-        if abs(c) < tiny:
+        if c == 0.0:
             c = tiny
         d = 1.0 / d
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < tiny:
+        if d == 0.0:
             d = tiny
         c = 1.0 + aa / c
-        if abs(c) < tiny:
+        if c == 0.0:
             c = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < eps:
+        if delta == 1.0:
             return h
     raise _cf_error(a, b, x)
 
@@ -160,8 +170,11 @@ def reg_inc_beta_inv(y: float, a: float, b: float) -> float:
 
 # Fewer interior lanes than this run the scalar Lentz loop: below it, numpy's
 # per-operation overhead on the continued-fraction loop costs more than the
-# scalar loops it replaces (crossover measured per call; CHANGES.md).
+# scalar loops it replaces (per-lane costs of both: scripts/row_costs.py).
 _ROW_MIN_LANES = 112
+# The interior lanes' constant operands as 0-d arrays: numpy converts a Python float
+# operand on every call, a tenth of a one-lane call's time; the bits are the same.
+_ONE, _TWO = np.array(1.0), np.array(2.0)
 
 
 def _lanes(*args) -> list[np.ndarray]:
@@ -194,12 +207,11 @@ def _ln_beta_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ln_b
 
 
-def _cf_guard(rows: np.ndarray, scratch: np.ndarray, tiny: float) -> None:
-    """``_beta_cf``'s ``if abs(v) < tiny: v = tiny`` on rows, applied only if
-    some lane needs it (``fmin`` skips the NaN of finished lanes)."""
-    np.abs(rows, out=scratch)
-    if np.fmin.reduce(scratch, axis=None) < tiny:
-        np.copyto(rows, tiny, where=scratch < tiny)
+def _cf_guard(rows: np.ndarray, tiny: float) -> None:
+    """``_beta_cf``'s ``if v == 0: v = tiny`` on rows, applied only if some
+    lane needs it (the NaN of a finished lane counts as nonzero)."""
+    if not rows.all():
+        np.copyto(rows, tiny, where=rows == 0.0)
 
 
 def _beta_cf_row(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -210,11 +222,14 @@ def _beta_cf_row(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     buffers, so that no step makes a temporary.  A step forms its even and
     its odd term as one negated pair, w = m (m - b) x / ... and
     (a + m) (a + b + m) x / ..., which share a + 2m, and each half step
-    subtracts (1 - w d is 1 + (-w) d exactly).  A finished lane is set to
+    subtracts (1 - w d is 1 + (-w) d exactly).  The stop and the guard are
+    ``_beta_cf``'s exact tests: a lane stops where its step's factor equals
+    1 (one ``np.equal`` and one ``nonzero`` per step), and ``_cf_guard`` costs
+    one reduction per half step.  A finished lane is set to
     NaN, which no later step turns into a value or a warning; once at most
     half the lanes are open, the open ones move to the front of the buffers,
     one row at a time."""
-    tiny, eps = _CF_TINY, _CF_EPS
+    tiny = _CF_TINY
     out = np.empty(a.size)
     # rows (0, a), (-b, a + b), (a - 1, a + 1), (d, c), x, h, lane (-1 once finished);
     # work rows: the step's two terms, scratch, and a + 2m, then each half step's update
@@ -223,10 +238,11 @@ def _beta_cf_row(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     block[1:6] = a, -b, a + b, a - 1.0, a + 1.0
     d = block[6]
     d[:] = 1.0 - block[3] * x / block[5]
-    _cf_guard(d, block[9], tiny)
+    _cf_guard(d, tiny)
     np.divide(1.0, d, out=d)
     block[9] = d
     work = np.empty((5, a.size))
+    flags = np.empty(a.size, dtype=bool)
 
     def lanes(width: int) -> tuple[np.ndarray, ...]:
         """The rows over the first ``width`` lanes: the pairs, x, h, lane and work."""
@@ -250,14 +266,12 @@ def _beta_cf_row(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
             np.multiply(term, d, out=d)
             np.divide(term, c, out=c)
             np.subtract(1.0, dc, out=dc)
-            _cf_guard(dc, scratch, tiny)
+            _cf_guard(dc, tiny)
             np.divide(1.0, d, out=d)
             np.multiply(d, c, out=step)
             np.multiply(h, step, out=h)
-        np.subtract(step, 1.0, out=step)
-        np.abs(step, out=step)
-        if np.fmin.reduce(step) < eps:
-            done = np.flatnonzero(step < eps)
+        done = np.equal(step, 1.0, out=flags[:step.size]).nonzero()[0]
+        if done.size:
             out[lane[done].astype(np.intp)] = h[done]
             dc[:, done] = np.nan
             lane[done] = -1.0
@@ -277,23 +291,30 @@ def _beta_cf_row(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _ibeta_row(a, b, p, ln_b=None) -> tuple[np.ndarray, np.ndarray]:
     """I_p(a, b) and its density on a row of triples (scalars broadcast),
     with ``ln_b`` (a root's ``_ln_beta_row(a, b)``) as ln B if given; fewer
-    than ``_ROW_MIN_LANES`` interior lanes run ``_beta_cf``, more ``_beta_cf_row``."""
+    than ``_ROW_MIN_LANES`` interior lanes run ``_beta_cf``, more ``_beta_cf_row``.
+    A row with lanes at p = 0 or 1 sets their values and passes its interior
+    lanes on as a row of their own; a row with none takes no mask or index."""
     a, b, p = _lanes(a, b, p)
-    value, density = np.where(p <= 0.0, 0.0, 1.0), np.zeros(a.size)
-    inner = ~((p <= 0.0) | (p >= 1.0))
-    a, b, p = a[inner], b[inner], p[inner]
-    ln_b = _ln_beta_row(a, b) if ln_b is None else ln_b[inner]
+    ends = (p <= 0.0) | (p >= 1.0)
+    if np.count_nonzero(ends):  # the endpoints' values, and a row of the interior lanes alone
+        value, density = np.where(p <= 0.0, 0.0, 1.0), np.zeros(a.size)
+        inner = ~ends
+        if np.count_nonzero(inner):
+            value[inner], density[inner] = _ibeta_row(a[inner], b[inner], p[inner],
+                                                      None if ln_b is None else ln_b[inner])
+        return value, density
+    if ln_b is None:
+        ln_b = _ln_beta_row(a, b)
     ln_p, ln_q = np.log(p), np.log1p(-p)
     ln_front = a * ln_p + b * ln_q - ln_b
     # Symmetry switch keeps the continued fraction in its fast region.
-    swap = ~(p < (a + 1.0) / (a + b + 2.0))
-    ca, cb, x = np.where(swap, b, a), np.where(swap, a, b), np.where(swap, 1.0 - p, p)
+    swap = ~(p < (a + _ONE) / (a + b + _TWO))
+    ca, cb, x = np.where(swap, b, a), np.where(swap, a, b), np.where(swap, _ONE - p, p)
     cf = _map(_beta_cf, ca, cb, x) if a.size < _ROW_MIN_LANES else _beta_cf_row(ca, cb, x)
     head = np.exp(ln_front) * cf / ca
-    value[inner] = np.where(swap, 1.0 - head, head)
     with np.errstate(over="ignore"):  # inf at a < 1 and p deep in the subnormals
-        density[inner] = np.exp((a - 1.0) * ln_p + (b - 1.0) * ln_q - ln_b)
-    return value, density
+        density = np.exp((a - _ONE) * ln_p + (b - _ONE) * ln_q - ln_b)
+    return np.where(swap, _ONE - head, head), density
 
 
 def _ibeta_rows(*triples, ln_b=None) -> list[tuple[np.ndarray, np.ndarray]]:

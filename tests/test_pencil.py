@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -797,6 +798,69 @@ def test_a_general_pencil_refuses_a_kronecker_side_past_its_cap(monkeypatch):
                   lambda: cube_relaxation_test(cube_pencil(1), 513, 1)):
         with pytest.raises(ResourceError, match="side nu n <= 1024, got 102[56]"):
             check()
+
+
+def test_the_witness_refuses_a_kronecker_side_past_its_cap(monkeypatch):
+    # sum_j A_j (x) X_j has side d**2: d = 33 (1,089) is refused before
+    # theta(d) is solved or anything is drawn, and d = 32 (1,024) goes on to theta
+    def fail(*args):
+        raise AssertionError("reached")
+
+    for name in ("_kron_sum", "_theta_of", "_generator"):
+        monkeypatch.setattr(pencil, name, fail)
+    with pytest.raises(ResourceError, match="side nu n <= 1024, got 1089"):
+        sharpness_witness(33, 1, 1)
+    with pytest.raises(AssertionError, match="reached"):
+        sharpness_witness(32, 1, 1)
+
+
+def _relaxation_pencil(nu: int, g: int, seed: int) -> MonicPencil:
+    """Random symmetric coefficients scaled so that the cube's largest vertex eigenvalue is 1/2."""
+    coeffs = [a + a.T for a in _generator(seed).standard_normal((g, nu, nu))]
+    peak = max(float(np.linalg.eigvalsh(sum(v * c for v, c in zip(vertex, coeffs)))[-1])
+               for vertex in itertools.product((-1.0, 1.0), repeat=g))
+    return MonicPencil(tuple(0.5 * c / peak for c in coeffs))
+
+
+def test_the_relaxation_test_does_not_depend_on_its_batches(monkeypatch):
+    # The trials are drawn in stream order and checked in batches.  With a
+    # theta small enough that about half the trials fail, the report, each
+    # violation's trial number included, is the one stack's for any batch size.
+    B, d, trials, seed = _relaxation_pencil(3, 2, 41), 4, 50, 9
+    stack = _contraction_stack(B.g, d, trials, _generator(seed))
+    lam_max = np.linalg.eigvalsh(pencil._kron_sum(B.coeffs, stack))[:, -1]
+    fake = float(np.median(lam_max))
+    monkeypatch.setattr(pencil, "_theta_of", lambda nu: type("Report", (), {"theta": fake}))
+    lam_min = 1.0 - lam_max / fake
+    expected = CubeRelaxationReport(
+        nu=3, g=2, theta_nu=fake, trials=trials, tol=pencil.MEMBERSHIP_TOL,
+        min_margin=float(lam_min.min()), tightest_scale=float((1.0 / lam_max).min()),
+        violations=tuple({"trial": k, "lambda_min": float(lam_min[k])}
+                         for k in np.flatnonzero(lam_min < -pencil.MEMBERSHIP_TOL).tolist()),
+    )
+    assert 0 < len(expected.violations) < trials
+    per_trial = (B.nu * d) ** 2 + B.g * d * d
+    for batch in (1, 3, 7, trials, None):
+        if batch is not None:
+            monkeypatch.setattr(pencil, "_BATCH_ENTRIES", batch * per_trial)
+        assert cube_relaxation_test(B, d, trials, seed=seed) == expected, batch
+
+
+def test_the_relaxation_test_memory_is_flat_beyond_one_batch(monkeypatch):
+    # 16 trials per batch: 256 trials peak no higher than 32 (a single stack
+    # of 256 held about eight times the memory of one of 32)
+    B, d = cube_pencil(1), 20
+    monkeypatch.setattr(pencil, "_BATCH_ENTRIES", 16 * ((B.nu * d) ** 2 + B.g * d * d))
+    cube_relaxation_test(B, d, 16, seed=1)  # theta(2) and first-call allocations
+    peaks = []
+    for trials in (32, 256):
+        tracemalloc.start()
+        try:
+            cube_relaxation_test(B, d, trials, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 @pytest.mark.parametrize("coeffs", [5, [["a"]], ["ab"], {"a": 1}])

@@ -186,3 +186,17 @@ def test_dispatch_tier1_sets_each_dispatch_in_its_childs_environment_only(monkey
                        "  3 passed, 0 failed, 0 errors, exit 0"]
     assert out[-3:] == ["NPY_DISABLE_CPU_FEATURES=X86_V3 X86_V4: exp X86_V3, log X86_V3, log1p baseline",
                         "  2 passed, 1 failed, 0 errors, exit 1", "  FAILED tests/t.py::test_a"]
+
+
+def test_row_costs_prints_its_three_tables():
+    # one timed call per figure: only the format is checked, never a time
+    lines = run_script("row_costs.py", "--repeat", "1", "--number", "1", "--d", "20", "--lanes", "1", "4")
+    assert lines[0] == f"_ROW_MIN_LANES = {specfun._ROW_MIN_LANES}"
+    assert lines[1] == "table,d,lanes,row_us_per_lane,scalar_us_per_lane,ratio"
+    assert lines[4] == "table,d,lanes,sort_us_per_lane,cold_memo_us_per_lane,warm_memo_us_per_lane"
+    assert lines[7] == "table,call,us"
+    rows = [line.split(",") for line in lines[2:4] + lines[5:7] + lines[8:]]
+    assert [row[:3] for row in rows[:4]] == [["cf", "20", "1"], ["cf", "20", "4"], ["lnb", "20", "1"], ["lnb", "20", "4"]]
+    assert [row[:2] for row in rows[4:]] == [["call", "ibeta_row_one_lane"], ["call", "newton_round"],
+                                             ["call", "median_one_lane"]]
+    assert all(math.isfinite(float(value)) for row in rows for value in row[2:])

@@ -255,21 +255,37 @@ def test_ln_beta_row_has_the_bits_of_ln_beta_on_short_rows():
         assert np.array_equal(row.view(np.uint64), expected.view(np.uint64)), n
 
 
+def _stack_lanes() -> tuple[np.ndarray, ...]:
+    """``_lane_triples`` with endpoint lanes in every part of a stack."""
+    a, b, p = _lane_triples().T
+    p[::9], p[4::9] = 0.0, 1.0
+    return a, b, p
+
+
+def _stack_with_interior(interior: int) -> tuple[int, int]:
+    """Two parts of ``_stack_lanes`` whose lanes, with the 5 broadcast ones,
+    number ``interior`` inside (0, 1)."""
+    _, _, p = _stack_lanes()
+    inside = np.cumsum((0.0 < p) & (p < 1.0))
+    n = int(np.searchsorted(inside, interior - 5)) + 1
+    assert inside[n - 1] + 5 == interior
+    return n // 2, n - n // 2
+
+
 @pytest.mark.parametrize(
-    "sizes", [(1, 60), (60, 60), (1, 1000), (0, 30), (0, 200, 7)],
-    ids=["1+60", "60+60", "1+1000", "empty+30", "empty+200+7"],
+    "sizes", [(1, 60), (60, 60), (1, 1000), (0, 30), (0, 200, 7),
+              _stack_with_interior(specfun._ROW_MIN_LANES - 1), _stack_with_interior(specfun._ROW_MIN_LANES)],
+    ids=["1+60", "60+60", "1+1000", "empty+30", "empty+200+7", "below-crossover", "at-crossover"],
 )
 def test_stacked_rows_equal_separate_rows(sizes):
     # One pass over rows stacked end to end gives each row the bits of its
     # own pass, whether the stack has fewer or more interior lanes than the
-    # crossover.  A last part of 5 lanes broadcasts the scalars a and p.
-    a, b, p = _lane_triples().T
-    p[::9], p[4::9] = 0.0, 1.0  # endpoint lanes in every part
+    # crossover (the last two stacks have one fewer, and as many).  A last
+    # part of 5 lanes broadcasts the scalars a and p.
+    a, b, p = _stack_lanes()
     starts = np.cumsum((0,) + sizes).tolist()
     triples = [(a[i:j], b[i:j], p[i:j]) for i, j in zip(starts, starts[1:])]
     triples.append((2.5, b[:5], 0.25))
-    interior = np.count_nonzero((0.0 < p[:sum(sizes)]) & (p[:sum(sizes)] < 1.0)) + 5
-    assert (interior < specfun._ROW_MIN_LANES) == (sizes in ((1, 60), (60, 60), (0, 30)))
     stacked = specfun._ibeta_rows(*triples)
     assert len(stacked) == len(triples)
     for triple, got in zip(triples, stacked):
@@ -314,25 +330,45 @@ def test_row_kernel_names_the_lane_that_does_not_converge(where):
         assert str(row.value) == str(point.value)
 
 
-def test_lentz_guard_keeps_the_row_kernel_lane_exact(monkeypatch):
-    # |d|, |c| < tiny never happens on these lanes at the kernels' 1e-300, so
-    # raise tiny until the guard fires on some lanes (their values move) and
-    # not on others; the numpy loop must still give every lane the bits of its
-    # one-lane call, which runs the scalar loop.
+def test_lentz_guard_keeps_the_row_kernel_lane_exact():
+    # At (a, b, x) = (1, 3, 1/2), passed straight to the Lentz loops, the
+    # first denominator 1 - (a + b) x / (a + 1) is exactly 0, so the guard
+    # fires at the kernels' own tiny; both loops give 4.666666666666666.
+    # Mixed among ordinary lanes in a row above the crossover, the numpy loop
+    # still gives every lane the scalar loop's bits.
     a, b, p = _lane_triples().T
+    inner = (0.0 < p) & (p < 1.0)
+    a, b, p = a[inner], b[inner], p[inner]
+    swap = ~(p < (a + 1.0) / (a + b + 2.0))
+    a, b, x = np.where(swap, b, a), np.where(swap, a, b), np.where(swap, 1.0 - p, p)
+    a[::7], b[::7], x[::7] = 1.0, 3.0, 0.5
     assert a.size > specfun._ROW_MIN_LANES
-    unguarded = specfun._ibeta_row(a, b, p)[0]
-    monkeypatch.setattr(specfun, "_CF_TINY", 1e-3)
-    value, density = specfun._ibeta_row(a, b, p)
-    moved = np.count_nonzero(value != unguarded)
-    assert 0 < moved < a.size // 4
-    points = _one_lane_calls(a, b, p)
-    assert np.array_equal(value.view(np.uint64), points[0].view(np.uint64))
-    assert np.array_equal(density.view(np.uint64), points[1].view(np.uint64))
+    row = specfun._beta_cf_row(a, b, x)
+    lanes = np.array([specfun._beta_cf(*lane) for lane in zip(a.tolist(), b.tolist(), x.tolist())])
+    assert np.array_equal(row.view(np.uint64), lanes.view(np.uint64))
+    assert np.all(row[::7] == 4.666666666666666)
     # a finished lane is NaN: the guard must still see the open lanes beside it
-    rows = np.array([[np.nan, 1e-5, 0.5], [-2e-4, np.nan, -0.5]])
-    specfun._cf_guard(rows, np.empty_like(rows), 1e-3)
-    assert np.array_equal(rows, [[np.nan, 1e-3, 0.5], [1e-3, np.nan, -0.5]], equal_nan=True)
+    rows = np.array([[np.nan, 0.0, 0.5], [-0.0, np.nan, -0.5]])
+    specfun._cf_guard(rows, 1e-300)
+    assert np.array_equal(rows, [[np.nan, 1e-300, 0.5], [1e-300, np.nan, -0.5]], equal_nan=True)
+
+
+def _ulps_from(base: float, k: int) -> float:
+    """The double k steps of the binary64 grid from ``base``."""
+    return float((np.array([base]).view(np.int64) + k).view(np.float64)[0])
+
+
+@given(st.one_of(
+    st.builds(_ulps_from, st.sampled_from([0.5, 1.0, 2.0]), st.integers(-2**20, 2**20)),
+    st.floats(allow_nan=True, allow_infinity=True),
+))
+def test_the_lentz_stop_and_guard_test_what_binary64_can_show(v):
+    # The loops' stop and guard are exact comparisons: |delta - 1| < 1e-16
+    # holds only at delta = 1, and 1 - v, the form of every guarded value,
+    # is below 1e-300 in magnitude only where it is 0 (specfun's comment).
+    assert (abs(v - 1.0) < 1e-16) == (v == 1.0)
+    assert (abs(1.0 - v) < 1e-300) == (1.0 - v == 0.0)
+    assert (abs(1.0 + v) < 1e-300) == (1.0 + v == 0.0)
 
 
 def test_row_kernel_all_endpoint_row():
