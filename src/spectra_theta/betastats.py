@@ -11,11 +11,21 @@ is as likely to land at >= s as at <= s.
 
 Every root is solved on rows (``rootfind.newton_rows`` over the row kernel
 of ``specfun``, one kernel pass per Newton round for the residual and its
-slope): each sweep solves its grid as one row over its distinct shapes
-(``bounds_sweeps`` runs four sweeps on one median row and one equipoint row,
-and the Phi and Phi_hat sweeps share ``_one_step_sweep``), and ``equipoint``,
-``median``, ``phi`` and ``phi_hat`` are one-lane calls of the same code, so a
-shape gives the same bits either way.
+slope): the Phi and Phi_hat sweeps share ``_one_step_sweep``, which solves
+its grid as one row over its distinct shapes, and ``equipoint``, ``median``,
+``phi`` and ``phi_hat`` are one-lane calls of the same code, so a shape gives
+the same bits either way.
+
+The bound sweeps (``simmons_sweep`` and the four of ``bounds_sweeps``) solve
+no root to compare it with a bound.  Each root is that of an increasing
+residual (the equipoint's ``_equipoint_excess``, the median's
+I_x(s, t) - 1/2), so it exceeds b + 1e-12, the bound with the check's
+tolerance, exactly when the residual at b + 1e-12 is negative (and lies
+below b - 1e-12 when the residual there is positive).  The sweeps read
+those signs from one stacked kernel pass (``_residuals``); a sign is
+resolved to about 1e-15 in x, tighter than a solved root.  Roots are solved
+only for the ordering chain, whose bound is the equipoint, and for the
+records, which print them.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, _require_int, _require_items, _require_real
 from .rootfind import newton_rows
-from .specfun import _ibeta_inv_row, _ibeta_row, _ln_beta_row, reg_inc_beta
+from .specfun import _ibeta_inv_row, _ibeta_row, _ibeta_rows, _ln_beta_row, reg_inc_beta
 
 
 @dataclass(frozen=True)
@@ -64,8 +74,12 @@ def _equipoint_residual(s, t, x, ln_b) -> tuple[np.ndarray, np.ndarray]:
     against the two-call defining sum directly.
     """
     value, pdf = _ibeta_row(s, t, x, ln_b)
-    correction = (s - t) * x * (1.0 - x) * pdf / (s * t)
-    return 2.0 * value + correction - 1.0, (s + t) * pdf * ((1.0 - x) / t + x / s)
+    return _equipoint_excess(s, t, x, value, pdf), (s + t) * pdf * ((1.0 - x) / t + x / s)
+
+
+def _equipoint_excess(s, t, x, value, pdf) -> np.ndarray:
+    """The equipoint residual at x from the kernel's I_x(s, t) (``value``) and density."""
+    return 2.0 * value + (s - t) * x * (1.0 - x) * pdf / (s * t) - 1.0
 
 
 def _equipoint_band(s, t):
@@ -232,19 +246,38 @@ def binom_tail(p: float, s: int, d: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _residuals(median_probes, equipoint_probes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The sweeps' increasing residuals at the (s, t, x) row triples of the
+    probes, from one stacked ``_ibeta_rows`` pass: I_x(s, t) - 1/2, whose root
+    is the median, at each median probe, and ``_equipoint_excess``, whose
+    root is the equipoint, at each equipoint probe."""
+    rows = _ibeta_rows(*median_probes, *equipoint_probes)
+    k = len(median_probes)
+    return ([value - 0.5 for value, _ in rows[:k]],
+            [_equipoint_excess(*probe, *row) for probe, row in zip(equipoint_probes, rows[k:])])
+
+
 def simmons_sweep(d_max: int) -> list[dict]:
     """Check e_{s/2,t/2} <= s/d and (s'+1)/(d'+2) <= e over all integer
-    splits d/2 <= s < d for d <= d_max (s' = s/2, d' = d/2)."""
+    splits d/2 <= s < d for d <= d_max (s' = s/2, d' = d/2).
+
+    Each bound b is checked by the sign of the increasing equipoint residual
+    at b +- 1e-12 (``_residuals``): e > s/d + 1e-12 exactly when the residual
+    at s/d + 1e-12 is negative.  Only the equipoints of violations are solved."""
     d_max = _require_int("d_max", d_max, 2)
     splits = [(s, d - s) for d in range(2, d_max + 1) for s in range((d + 1) // 2, d)]
     sh, th = np.array(splits, dtype=float).T / 2.0
-    rows = (_equipoint_rows(sh, th), *_equipoint_band(sh, th))
+    lower, upper = _equipoint_band(sh, th)
+    _, (at_upper, at_lower) = _residuals([], [(sh, th, upper + 1e-12), (sh, th, lower - 1e-12)])
+    above, below = at_upper < 0.0, at_lower > 0.0
+    flagged = np.flatnonzero(above | below)
     violations = []
-    for (s, t), e, lower, upper in zip(splits, *(row.tolist() for row in rows)):
-        if e > upper + 1e-12:
-            violations.append({"check": "simmons_upper", "s": s, "t": t, "e": e, "bound": upper})
-        if e < lower - 1e-12:
-            violations.append({"check": "equipoint_lower", "s": s, "t": t, "e": e, "bound": lower})
+    for i, e in zip(flagged.tolist(), _solve_once(_equipoint_rows, np.stack([sh, th], 1)[flagged])[0]):
+        s, t = splits[i]
+        if above[i]:
+            violations.append({"check": "simmons_upper", "s": s, "t": t, "e": e, "bound": float(upper[i])})
+        if below[i]:
+            violations.append({"check": "equipoint_lower", "s": s, "t": t, "e": e, "bound": float(lower[i])})
     return violations
 
 
@@ -274,9 +307,12 @@ def _triangle(first: float, s_max: float, step: float) -> list[tuple[float, floa
 
 def _solve_once(rows, *groups) -> list[list[float]]:
     """``rows(s, t)`` at the shapes (s, t) of every group, solved as one row
-    over the distinct shapes (a lane gets the same bits in any row).  Each
-    shape is read as the complex s + it, which sorts as the (s, t) rows would."""
+    over the distinct shapes (a lane gets the same bits in any row), and not
+    at all when there is none.  Each shape is read as the complex s + it,
+    which sorts as the (s, t) rows would."""
     st = np.concatenate([np.asarray(group, dtype=float).reshape(-1, 2) for group in groups])
+    if not st.size:
+        return [[] for _ in groups]
     distinct, where = np.unique(st.view(complex)[:, 0], return_inverse=True)
     values = rows(distinct.real, distinct.imag)[where]
     starts = [0, *accumulate(len(group) for group in groups)]
@@ -289,9 +325,13 @@ def _bounds_checks(median_shapes: list[tuple[float, float]],
                    conjecture_shapes: list[tuple[float, float]]) -> tuple[list[dict], list[dict]]:
     """The checks of ``median_bounds_sweep``, ``ordering_sweep`` and
     ``equipoint_lower_sweep`` on their shapes (violations, in that order),
-    and the findings of ``simmons_conjecture_sweep`` on its shapes.  Every
-    distinct median is solved once, in one inverse row, and every distinct
-    equipoint once, in one equipoint row."""
+    and the findings of ``simmons_conjecture_sweep`` on its shapes.
+
+    Each bound b is checked by the sign of its root's increasing residual at
+    b +- 1e-12 (``_residuals``): the median sandwich and the two triangles
+    in one pass, and the ordering chain, whose bound is the equipoint, in a
+    second pass after one equipoint row over its distinct pairs.  Only the
+    roots that a record prints are solved besides, each distinct one once."""
     median_shapes = _require_items("shapes", median_shapes)
     ordering_shapes = _require_items("shapes", ordering_shapes)
     bounds = [_median_bounds(_require_real("s_frak", s, 0.0, above=True),  # BetaShape's checks
@@ -299,32 +339,41 @@ def _bounds_checks(median_shapes: list[tuple[float, float]],
     # checked before the 0 < t <= s filter, which would drop a NaN shape unseen
     shapes = [(_require_real("s", s), _require_real("t", t)) for s, t in ordering_shapes]
     kept = [(s, t) for s, t in shapes if 0.0 < t <= s]
-    pairs = np.array(kept, dtype=float).reshape(-1, 2)
-    ms, m_pairs, m_ups = _solve_once(
-        lambda s, t: _ibeta_inv_row(0.5, s, t), median_shapes, pairs, pairs + 1.0
-    )
-    e_pairs, e_lower, e_conjecture = _solve_once(
-        _equipoint_rows, pairs, lower_shapes, conjecture_shapes
-    )
+    medians, pairs, lows, highs = (np.array(group, dtype=float).reshape(-1, 2)
+                                   for group in (median_shapes, kept, lower_shapes, conjecture_shapes))
+    means, uppers = np.array(bounds, dtype=float).reshape(-1, 2).T
+    low_bound, high_bound = _equipoint_band(*lows.T)[0], _equipoint_band(*highs.T)[1]
+    (at_mean, at_upper), (at_low, at_high) = _residuals(
+        [(*medians.T, means - 1e-12), (*medians.T, uppers + 1e-12)],
+        [(*lows.T, low_bound - 1e-12), (*highs.T, high_bound + 1e-12)])
+    e_pairs = np.array(_solve_once(_equipoint_rows, pairs)[0])
+    strict = np.flatnonzero(pairs[:, 1] < pairs[:, 0])
+    (at_e, at_e_up), _ = _residuals(
+        [(*pairs.T, e_pairs - 1e-12), (*(pairs[strict] + 1.0).T, e_pairs[strict] + 1e-12)], [])
+    outside = np.flatnonzero((at_mean > 0.0) | (at_upper < 0.0))
+    e_above_m, m_up_above_e = np.flatnonzero(at_e > 0.0), strict[at_e_up < 0.0]
+    below, above = np.flatnonzero(at_low > 0.0), np.flatnonzero(at_high < 0.0)
+    ms, m_pairs, m_ups = _solve_once(lambda s, t: _ibeta_inv_row(0.5, s, t), medians[outside],
+                                     pairs[e_above_m], pairs[m_up_above_e] + 1.0)
+    e_lows, e_highs = _solve_once(_equipoint_rows, lows[below], highs[above])
     violations = []
-    for (s, t), (lower, upper), m in zip(median_shapes, bounds, ms):
-        if not (lower - 1e-12 <= m <= upper + 1e-12):
-            violations.append({"check": "median_bounds", "s": s, "t": t, "m": m,
-                               "lower": lower, "upper": upper})
-    for (s, t), e, m, m_up in zip(kept, e_pairs, m_pairs, m_ups):
-        if e > m + 1e-12:
-            violations.append({"check": "e_le_m", "s": s, "t": t, "e": e, "m": m})
-        if t < s and m_up > e + 1e-12:
-            violations.append({"check": "m_up_le_e", "s": s, "t": t, "e": e, "m_up": m_up})
-    for (s, t), e in zip(lower_shapes, e_lower):
-        lower, _ = _equipoint_band(s, t)
-        if e < lower - 1e-12:
-            violations.append({"check": "equipoint_lower", "s": s, "t": t, "e": e, "bound": lower})
-    findings = []
-    for (s, t), e in zip(conjecture_shapes, e_conjecture):
-        _, upper = _equipoint_band(s, t)
-        if e > upper + 1e-12:
-            findings.append({"check": "simmons_conjecture", "s": s, "t": t, "e": e, "bound": upper})
+    for i, m in zip(outside.tolist(), ms):
+        (s, t), (lower, upper) = median_shapes[i], bounds[i]
+        violations.append({"check": "median_bounds", "s": s, "t": t, "m": m,
+                           "lower": lower, "upper": upper})
+    m_at, m_up_at = dict(zip(e_above_m.tolist(), m_pairs)), dict(zip(m_up_above_e.tolist(), m_ups))
+    e_pairs = e_pairs.tolist()
+    for i in sorted(m_at.keys() | m_up_at.keys()):
+        (s, t), e = kept[i], e_pairs[i]
+        if i in m_at:
+            violations.append({"check": "e_le_m", "s": s, "t": t, "e": e, "m": m_at[i]})
+        if i in m_up_at:
+            violations.append({"check": "m_up_le_e", "s": s, "t": t, "e": e, "m_up": m_up_at[i]})
+    for i, e in zip(below.tolist(), e_lows):
+        (s, t), bound = lower_shapes[i], float(low_bound[i])
+        violations.append({"check": "equipoint_lower", "s": s, "t": t, "e": e, "bound": bound})
+    findings = [{"check": "simmons_conjecture", "s": conjecture_shapes[i][0], "t": conjecture_shapes[i][1],
+                 "e": e, "bound": float(high_bound[i])} for i, e in zip(above.tolist(), e_highs)]
     return violations, findings
 
 

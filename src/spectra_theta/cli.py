@@ -164,14 +164,17 @@ def _verify_monotone(args: argparse.Namespace) -> int:
     return _report("monotone", violations)
 
 
-def _verify_bounds(args: argparse.Namespace) -> int:
-    u = _generator(args.seed).random((2000, 2))  # rows (t, s), as drawn
+def _bounds_arguments(seed: int, d_max: int, grid_step: float) -> tuple[list, float, float, float]:
+    """The arguments that ``verify bounds`` passes to ``betastats.bounds_sweeps``."""
+    u = _generator(seed).random((2000, 2))  # rows (t, s), as drawn
     t = 1.0 + 19.0 * u[:, 0]
     s = t + 19.0 * u[:, 1]
     shapes = [(a, b) for a, b in zip(s.tolist(), t.tolist()) if a + b >= 3.0]
-    violations, findings = betastats.bounds_sweeps(
-        shapes, min(100.0, args.d_max), min(30.0, args.d_max), args.grid_step
-    )
+    return shapes, min(100.0, d_max), min(30.0, d_max), grid_step
+
+
+def _verify_bounds(args: argparse.Namespace) -> int:
+    violations, findings = betastats.bounds_sweeps(*_bounds_arguments(args.seed, args.d_max, args.grid_step))
     # conjectured real-parameter upper bound: reported, never asserted
     for finding in findings:
         print(f"  NOTE (conjecture, not asserted): {finding}")

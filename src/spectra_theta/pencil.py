@@ -28,6 +28,7 @@ MEMBERSHIP_TOL = 1e-9
 CUBE_VERTEX_CAP = 20
 KRON_SIDE_CAP = 1024  # side nu n of a general pencil's L(X); see _require_kron_side
 _BATCH_ENTRIES = 1 << 20  # about this many float entries per stacked spectrum call
+WITNESS_ENTRIES_CAP = 1 << 18  # cells d**2, the entries of each sharpness_witness cell stack
 
 
 @dataclass(frozen=True)
@@ -376,13 +377,23 @@ def sharpness_witness(
     cells * samples_per_cell Haar samples, each in the cell of its nearest
     center, the first on a tie; ``samples_per_cell`` is read only there.
     A Kronecker side d**2 past ``KRON_SIDE_CAP`` (d > 32) is refused before
-    theta(d) is solved or anything is drawn.
+    theta(d) is solved or anything is drawn, and so are more cells than
+    ``WITNESS_ENTRIES_CAP`` / d**2 (65,536 at d = 2, 29,127 at d = 3, 256 at
+    d = 32): each per-cell stack (the centers, the tuple, the sums, the
+    pencil) holds cells d**2 entries.  At the cap, with one sample per cell
+    on one BLAS thread, the tracemalloc peak was 44, 27 and 31 MiB (1.4,
+    2.7 and 0.9 s); at four times the cap, 174, 107 and 73 MiB (5.9, 57
+    and 3.4 s).  For d >= 3 the sample-by-cell score block makes the time
+    grow as cells**2 samples_per_cell.
 
     Returns the pencil, the norm-one tuple, and the achieved lambda_max.
     """
     d, cells = _require_int("d", d, 2), _require_int("cells", cells, 1)
     samples_per_cell = _require_int("samples_per_cell", samples_per_cell, 1)
     _require_kron_side(d, d)  # sum_j A_j (x) X_j has side d**2
+    if cells * d * d > WITNESS_ENTRIES_CAP:
+        raise ResourceError(f"sharpness_witness is capped at cells d**2 <= {WITNESS_ENTRIES_CAP}, "
+                            f"got {cells} cells at d = {d}")
     report = _theta_of(d)
     s, t = report.minimizer_s, report.minimizer_t
     ks, a_opt, b_opt = kappa_star(s, t)

@@ -240,24 +240,93 @@ def test_median_sandwich_random_grid():
         assert lo - 1e-12 <= m <= hi + 1e-12
 
 
+def _root_then_compare(median_shapes, ordering_shapes, lower_shapes, conjecture_shapes):
+    """The records of ``_bounds_checks`` by the plain rule: each root solved
+    (through the module's solvers, as patched), then compared with its bound."""
+    import importlib
+
+    betastats = importlib.import_module("spectra_theta.betastats")
+
+    def roots(rows, shapes):
+        s, t = np.array(shapes, dtype=float).reshape(-1, 2).T
+        return rows(s, t).tolist()
+
+    def medians(s, t):
+        return betastats._ibeta_inv_row(0.5, s, t)
+
+    kept = [(s, t) for s, t in ordering_shapes if 0.0 < t <= s]
+    violations, findings = [], []
+    for (s, t), m in zip(median_shapes, roots(medians, median_shapes)):
+        lower, upper = betastats._median_bounds(s, t)
+        if not (lower - 1e-12 <= m <= upper + 1e-12):
+            violations.append({"check": "median_bounds", "s": s, "t": t, "m": m,
+                               "lower": lower, "upper": upper})
+    ups = roots(medians, [(s + 1.0, t + 1.0) for s, t in kept])
+    for (s, t), e, m, m_up in zip(kept, roots(betastats._equipoint_rows, kept), roots(medians, kept), ups):
+        if e > m + 1e-12:
+            violations.append({"check": "e_le_m", "s": s, "t": t, "e": e, "m": m})
+        if t < s and m_up > e + 1e-12:
+            violations.append({"check": "m_up_le_e", "s": s, "t": t, "e": e, "m_up": m_up})
+    for (s, t), e in zip(lower_shapes, roots(betastats._equipoint_rows, lower_shapes)):
+        lower, _ = equipoint_bounds(BetaShape(s, t))
+        if e < lower - 1e-12:
+            violations.append({"check": "equipoint_lower", "s": s, "t": t, "e": e, "bound": lower})
+    for (s, t), e in zip(conjecture_shapes, roots(betastats._equipoint_rows, conjecture_shapes)):
+        _, upper = equipoint_bounds(BetaShape(s, t))
+        if e > upper + 1e-12:
+            findings.append({"check": "simmons_conjecture", "s": s, "t": t, "e": e, "bound": upper})
+    return violations, findings
+
+
+def _simmons_root_then_compare(d_max):
+    """``simmons_sweep(d_max)``'s records by the plain rule, as ``_root_then_compare``."""
+    import importlib
+
+    betastats = importlib.import_module("spectra_theta.betastats")
+    splits = [(s, d - s) for d in range(2, d_max + 1) for s in range((d + 1) // 2, d)]
+    sh, th = np.array(splits, dtype=float).T / 2.0
+    records = []
+    for (s, t), e in zip(splits, betastats._equipoint_rows(sh, th).tolist()):
+        lower, upper = equipoint_bounds(BetaShape(s / 2.0, t / 2.0))
+        if e > upper + 1e-12:
+            records.append({"check": "simmons_upper", "s": s, "t": t, "e": e, "bound": upper})
+        if e < lower - 1e-12:
+            records.append({"check": "equipoint_lower", "s": s, "t": t, "e": e, "bound": lower})
+    return records
+
+
+def _shift_roots(monkeypatch, median_shift, equipoint_shift):
+    """Move every median and equipoint by its shape's shift, ``median_shift(s,
+    t)`` or ``equipoint_shift(s, t)``, and every residual the sweeps read
+    with it (the residual at x becomes the old one at x - shift, whose root
+    is the moved root), so that a check fires where the moved root breaks
+    its bound."""
+    import importlib
+
+    betastats = importlib.import_module("spectra_theta.betastats")
+    inverse, equipoint_rows, residuals = (
+        betastats._ibeta_inv_row, betastats._equipoint_rows, betastats._residuals)
+    monkeypatch.setattr(betastats, "_ibeta_inv_row",
+                        lambda y, s, t: inverse(y, s, t) + median_shift(s, t))
+    monkeypatch.setattr(betastats, "_equipoint_rows",
+                        lambda s, t: equipoint_rows(s, t) + equipoint_shift(s, t))
+    monkeypatch.setattr(betastats, "_residuals", lambda medians, equipoints: residuals(
+        [(s, t, x - median_shift(s, t)) for s, t, x in medians],
+        [(s, t, x - equipoint_shift(s, t)) for s, t, x in equipoints]))
+
+
 def test_bounds_sweeps_equal_the_separate_sweeps(monkeypatch):
-    # The combined sweep solves each distinct median and equipoint once.
-    # Its rows are perturbed per shape, by up to 0.1 and differently for
-    # medians and equipoints, so that every check sees violations: each must
-    # come back with the separate sweeps' bits, at the same shape, in the
-    # same order.
+    # The combined sweep evaluates every check in two residual passes.  Its
+    # roots and residuals are moved per shape, by up to 0.1 and differently
+    # for medians and equipoints, so that every check sees violations: each
+    # must come back with the separate sweeps' bits, at the same shape, in
+    # the same order, and as the plain solve-then-compare rule records it.
     import importlib
     import random
 
     betastats = importlib.import_module("spectra_theta.betastats")
-    for name, phase in (("_ibeta_inv_row", 0.0), ("_equipoint_rows", 1.0)):
-        solve = getattr(betastats, name)
-
-        def perturbed(*args, _solve=solve, _phase=phase):
-            s, t = args[-2:]
-            return _solve(*args) + 0.1 * np.sin(7.0 * s + 3.0 * t + _phase)
-
-        monkeypatch.setattr(betastats, name, perturbed)
+    _shift_roots(monkeypatch, lambda s, t: 0.1 * np.sin(7.0 * s + 3.0 * t),
+                 lambda s, t: 0.1 * np.sin(7.0 * s + 3.0 * t + 1.0))
     rnd = random.Random(11)
     shapes = []
     for _ in range(150):
@@ -269,9 +338,87 @@ def test_bounds_sweeps_equal_the_separate_sweeps(monkeypatch):
     violations += betastats.equipoint_lower_sweep(8.0, 0.5)
     separate = violations, betastats.simmons_conjecture_sweep(6.0, 0.5)
     assert combined == separate
+    plain = _root_then_compare(shapes, shapes, betastats._triangle(1.0, 8.0, 0.5),
+                               betastats._triangle(0.5, 6.0, 0.5))
+    assert [[list(r.items()) for r in part] for part in combined] == \
+        [[list(r.items()) for r in part] for part in plain]
     checks = {v["check"] for v in combined[0] + combined[1]}
     assert checks == {"median_bounds", "e_le_m", "m_up_le_e", "equipoint_lower",
                       "simmons_conjecture"}
+
+
+@pytest.mark.parametrize("seed", [0xC0FFEE, 1, 2])
+def test_the_sign_rule_gives_the_verdicts_of_the_solved_roots(seed):
+    # Each sweep reads a bound's verdict from the sign of its root's
+    # increasing residual at the bound +- 1e-12; solving every root and
+    # comparing it with its bound must give the same verdicts (the same
+    # records) on every shape that the verify commands check at their
+    # defaults: the Simmons splits with d <= 400, the drawn shapes of
+    # verify bounds and its two triangles.
+    import importlib
+
+    betastats = importlib.import_module("spectra_theta.betastats")
+    shapes, lower_s_max, conjecture_s_max, step = importlib.import_module(
+        "spectra_theta.cli")._bounds_arguments(seed, 99, 0.5)
+    assert betastats.median_bounds_sweep(shapes) + betastats.ordering_sweep(shapes) == \
+        _root_then_compare(shapes, shapes, [], [])[0]
+    if seed == 0xC0FFEE:  # the parts that no seed changes, once
+        assert simmons_sweep(400) == _simmons_root_then_compare(400)
+        lower_shapes = betastats._triangle(1.0, lower_s_max, step)
+        conjecture_shapes = betastats._triangle(0.5, conjecture_s_max, step)
+        assert (betastats.equipoint_lower_sweep(lower_s_max, step),
+                betastats.simmons_conjecture_sweep(conjecture_s_max, step)) == \
+            _root_then_compare([], [], lower_shapes, conjecture_shapes)
+
+
+def test_a_root_within_the_tolerance_of_its_bound_passes(monkeypatch):
+    # Each check allows its bound 1e-12.  A root moved 0.5e-12 past its bound
+    # must pass and one moved 2e-12 past must be recorded, by every check,
+    # as the plain solve-then-compare rule records it.
+    import importlib
+
+    betastats = importlib.import_module("spectra_theta.betastats")
+    inverse, equipoint_rows, moved = betastats._ibeta_inv_row, betastats._equipoint_rows, {}
+
+    def medians(s, t):
+        return inverse(0.5, s, t)
+
+    def shift(kind, solve):  # the shift of each root that ``moved`` names to its new place
+        return lambda s, t: np.array([moved.get((kind, a, b), r) - r for a, b, r in
+                                      zip(s.tolist(), t.tolist(), solve(s, t).tolist())])
+
+    def e(s, t):
+        return equipoint_rows(np.array([s]), np.array([t])).item()
+
+    _shift_roots(monkeypatch, shift("m", medians), shift("e", equipoint_rows))
+    gaps = (0.5e-12, 2e-12)
+    sandwich, chain, chain_up = [(4.0, 2.0), (5.0, 2.0), (6.0, 2.0), (7.0, 2.0)], [(8.0, 3.0), (9.0, 3.0)], \
+        [(10.0, 3.0), (11.0, 3.0)]
+    for k, (s, t) in enumerate(sandwich):
+        lower, upper = betastats._median_bounds(s, t)
+        moved["m", s, t] = lower - gaps[k % 2] if k < 2 else upper + gaps[k % 2]
+    for ((s, t), (s_up, t_up)), gap in zip(zip(chain, chain_up), gaps):
+        moved["m", s, t] = e(s, t) - gap
+        moved["m", s_up + 1.0, t_up + 1.0] = e(s_up, t_up) + gap
+    violations = betastats.median_bounds_sweep(sandwich) + betastats.ordering_sweep(chain + chain_up)
+    assert violations == _root_then_compare(sandwich, chain + chain_up, [], [])[0]
+    assert [(v["check"], v["s"]) for v in violations] == [
+        ("median_bounds", 5.0), ("median_bounds", 7.0), ("e_le_m", 9.0), ("m_up_le_e", 11.0)]
+    moved.clear()
+    for (s, t), (s_up, t_up), gap in zip([(1.5, 1.0), (2.0, 1.0)], [(0.5, 0.5), (1.0, 0.5)], gaps):
+        moved["e", s, t] = (s + 1.0) / (s + t + 2.0) - gap
+        moved["e", s_up, t_up] = s_up / (s_up + t_up) + gap
+    triangles = betastats.equipoint_lower_sweep(2.0, 0.5), betastats.simmons_conjecture_sweep(1.0, 0.5)
+    assert triangles == _root_then_compare([], [], betastats._triangle(1.0, 2.0, 0.5),
+                                           betastats._triangle(0.5, 1.0, 0.5))
+    assert [[(r["s"], r["t"]) for r in part] for part in triangles] == [[(2.0, 1.0)], [(1.0, 0.5)]]
+    moved.clear()  # the half-shapes of the splits (2, 1), (3, 1); (3, 2), (4, 1)
+    for (s, t), (s_low, t_low), gap in zip([(1.0, 0.5), (1.5, 0.5)], [(1.5, 1.0), (2.0, 0.5)], gaps):
+        moved["e", s, t] = s / (s + t) + gap
+        moved["e", s_low, t_low] = (s_low + 1.0) / (s_low + t_low + 2.0) - gap
+    records = simmons_sweep(5)
+    assert records == _simmons_root_then_compare(5)
+    assert [(r["check"], r["s"], r["t"]) for r in records] == [("simmons_upper", 3, 1), ("equipoint_lower", 4, 1)]
 
 
 @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -0.5])
@@ -416,9 +563,9 @@ def test_a_triangle_sweep_checks_no_shape_above_its_bound(monkeypatch):
     import importlib
 
     betastats = importlib.import_module("spectra_theta.betastats")
-    solve, largest = betastats._equipoint_rows, []
-    monkeypatch.setattr(betastats, "_equipoint_rows",
-                        lambda s, t: largest.append(s.max()) or solve(s, t))
+    residuals, largest = betastats._residuals, []
+    monkeypatch.setattr(betastats, "_residuals", lambda medians, equipoints: largest.extend(
+        s.max() for s, _, _ in equipoints if s.size) or residuals(medians, equipoints))
     betastats.equipoint_lower_sweep(20.0, 0.4)
     betastats.simmons_conjecture_sweep(30.0, 0.4)
     # the last grid points below each bound: 1 + 47 * 0.4 and 0.5 + 73 * 0.4
@@ -458,25 +605,13 @@ def test_median_bounds_sweep_refuses_as_median_bounds(bad):
 
 
 def test_simmons_sweep_records_equal_a_plain_recomputation(monkeypatch):
-    # equipoints pushed off their band, alternately up and down, so that
-    # both checks fire; the records must be those of the defining loop
-    import importlib
-
-    betastats = importlib.import_module("spectra_theta.betastats")
-    splits = [(s, d - s) for d in range(2, 41) for s in range((d + 1) // 2, d)]
-    shifts = [0.02 if k % 2 else -0.02 for k in range(len(splits))]
-    expected = []
-    for (s, t), shift in zip(splits, shifts):
-        e = equipoint(BetaShape(s / 2.0, t / 2.0)) + shift
-        lower, upper = (s / 2.0 + 1.0) / (s / 2.0 + t / 2.0 + 2.0), (s / 2.0) / (s / 2.0 + t / 2.0)
-        if e > upper + 1e-12:
-            expected.append({"check": "simmons_upper", "s": s, "t": t, "e": e, "bound": upper})
-        if e < lower - 1e-12:
-            expected.append({"check": "equipoint_lower", "s": s, "t": t, "e": e, "bound": lower})
-    rows = betastats._equipoint_rows
-    monkeypatch.setattr(betastats, "_equipoint_rows", lambda s, t: rows(s, t) + np.array(shifts))
+    # equipoints pushed off their band, up at odd s and down at even s
+    # (the residuals moved with them), so that both checks fire; the records
+    # must be those of the defining loop
+    _shift_roots(monkeypatch, lambda s, t: 0.0, lambda s, t: np.where((2.0 * s) % 2.0 == 1.0, 0.02, -0.02))
     records = simmons_sweep(40)
     assert {r["check"] for r in records} == {"simmons_upper", "equipoint_lower"}
+    expected = _simmons_root_then_compare(40)
     assert [list(r.items()) for r in records] == [list(r.items()) for r in expected]
     assert all(type(r["s"]) is int and type(r["t"]) is int and type(r["e"]) is float
                and type(r["bound"]) is float for r in records)

@@ -182,13 +182,15 @@ def test_stdout_default(capsys):
 
 
 def test_verify_bounds_solves_each_median_once(monkeypatch, capsys):
-    # every drawn shape has 1 <= t <= s, so the ordering chain reuses all
-    # the sandwich's medians: one inverse row of the medians at (s, t) and
-    # at (s + 1, t + 1), and one equipoint row
+    # every drawn shape has 1 <= t < s, and no check fails, so no median is
+    # solved: one residual pass at the sandwich's bounds and the triangles'
+    # (t <= s <= 20 on the half-integer grid from 1 and from 0.5), one
+    # equipoint row over the drawn shapes, and one residual pass at each
+    # equipoint, for the medians at (s, t) and at (s + 1, t + 1)
     betastats = importlib.import_module("spectra_theta.betastats")
-    inverse, equipoint, drawn = [], [], []
-    inv_row, equipoint_rows, sweeps = (
-        betastats._ibeta_inv_row, betastats._equipoint_rows, betastats.bounds_sweeps)
+    inverse, equipoint, passes, drawn = [], [], [], []
+    inv_row, equipoint_rows, residuals, sweeps = (
+        betastats._ibeta_inv_row, betastats._equipoint_rows, betastats._residuals, betastats.bounds_sweeps)
 
     def counted_inverse(y, a, b):
         inverse.append(len(a))
@@ -198,19 +200,24 @@ def test_verify_bounds_solves_each_median_once(monkeypatch, capsys):
         equipoint.append(len(s))
         return equipoint_rows(s, t)
 
+    def counted_residuals(medians, equipoints):
+        passes.append(([len(x) for _, _, x in medians], [len(x) for _, _, x in equipoints]))
+        return residuals(medians, equipoints)
+
     def recorded(shapes, *args):
         drawn.append(len(shapes))
         return sweeps(shapes, *args)
 
     monkeypatch.setattr(betastats, "_ibeta_inv_row", counted_inverse)
     monkeypatch.setattr(betastats, "_equipoint_rows", counted_equipoints)
+    monkeypatch.setattr(betastats, "_residuals", counted_residuals)
     monkeypatch.setattr(betastats, "bounds_sweeps", recorded)
     assert main(["verify", "bounds", "--d-max", "20"]) == 0
     assert capsys.readouterr().out == "verify bounds: OK (0 violations)\n"
-    assert inverse == [2 * drawn[0]] and 3990 <= inverse[0] <= 4000
-    # the random shapes, and the union of the two equipoint triangles
-    # (t <= s <= 20 on the half-integer grid from 1 and from 0.5)
-    assert equipoint == [drawn[0] + 820]
+    n = drawn[0]
+    assert inverse == [] and 1995 <= n <= 2000
+    assert equipoint == [n]
+    assert passes == [([n, n], [780, 820]), ([n, n], [])]
 
 
 def test_an_unwritable_out_path_exits_3(tmp_path, capsys):

@@ -814,6 +814,23 @@ def test_the_witness_refuses_a_kronecker_side_past_its_cap(monkeypatch):
         sharpness_witness(32, 1, 1)
 
 
+@pytest.mark.parametrize("d, most", [(2, 65_536), (3, 29_127), (32, 256)])
+def test_the_witness_refuses_more_cells_than_its_cap(monkeypatch, d, most):
+    # each per-cell stack holds cells d**2 entries: one cell past 2**18 / d**2
+    # is refused before theta(d) is solved, the generator keyed or anything
+    # drawn, and the cap itself goes on to theta
+    def fail(*args):
+        raise AssertionError("reached")
+
+    for name in ("_theta_of", "_generator", "_haar_gram_schmidt"):
+        monkeypatch.setattr(pencil, name, fail)
+    assert pencil.WITNESS_ENTRIES_CAP == 1 << 18 and most * d * d <= 1 << 18 < (most + 1) * d * d
+    with pytest.raises(ResourceError, match=f"cells d\\*\\*2 <= 262144, got {most + 1} cells at d = {d}"):
+        sharpness_witness(d, most + 1, 1)
+    with pytest.raises(AssertionError, match="reached"):
+        sharpness_witness(d, most, 1)
+
+
 def _relaxation_pencil(nu: int, g: int, seed: int) -> MonicPencil:
     """Random symmetric coefficients scaled so that the cube's largest vertex eigenvalue is 1/2."""
     coeffs = [a + a.T for a in _generator(seed).standard_normal((g, nu, nu))]

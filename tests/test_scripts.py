@@ -200,3 +200,16 @@ def test_row_costs_prints_its_three_tables():
     assert [row[:2] for row in rows[4:]] == [["call", "ibeta_row_one_lane"], ["call", "newton_round"],
                                              ["call", "median_one_lane"]]
     assert all(math.isfinite(float(value)) for row in rows for value in row[2:])
+
+
+def test_sweep_margins_prints_the_least_slack_of_each_check():
+    # only the format is checked: one row per check, each with a finite slack
+    # and residual and the shape where they occurred
+    lines = run_script("sweep_margins.py", "--d-max", "6", "--seed", "1", "--bounds-d-max", "3")
+    assert lines[0] == "sweep,check,slack,residual,s,t"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[:2] for row in rows] == [
+        ["simmons", "simmons_upper"], ["simmons", "equipoint_lower"],
+        ["bounds", "median_bounds_lower"], ["bounds", "median_bounds_upper"], ["bounds", "e_le_m"],
+        ["bounds", "m_up_le_e"], ["bounds", "equipoint_lower"], ["bounds", "simmons_conjecture"]]
+    assert all(math.isfinite(float(value)) for row in rows for value in row[2:])
