@@ -34,7 +34,7 @@ import sys
 
 from . import betastats, dilation, sphere_oracle
 from .betastats import BetaShape
-from .errors import DEFAULT_SEED, DomainError, NumericError, ResourceError, _generator, _require_int
+from .errors import DEFAULT_SEED, DomainError, NumericError, ResourceError, _require_int, _uniforms
 from .theta import thetas
 
 MEDIAN_TABLE_SHAPES = [(2.5, 1.0), (3.0, 1.0), (3.0, 2.0), (4.0, 2.0), (10.0, 3.0), (10.0, 7.0)]
@@ -166,7 +166,7 @@ def _verify_monotone(args: argparse.Namespace) -> int:
 
 def _bounds_arguments(seed: int, d_max: int, grid_step: float) -> tuple[list, float, float, float]:
     """The arguments that ``verify bounds`` passes to ``betastats.bounds_sweeps``."""
-    u = _generator(seed).random((2000, 2))  # rows (t, s), as drawn
+    u = _uniforms(seed, 4000).reshape(2000, 2)  # rows (t, s), as drawn
     t = 1.0 + 19.0 * u[:, 0]
     s = t + 19.0 * u[:, 1]
     shapes = [(a, b) for a, b in zip(s.tolist(), t.tolist()) if a + b >= 3.0]

@@ -7,7 +7,9 @@ and requests whose memory/size cost exceeds a hard cap (ResourceError).
 Beside them sit the package's one check for each kind of argument.
 """
 
-from __future__ import annotations  # unevaluated: np.random loads with the first generator
+# annotations unevaluated: np.random loads with the first _generator; _uniforms,
+# the seed's reader for uniforms alone, never loads it
+from __future__ import annotations
 
 import math
 import numbers
@@ -86,12 +88,52 @@ def _require_items(name: str, value, kinds: tuple[type, ...] = (object,)) -> lis
     return items
 
 
-def _generator(seed: int) -> np.random.Generator:
-    """The Philox generator keyed by ``seed``, an integer in [0, 2**128): the
-    package's one check of a seed, and its one place that keys a generator."""
+def _require_seed(seed) -> int:
+    """``seed`` as a Python int, refused with DomainError unless it is an
+    integer (``_require_int``) in [0, 2**128), the Philox key range: the
+    package's one check of a seed."""
     if (seed := _require_int("seed", seed, 0)) >> 128:
         raise DomainError(f"seed must be below 2**128, got {reprlib.repr(seed)}")
-    return np.random.Generator(np.random.Philox(key=seed))
+    return seed
+
+
+def _generator(seed: int) -> np.random.Generator:
+    """The Philox generator keyed by ``seed`` (``_require_seed``): the
+    package's one place that keys a generator."""
+    return np.random.Generator(np.random.Philox(key=_require_seed(seed)))
+
+
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # Philox4x64 round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # and key bumps
+_MASK64 = (1 << 64) - 1
+
+
+def _mulhi(x: np.ndarray, m: int) -> np.ndarray:
+    """The high 64 bits of each x * m, summed from 32-bit halves, whose
+    products fit in a uint64."""
+    x_lo, x_hi, m_lo, m_hi = x & 0xFFFFFFFF, x >> 32, m & 0xFFFFFFFF, m >> 32
+    cross, inner = x_lo * m_hi, x_hi * m_lo
+    carry = ((x_lo * m_lo >> 32) + (cross & 0xFFFFFFFF) + (inner & 0xFFFFFFFF)) >> 32
+    return x_hi * m_hi + (cross >> 32) + (inner >> 32) + carry
+
+
+def _uniforms(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` doubles of ``_generator(seed).random()``, bit for
+    bit, without loading numpy.random: the Philox4x64-10 function (Salmon et
+    al., SC 2011) in uint64 integer arithmetic, so every dispatch target gives
+    the same bits.  Block k = 1, 2, ... runs counter (k, 0, 0, 0) under key
+    (seed mod 2**64, seed >> 64), the key bumped after each round (in Python
+    ints, which wrap without a numpy overflow warning); its four words follow
+    in order, and a word w gives (w >> 11) 2**-53."""
+    seed, count = _require_seed(seed), _require_int("count", count, 0)
+    x0 = np.arange(1, -(-count // 4) + 1, dtype=np.uint64)
+    x1 = x2 = x3 = np.zeros_like(x0)
+    k0, k1 = seed & _MASK64, seed >> 64
+    for _ in range(10):
+        hi0, hi1 = _mulhi(x0, _PHILOX_M[0]), _mulhi(x2, _PHILOX_M[1])
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, x2 * _PHILOX_M[1], hi0 ^ x3 ^ k1, x0 * _PHILOX_M[0]
+        k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+    return (np.stack([x0, x1, x2, x3], 1).ravel()[:count] >> 11) * 2.0**-53
 
 
 def _require_symmetric(mats) -> np.ndarray:

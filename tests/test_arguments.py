@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from spectra_theta import betastats, dilation, pencil, sphere_oracle
+from spectra_theta import betastats, dilation, errors, pencil, sphere_oracle
 from spectra_theta.cli import main
 from spectra_theta.errors import DomainError, ResourceError
 from spectra_theta.pencil import MonicPencil, SymTuple, cube_pencil
@@ -111,9 +111,10 @@ def test_an_integer_argument_is_checked_one_way(call, valid, least):
 
 @pytest.mark.parametrize("call", [
     lambda seed: sphere_oracle._generator(seed),
+    lambda seed: errors._uniforms(seed, 4),
     lambda seed: pencil.haar_orthogonal(2, seed=seed),
     lambda seed: sphere_oracle.sphere_abs_quadratic_integral(np.eye(2), n=10, seed=seed),
-], ids=["_generator", "haar_orthogonal", "sphere_abs_quadratic_integral"])
+], ids=["_generator", "_uniforms", "haar_orthogonal", "sphere_abs_quadratic_integral"])
 def test_a_seed_lies_in_the_philox_key_range(call):
     for bad in (-1, 2**128, 2**200):
         with pytest.raises(DomainError):

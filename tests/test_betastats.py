@@ -604,6 +604,17 @@ def test_median_bounds_sweep_refuses_as_median_bounds(bad):
     assert str(got.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("bad", [(math.inf, 1.0), (math.inf, math.inf), (4.0, math.inf)])
+def test_a_row_of_float_shapes_refuses_as_median_bounds(bad):
+    # a list of float pairs is checked as one row, which must refuse each
+    # shape that median_bounds(BetaShape(s, t)) refuses, with its message
+    with pytest.raises(DomainError) as expected:
+        median_bounds(BetaShape(*bad))
+    with pytest.raises(DomainError) as got:
+        median_bounds_sweep([(4.0, 2.0), bad, (5.0, 2.5)])
+    assert str(got.value) == str(expected.value)
+
+
 def test_simmons_sweep_records_equal_a_plain_recomputation(monkeypatch):
     # equipoints pushed off their band, up at odd s and down at even s
     # (the residuals moved with them), so that both checks fire; the records

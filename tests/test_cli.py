@@ -4,6 +4,7 @@ import importlib
 import inspect
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -435,10 +436,38 @@ def test_the_layers_keep_their_private_names():
 
 
 def test_importing_the_package_leaves_numpy_random_unloaded():
-    # numpy.random adds about 5.7 MiB of RSS; it loads with the first seeded
-    # generator, not with the package (errors' annotations stay unevaluated)
+    # numpy.random adds about 5.7 MiB of RSS; it loads with the first
+    # errors._generator, not with the package (errors' annotations stay
+    # unevaluated) nor with errors._uniforms, which verify bounds reads
     src = pathlib.Path(importlib.import_module("spectra_theta").__file__).parents[1]
     probe = "import sys, spectra_theta.cli; print('numpy.random' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          env={"PYTHONPATH": str(src)}).stdout
     assert out == "False\n"
+
+
+def test_the_table_and_sweep_commands_leave_numpy_random_unloaded():
+    # verify bounds draws its shapes with errors._uniforms, so none of these
+    # six commands loads numpy.random in a fresh interpreter
+    src = pathlib.Path(importlib.import_module("spectra_theta").__file__).parents[1]
+    commands = [["verify", "simmons", "--d-max", "12"], ["verify", "monotone", "--d-max", "6"],
+                ["verify", "bounds", "--d-max", "5", "--seed", "777"], ["theta-table", "--d-max", "5"],
+                ["median-table"], ["equipoint-table", "--format", "json"]]
+    probe = ("import contextlib, io, sys\nfrom spectra_theta.cli import main\n"
+             f"with contextlib.redirect_stdout(io.StringIO()):\n    codes = [main(a) for a in {commands!r}]\n"
+             "print(codes, 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": str(src)}).stdout
+    assert out == "[0, 0, 0, 0, 0, 0] False\n"
+
+
+def test_uniforms_equal_the_philox_generator_bit_for_bit():
+    errors = importlib.import_module("spectra_theta.errors")
+    draw = random.Random(36)
+    keys = [0, 1, 0xC0FFEE, 2**64 - 1, 2**64, 2**127 + 12345, 2**128 - 1]
+    keys += [draw.getrandbits(bits) | 1 << (bits - 1) for bits in draw.choices(range(8, 129), k=200)]
+    for key in keys:
+        expected = np.random.Generator(np.random.Philox(key=key)).random(4001)
+        for count in (0, 1, 3, 4, 5, 4000, 4001):
+            got = errors._uniforms(key, count)
+            assert got.dtype == np.float64 and got.tobytes() == expected[:count].tobytes(), (key, count)
