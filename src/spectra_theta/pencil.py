@@ -77,11 +77,9 @@ def _kron_sum(A, X: np.ndarray) -> np.ndarray:
 
 def _require_kron_side(nu: int, n: int) -> None:
     """ResourceError, before anything is built, for a Kronecker sum of side nu n
-    past ``KRON_SIDE_CAP``: the one cap on L(X) for a general pencil.  At the cap,
-    ``in_free_spectrahedron`` took 0.15 s and 25 MiB (tracemalloc) with nu = 4,
-    n = 256 and g = 2, on one BLAS thread of a 2-core host; a side of 2048 took
-    0.9 s and 98 MiB.  ``cube_relaxation_test`` holds one such matrix per trial of
-    a batch (``_BATCH_ENTRIES``), and ``sharpness_witness`` one of side d**2."""
+    past ``KRON_SIDE_CAP``: the one cap on L(X) for a general pencil.
+    ``cube_relaxation_test`` holds one such matrix per trial of a batch
+    (``_BATCH_ENTRIES``), and ``sharpness_witness`` one of side d**2."""
     if nu * n > KRON_SIDE_CAP:
         raise ResourceError(f"a pencil's Kronecker sum is capped at a side nu n <= {KRON_SIDE_CAP}, "
                             f"got {nu * n}")
@@ -380,11 +378,8 @@ def sharpness_witness(
     theta(d) is solved or anything is drawn, and so are more cells than
     ``WITNESS_ENTRIES_CAP`` / d**2 (65,536 at d = 2, 29,127 at d = 3, 256 at
     d = 32): each per-cell stack (the centers, the tuple, the sums, the
-    pencil) holds cells d**2 entries.  At the cap, with one sample per cell
-    on one BLAS thread, the tracemalloc peak was 44, 27 and 31 MiB (1.4,
-    2.7 and 0.9 s); at four times the cap, 174, 107 and 73 MiB (5.9, 57
-    and 3.4 s).  For d >= 3 the sample-by-cell score block makes the time
-    grow as cells**2 samples_per_cell.
+    pencil) holds cells d**2 entries.  For d >= 3 the sample-by-cell score
+    block makes the time grow as cells**2 samples_per_cell.
 
     Returns the pencil, the norm-one tuple, and the achieved lambda_max.
     """

@@ -10,16 +10,17 @@ closed forms (``kappa_star`` and ``alpha_beta``), to hold the estimates to them.
 Determinism contract: the generator is counter-based (Philox keyed by the
 seed), and an estimate in dimension d from n samples reads the first n*d
 normals of the seed's stream as n rows of d, consumed in fixed-size batches
-of ``_BATCH`` rows.  So identical (inputs, seed, n) draw bit-identical
-samples on any machine and under any caller-side parallelism, and estimates
-with the same (n, seed) read prefixes of one stream: ``joint_estimates``
-draws that stream once, for the largest dimension asked, and each estimate
-is bit-identical to its one-estimate call.  Each normal is squared once,
-and every estimate reads a sample xi/|xi| from the raw row, its squares and
-|xi|^2 (dividing by |xi|^2), never from a normalized copy.  The estimates
-contract the samples through BLAS matrix products, so they are
-bit-identical for one numpy/BLAS build on one CPU type (whatever its thread
-count); another BLAS kernel may move their last bits.
+of ``_BATCH`` rows, so its memory does not grow with n.  Identical (inputs,
+seed, n) draw bit-identical samples on any machine and under any
+caller-side parallelism, and estimates with the same (n, seed) read
+prefixes of one stream: ``joint_estimates`` draws that stream once, for the
+largest dimension asked, and each estimate is bit-identical to its
+one-estimate call.  Each normal is squared once, and every estimate reads a
+sample xi/|xi| from the raw row, its squares and |xi|^2 (dividing by
+|xi|^2), never from a normalized copy.  The estimates contract the samples
+through BLAS matrix products, so they are bit-identical for one numpy/BLAS
+build on one CPU type (whatever its thread count); another BLAS kernel may
+move their last bits.
 
 ``oracle_sweep`` holds eight estimates to their closed forms in ``theta``.
 """
@@ -38,7 +39,11 @@ from .pencil import _eigvalsh
 from .theta import SignDiag, alpha_beta, kappa_star
 
 DEFAULT_SAMPLES = 1_000_000
-_BATCH = 1 << 17  # fixed so the accumulation order never depends on n
+# Rows per batch.  Fixed, so the accumulation order never depends on n (another
+# size moves the estimates' last bits).  Sized to the cache: at d = 8 the
+# windows of normals and squares hold 2 MiB, where 2^17 rows held 16 MiB and
+# ran slower, cold and warm (scripts/oracle_costs.py).
+_BATCH = 1 << 14
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Smoke tests for the experiment scripts under scripts/: each runs as a
 subprocess, the way a user starts it, with src/ on the path."""
 
+import hashlib
 import math
 import os
 import pathlib
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from spectra_theta import specfun
+from spectra_theta import specfun, sphere_oracle
 from spectra_theta.betastats import _equipoint_rows
 from spectra_theta.sphere_oracle import sphere_abs_quadratic_integral
 from spectra_theta.theta import SignDiag, kappa_star, theta, theta_odd_bounds
@@ -55,6 +56,14 @@ def test_oracle_sweep_matches_per_split_estimates():
             expected.append(f"{s},{t},{ks:.8f},{est.value:.8f},{est.std_err:.2e},{z:+.2f}")
     assert lines[1:] == expected
 
+
+
+def test_oracle_sweep_keeps_its_bytes():
+    # a new batch size of the oracle moves its estimates' last bits, and
+    # this pins the eight digits it prints
+    lines = run_script("oracle_sweep.py", "--d-max", "6", "--samples", "200000")
+    assert hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest() == (
+        "f6f323b19ab0a683d75291c14df1007d7e745f1144cfd5daedb9e43491b5d26e")
 
 
 def test_oracle_sweep_refuses_one_sample():
@@ -200,6 +209,16 @@ def test_row_costs_prints_its_three_tables():
     assert [row[:2] for row in rows[4:]] == [["call", "ibeta_row_one_lane"], ["call", "newton_round"],
                                              ["call", "median_one_lane"]]
     assert all(math.isfinite(float(value)) for row in rows for value in row[2:])
+
+
+def test_oracle_costs_prints_one_row_per_batch_and_sample_count():
+    # one cold interpreter and one warm call per row: only the format is checked
+    lines = run_script("oracle_costs.py", "--batches", "12", "13", "--samples", "2000", "3000", "--repeat", "1")
+    assert lines[0] == f"_BATCH = {sphere_oracle._BATCH}"
+    assert lines[1] == "batch_rows,samples,cold_ms,cold_rss_mib,warm_ms,peak_mib"
+    rows = [line.split(",") for line in lines[2:]]
+    assert [row[:2] for row in rows] == [["4096", "2000"], ["4096", "3000"], ["8192", "2000"], ["8192", "3000"]]
+    assert all(math.isfinite(float(value)) and float(value) > 0.0 for row in rows for value in row[2:])
 
 
 def test_sweep_margins_prints_the_least_slack_of_each_check():

@@ -204,7 +204,8 @@ def test_kappa_cross_check_generic():
 
 # --- one stream shared by every estimate --------------------------------------
 
-SHARING_NS = [1, 131_071, 155_653, 393_216]  # 1, one batch less one, past a batch, three batches
+# one sample, then n ending one row short of a batch, mid-batch and on a batch's end
+SHARING_NS = [1, 131_071, 155_653, 393_216]
 
 
 def _requests():
@@ -329,6 +330,15 @@ def test_verify_oracle_draws_each_normal_once(monkeypatch, capsys):
     assert sum(drawn) == 8 * n  # the widest estimate is kappa*(4, 4) in d = 8
 
 
+def test_verify_oracle_keeps_its_bytes_at_the_benchmark_sample_count(capsys):
+    # the benchmark's op: a new batch size moves the estimates' last bits,
+    # and this pins what the command prints
+    assert main(["verify", "oracle", "--samples", "500000"]) == 0
+    assert capsys.readouterr().out == (
+        "verify oracle: OK (0 violations)\n"
+        "verify oracle: worst deviation 2.86 standard errors of bound 3 (kappa_mc, s=1, t=1)\n")
+
+
 @pytest.mark.parametrize("n", [1, 3])
 def test_an_estimate_keeps_python_floats_and_one_sample_has_no_spread(n):
     J = SignDiag(2, 1, 1.0, 1.0)
@@ -355,22 +365,24 @@ def test_joint_estimates_refuses_what_is_not_a_request(requests, shown, monkeypa
     assert shown in str(refusal.value) and len(str(refusal.value)) < 120  # reprlib's short value
 
 
+def _traced_peak(requests, n):
+    """The tracemalloc peak of one ``joint_estimates`` call, in bytes."""
+    tracemalloc.start()
+    try:
+        joint_estimates(requests, n, seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_scalar_requests_share_one_pair_of_batch_vectors():
     # each request owns only what it alone writes: eight diagonal requests
     # take no more memory than one, and no request keeps a buffer of a
     # batch's size after the call
-    def peak(requests):
-        tracemalloc.start()
-        try:
-            joint_estimates(requests, _BATCH, seed=1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     B = np.diag([1.0, 1.0, -1.0, -1.0])
     one, eight = [AbsQuadratic(B)], [AbsQuadratic(B) for _ in range(8)]
-    peak(one)  # the first pass in a process also allocates state that outlives it
-    assert peak(eight) <= peak(one) + (1 << 16)  # a batch vector is 1 MiB
+    _traced_peak(one, _BATCH)  # the first pass in a process also allocates state that outlives it
+    assert _traced_peak(eight, _BATCH) <= _traced_peak(one, _BATCH) + (1 << 16)  # a batch vector: 128 KiB
     J = SignDiag(2, 2, 1.0, 0.5)
     general = _generator(2).standard_normal((4, 4))
     requests = [SignOuter(J), SignOuter(J), SignMoment(J, 1), AbsQuadratic(general + general.T)]
@@ -379,3 +391,18 @@ def test_scalar_requests_share_one_pair_of_batch_vectors():
         joint_estimates(requests, _BATCH, seed=-1)
     held = [v.size for r in requests for v in vars(r).values() if isinstance(v, np.ndarray)]
     assert max(held) < 8192
+
+
+def test_the_peak_is_flat_in_n_and_within_the_batch_buffers():
+    # d = 8, so the two windows (normals and squares) hold _BATCH rows of 8
+    # doubles each; the shared rows are |xi|^2 and the two per-sample vectors,
+    # and E_J's own is its (rows, d) matrix.  Its broadcast divisions take one
+    # numpy ufunc buffer of np.getbufsize() doubles; 32 KiB covers the d x d
+    # sums, the batch schedule and the estimates
+    J = SignDiag(4, 4, 1.0, 1.0)
+    requests = [AbsQuadratic(np.diag(J.diagonal())), SignOuter(J)]
+    bound = 8 * (2 * _BATCH * 8 + 3 * _BATCH + _BATCH * 8) + 8 * np.getbufsize() + (1 << 15)
+    _traced_peak(requests, _BATCH)  # the first pass in a process also allocates state that outlives it
+    small, large = _traced_peak(requests, 4 * _BATCH), _traced_peak(requests, 40 * _BATCH)
+    assert abs(large - small) <= 0.1 * small
+    assert max(small, large) <= bound
