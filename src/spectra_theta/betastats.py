@@ -16,16 +16,10 @@ its grid as one row over its distinct shapes, and ``equipoint``, ``median``,
 ``phi`` and ``phi_hat`` are one-lane calls of the same code, so a shape gives
 the same bits either way.
 
-The bound sweeps (``simmons_sweep`` and the four of ``bounds_sweeps``) solve
-no root to compare it with a bound.  Each root is that of an increasing
-residual (the equipoint's ``_equipoint_excess``, the median's
-I_x(s, t) - 1/2), so it exceeds b + 1e-12, the bound with the check's
-tolerance, exactly when the residual at b + 1e-12 is negative (and lies
-below b - 1e-12 when the residual there is positive).  The sweeps read
-those signs from one stacked kernel pass (``_residuals``); a sign is
-resolved to about 1e-15 in x, tighter than a solved root.  Roots are solved
-only for the ordering chain, whose bound is the equipoint, and for the
-records, which print them.
+The bound sweeps (``simmons_sweep`` and the four of ``bounds_sweeps``) are
+one function, ``_bounds_checks``, which reads each verdict from the sign of
+a residual (the sign rule, at ``_SWEEP_TOL``) and solves a root only for
+the ordering chain, whose bound is the equipoint, and for the records.
 """
 
 from __future__ import annotations
@@ -124,16 +118,12 @@ def equipoints(shapes: list[BetaShape]) -> list[float]:
 def equipoint(shape: BetaShape) -> float:
     """The equipoint e of the shape pair; a one-lane ``equipoints``.
 
-    The accuracy is absolute.  Against a 40-digit reference, the worst
-    error measured on shapes up to 200 is 2.19e-14, at (112.06, 183.57),
-    the worst of 3000 seeded shapes uniform on [0.5, 200] (two of them
-    exceed 2e-14).  On a grid and on half-integer shapes of the Simmons
-    sweep the worst seen in 6000 is 1.04e-14, at (125, 53.5).  The test
-    suite checks the grid, a sample of those shapes and the worst seeded
-    lane.  The residual cancels to about
-    1e-16 in absolute terms, so a root very close to 0 keeps few relative
-    digits.  At shapes (1e-6, 1e6) the root 1.0854e-11 comes back 1.5e-4 off
-    in relative terms, at (1e-8, 1e8) the root 1.5e-15 about 20% off.
+    The accuracy is absolute: within 2.2e-14 of a 40-digit reference on
+    shapes up to 200, as the test suite checks on a grid, on half-integer
+    shapes of the Simmons sweep and on the worst lane of a seeded row
+    (README's numerics notes give the measured errors).  The residual
+    cancels to about 1e-16 in absolute terms, so a root very close to 0
+    keeps few relative digits.
     """
     return equipoints([shape])[0]
 
@@ -160,15 +150,20 @@ def median_bounds(shape: BetaShape) -> tuple[float, float]:
     (s/(s+t), s/(s+t) + (s-t)/(s+t)^2).  The sandwich
     lower <= median <= upper is asserted by the test suite, not here.
     """
-    return _median_bounds(shape.s_frak, shape.t_frak)
+    return _median_bounds(*_median_shape(shape.s_frak, shape.t_frak))
 
 
-def _median_bounds(s: float, t: float) -> tuple[float, float]:
-    """``median_bounds`` of the shape (s, t), whose checks ``BetaShape`` passed."""
-    if not (1.0 <= t <= s and s + t >= 3.0):
-        raise DomainError(f"median_bounds requires 1 <= t <= s and s+t >= 3, got ({s}, {t})")
-    mu = s / (s + t)
-    return mu, mu + (s - t) / ((s + t) * (s + t))
+def _median_bounds(s, t, share=1.0):
+    """The mean s/(s+t) and the mean plus ``share`` of the band's width
+    (s-t)/(s+t)^2, on floats or rows, unchecked: ``median_bounds`` at the
+    default share (a share of 1/2 halves the width exactly)."""
+    mean = s / (s + t)
+    return mean, mean + share * ((s - t) / ((s + t) * (s + t)))
+
+
+def median_half_upper_bound(shape: BetaShape) -> float:
+    """The mean plus half the width of ``median_bounds``, for comparison tables."""
+    return _median_bounds(*_median_shape(shape.s_frak, shape.t_frak), 0.5)[1]
 
 
 def median_old_upper_bound(shape: BetaShape) -> float:
@@ -246,6 +241,12 @@ def binom_tail(p: float, s: int, d: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+# The tolerance of every sweep's check.  The sign rule: the root of an increasing residual
+# (``_residuals``) exceeds a bound b + _SWEEP_TOL exactly when the residual there is
+# negative, and lies below b - _SWEEP_TOL exactly when it is positive.
+_SWEEP_TOL = 1e-12
+
+
 def _residuals(median_probes, equipoint_probes) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The sweeps' increasing residuals at the (s, t, x) row triples of the
     probes, from one stacked ``_ibeta_rows`` pass: I_x(s, t) - 1/2, whose root
@@ -259,26 +260,11 @@ def _residuals(median_probes, equipoint_probes) -> tuple[list[np.ndarray], list[
 
 def simmons_sweep(d_max: int) -> list[dict]:
     """Check e_{s/2,t/2} <= s/d and (s'+1)/(d'+2) <= e over all integer
-    splits d/2 <= s < d for d <= d_max (s' = s/2, d' = d/2).
-
-    Each bound b is checked by the sign of the increasing equipoint residual
-    at b +- 1e-12 (``_residuals``): e > s/d + 1e-12 exactly when the residual
-    at s/d + 1e-12 is negative.  Only the equipoints of violations are solved."""
+    splits d/2 <= s < d for d <= d_max (s' = s/2, d' = d/2), by the sign rule
+    (``_SWEEP_TOL``): one equipoint band of ``_bounds_checks``."""
     d_max = _require_int("d_max", d_max, 2)
     splits = [(s, d - s) for d in range(2, d_max + 1) for s in range((d + 1) // 2, d)]
-    sh, th = np.array(splits, dtype=float).T / 2.0
-    lower, upper = _equipoint_band(sh, th)
-    _, (at_upper, at_lower) = _residuals([], [(sh, th, upper + 1e-12), (sh, th, lower - 1e-12)])
-    above, below = at_upper < 0.0, at_lower > 0.0
-    flagged = np.flatnonzero(above | below)
-    violations = []
-    for i, e in zip(flagged.tolist(), _solve_once(_equipoint_rows, np.stack([sh, th], 1)[flagged])[0]):
-        s, t = splits[i]
-        if above[i]:
-            violations.append({"check": "simmons_upper", "s": s, "t": t, "e": e, "bound": float(upper[i])})
-        if below[i]:
-            violations.append({"check": "equipoint_lower", "s": s, "t": t, "e": e, "bound": float(lower[i])})
-    return violations
+    return _bounds_checks([], [], [], [], splits)[0]
 
 
 def _grid(first: float, last: float, step: float) -> np.ndarray:
@@ -310,7 +296,7 @@ def _solve_once(rows, *groups) -> list[list[float]]:
     over the distinct shapes (a lane gets the same bits in any row), and not
     at all when there is none.  Each shape is read as the complex s + it,
     which sorts as the (s, t) rows would."""
-    st = np.concatenate([np.asarray(group, dtype=float).reshape(-1, 2) for group in groups])
+    st = np.concatenate([np.empty((0, 2)), *(np.asarray(group, dtype=float).reshape(-1, 2) for group in groups)])
     if not st.size:
         return [[] for _ in groups]
     distinct, where = np.unique(st.view(complex)[:, 0], return_inverse=True)
@@ -322,7 +308,8 @@ def _solve_once(rows, *groups) -> list[list[float]]:
 def _median_shape(s, t) -> tuple[float, float]:
     """The shape (s, t) as floats, refused as ``median_bounds(BetaShape(s, t))`` refuses it."""
     s, t = _require_real("s_frak", s, 0.0, above=True), _require_real("t_frak", t, 0.0)
-    _median_bounds(s, t)
+    if not (1.0 <= t <= s and s + t >= 3.0):
+        raise DomainError(f"median_bounds requires 1 <= t <= s and s+t >= 3, got ({s}, {t})")
     return s, t
 
 
@@ -342,16 +329,17 @@ def _shape_rows(shapes: list, valid, check) -> np.ndarray:
 def _bounds_checks(median_shapes: list[tuple[float, float]],
                    ordering_shapes: list[tuple[float, float]],
                    lower_shapes: list[tuple[float, float]],
-                   conjecture_shapes: list[tuple[float, float]]) -> tuple[list[dict], list[dict]]:
-    """The checks of ``median_bounds_sweep``, ``ordering_sweep`` and
-    ``equipoint_lower_sweep`` on their shapes (violations, in that order),
-    and the findings of ``simmons_conjecture_sweep`` on its shapes.
-
-    Each bound b is checked by the sign of its root's increasing residual at
-    b +- 1e-12 (``_residuals``): the median sandwich and the two triangles
-    in one pass, and the ordering chain, whose bound is the equipoint, in a
-    second pass after one equipoint row over its distinct pairs.  Only the
-    roots that a record prints are solved besides, each distinct one once."""
+                   conjecture_shapes: list[tuple[float, float]],
+                   splits: list[tuple[int, int]] = ()) -> tuple[list[dict], list[dict]]:
+    """The checks of ``median_bounds_sweep``, ``ordering_sweep``,
+    ``equipoint_lower_sweep`` and ``simmons_sweep`` on their shapes
+    (violations, in that order), and the findings of
+    ``simmons_conjecture_sweep``, all by the sign rule (``_SWEEP_TOL``): the
+    median sandwich and three equipoint bands (the two triangles and the
+    halved splits) in one ``_residuals`` pass, and the ordering chain, whose
+    bound is the equipoint, in a second after one equipoint row over its
+    distinct pairs.  Only the roots that a record prints are solved besides,
+    each distinct one once."""
     median_shapes = _require_items("shapes", median_shapes)
     ordering_shapes = _require_items("shapes", ordering_shapes)
     medians = _shape_rows(median_shapes, lambda s, t: (1.0 <= t) & (t <= s) & (s + t >= 3.0) & np.isfinite(s),
@@ -360,25 +348,33 @@ def _bounds_checks(median_shapes: list[tuple[float, float]],
     pairs = _shape_rows(ordering_shapes, lambda s, t: np.isfinite(s) & np.isfinite(t),
                         lambda s, t: (_require_real("s", s), _require_real("t", t)))
     pairs = pairs[(0.0 < pairs[:, 1]) & (pairs[:, 1] <= pairs[:, 0])]
-    lows, highs = (np.array(group, dtype=float).reshape(-1, 2) for group in (lower_shapes, conjecture_shapes))
-    sums = medians[:, 0] + medians[:, 1]
-    means = medians[:, 0] / sums
-    uppers = means + (medians[:, 0] - medians[:, 1]) / (sums * sums)
-    low_bound, high_bound = _equipoint_band(*lows.T)[0], _equipoint_band(*highs.T)[1]
-    (at_mean, at_upper), (at_low, at_high) = _residuals(
-        [(*medians.T, means - 1e-12), (*medians.T, uppers + 1e-12)],
-        [(*lows.T, low_bound - 1e-12), (*highs.T, high_bound + 1e-12)])
+    means, uppers = _median_bounds(*medians.T)
+    violations, findings, bands = [], [], []  # a band: its rows, record names, checked ends and records
+    for shapes, scale, lower_check, upper_check, records in (
+            (lower_shapes, 1.0, "equipoint_lower", None, violations),
+            (splits, 0.5, "equipoint_lower", "simmons_upper", violations),
+            (conjecture_shapes, 1.0, None, "simmons_conjecture", findings)):
+        if shapes:
+            rows = np.array(shapes, dtype=float).reshape(-1, 2) * scale
+            lower, upper = _equipoint_band(*rows.T)
+            ends = [end for end in ((upper_check, upper, -1.0), (lower_check, lower, 1.0)) if end[0]]
+            bands.append((rows, shapes, ends, records))
+    (at_mean, at_upper), at_ends = _residuals(
+        [(*medians.T, means - _SWEEP_TOL), (*medians.T, uppers + _SWEEP_TOL)],
+        [(*rows.T, bound - sign * _SWEEP_TOL) for rows, _, ends, _ in bands for _, bound, sign in ends])
+    at_ends = iter(at_ends)  # an end fires where its sign times the residual is positive
+    fired = [[sign * next(at_ends) > 0.0 for _, _, sign in ends] for _, _, ends, _ in bands]
+    flagged = [np.flatnonzero(np.logical_or.reduce(masks)) for masks in fired]
     e_pairs = np.array(_solve_once(_equipoint_rows, pairs)[0])
     strict = np.flatnonzero(pairs[:, 1] < pairs[:, 0])
     (at_e, at_e_up), _ = _residuals(
-        [(*pairs.T, e_pairs - 1e-12), (*(pairs[strict] + 1.0).T, e_pairs[strict] + 1e-12)], [])
+        [(*pairs.T, e_pairs - _SWEEP_TOL), (*(pairs[strict] + 1.0).T, e_pairs[strict] + _SWEEP_TOL)], []
+    ) if len(pairs) else ((e_pairs, e_pairs), [])  # no pairs, no pass
     outside = np.flatnonzero((at_mean > 0.0) | (at_upper < 0.0))
     e_above_m, m_up_above_e = np.flatnonzero(at_e > 0.0), strict[at_e_up < 0.0]
-    below, above = np.flatnonzero(at_low > 0.0), np.flatnonzero(at_high < 0.0)
     ms, m_pairs, m_ups = _solve_once(lambda s, t: _ibeta_inv_row(0.5, s, t), medians[outside],
                                      pairs[e_above_m], pairs[m_up_above_e] + 1.0)
-    e_lows, e_highs = _solve_once(_equipoint_rows, lows[below], highs[above])
-    violations = []
+    e_bands = _solve_once(_equipoint_rows, *(rows[f] for (rows, *_), f in zip(bands, flagged)))
     for i, m in zip(outside.tolist(), ms):
         (s, t), lower, upper = median_shapes[i], float(means[i]), float(uppers[i])
         violations.append({"check": "median_bounds", "s": s, "t": t, "m": m,
@@ -391,11 +387,9 @@ def _bounds_checks(median_shapes: list[tuple[float, float]],
             violations.append({"check": "e_le_m", "s": s, "t": t, "e": e, "m": m_at[i]})
         if i in m_up_at:
             violations.append({"check": "m_up_le_e", "s": s, "t": t, "e": e, "m_up": m_up_at[i]})
-    for i, e in zip(below.tolist(), e_lows):
-        (s, t), bound = lower_shapes[i], float(low_bound[i])
-        violations.append({"check": "equipoint_lower", "s": s, "t": t, "e": e, "bound": bound})
-    findings = [{"check": "simmons_conjecture", "s": conjecture_shapes[i][0], "t": conjecture_shapes[i][1],
-                 "e": e, "bound": float(high_bound[i])} for i, e in zip(above.tolist(), e_highs)]
+    for (_, where, ends, records), masks, f, es in zip(bands, fired, flagged, e_bands):
+        records += [{"check": check, "s": where[i][0], "t": where[i][1], "e": e, "bound": float(bound[i])}
+                    for i, e in zip(f.tolist(), es) for (check, bound, _), mask in zip(ends, masks) if mask[i]]
     return violations, findings
 
 
@@ -435,14 +429,14 @@ def bounds_sweeps(shapes: list[tuple[float, float]], lower_s_max: float,
 
 def _one_step_sweep(rows, pairs, check: str, names: tuple[str, str]) -> list[dict]:
     """A record, in pair order, of each pair ((s, d), (s + 1, d)) whose first
-    ``rows`` value exceeds its second by more than 1e-12, every distinct point
+    ``rows`` value exceeds its second by more than ``_SWEEP_TOL``, every distinct point
     solved once (``_solve_once``).  An empty pair list is refused with
     DomainError: a sweep that compares nothing checks nothing."""
     if not pairs:
         raise DomainError(f"the {check} sweep has no pair (s, d), (s + 1, d) to compare")
     low, high = _solve_once(rows, [p for p, _ in pairs], [q for _, q in pairs])
     return [{"check": check, "s": s, "d": d, names[0]: v0, names[1]: v1}
-            for ((s, d), _), v0, v1 in zip(pairs, low, high) if v0 > v1 + 1e-12]
+            for ((s, d), _), v0, v1 in zip(pairs, low, high) if v0 > v1 + _SWEEP_TOL]
 
 
 def phi_hat_monotone_sweep(d_max: float, step: float) -> list[dict]:

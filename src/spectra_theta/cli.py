@@ -117,7 +117,7 @@ def cmd_median_table(args: argparse.Namespace) -> int:
                 "t": t,
                 "mean": mu,
                 "median": m,
-                "upper_half": mu + (s - t) / (2.0 * ((s + t) * (s + t))),
+                "upper_half": betastats.median_half_upper_bound(shape),
                 "upper": upper,
                 "upper_old": betastats.median_old_upper_bound(shape),
             }

@@ -21,9 +21,9 @@ from .errors import (DEFAULT_SEED, DomainError, NumericError, ResourceError, _ge
 from .pencil import (MonicPencil, SymTuple, _eigh, _eigvalsh, cube_pencil, in_free_spectrahedron,
                      min_eigenvalue)
 
-SPIN_CONSTRUCTION_CAP = 14  # matrices of size 2^13; int8 storage keeps this ~1 GB
+SPIN_CONSTRUCTION_CAP = 14  # matrices of size 2^13, stored as int8 (their memory: README)
 SPIN_BALL_CAP = 512  # side 2^(g-1) n of the spin ball's Kronecker sum; see ball_membership
-SPIN_NORM_CAP = 8  # exact checks on matrices of size 2^(g-1): every g up to here in < 0.1 s
+SPIN_NORM_CAP = 8  # exact checks on matrices of size 2^(g-1), cheap for every g up to here
 CHOI_CAP = 8
 
 _SIGMA0 = np.array([[1, 0], [0, 1]], dtype=np.int8)

@@ -27,12 +27,12 @@ import numpy as np
 from .errors import NumericError
 
 _MAX_ITER = 200
-# The noise-floor stop: a Newton step of at most this many tol that fails only the creep test.
-# From 8 up to 1024, sigma stops on the same lanes at every d measured up to 8001; 4 misses some.
+# The noise-floor stop: a Newton step of at most this many tol that fails only the creep test
+# (the values that stop sigma on the same lanes: README's numerics notes).
 _FLOOR_STEPS = 16
-# The loop's constant operands as 0-d arrays: numpy converts a Python float operand on
-# every call, a tenth of a one-lane round's time; the bits are the same.
-_ZERO, _HALF, _TWO = np.array(0.0), np.array(0.5), np.array(2.0)
+# The constant operands of this loop and of ``specfun``'s row kernel as 0-d arrays: numpy
+# converts a Python float operand on every call; the bits are the same.
+_ZERO, _HALF, _ONE, _TWO = np.array(0.0), np.array(0.5), np.array(1.0), np.array(2.0)
 
 
 def _inverse_hermite(lo, hi, flo, fhi, dlo, dhi, mid):

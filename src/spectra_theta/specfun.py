@@ -35,7 +35,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import NumericError, _require_real
-from .rootfind import newton_rows
+from .rootfind import _ONE, _TWO, newton_rows
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,8 @@ _CF_TINY = 1e-300
 def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta, evaluated by the modified
     Lentz algorithm.  Valid (fast-converging) for x < (a+1)/(a+b+2).
-    Unlike ``_beta_cf_row`` it writes out the even and the odd term: an inner
-    loop over the two costs a scalar lane about a fifth more time."""
+    Unlike ``_beta_cf_row`` it writes out the even and the odd term, as an
+    inner loop over the two costs a scalar lane more time."""
     max_iter, tiny = _CF_MAX_ITER, _CF_TINY
     qab = a + b
     qap = a + 1.0
@@ -172,9 +172,6 @@ def reg_inc_beta_inv(y: float, a: float, b: float) -> float:
 # per-operation overhead on the continued-fraction loop costs more than the
 # scalar loops it replaces (per-lane costs of both: scripts/row_costs.py).
 _ROW_MIN_LANES = 112
-# The interior lanes' constant operands as 0-d arrays: numpy converts a Python float
-# operand on every call, a tenth of a one-lane call's time; the bits are the same.
-_ONE, _TWO = np.array(1.0), np.array(2.0)
 
 
 def _lanes(*args) -> list[np.ndarray]:

@@ -40,9 +40,8 @@ from .theta import SignDiag, alpha_beta, kappa_star
 
 DEFAULT_SAMPLES = 1_000_000
 # Rows per batch.  Fixed, so the accumulation order never depends on n (another
-# size moves the estimates' last bits).  Sized to the cache: at d = 8 the
-# windows of normals and squares hold 2 MiB, where 2^17 rows held 16 MiB and
-# ran slower, cold and warm (scripts/oracle_costs.py).
+# size moves the estimates' last bits).  Sized to the cache by
+# scripts/oracle_costs.py (its figures: README's numerics notes).
 _BATCH = 1 << 14
 
 
@@ -103,7 +102,7 @@ def _stream_batches(dims, n: int, seed: int):
             np.multiply(fresh, fresh, out=squares[hi - lo : end - lo])
             hi = end
         sq = squares[start - lo : end - lo].reshape(-1, d)
-        # sq @ ones, not np.add.reduce(sq, axis=1): BLAS is ~10x faster on short rows
+        # sq @ ones, not np.add.reduce(sq, axis=1): BLAS is faster on short rows
         r2 = np.matmul(sq, np.ones(d), out=norms[: len(sq)])
         yield d, window[start - lo : end - lo].reshape(-1, d), sq, r2
 

@@ -47,11 +47,12 @@ from .specfun import _ibeta_rows, _ln_beta_row, ln_gamma, reg_inc_beta
 
 KAPPA_CROSS_CHECK_TOL = 1e-9
 CLOSED_FORM_TOL = 1e-8
-# the largest d theta accepts: near it the scan's kappa_* noise, about 5e-12 relative on
-# theta ~ 280, reaches the fixed 1e-9 slack of the odd-d bounds, so the certificate stops here
+# The largest d that theta, thetas and the closed forms accept: one check (``_require_d``)
+# refuses a larger d with DomainError before any scan is built.  The cap does not certify
+# theta up to it: README's numerics notes give the scan's kappa_* error near the cap.
 THETA_D_MAX = 10**5
 # The most splits one pass of ``thetas`` solves together: at most 2**17 lanes in its kappa_*
-# kernel pass, about 42 MiB at its peak (1.3 kB per split)
+# kernel pass, so a pass's memory is bounded whatever the d's (its peak: README)
 _PASS_SPLITS = 2**15
 
 
@@ -132,11 +133,9 @@ def sigma_st(s: int, t: int) -> float:
     s >= t >= 1).  A bracket without a sign change signals an upstream bug
     and raises NumericError.
 
-    Against 40-digit mpmath roots (``scripts/mpmath_roots.py``) sigma is off
-    by at most 5.6 ulps for d = s + t <= 12 and by 5.2e-15 at (2001, 2000),
-    but by 223-873 ulps (up to about 1e-13) on the five seeded splits of
-    d = 99,999 (``--d 99999 --lanes 5``): the digits are lost at large
-    shapes, presumably in I_p near shape 2.5e4 (ROADMAP item 9).
+    sigma loses digits at large shapes, presumably in I_p (ROADMAP item 9);
+    its errors against 40-digit mpmath roots (``scripts/mpmath_roots.py``)
+    are in README's numerics notes.
     """
     s, t = _require_split(s, t)
     if _require_int("s", s, t) == t:
@@ -149,10 +148,8 @@ def _sigma_residual(sh, th, x, ln_b) -> tuple[np.ndarray, np.ndarray]:
     its x-derivative, the sum of the two densities; both incomplete betas
     come from one stacked row-kernel pass, with ln B from ``ln_b``."""
     # sigma_{s,t} is the equipoint e_{s/2,t/2} but keeps this residual: through
-    # betastats' one-beta form it lands 2-4x farther from 40-digit roots
-    # (1.2e-14 against 5.5e-15 at (2001, 2000)); test_sigma_st_against_mpmath
-    # holds today's accuracy.  theta(20001) escapes its odd-d bounds even so:
-    # its 125.33768006817907 is below the float theta_minus 125.33768006919689.
+    # betastats' one-beta form it lands farther from 40-digit roots (README's
+    # numerics notes); test_sigma_st_against_mpmath holds today's accuracy.
     (left, left_pdf), (right, right_pdf) = _ibeta_rows(
         (sh, th + 1.0, x), (th, sh + 1.0, 1.0 - x), ln_b=ln_b.ravel()
     )
@@ -332,10 +329,9 @@ def theta_odd_bounds(d: int) -> tuple[float, float, float]:
     theta_plus is the reciprocal of the two-term incomplete-beta expression
     evaluated at (d+-1)/(2d).
 
-    Above d of about 2e4 the float theta_plus can fall below theta_minus: it
-    does on 39 of 98 sampled odd d in [4001, 99999] (every 998th from 4001,
-    and 99999), the first at d = 24,959, and on none of the odd d <= 4001.
-    That stands until the bounds are made accurate (ROADMAP item 1).
+    At large odd d the float theta_plus can fall below theta_minus (where it
+    was seen: README's numerics notes); never at d <= 4001.  That stands
+    until the bounds are made accurate (ROADMAP item 1).
     """
     if (d := _require_d(d, 3)) % 2 == 0:
         raise DomainError(f"theta_odd_bounds requires odd d >= 3, got {reprlib.repr(d)}")

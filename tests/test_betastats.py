@@ -628,6 +628,19 @@ def test_simmons_sweep_records_equal_a_plain_recomputation(monkeypatch):
                and type(r["bound"]) is float for r in records)
 
 
+def test_simmons_sweep_equals_the_plain_rule_under_moved_roots(monkeypatch):
+    # every equipoint moved by up to 0.1, as in
+    # test_bounds_sweeps_equal_the_separate_sweeps, so that both checks fire
+    # on many splits, often on the same d: each record must come back with
+    # the plain rule's bits, split and key order, upper before lower per split
+    _shift_roots(monkeypatch, lambda s, t: 0.0, lambda s, t: 0.1 * np.sin(7.0 * s + 3.0 * t + 1.0))
+    records = simmons_sweep(40)
+    assert [list(r.items()) for r in records] == [list(r.items()) for r in _simmons_root_then_compare(40)]
+    kinds = [r["check"] for r in records]
+    assert len(records) == 360 and {"simmons_upper", "equipoint_lower"} <= set(kinds)
+    assert kinds != sorted(kinds) and kinds != sorted(kinds, reverse=True)  # interleaved by split
+
+
 def test_a_shape_gives_its_sum_and_mean():
     shape = BetaShape(3.0, 1.0)
     assert shape.d_frak == 4.0 and shape.mean == 0.75

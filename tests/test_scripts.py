@@ -232,3 +232,17 @@ def test_sweep_margins_prints_the_least_slack_of_each_check():
         ["bounds", "median_bounds_lower"], ["bounds", "median_bounds_upper"], ["bounds", "e_le_m"],
         ["bounds", "m_up_le_e"], ["bounds", "equipoint_lower"], ["bounds", "simmons_conjecture"]]
     assert all(math.isfinite(float(value)) for row in rows for value in row[2:])
+
+
+def test_src_lines_columns_sum_to_each_modules_line_count():
+    # only the format is checked: one row per module of the package and a
+    # total, and each row's four columns sum to its wc -l (newline count)
+    lines = run_script("src_lines.py")
+    assert lines[0] == "module,code,docstring,comment,blank,lines"
+    rows = [line.split(",") for line in lines[1:]]
+    modules = sorted((ROOT / "src" / "spectra_theta").glob("*.py"))
+    assert [row[0] for row in rows] == [path.name for path in modules] + ["total"]
+    counts = [[int(value) for value in row[1:]] for row in rows]
+    wc = [path.read_bytes().count(b"\n") for path in modules]
+    assert [sum(row[:4]) for row in counts] == [row[4] for row in counts] == wc + [sum(wc)]
+    assert [sum(column) for column in zip(*counts[:-1])] == counts[-1]

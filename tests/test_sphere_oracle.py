@@ -162,7 +162,7 @@ def test_determinism_bit_identical():
 def test_blas_contractions_match_the_einsum_reference():
     # the estimators contract through BLAS (squares @ spectrum, X^T X); the
     # three-operand einsums over the same samples are the reference, to the
-    # rounding of one 2^17-sample batch sum.  A general B is read through its
+    # rounding of one _BATCH-sample batch sum.  A general B is read through its
     # spectrum, so its reference is the quadratic form of diag(eigvalsh(B))
     n, seed = 155_653, 12
     rtol = _BATCH * np.finfo(float).eps
